@@ -2,14 +2,19 @@
 message policing, and the synchronization verdict."""
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesync.adversaries import Adversary, make_adversary
 from planesync.errors import SimulationError
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import MwsState, TTMessageUp, mws_on_tick
+from planesync.ring import ring_dist
 from planesync.simnet import (
     ClockTrack,
     Engine,
@@ -348,3 +353,127 @@ class TestSyncCheck:
         ok, dev = sync_check([_const_track(4096, 5), _const_track(4096, 7)],
                              0, 20 * RP.T * self.L, RP, self.L)
         assert ok and dev == 2
+
+
+# ---- brute-force verdict oracle ----------------------------------------------
+
+
+def _cum_at(tr, t, side):
+    """Hardware ticks plus the signed cumulative adjustment at instant t,
+    read just before ("left") or just after ("right") any jump at t."""
+    idx = (bisect_right if side == "right" else bisect_left)(tr.jump_times, t)
+    return tr.clock.ticks_at(t) + (tr.jump_cum[idx - 1] if idx else 0)
+
+
+def oracle_sync_check(tracks, t1, t2, rp, L, eps0=None):
+    """sync_check by enumeration: every sample, every pair of clocks, and
+    every pair of readings inside each rate span."""
+    eps0 = rp.eps0 if eps0 is None else eps0
+    THL = int(rp.sys.T_H * L)
+    samples = {t for t in range(t1, t2 + 1) if t % THL == 0}
+    samples |= {t for tr in tracks for t in tr.jump_times if t1 <= t <= t2}
+    samples = sorted(samples)
+    if not samples:
+        return True, 0
+
+    max_dev = 0
+    for t in samples:
+        for side in ("left", "right"):
+            vals = [tr.value_at(t, side) for tr in tracks]
+            for a, b in itertools.combinations(vals, 2):
+                max_dev = max(max_dev, ring_dist(a, b, rp.tau_max))
+    if max_dev > eps0:
+        return False, max_dev
+
+    # Rate: between any two readings of one clock inside a span, elapsed
+    # ticks deviate from elapsed time (in units of T_H) by at most
+    # rho*elapsed + eps0.  Readings at one instant go pre-jump first.
+    # Scaled by THL and by the denominator of rho to stay in integers.
+    pr, qr = rp.rho.numerator, rp.rho.denominator
+    delta = math.ceil(rp.dv.T_max * rp.sys.T_H * L)
+    starts = list(range(t1, t2, delta))
+    starts += [s + delta // 2 for s in starts]
+    for tr in tracks:
+        for s0 in starts:
+            span = [t for t in samples if s0 <= t <= min(s0 + delta, t2)]
+            if len(span) < 2:
+                continue
+            reads = [(t, _cum_at(tr, t, side)) for t in span for side in ("left", "right")]
+            for (ta, ua), (tb, ub) in itertools.combinations(reads, 2):
+                elapsed = tb - ta
+                if abs((ub - ua) * THL - elapsed) * qr > pr * elapsed + eps0 * THL * qr:
+                    return False, max_dev
+    return True, max_dev
+
+
+# A small system so each rate span holds a few dozen samples and the
+# quadratic oracle stays cheap: T = 12 ticks, T_max = 24.24 ticks.
+SMALL_RP = resolve(
+    SystemParams(n0=4, n1=3, f0=1, f1=1, tau_max=64, T_H=Fraction(1),
+                 rho=Fraction(1, 100), d_max=Fraction(1, 2), T0=8, a0=3,
+                 eps0=2, eps1=3, eps2=4),
+    TTSchedule(vc_send=(0, 1), mc_recv=(2, 3), c_send=(4, 5), c_recv=(6, 7)),
+)
+SMALL_L = 100                                   # subticks per T_H
+SMALL_DELTA = math.ceil(SMALL_RP.dv.T_max * SMALL_L)
+
+
+@st.composite
+def checked_windows(draw):
+    """Tracks with jump histories and a window [t1, t2], t1 > 0, with jumps
+    before t1 and, at will, jumps exactly at t1 and at t2."""
+    tau = SMALL_RP.tau_max
+    t1 = draw(st.integers(1, 3 * SMALL_DELTA))
+    t2 = t1 + draw(st.integers(0, 2 * SMALL_DELTA))
+    base = draw(st.integers(0, tau - 1))
+    # Half the cases keep every clock close to a common reading and at the
+    # nominal rate, so passing verdicts are as common as failing ones.
+    near = st.integers(0, 1).map(lambda d: (base + d) % tau)
+    offset = st.integers(0, tau - 1) if draw(st.booleans()) else near
+    period = st.integers(SMALL_L - 1, SMALL_L + 1) if draw(st.booleans()) \
+        else st.just(SMALL_L)
+    tracks = []
+    for _ in range(draw(st.integers(1, 4))):
+        clk = HardwareClock(t_ref=-draw(st.integers(0, SMALL_L - 1)),
+                            period=draw(period), h0=0, tau=tau)
+        tr = ClockTrack(clk, draw(offset))
+        times = draw(st.lists(st.integers(0, t2 + SMALL_DELTA), max_size=12))
+        times += [t for t in (t1, t2) if draw(st.booleans())]
+        # Early history may wander anywhere, so the shift carried into the
+        # window is arbitrary; jumps shortly before t1 can bring it back.
+        for t in sorted(times):
+            new = draw(st.integers(0, tau - 1) if t < t1 - 4 * SMALL_L else offset)
+            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
+                      new=new)
+        tracks.append(tr)
+    return tracks, t1, t2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(checked_windows())
+def test_sync_check_matches_oracle(case):
+    tracks, t1, t2 = case
+    assert sync_check(tracks, t1, t2, SMALL_RP, SMALL_L) == \
+        oracle_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L)
+
+
+@pytest.mark.parametrize("hold", [6, RP.eps0 + 1])
+def test_window_after_history(hold):
+    # Every window looks the same up to a common shift: a gains 3 ticks at
+    # mid-window; b runs 2 ticks ahead of a, except that it holds `hold`
+    # ticks ahead from just before each window start until an eighth into
+    # the window.  Window k, after 5k earlier jumps, must get the verdict
+    # of window 0, where no jump precedes it.
+    L, W, k, tau = 10, 2560, 2000, 4096
+    a = _const_track(tau, 0, period=L)
+    b = _const_track(tau, hold, period=L)
+    for j in range(k + 1):
+        c = 3 * j
+        a.record(t=j * W + W // 2, old=c % tau, new=(c + 3) % tau)
+        b.record(t=j * W + W // 8, old=(c + hold) % tau, new=(c + 2) % tau)
+        b.record(t=j * W + W // 2 + 1, old=(c + 2) % tau, new=(c + 5) % tau)
+        b.record(t=(j + 1) * W - L // 2, old=(c + 5) % tau, new=(c + 3 + hold) % tau)
+    want = (hold <= RP.eps0, hold)
+    assert sync_check([a, b], 0, W, RP, L) == want
+    assert sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
+    assert oracle_sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
