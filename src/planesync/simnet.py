@@ -712,33 +712,35 @@ class World:
 # ---- synchronization verdicts ----------------------------------------------
 
 
-def _samples(t1: int, t2: int, THL: int, tracks: list[ClockTrack]) -> np.ndarray:
+def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jumps of tr inside [t1, t2]: their times, and the offset and
+    cumulative shift in force after each, led by the values carried in from
+    before t1.  Any sample in [t1, t2] indexes this slice exactly as it
+    would the whole history."""
+    jt = tr.jump_times
+    lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
+    off0, cum0 = (tr.jump_offsets[lo - 1], tr.jump_cum[lo - 1]) if lo else (tr.offset0, 0)
+    return (np.array(jt[lo:hi], dtype=np.int64),
+            np.array([off0, *tr.jump_offsets[lo:hi]], dtype=np.int64),
+            np.array([cum0, *tr.jump_cum[lo:hi]], dtype=np.int64))
+
+
+def _samples(t1: int, t2: int, THL: int, jumps: list[np.ndarray]) -> np.ndarray:
     grid = np.arange(-(-t1 // THL) * THL, t2 + 1, THL, dtype=np.int64)
-    extra = [t for tr in tracks
-             for t in tr.jump_times[bisect_left(tr.jump_times, t1):
-                                    bisect_right(tr.jump_times, t2)]]
-    if extra:
-        return np.unique(np.concatenate([grid, np.array(extra, dtype=np.int64)]))
+    if any(jt.size for jt in jumps):
+        return np.unique(np.concatenate([grid, *jumps]))
     return grid
 
 
-def _values(tr: ClockTrack, ts: np.ndarray, side: str) -> np.ndarray:
-    clk = tr.clock
+def _values(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
+    jt, offs, _cum = win
     ticks = (ts - clk.t_ref) // clk.period
-    offs = np.concatenate([[tr.offset0], np.array(tr.jump_offsets, dtype=np.int64)]) \
-        if tr.jump_times else np.array([tr.offset0], dtype=np.int64)
-    jt = np.array(tr.jump_times, dtype=np.int64)
-    idx = np.searchsorted(jt, ts, side=side)
-    return (clk.h0 + ticks + offs[idx]) % clk.tau
+    return (clk.h0 + ticks + offs[np.searchsorted(jt, ts, side=side)]) % clk.tau
 
 
-def _cums(tr: ClockTrack, ts: np.ndarray, side: str) -> np.ndarray:
-    cum = np.concatenate([[0], np.array(tr.jump_cum, dtype=np.int64)]) \
-        if tr.jump_times else np.array([0], dtype=np.int64)
-    jt = np.array(tr.jump_times, dtype=np.int64)
-    idx = np.searchsorted(jt, ts, side=side)
-    clk = tr.clock
-    return (ts - clk.t_ref) // clk.period + cum[idx]
+def _cums(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
+    jt, _offs, cum = win
+    return (ts - clk.t_ref) // clk.period + cum[np.searchsorted(jt, ts, side=side)]
 
 
 def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
@@ -753,6 +755,10 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     half-shifted spans so every pair within T_max/2 is covered and no pair
     beyond T_max is ever required.
 
+    The cost depends on the samples and jumps inside [t1, t2], not on the
+    run's history: each track's jumps are found by one bisection, so
+    checking window 1000 of a run costs the same as checking window 1.
+
     Returns (verdict, max precision deviation seen in ticks).
     """
     if t1 > t2:
@@ -760,14 +766,15 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     eps0 = rp.eps0 if eps0 is None else eps0
     tau = rp.tau_max
     THL = int(rp.sys.T_H * L)
-    ts = _samples(t1, t2, THL, tracks)
+    wins = [_window(tr, t1, t2) for tr in tracks]
+    ts = _samples(t1, t2, THL, [jt for jt, _offs, _cum in wins])
     if ts.size == 0:
         return True, 0
 
     max_dev = 0
     if len(tracks) > 1:
         for side in ("left", "right"):
-            V = np.stack([_values(tr, ts, side) for tr in tracks])
+            V = np.stack([_values(tr.clock, win, ts, side) for tr, win in zip(tracks, wins)])
             for a in range(len(tracks)):
                 d = (V[a] - V[a + 1:]) % tau
                 d = np.minimum(d, tau - d)
@@ -783,9 +790,9 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     delta = math.ceil(rp.dv.T_max * rp.sys.T_H * L)
     starts = list(range(t1, t2, delta))
     starts += [s + delta // 2 for s in starts]
-    for tr in tracks:
-        u_l = _cums(tr, ts, "left")
-        u_r = _cums(tr, ts, "right")
+    for tr, win in zip(tracks, wins):
+        u_l = _cums(tr.clock, win, ts, "left")
+        u_r = _cums(tr.clock, win, ts, "right")
         for s0 in starts:
             m = (ts >= s0) & (ts <= min(s0 + delta, t2))
             if m.sum() < 2:
