@@ -42,6 +42,9 @@ class Adversary:
         self.rp: Resolved = world.rp
         self.rng = world.adv_rng
 
+    def unbind(self) -> None:
+        self.world = None
+
     def setup(self) -> None:
         pass
 

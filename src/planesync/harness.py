@@ -234,25 +234,30 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
     windows_run = 0
     devs: list[int] = []
 
-    for k in range(sc.horizon):
-        world.run_until_window(k + 1)
-        ok, dev = sync_check(world.qap_tracks(), k * world.window,
-                             (k + 1) * world.window, rp, world.L,
-                             eps0=sc.eps0_check)
-        windows_run = k + 1
-        devs.append(dev)
-        max_dev = max(max_dev, dev)
-        if ok:
-            run_len += 1
-            if stab is None and run_len == confirm:
-                stab = k - confirm + 1
-                if sc.stop_after_confirm:
-                    break
-        else:
-            run_len = 0
-            n_viol += 1
-            if first_viol is None:
-                first_viol = k
+    # Closing breaks the world's reference cycles, so it is freed as soon
+    # as this call returns; its logs and trace stay readable.
+    try:
+        for k in range(sc.horizon):
+            world.run_until_window(k + 1)
+            ok, dev = sync_check(world.qap_tracks(), k * world.window,
+                                 (k + 1) * world.window, rp, world.L,
+                                 eps0=sc.eps0_check)
+            windows_run = k + 1
+            devs.append(dev)
+            max_dev = max(max_dev, dev)
+            if ok:
+                run_len += 1
+                if stab is None and run_len == confirm:
+                    stab = k - confirm + 1
+                    if sc.stop_after_confirm:
+                        break
+            else:
+                run_len = 0
+                n_viol += 1
+                if first_viol is None:
+                    first_viol = k
+    finally:
+        world.close()
     if stab is not None:
         max_dev_stb = max(devs[stab:])
 

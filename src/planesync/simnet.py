@@ -103,6 +103,10 @@ class Engine:
         self._seq += 1
         return handle
 
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
+
     def run_until(self, t_end: int) -> None:
         heap = self._heap
         while heap and heap[0][0] <= t_end:
@@ -264,12 +268,7 @@ class World:
         atoms.extend(p * q for p, q in zip(periods.values(), phases.values()))
         self.L = math.lcm(*(a.denominator for a in atoms))
 
-        def scaled(x: Fraction) -> int:
-            v = x * self.L
-            assert v.denominator == 1
-            return int(v)
-
-        self.scaled = scaled
+        scaled = self.scaled
         self.THL = scaled(rp.sys.T_H)
         self.skew_quantum = scaled(Fraction(self._eps_rnd, QUANT)) if self._eps_rnd > 0 else 0
         self.delay_quantum = scaled(Fraction(rp.sys.d_max, QUANT))
@@ -309,6 +308,12 @@ class World:
             self._arm_initial(p)
 
     # ---- construction helpers -------------------------------------------
+
+    def scaled(self, x: Fraction) -> int:
+        """Exact subtick count of a time quantity on this world's grid."""
+        v = x * self.L
+        assert v.denominator == 1
+        return int(v)
 
     def _node_keys(self):
         for p in range(self.rp.n1):
@@ -702,6 +707,14 @@ class World:
 
     def run_until_window(self, w: int) -> None:
         self.engine.run_until(w * self.window)
+
+    def close(self) -> None:
+        """End the run: drop the pending events, whose callbacks refer back
+        to this world, and unbind the adversary, so that reference counting
+        frees the world without waiting for the cycle collector.  Logs,
+        tracks and the trace stay readable."""
+        self.engine.clear()
+        self.adversary.unbind()
 
     def qap_tracks(self) -> list[ClockTrack]:
         keys = [("mws", p) for p in self.honest_planes] + \

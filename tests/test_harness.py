@@ -2,11 +2,14 @@
 campaign reduction, and the coin-model bound checker."""
 
 import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from planesync import harness
 from planesync.errors import ConfigurationError
 from planesync.harness import (
     CoinModelSummary,
@@ -178,6 +181,26 @@ class TestRunOnce:
     def test_same_seed_same_result(self):
         sc = scenario(horizon=15)
         assert run_once(sc, 9) == run_once(sc, 9)
+
+    @pytest.mark.parametrize("adv", ["silent", "random_noise", "max_skew", "split_brain"])
+    def test_world_freed_by_reference_counting(self, adv, monkeypatch):
+        # Pending events and the adversary refer back to the world; run_once
+        # must break those cycles so the world dies without the collector.
+        refs = []
+
+        class Spy(harness.World):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "World", Spy)
+        sc = scenario(adversary=adv, horizon=5, stop_after_confirm=False)
+        gc.disable()
+        try:
+            run_once(sc, seed=1)
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestConfidenceBound:
