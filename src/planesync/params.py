@@ -158,6 +158,9 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
         v.append(f"n0>3f0 violated: n0={p.n0}, f0={p.f0}")
     if not p.n1 > 2 * p.f1:
         v.append(f"n1>2f1 violated: n1={p.n1}, f1={p.f1}")
+    if p.n1 != 3:
+        v.append(f"n1 must be 3: the randomized reference pick is defined for "
+                 f"three planes, n1={p.n1}")
     if not (0 <= p.rho < 1):
         v.append(f"rho must be in [0,1): {p.rho}")
     if not p.d_max > 0:

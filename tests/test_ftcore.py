@@ -5,6 +5,7 @@ entry-anchored window, which is the exact semantics of the checkers.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from planesync.ftcore import (
     rft,
     update_acc_counter,
 )
-from planesync.params import SystemParams, TTSchedule, resolve
+from planesync.params import Resolved, SystemParams, TTSchedule, resolve
 from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
@@ -190,7 +191,9 @@ class TestRft:
         assert abs(taken / n - 0.8) <= 0.004
 
     def test_n1_not_three_rejected(self):
-        rp = make_rp(n1=5, f1=2)
+        # validate refuses n1=5, so build the bundle around a valid one.
+        base = make_rp()
+        rp = Resolved(sys=replace(base.sys, n1=5, f1=2), sched=base.sched, dv=base.dv)
         with pytest.raises(UnsupportedConfigurationError):
             rft(Mat.empty(5, 4), 0, Fraction(1, 2), random.Random(0), rp)
 

@@ -44,6 +44,15 @@ class TestValidate:
         assert not rep.ok
         assert any("n1>2f1" in v for v in rep.violations)
 
+    def test_n1_other_than_three_rejected(self):
+        # The randomized reference pick is defined for three planes; a
+        # config the simulator cannot run must fail here, not in every seed.
+        rep = validate(make_params(n1=5, f1=2), SCHED)
+        assert not rep.ok
+        assert any("three planes" in v for v in rep.violations)
+        with pytest.raises(ConfigurationError):
+            resolve(make_params(n1=5, f1=2), SCHED)
+
     def test_schedule_ordering(self):
         bad = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(28, 48))
         assert not validate(make_params(), bad).ok
