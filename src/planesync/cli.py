@@ -111,6 +111,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if summary.incomplete:
         print(f"campaign incomplete; failed seeds: {list(summary.failed_seeds)}",
               file=sys.stderr)
+        for seed, why in zip(summary.failed_seeds, summary.failure_reasons):
+            print(f"  seed {seed}: {why}", file=sys.stderr)
         return 1
     return 0
 

@@ -328,6 +328,7 @@ class StatsSummary:
     n_violations: int
     incomplete: bool = False
     failed_seeds: tuple[int, ...] = ()
+    failure_reasons: tuple[str, ...] = ()   # "<ExcType>: <message>", per failed seed
 
     def to_record(self) -> dict:
         return asdict(self)
@@ -359,7 +360,8 @@ class StatsSummary:
 
 def summarize(results: list[RunResult], rp: Resolved, alpha: float = 0.01,
               incomplete: bool = False,
-              failed_seeds: tuple[int, ...] = ()) -> StatsSummary:
+              failed_seeds: tuple[int, ...] = (),
+              failure_reasons: tuple[str, ...] = ()) -> StatsSummary:
     results = sorted(results, key=lambda r: r.seed)
     stabs = [r.stabilization_window for r in results if r.stabilization_window is not None]
     attempts = sum(r.attempts for r in results)
@@ -393,6 +395,7 @@ def summarize(results: list[RunResult], rp: Resolved, alpha: float = 0.01,
         n_violations=sum(r.n_violations for r in results),
         incomplete=incomplete,
         failed_seeds=failed_seeds,
+        failure_reasons=failure_reasons,
     )
 
 
@@ -405,30 +408,37 @@ def run_monte_carlo(sc: Scenario, seeds: list[int], alpha: float = 0.01,
                     jobs: int = 1) -> tuple[StatsSummary, list[RunResult]]:
     """Independent runs, one per seed, joined in seed order.
 
-    A run that raises is recorded in failed_seeds and marks the campaign
-    incomplete rather than aborting the others.
+    A run that raises is recorded in failed_seeds, with its exception in
+    failure_reasons, and marks the campaign incomplete rather than aborting
+    the others.
     """
     if len(seeds) != len(set(seeds)):
         raise ConfigurationError("duplicate seeds in campaign")
     rp = sc.resolved
     results: list[RunResult] = []
     failed: list[int] = []
+    reasons: list[str] = []
+
+    def fail(s: int, e: Exception) -> None:
+        failed.append(s)
+        reasons.append(f"{type(e).__name__}: {e}")
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [(s, ex.submit(_mc_worker, (sc, s))) for s in seeds]
             for s, fut in futs:
                 try:
                     results.append(fut.result())
-                except Exception:
-                    failed.append(s)
+                except Exception as e:
+                    fail(s, e)
     else:
         for s in seeds:
             try:
                 results.append(_mc_worker((sc, s)))
-            except Exception:
-                failed.append(s)
-    summary = summarize(results, rp, alpha=alpha,
-                        incomplete=bool(failed), failed_seeds=tuple(failed))
+            except Exception as e:
+                fail(s, e)
+    summary = summarize(results, rp, alpha=alpha, incomplete=bool(failed),
+                        failed_seeds=tuple(failed), failure_reasons=tuple(reasons))
     return summary, results
 
 

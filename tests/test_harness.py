@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from planesync import harness
+from planesync.cli import main as cli_main
 from planesync.errors import ConfigurationError
 from planesync.harness import (
     CoinModelSummary,
@@ -247,6 +248,28 @@ class TestCampaign:
         summary, results = run_monte_carlo(sc, [0, 1])
         assert summary.incomplete and summary.failed_seeds == (0, 1)
         assert not summary.all_stabilized and results == []
+
+    def test_failure_reasons_name_the_exception(self):
+        # Scenario does not check the initial-state policy; World raises on
+        # it inside every run.
+        sc = dataclasses.replace(REF, init="sideways", horizon=5)
+        summary, results = run_monte_carlo(sc, [3, 4])
+        assert summary.failed_seeds == (3, 4) and results == []
+        assert summary.failure_reasons == (
+            "ConfigurationError: unknown initial-state policy 'sideways'",) * 2
+        assert summary.to_record()["failure_reasons"] == summary.failure_reasons
+
+    def test_campaign_cli_prints_why_each_seed_failed(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        with open("scenarios/reference.yaml") as f:
+            path.write_text(f.read().replace("init: random", "init: sideways"))
+        rc = cli_main(["campaign", "-c", str(path), "--seeds", "2", "--horizon", "5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "failed seeds: [0, 1]" in err
+        for s in (0, 1):
+            assert f"seed {s}: ConfigurationError: unknown initial-state policy " \
+                   "'sideways'" in err
 
 
 class TestCoinModel:
