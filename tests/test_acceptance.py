@@ -224,6 +224,7 @@ def test_criterion_3_checker_oracles():
             assert check_weak(C, cfg) == brute_weak(C, cfg)
 
 
+@pytest.mark.slow
 @criterion(4, "precision closure from a synchronized start, 20 seeds x 1000 windows")
 def test_criterion_4_closure():
     dmt = RP.dv.d_max_ticks
@@ -238,6 +239,7 @@ def test_criterion_4_closure():
         assert all(r.windows_run == 1000 for r in results), adv
 
 
+@pytest.mark.slow
 @criterion(5, "coin-model resynchronization frequency floor at 1e5 windows")
 def test_criterion_5_coin_model():
     s = lemma1_coin_model(RP, n_windows=100_000, seed=0)
@@ -247,6 +249,7 @@ def test_criterion_5_coin_model():
     assert s.ok
 
 
+@pytest.mark.slow
 @criterion(6, "stabilization from random starts, 500 seeds per adversary")
 def test_criterion_6_stabilization():
     for adv in ADVERSARIES:
