@@ -1,5 +1,32 @@
 import re
 
+import pytest
+
+from planesync.ring import wrap_add, wrap_sub
+
+
+def switch_tick_walk(state, c_now, h_now, rp):
+    """One hardware tick of a master switch, walked literally; True when a
+    SIG is emitted.
+
+    The reference for the closed forms that schedule SIGs and watchdogs:
+    the idle sentinel arms SIG generation at clock multiples of T; once a
+    round starts, a watchdog over the hardware clock rearms the sentinel if
+    the round never completes.
+    """
+    tau = rp.tau_max
+    if state.idle and c_now % rp.T == 0:
+        state.tau_idl = wrap_add(h_now, rp.sys.T0 % tau, tau)
+        return True
+    if not state.idle and wrap_sub(state.tau_idl, h_now, tau) > rp.sys.T0:
+        state.tau_idl = state.tau_max
+    return False
+
+
+@pytest.fixture
+def tick_walk():
+    return switch_tick_walk
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One line per acceptance criterion at the end of the run."""

@@ -4,6 +4,7 @@ The window-condition oracles enumerate every row subset and every
 entry-anchored window, which is the exact semantics of the checkers.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +29,7 @@ from planesync.ftcore import (
     update_acc_counter,
 )
 from planesync.params import Resolved, SystemParams, TTSchedule, resolve
-from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
+from planesync.ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
 
@@ -146,6 +147,21 @@ class TestCircMean:
         assert circ_mean([10, 11], 100) == 10
         assert circ_mean([999, 3], 1000) == 1
 
+    def test_matches_fraction_formula(self):
+        # Oracle: unwrap along the circ_sort arc, take the exact rational
+        # mean, round half toward the arc start.
+        rng = random.Random(11)
+        for _ in range(5000):
+            tau = rng.choice([2, 3, 100, 1000, 4096])
+            spread = rng.choice([2, 16, tau])
+            base = rng.randrange(tau)
+            vals = [(base + rng.randrange(spread)) % tau for _ in range(rng.randrange(1, 13))]
+            ordered = circ_sort(vals, tau)
+            offsets = unwrap(ordered, tau)
+            mean = Fraction(sum(offsets), len(offsets))
+            want = (ordered[0] + math.ceil(mean - Fraction(1, 2))) % tau
+            assert circ_mean(vals, tau) == want, vals
+
 
 class TestRft:
     def test_degenerate_branch(self):
@@ -221,6 +237,21 @@ class TestAccuracy:
         h0 = 50
         assert accuracy_check((100 + T) % tau, 100, (h0 + T + 46) % tau, h0, rp)
         assert not accuracy_check((100 + T) % tau, 100, (h0 + T + 47) % tau, h0, rp)
+
+    @pytest.mark.parametrize("over", [
+        {},
+        dict(rho=Fraction(1, 1000), T0=74),
+        dict(rho=Fraction(0), T0=60, eps0=5),
+        dict(rho=Fraction(1, 20), T0=200, eps0=7),
+        dict(rho=Fraction(3, 1000), T0=333, eps0=17, d_max=Fraction(7, 3)),
+        dict(eps0=10, eps1=40, eps2=80, T0=920, d_max=Fraction(99, 20), tau_max=8192),
+    ])
+    def test_hardware_threshold_matches_fraction_formula(self, over):
+        rp = make_rp(**over)
+        rho = rp.rho
+        want = math.ceil(Fraction(2 * rp.eps0 + 2 * rho * rp.T + rp.d_max_ticks)
+                         / (1 - rho) ** 2)
+        assert hw_accuracy_threshold(rp) == want
 
     def test_counter_updates(self):
         assert update_acc_counter(2, True, 3) == 3

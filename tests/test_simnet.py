@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from planesync.adversaries import Adversary, make_adversary
 from planesync.errors import SimulationError
 from planesync.params import SystemParams, TTSchedule, resolve
-from planesync.protocol import MwsState, TTMessageUp, mws_on_tick
+from planesync.protocol import MwsState, TTMessageUp
 from planesync.ring import ring_dist
 from planesync.simnet import (
     ClockTrack,
@@ -112,7 +112,7 @@ class TestNextSigTick:
                                 and (base + k) % tau <= ((tau - 1) // T) * T)
                     assert next_sig_tick(base, k_min, tau, T) == want
 
-    def test_matches_tick_walk(self):
+    def test_matches_tick_walk(self, tick_walk):
         # The closed form must land on the same tick a literal tick-by-tick
         # walk of the switch state machine would fire on.
         rp = make_rp(tau_max=1024, T0=74)
@@ -121,7 +121,7 @@ class TestNextSigTick:
             st = MwsState(tau_max=tau, clock_offset=off)
             walk = None
             for k in range(2 * tau):
-                if mws_on_tick(st, (k + off) % tau, k % tau, rp):
+                if tick_walk(st, (k + off) % tau, k % tau, rp):
                     walk = k
                     break
             assert walk == next_sig_tick(off % tau, 0, tau, T)
@@ -235,6 +235,34 @@ class TestRounds:
                 assert any(q == p for _t, q in w.sig_log)
                 hit = True
         assert hit  # at least one seed exercised the mid-round path
+
+
+    def test_busy_start_watchdog_on_the_walked_tick(self, tick_walk):
+        # A plane that starts mid-round has its watchdog scheduled on the
+        # first tick at or after time 0 where the literal tick walk of its
+        # switch rearms the idle sentinel.
+        seen = 0
+        for seed in range(20):
+            w = World(RP, make_adversary("silent"), seed=seed,
+                      init_policy="random", trace_level="off")
+            for p in w.honest_planes:
+                st = w.mws[p]
+                if st.idle:
+                    continue
+                seen += 1
+                clk = w.clocks[("mws", p)]
+                walked = MwsState(tau_max=st.tau_max, clock_offset=st.clock_offset,
+                                  tau_idl=st.tau_idl)
+                k = clk.ticks_at(0) + (clk.time_of_tick(clk.ticks_at(0)) < 0)
+                while True:
+                    h = (clk.h0 + k) % clk.tau
+                    tick_walk(walked, (h + walked.clock_offset) % clk.tau, h, RP)
+                    if walked.idle:
+                        break
+                    k += 1
+                pending = [ev[0] for ev in w.engine._heap if ev[5] is w._watchdog[p]]
+                assert pending == [clk.time_of_tick(k)]
+        assert seen >= 5
 
 
 class TestMaxSkew:
