@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .errors import PlanesyncError
@@ -129,11 +128,8 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    sc = _scenario(args)
-    if sc.trace_level == "off":
-        sc = replace(sc, trace_level="core")
     tmp_path = args.trace + ".replay"
-    run_once(sc, args.seed, trace_path=tmp_path)
+    run_once(_scenario(args), args.seed, trace_path=tmp_path)
     with open(args.trace) as f:
         want = f.read().splitlines()
     with open(tmp_path) as f:

@@ -13,7 +13,6 @@ evidence of fault and must never help satisfy a condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,9 +99,8 @@ def circ_mean(values: list[int], tau_max: int) -> int:
     """Integer circular mean: unwrap along the circ_sort arc, average,
     round half toward the arc start."""
     ordered = circ_sort(values, tau_max)
-    offsets = unwrap(ordered, tau_max)
-    mean = Fraction(sum(offsets), len(offsets))
-    rounded = math.ceil(mean - Fraction(1, 2))
+    s, n = sum(unwrap(ordered, tau_max)), len(ordered)
+    rounded = -((n - 2 * s) // (2 * n))   # ceil(s/n - 1/2), exactly
     return wrap_add(ordered[0], rounded % tau_max, tau_max)
 
 
@@ -153,9 +151,9 @@ def rft(C: Mat, c_pre: int, p0: Fraction, rng: Random, rp: Resolved) -> int:
 
 
 def hw_accuracy_threshold(rp: Resolved) -> int:
-    """Hardware-clock deviation bound of the accuracy condition, in ticks."""
-    bound = Fraction(2 * rp.eps0 + 2 * rp.rho * rp.T + rp.d_max_ticks) / (1 - rp.rho) ** 2
-    return math.ceil(bound)
+    """Hardware-clock deviation bound of the accuracy condition, in ticks;
+    resolved once by params.derive."""
+    return rp.dv.hw_acc_bound
 
 
 def accuracy_check(m_curr: int, m_pre: int, h_curr: int, h_pre: int, rp: Resolved) -> bool:

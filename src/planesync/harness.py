@@ -90,14 +90,14 @@ class Scenario:
         return self.confirm if self.confirm is not None else rp.dv.g0 + 1
 
     @classmethod
-    def from_doc(cls, doc: dict, strict: bool = True, **overrides) -> "Scenario":
-        params = parse_system_section(doc.get("system", {}), strict=strict)
-        sched = parse_schedule_section(doc.get("schedule", {}), strict=strict)
+    def from_doc(cls, doc: dict, **overrides) -> "Scenario":
+        params = parse_system_section(doc.get("system", {}))
+        sched = parse_schedule_section(doc.get("schedule", {}))
         kwargs: dict = {"params": params, "sched": sched}
         adv = doc.get("adversary", {})
         if adv:
             unknown = set(adv) - _ADVERSARY_KEYS
-            if unknown and strict:
+            if unknown:
                 raise ConfigurationError(f"unknown adversary keys: {sorted(unknown)}")
             kwargs["adversary"] = adv.get("name", "silent")
             kwargs["adversary_params"] = dict(adv.get("params") or {})
@@ -106,7 +106,7 @@ class Scenario:
         run = doc.get("run", {})
         if run:
             unknown = set(run) - _RUN_KEYS
-            if unknown and strict:
+            if unknown:
                 raise ConfigurationError(f"unknown run keys: {sorted(unknown)}")
             if run.get("horizon") is not None:
                 kwargs["horizon"] = int(run["horizon"])
@@ -122,10 +122,9 @@ class Scenario:
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path: Optional[str] = None, strict: bool = True,
-                  **overrides) -> "Scenario":
-        _params, _sched, doc = load_system_config(path, strict=strict)
-        return cls.from_doc(doc, strict=strict, **overrides)
+    def from_file(cls, path: Optional[str] = None, **overrides) -> "Scenario":
+        _params, _sched, doc = load_system_config(path)
+        return cls.from_doc(doc, **overrides)
 
 
 def reference_scenario(**overrides) -> Scenario:
@@ -354,6 +353,8 @@ class StatsSummary:
             ("violation windows", self.n_violations),
             ("incomplete", self.incomplete),
         ]
+        rows += [(f"failed seed {s}", why)
+                 for s, why in zip(self.failed_seeds, self.failure_reasons)]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 

@@ -111,6 +111,7 @@ class DerivedParams:
     eps1: int
     eps2: int
     d_max_ticks: int
+    hw_acc_bound: int            # accuracy condition's hardware-clock bound, ticks
     eps_rnd: Fraction
     warnings: tuple[str, ...] = ()
 
@@ -257,6 +258,7 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
     d3 = wrap_sub(sched.c_send[1] % tm, sched.mc_recv[1] % tm, tm)
 
     t_max = 2 * T * (1 + p.rho)
+    hw_acc_bound = math.ceil(Fraction(2 * eps0 + 2 * p.rho * T + dmt) / (1 - p.rho) ** 2)
     stb_exp = (2 / q1_bound + 4) if q1_bound > 0 else Fraction(0)
     eps_rnd = p.eps_rnd if p.eps_rnd is not None else Fraction(p.d_max)
 
@@ -264,7 +266,7 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
         c0=c0, k0=k0, g0=g0, q0=q0, p0=p0, T=T,
         delta_tt0=d0, delta_tt1=d1, delta_tt2=d2, delta_tt3=d3,
         q1_bound=q1_bound, T_max=t_max, stb_exp_windows=stb_exp,
-        eps0=eps0, eps1=eps1, eps2=eps2, d_max_ticks=dmt,
+        eps0=eps0, eps1=eps1, eps2=eps2, d_max_ticks=dmt, hw_acc_bound=hw_acc_bound,
         eps_rnd=eps_rnd, warnings=tuple(warnings),
     )
 
@@ -326,9 +328,9 @@ _FRACTION_KEYS = {"T_H", "rho", "d_max", "eps_rnd", "min_delay", "q0", "p0"}
 _SCHEDULE_KEYS = {"vc_send", "mc_recv", "c_send", "c_recv"}
 
 
-def parse_system_section(data: dict, strict: bool = True) -> SystemParams:
+def parse_system_section(data: dict) -> SystemParams:
     unknown = set(data) - _SYSTEM_KEYS
-    if unknown and strict:
+    if unknown:
         raise ConfigurationError(f"unknown system keys: {sorted(unknown)}")
     kwargs: dict[str, Any] = {}
     for k in _SYSTEM_KEYS & set(data):
@@ -340,9 +342,9 @@ def parse_system_section(data: dict, strict: bool = True) -> SystemParams:
         raise ConfigurationError(f"bad system section: {e}") from e
 
 
-def parse_schedule_section(data: dict, strict: bool = True) -> TTSchedule:
+def parse_schedule_section(data: dict) -> TTSchedule:
     unknown = set(data) - _SCHEDULE_KEYS
-    if unknown and strict:
+    if unknown:
         raise ConfigurationError(f"unknown schedule keys: {sorted(unknown)}")
     missing = _SCHEDULE_KEYS - set(data)
     if missing:
@@ -356,7 +358,7 @@ def parse_schedule_section(data: dict, strict: bool = True) -> TTSchedule:
     return TTSchedule(**slots)
 
 
-def load_system_config(path: str | None = None, strict: bool = True) -> tuple[SystemParams, TTSchedule, dict]:
+def load_system_config(path: str | None = None) -> tuple[SystemParams, TTSchedule, dict]:
     """Load a YAML config; path may come from the environment override.
 
     Returns the parsed system/schedule plus the raw document (the harness
@@ -372,6 +374,6 @@ def load_system_config(path: str | None = None, strict: bool = True) -> tuple[Sy
         raise ConfigurationError(f"config root must be a mapping: {path}")
     if "system" not in doc or "schedule" not in doc:
         raise ConfigurationError("config must contain 'system' and 'schedule' sections")
-    params = parse_system_section(doc["system"], strict=strict)
-    sched = parse_schedule_section(doc["schedule"], strict=strict)
+    params = parse_system_section(doc["system"])
+    sched = parse_schedule_section(doc["schedule"])
     return params, sched, doc

@@ -26,23 +26,16 @@ __all__ = [
     "MwsState",
     "RoundSummary",
     "TTMessageUp",
-    "TTMessageDown",
     "mes_on_clock_msg",
     "mes_on_begin_vc_send",
     "mes_on_end_c_recv",
-    "mws_on_tick",
+    "next_sig_tick",
+    "mws_on_sig",
+    "mws_watchdog_ticks",
+    "mws_rearm",
     "mws_on_end_mc_recv",
-    "mws_on_begin_c_send",
     "mws_on_end_c_send",
 ]
-
-
-@dataclass(frozen=True)
-class TTMessageDown:
-    """Plane-to-terminals clock distribution: the MWS's newly computed value."""
-
-    plane: int
-    m_p: int
 
 
 @dataclass(frozen=True)
@@ -141,20 +134,35 @@ def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
     state.clock_offset = wrap_sub(target, h_now, tau)
 
 
-def mws_on_tick(state: MwsState, c_now: int, h_now: int, rp: Resolved) -> bool:
-    """One hardware tick of a master switch; True when a SIG is emitted.
+def next_sig_tick(base: int, k_min: int, tau: int, T: int) -> int:
+    """Smallest tick k >= k_min at which an idle switch emits a SIG: its
+    clock (base + k) mod tau is a multiple of T, where base is the clock
+    reading plus offset at tick 0."""
+    best = None
+    for v in range(0, ((tau - 1) // T) * T + 1, T):
+        k = k_min + (v - base - k_min) % tau
+        if best is None or k < best:
+            best = k
+    return best
 
-    The idle sentinel arms SIG generation at clock multiples of T; once a
-    round starts, a watchdog over the hardware clock rearms the sentinel if
-    the round never completes.
-    """
-    tau = rp.tau_max
-    if state.idle and c_now % rp.T == 0:
-        state.tau_idl = wrap_add(h_now, rp.sys.T0 % tau, tau)
-        return True
-    if not state.idle and wrap_sub(state.tau_idl, h_now, tau) > rp.sys.T0:
-        state.tau_idl = state.tau_max
-    return False
+
+def mws_on_sig(state: MwsState, h_now: int, rp: Resolved) -> None:
+    """A SIG at hardware reading h_now starts a round: the switch is busy
+    until the round completes or the watchdog fires."""
+    state.tau_idl = wrap_add(h_now, rp.sys.T0 % rp.tau_max, rp.tau_max)
+
+
+def mws_watchdog_ticks(state: MwsState, h_now: int, rp: Resolved) -> int:
+    """Ticks from hardware reading h_now until the watchdog of a busy switch
+    fires: the first tick whose reading lies more than T0 ticks behind
+    tau_idl.  T0 + 1 right after a SIG."""
+    d = wrap_sub(state.tau_idl, h_now, rp.tau_max)
+    return 0 if d > rp.sys.T0 else d + 1
+
+
+def mws_rearm(state: MwsState) -> None:
+    """Back to idle: the next clock multiple of T emits a SIG."""
+    state.tau_idl = state.tau_max
 
 
 @dataclass(frozen=True)
@@ -209,12 +217,6 @@ def mws_on_end_mc_recv(state: MwsState, h_now: int, rng: Random, rp: Resolved) -
     return RoundSummary(stb=stb, branch=branch)
 
 
-def mws_on_begin_c_send(state: MwsState) -> Optional[TTMessageDown]:
-    """Latch and emit the newly computed clock value; None if the round
-    never reached the matrix-collection stage."""
-    return None if state.c_new is None else TTMessageDown(plane=-1, m_p=state.c_new)
-
-
 def mws_on_end_c_send(state: MwsState, h_now: int, rp: Resolved) -> None:
     """Adjust the clock to the latched value and rearm SIG generation."""
     if state.c_new is None:
@@ -222,4 +224,4 @@ def mws_on_end_c_send(state: MwsState, h_now: int, rp: Resolved) -> None:
     tau = rp.tau_max
     state.c_tilde_old = state.clock_offset
     state.clock_offset = wrap_sub(state.c_new, h_now, tau)
-    state.tau_idl = state.tau_max
+    mws_rearm(state)

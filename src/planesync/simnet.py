@@ -13,7 +13,8 @@ staircase, which keeps the event count per round small regardless of how
 many ticks elapse.
 
 Round structure: a master switch emits a SIG when its adjusted clock hits a
-multiple of T while idle.  The SIG gives every member of the plane (the
+multiple of T while idle (protocol.py states the SIG and watchdog rules;
+this module only schedules them).  The SIG gives every member of the plane (the
 switch itself plus each terminal's per-plane interface) a round anchor
 offset by a bounded skew; TT-slot boundaries then ride on each member's own
 tick progression.  Messages arriving before their receive slot opens are
@@ -43,9 +44,12 @@ from .protocol import (
     mes_on_begin_vc_send,
     mes_on_clock_msg,
     mes_on_end_c_recv,
-    mws_on_begin_c_send,
     mws_on_end_c_send,
     mws_on_end_mc_recv,
+    mws_on_sig,
+    mws_rearm,
+    mws_watchdog_ticks,
+    next_sig_tick,
 )
 from .ring import wrap_add, wrap_sub
 
@@ -56,7 +60,6 @@ __all__ = [
     "World",
     "Trace",
     "sync_check",
-    "next_sig_tick",
     "derive_seed",
     "DRIFT_DENOM",
     "QUANT",
@@ -138,6 +141,10 @@ class HardwareClock:
     def time_of_tick(self, k: int) -> int:
         return self.t_ref + k * self.period
 
+    def first_tick(self, t: int) -> int:
+        """Index of the first tick at or after t."""
+        return -((self.t_ref - t) // self.period)
+
 
 @dataclass
 class ClockTrack:
@@ -168,17 +175,6 @@ class ClockTrack:
         return (self.clock.h_at(t) + self.offset_at(t, side)) % self.clock.tau
 
 
-def next_sig_tick(base: int, k_min: int, tau: int, T: int) -> int:
-    """Smallest tick k >= k_min with (base + k) mod tau a multiple of T,
-    where base is the clock reading plus offset at tick 0."""
-    best = None
-    for v in range(0, ((tau - 1) // T) * T + 1, T):
-        k = k_min + (v - base - k_min) % tau
-        if best is None or k < best:
-            best = k
-    return best
-
-
 class Trace:
     """Chronological event record; exports line-delimited JSON with a stable
     field order so identical runs produce identical bytes."""
@@ -195,13 +191,8 @@ class Trace:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
-        def default(o):
-            if isinstance(o, Fraction):
-                return f"{o.numerator}/{o.denominator}"
-            raise TypeError(type(o))
-
         return "".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":"), default=default) + "\n"
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
             for r in self.records
         )
 
@@ -254,58 +245,69 @@ class World:
 
         # Adversary-chosen per-node rates and tick phases, then the global
         # subtick scale from every rational that can enter a timestamp.
-        self._eps_rnd = rp.dv.eps_rnd  # simulated time units, Fraction
+        eps_rnd = rp.dv.eps_rnd  # simulated time units, Fraction
+        self.warnings: list[str] = []  # clamped periods
         adversary.bind(self)
-        periods: dict = {}
-        phases: dict = {}
-        for key in self._node_keys():
-            periods[key] = self._quantize_period(adversary.choose_period(key))
-            phases[key] = Fraction(adversary.choose_phase(key) % QUANT, QUANT)
-        atoms = [rp.sys.T_H, Fraction(rp.sys.T_H, QUANT), Fraction(rp.sys.d_max, QUANT)]
-        if self._eps_rnd > 0:
-            atoms.append(Fraction(self._eps_rnd, QUANT))
-        atoms.extend(periods.values())
-        atoms.extend(p * q for p, q in zip(periods.values(), phases.values()))
-        self.L = math.lcm(*(a.denominator for a in atoms))
+        try:
+            periods: dict = {}
+            phases: dict = {}
+            for key in self._node_keys():
+                periods[key] = self._quantize_period(adversary.choose_period(key))
+                phases[key] = Fraction(adversary.choose_phase(key) % QUANT, QUANT)
+            atoms = [rp.sys.T_H, Fraction(rp.sys.T_H, QUANT), Fraction(rp.sys.d_max, QUANT)]
+            if eps_rnd > 0:
+                atoms.append(Fraction(eps_rnd, QUANT))
+            atoms.extend(periods.values())
+            atoms.extend(p * q for p, q in zip(periods.values(), phases.values()))
+            self.L = math.lcm(*(a.denominator for a in atoms))
 
-        scaled = self.scaled
-        self.THL = scaled(rp.sys.T_H)
-        self.skew_quantum = scaled(Fraction(self._eps_rnd, QUANT)) if self._eps_rnd > 0 else 0
-        self.delay_quantum = scaled(Fraction(rp.sys.d_max, QUANT))
-        self.min_delay_k = max(1, -(-scaled(rp.sys.min_delay) // self.delay_quantum)) \
-            if rp.sys.min_delay > 0 else 1
-        # Observation-window length in subticks, rounded up to the grid.
-        self.window = math.ceil(rp.dv.T_max * rp.sys.T_H * self.L)
+            scaled = self.scaled
+            self.THL = scaled(rp.sys.T_H)
+            self.skew_quantum = scaled(Fraction(eps_rnd, QUANT)) if eps_rnd > 0 else 0
+            self.delay_quantum = scaled(Fraction(rp.sys.d_max, QUANT))
+            self.min_delay_k = max(1, -(-scaled(rp.sys.min_delay) // self.delay_quantum)) \
+                if rp.sys.min_delay > 0 else 1
+            # Observation-window length in subticks, rounded up to the grid.
+            self.window = math.ceil(rp.dv.T_max * rp.sys.T_H * self.L)
+            # Policed image of the upward slot, in subticks from a round anchor:
+            # the slot stretched by the drift bound and the round-start skew.
+            sc, T_H, rho = rp.sched, rp.sys.T_H, rp.rho
+            self._police_lo = math.floor((sc.vc_send[0] * (1 - rho) * T_H - eps_rnd) * self.L)
+            self._police_hi = math.ceil((sc.vc_send[1] * (1 + rho) * T_H + eps_rnd) * self.L)
 
-        tau = rp.tau_max
-        self.clocks: dict = {}
-        self.tracks: dict = {}
-        for key in self._node_keys():
-            h0 = self.init_rng.randrange(tau)
-            t_ref = -scaled(periods[key] * phases[key])
-            self.clocks[key] = HardwareClock(t_ref=t_ref, period=scaled(periods[key]),
-                                             h0=h0, tau=tau)
+            tau = rp.tau_max
+            self.clocks: dict = {}
+            self.tracks: dict = {}
+            for key in self._node_keys():
+                h0 = self.init_rng.randrange(tau)
+                t_ref = -scaled(periods[key] * phases[key])
+                self.clocks[key] = HardwareClock(t_ref=t_ref, period=scaled(periods[key]),
+                                                 h0=h0, tau=tau)
 
-        self.mws: dict[int, MwsState] = {}
-        self.mes: dict[int, MesState] = {}
-        self.plane_round: dict[int, _PlaneRound] = {}
-        self.mes_round: dict[tuple[int, int], _MesRound] = {
-            (i, p): _MesRound(0, -1, -1, -1, closed=True)
-            for i in self.honest_mes for p in range(n1)
-        }
-        self._watchdog: dict[int, Optional[dict]] = {p: None for p in self.honest_planes}
-        self._round_no: dict[int, int] = {p: 0 for p in range(n1)}
+            self.mws: dict[int, MwsState] = {}
+            self.mes: dict[int, MesState] = {}
+            self.plane_round: dict[int, _PlaneRound] = {}
+            self.mes_round: dict[tuple[int, int], _MesRound] = {
+                (i, p): _MesRound(0, -1, -1, -1, closed=True)
+                for i in self.honest_mes for p in range(n1)
+            }
+            self._watchdog: dict[int, Optional[dict]] = {p: None for p in self.honest_planes}
+            self._round_no: dict[int, int] = {p: 0 for p in range(n1)}
 
-        # Per-run logs consumed by the harness and tests.
-        self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
-        self.stb_log: list[tuple[int, int, bool]] = []        # (t, plane, e_stb)
-        self.sig_log: list[tuple[int, int]] = []              # (t, plane)
-        self.warnings: list[str] = []
+            # Per-run logs consumed by the harness and tests.
+            self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
+            self.stb_log: list[tuple[int, int, bool]] = []        # (t, plane, e_stb)
+            self.sig_log: list[tuple[int, int]] = []              # (t, plane)
 
-        self._init_states(init_policy)
-        adversary.setup()
-        for p in self.honest_planes:
-            self._arm_initial(p)
+            self._init_states(init_policy)
+            adversary.setup()
+            for p in self.honest_planes:
+                self._arm_initial(p)
+        except BaseException:
+            # The adversary refers back to this half-built world: unbind it,
+            # so reference counting frees the world without the collector.
+            self.close()
+            raise
 
     # ---- construction helpers -------------------------------------------
 
@@ -346,11 +348,7 @@ class World:
             # behind that anchor or the first accuracy check fails.
             anchor_c: dict[int, int] = {}
             for p in range(rp.n1):
-                clk = self.clocks[("mws", p)]
-                k0 = clk.ticks_at(0)
-                if clk.time_of_tick(k0) < 0:
-                    k0 += 1
-                k = next_sig_tick(c_init, k0, tau, T)
+                k = next_sig_tick(c_init, self.clocks[("mws", p)].first_tick(0), tau, T)
                 anchor_c[p] = (c_init + k) % tau
             for p in self.honest_planes:
                 clk = self.clocks[("mws", p)]
@@ -405,20 +403,13 @@ class World:
                                                  self.mes[i].clock_offset)
 
     def _arm_initial(self, p: int) -> None:
-        st = self.mws[p]
-        clk = self.clocks[("mws", p)]
-        k0 = clk.ticks_at(0)
-        if clk.time_of_tick(k0) < 0:
-            k0 += 1
-        if st.idle:
+        k0 = self.clocks[("mws", p)].first_tick(0)
+        if self.mws[p].idle:
             self._schedule_sig(p, k0)
         else:
             # Mid-round start: the watchdog rescues the plane once the
             # hardware clock walks past tau_idl.
-            d0 = wrap_sub(st.tau_idl, (clk.h0 + k0) % clk.tau, clk.tau)
-            k_fire = k0 if d0 > self.rp.sys.T0 else k0 + d0 + 1
-            self._watchdog[p] = self.engine.schedule(
-                clk.time_of_tick(k_fire), p, K_WATCHDOG, lambda p=p: self._on_watchdog(p))
+            self._schedule_watchdog(p, k0)
 
     # ---- small utilities --------------------------------------------------
 
@@ -455,6 +446,13 @@ class World:
         k = next_sig_tick(base, k_min, clk.tau, self.rp.T % clk.tau)
         self.engine.schedule(clk.time_of_tick(k), p, K_SIG, lambda: self._on_sig(p))
 
+    def _schedule_watchdog(self, p: int, k: int) -> None:
+        """Watchdog of busy plane p, counted from its hardware tick k."""
+        clk = self.clocks[("mws", p)]
+        k_fire = k + mws_watchdog_ticks(self.mws[p], (clk.h0 + k) % clk.tau, self.rp)
+        self._watchdog[p] = self.engine.schedule(
+            clk.time_of_tick(k_fire), p, K_WATCHDOG, lambda: self._on_watchdog(p))
+
     def _on_sig(self, p: int) -> None:
         st = self.mws[p]
         if not st.idle:
@@ -462,7 +460,7 @@ class World:
         t = self.engine.now
         clk = self.clocks[("mws", p)]
         h = clk.h_at(t)
-        st.tau_idl = wrap_add(h, self.rp.sys.T0 % clk.tau, clk.tau)
+        mws_on_sig(st, h, self.rp)
         self.sig_log.append((t, p))
         self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
         self._round_no[p] += 1
@@ -483,9 +481,7 @@ class World:
                      lambda: self._on_begin_cs(p, v))
         eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT,
                      lambda: self._on_end_cs(p, v))
-        self._watchdog[p] = eng.schedule(
-            clk.time_of_tick(k + self.rp.sys.T0 + 1), p, K_WATCHDOG,
-            lambda: self._on_watchdog(p))
+        self._schedule_watchdog(p, k)
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -517,8 +513,7 @@ class World:
                          lambda i=i, p=p, v=v: self._on_end_cr(i, p, v))
 
     def _on_watchdog(self, p: int) -> None:
-        st = self.mws[p]
-        st.tau_idl = st.tau_max
+        mws_rearm(self.mws[p])
         self.trace.add(True, ev="watchdog", t=self.engine.now, plane=p)
         clk = self.clocks[("mws", p)]
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
@@ -554,18 +549,20 @@ class World:
         rnd = self.plane_round.get(p)
         if rnd is None or rnd.version != v:
             return
-        msg = mws_on_begin_c_send(self.mws[p])
-        if msg is None:
+        # The value latched by the round; None if the round never reached
+        # the matrix-collection stage.
+        m = self.mws[p].c_new
+        if m is None:
             return
         t = self.engine.now
         for i in range(self.rp.n0):
             if i in self.faulty_mes:
                 continue
             arrival = t + self._delay(("mws", p), p)
-            self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=msg.m_p,
+            self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
                            arrival=arrival)
             self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
-                                 lambda i=i, p=p, m=msg.m_p: self._deliver_down(p, i, m))
+                                 lambda i=i: self._deliver_down(p, i, m))
 
     def _on_end_cs(self, p: int, v: int) -> None:
         rnd = self.plane_round.get(p)
@@ -608,11 +605,7 @@ class World:
             return
         # TT isolation at the plane boundary: the send instant must lie in
         # the policed image of the upward slot for the current round.
-        sc = self.rp.sched
-        T_H, rho = self.rp.sys.T_H, self.rp.rho
-        lo = rnd.anchor + math.floor((sc.vc_send[0] * (1 - rho) * T_H - self._eps_rnd) * self.L)
-        hi = rnd.anchor + math.ceil((sc.vc_send[1] * (1 + rho) * T_H + self._eps_rnd) * self.L)
-        if not (lo <= send_t <= hi):
+        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
             self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i,
                            why="outside policed slot")
             return

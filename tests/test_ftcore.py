@@ -251,7 +251,7 @@ class TestAccuracy:
         rho = rp.rho
         want = math.ceil(Fraction(2 * rp.eps0 + 2 * rho * rp.T + rp.d_max_ticks)
                          / (1 - rho) ** 2)
-        assert hw_accuracy_threshold(rp) == want
+        assert hw_accuracy_threshold(rp) == rp.dv.hw_acc_bound == want
 
     def test_counter_updates(self):
         assert update_acc_counter(2, True, 3) == 3

@@ -81,9 +81,6 @@ class TestScenario:
             Scenario.from_doc({**base, "adversary": {"name": "silent", "typo": 1}})
         with pytest.raises(ConfigurationError):
             Scenario.from_doc({**base, "run": {"horizn": 10}})
-        # non-strict mode ignores them
-        sc = Scenario.from_doc({**base, "run": {"horizn": 10}}, strict=False)
-        assert sc.horizon == 1000
 
     def test_reference_file_matches_builtin(self):
         sc = Scenario.from_file("scenarios/reference.yaml")
@@ -258,6 +255,18 @@ class TestCampaign:
         assert summary.failure_reasons == (
             "ConfigurationError: unknown initial-state policy 'sideways'",) * 2
         assert summary.to_record()["failure_reasons"] == summary.failure_reasons
+
+    def test_table_names_each_failed_seed(self):
+        sc = dataclasses.replace(REF, init="sideways", horizon=5)
+        summary, _ = run_monte_carlo(sc, [3, 4])
+        lines = summary.table().splitlines()
+        why = "ConfigurationError: unknown initial-state policy 'sideways'"
+        assert [" ".join(ln.split()) for ln in lines[-2:]] == \
+            [f"failed seed {s} {why}" for s in (3, 4)]
+        # A complete campaign's table has no such rows.
+        done, _ = run_monte_carlo(scenario(horizon=10), [0])
+        assert not done.incomplete and "failed seed" not in done.table()
+        assert len(done.table().splitlines()) == len(lines) - 2
 
     def test_campaign_cli_prints_why_each_seed_failed(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"

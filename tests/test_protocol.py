@@ -11,10 +11,12 @@ from planesync.protocol import (
     mes_on_begin_vc_send,
     mes_on_clock_msg,
     mes_on_end_c_recv,
-    mws_on_begin_c_send,
     mws_on_end_c_send,
     mws_on_end_mc_recv,
-    mws_on_tick,
+    mws_on_sig,
+    mws_rearm,
+    mws_watchdog_ticks,
+    next_sig_tick,
 )
 from planesync.ring import wrap_add, wrap_sub
 
@@ -110,47 +112,72 @@ class TestMes:
 
 
 class TestMwsTick:
-    def test_sig_at_multiples_of_t(self):
+    """The closed forms that schedule SIGs and watchdogs, checked against a
+    literal tick walk of the switch (tick_walk, in conftest.py)."""
+
+    def test_sig_at_multiples_of_t(self, tick_walk):
+        # Every round completes at once: the walk emits a SIG on each clock
+        # multiple of T, on exactly the ticks next_sig_tick names.
         rp = make_rp()
-        st = MwsState(tau_max=rp.tau_max)
-        tau = rp.tau_max
+        tau, T = rp.tau_max, rp.T
+        off, horizon = 5, 3 * rp.T + rp.sys.T0 + 10
+        walked = MwsState(tau_max=tau)
         sigs = []
-        h, off = 0, 5
-        for tick in range(3 * rp.T + rp.sys.T0 + 10):
-            c = wrap_add(h, off, tau)
-            if mws_on_tick(st, c, h, rp):
-                sigs.append(c)
-                # Emulate a completed round: rearm shortly after.
-                st.tau_idl = st.tau_max
-            h = wrap_add(h, 1, tau)
-        assert sigs and all(s % rp.T == 0 for s in sigs)
+        for k in range(horizon):
+            if tick_walk(walked, (k + off) % tau, k % tau, rp):
+                sigs.append(k)
+                mws_rearm(walked)
+        want = [next_sig_tick(off, 0, tau, T)]
+        while (k := next_sig_tick(off, want[-1] + 1, tau, T)) < horizon:
+            want.append(k)
+        assert len(sigs) >= 3 and sigs == want
+        assert all((k + off) % tau % T == 0 for k in sigs)
         # Consecutive SIGs are exactly T apart when every round completes.
-        for a, b in zip(sigs, sigs[1:]):
-            assert wrap_sub(b, a, tau) == rp.T % tau
+        assert all(b - a == T for a, b in zip(sigs, sigs[1:]))
 
-    def test_watchdog_rearms_after_t0(self):
+    def test_watchdog_rearms_after_t0(self, tick_walk):
+        # A fresh SIG, including one whose round spans the ring wrap: the
+        # walk rearms T0 + 1 ticks later, as mws_watchdog_ticks says.
         rp = make_rp()
-        st = MwsState(tau_max=rp.tau_max)
         tau = rp.tau_max
-        h = 0
-        assert mws_on_tick(st, 0, h, rp)  # c == 0 is a multiple of T
-        assert not st.idle
-        fired_at = None
-        for _ in range(rp.sys.T0 + 5):
-            h = wrap_add(h, 1, tau)
-            mws_on_tick(st, wrap_add(h, 1, tau), h, rp)  # offset dodges T-multiples
-            if st.idle:
-                fired_at = h
-                break
-        # tau_idl = T0, so tau_idl - h first exceeds T0 at h = tau-1... the
-        # wraparound distance grows once h passes tau_idl.
-        assert fired_at == rp.sys.T0 + 1
+        for h0 in (0, 17, tau - rp.sys.T0, tau - 1):
+            walked = MwsState(tau_max=tau)
+            assert tick_walk(walked, 0, h0, rp)  # c == 0 is a multiple of T
+            st = MwsState(tau_max=tau)
+            mws_on_sig(st, h0, rp)
+            assert st.tau_idl == walked.tau_idl and not st.idle
+            j = 1
+            while not tick_walk(walked, 1, (h0 + j) % tau, rp) and not walked.idle:
+                j += 1
+            assert j == rp.sys.T0 + 1 == mws_watchdog_ticks(st, h0, rp)
 
-    def test_no_sig_while_round_pending(self):
+    def test_watchdog_from_any_busy_state(self, tick_walk):
+        # Arbitrary busy markers, as a random start leaves them: tau_idl
+        # ahead of, behind and across the ring wrap from the reading h.
         rp = make_rp()
+        tau, T0 = rp.tau_max, rp.sys.T0
+        rng = random.Random(3)
+        edges = (0, 1, T0 - 1, T0, T0 + 1, tau - T0 - 1, tau - T0, tau - 1)
+        cases = [(a, b) for a in edges for b in edges]
+        cases += [(rng.randrange(tau), rng.randrange(tau)) for _ in range(300)]
+        for tau_idl, h in cases:
+            walked = MwsState(tau_max=tau, tau_idl=tau_idl)
+            j = 0
+            while not tick_walk(walked, 1, (h + j) % tau, rp) and not walked.idle:
+                j += 1
+            st = MwsState(tau_max=tau, tau_idl=tau_idl)
+            assert mws_watchdog_ticks(st, h, rp) == j, (tau_idl, h)
+
+    def test_no_sig_while_round_pending(self, tick_walk):
+        rp = make_rp()
+        walked = MwsState(tau_max=rp.tau_max)
+        assert tick_walk(walked, 0, 0, rp)
+        assert not tick_walk(walked, 0, 0, rp)
         st = MwsState(tau_max=rp.tau_max)
-        assert mws_on_tick(st, 0, 0, rp)
-        assert not mws_on_tick(st, 0, 0, rp)
+        mws_on_sig(st, 0, rp)
+        assert st.tau_idl == walked.tau_idl and not st.idle
+        mws_rearm(st)
+        assert st.idle
 
 
 class TestMwsRound:
@@ -228,8 +255,6 @@ class TestMwsRound:
         rp = make_rp()
         tau = rp.tau_max
         st = MwsState(tau_max=tau, clock_offset=10, tau_idl=500, c_new=1234)
-        msg = mws_on_begin_c_send(st)
-        assert msg is not None and msg.m_p == 1234
         h_now = 400
         mws_on_end_c_send(st, h_now, rp)
         assert st.c_tilde_old == 10
@@ -239,7 +264,6 @@ class TestMwsRound:
     def test_send_noop_without_value(self):
         rp = make_rp()
         st = MwsState(tau_max=rp.tau_max, clock_offset=10, tau_idl=500)
-        assert mws_on_begin_c_send(st) is None
         mws_on_end_c_send(st, 400, rp)
         assert st.clock_offset == 10 and not st.idle
 

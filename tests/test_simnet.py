@@ -1,8 +1,10 @@
 """Simulator tests: event engine, clock staircases, round machinery,
 message policing, and the synchronization verdict."""
 
+import gc
 import itertools
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -11,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planesync.adversaries import Adversary, make_adversary
-from planesync.errors import SimulationError
+from planesync.errors import ConfigurationError, SimulationError
 from planesync.params import SystemParams, TTSchedule, resolve
-from planesync.protocol import MwsState, TTMessageUp
+from planesync.protocol import MwsState, TTMessageUp, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
     ClockTrack,
@@ -21,7 +23,6 @@ from planesync.simnet import (
     HardwareClock,
     World,
     derive_seed,
-    next_sig_tick,
     sync_check,
 )
 
@@ -95,6 +96,14 @@ class TestHardwareClock:
             assert clk.ticks_at(t + 9) == k
             assert clk.ticks_at(t + 10) == k + 1
             assert clk.h_at(t) == (93 + k) % 100
+
+    def test_first_tick_at_or_after(self):
+        clk = HardwareClock(t_ref=-7, period=10, h0=93, tau=100)
+        for t in range(-40, 60):
+            k = clk.ticks_at(t)
+            if clk.time_of_tick(k) < t:
+                k += 1
+            assert clk.first_tick(t) == k
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(1, "init") == derive_seed(1, "init")
@@ -263,6 +272,37 @@ class TestRounds:
                 pending = [ev[0] for ev in w.engine._heap if ev[5] is w._watchdog[p]]
                 assert pending == [clk.time_of_tick(k)]
         assert seen >= 5
+
+
+class TestConstruction:
+    def test_failed_init_frees_the_world(self):
+        # The adversary is bound before the initial states are built; when
+        # that raises, the half-built world must not stay in a cycle.
+        refs = []
+        adv = make_adversary("silent")
+        bind = adv.bind
+        adv.bind = lambda world: (refs.append(weakref.ref(world)), bind(world))
+        gc.disable()
+        try:
+            try:
+                World(RP, adv, seed=1, init_policy="sideways")
+            except ConfigurationError:
+                pass
+            else:
+                pytest.fail("unknown initial-state policy accepted")
+            assert len(refs) == 1 and refs[0]() is None
+            assert adv.world is None
+        finally:
+            gc.enable()
+
+    def test_out_of_range_period_clamped_with_warning(self):
+        adv = make_adversary("silent")
+        adv.choose_period = lambda key: 2 * RP.sys.T_H
+        w = World(RP, adv, seed=1, init_policy="synchronized")
+        fast = (1 + RP.rho) * RP.sys.T_H
+        assert all(c.period == w.scaled(fast) for c in w.clocks.values())
+        assert len(w.warnings) == RP.n1 + RP.n0
+        assert all(m.endswith(f"adjusted to {fast}") for m in w.warnings)
 
 
 class TestMaxSkew:
