@@ -245,7 +245,6 @@ class TestRounds:
                 hit = True
         assert hit  # at least one seed exercised the mid-round path
 
-
     def test_busy_start_watchdog_on_the_walked_tick(self, tick_walk):
         # A plane that starts mid-round has its watchdog scheduled on the
         # first tick at or after time 0 where the literal tick walk of its
@@ -262,7 +261,7 @@ class TestRounds:
                 clk = w.clocks[("mws", p)]
                 walked = MwsState(tau_max=st.tau_max, clock_offset=st.clock_offset,
                                   tau_idl=st.tau_idl)
-                k = clk.ticks_at(0) + (clk.time_of_tick(clk.ticks_at(0)) < 0)
+                k = clk.first_tick(0)
                 while True:
                     h = (clk.h0 + k) % clk.tau
                     tick_walk(walked, (h + walked.clock_offset) % clk.tau, h, RP)
