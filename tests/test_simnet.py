@@ -8,6 +8,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -544,3 +545,210 @@ def test_window_after_history(hold):
     assert sync_check([a, b], 0, W, RP, L) == want
     assert sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
     assert oracle_sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
+
+
+# ---- differential reference: the per-track checker ---------------------------
+#
+# The checker as it was before it stacked every track into one matrix: one
+# bisection, one set of arrays and one pass of numpy calls per track, per
+# side and per span.  The matrix form must give the same (verdict, max_dev)
+# on every input.
+
+
+def _ref_window(tr: ClockTrack, t1: int, t2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jumps of tr inside [t1, t2]: their times, and the offset and
+    cumulative shift in force after each, led by the values carried in from
+    before t1.  Any sample in [t1, t2] indexes this slice exactly as it
+    would the whole history."""
+    jt = tr.jump_times
+    lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
+    off0, cum0 = (tr.jump_offsets[lo - 1], tr.jump_cum[lo - 1]) if lo else (tr.offset0, 0)
+    return (np.array(jt[lo:hi], dtype=np.int64),
+            np.array([off0, *tr.jump_offsets[lo:hi]], dtype=np.int64),
+            np.array([cum0, *tr.jump_cum[lo:hi]], dtype=np.int64))
+
+
+def _ref_samples(t1: int, t2: int, THL: int, jumps: list[np.ndarray]) -> np.ndarray:
+    grid = np.arange(-(-t1 // THL) * THL, t2 + 1, THL, dtype=np.int64)
+    if any(jt.size for jt in jumps):
+        return np.unique(np.concatenate([grid, *jumps]))
+    return grid
+
+
+def _ref_values(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
+    jt, offs, _cum = win
+    ticks = (ts - clk.t_ref) // clk.period
+    return (clk.h0 + ticks + offs[np.searchsorted(jt, ts, side=side)]) % clk.tau
+
+
+def _ref_cums(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
+    jt, _offs, cum = win
+    return (ts - clk.t_ref) // clk.period + cum[np.searchsorted(jt, ts, side=side)]
+
+
+def reference_sync_check(tracks, t1, t2, rp, L, eps0=None):
+    if t1 > t2:
+        raise ConfigurationError("empty check interval")
+    eps0 = rp.eps0 if eps0 is None else eps0
+    tau = rp.tau_max
+    THL = int(rp.sys.T_H * L)
+    wins = [_ref_window(tr, t1, t2) for tr in tracks]
+    ts = _ref_samples(t1, t2, THL, [jt for jt, _offs, _cum in wins])
+    if ts.size == 0:
+        return True, 0
+
+    max_dev = 0
+    if len(tracks) > 1:
+        for side in ("left", "right"):
+            V = np.stack([_ref_values(tr.clock, win, ts, side) for tr, win in zip(tracks, wins)])
+            for a in range(len(tracks)):
+                d = (V[a] - V[a + 1:]) % tau
+                d = np.minimum(d, tau - d)
+                if d.size:
+                    max_dev = max(max_dev, int(d.max()))
+        if max_dev > eps0:
+            return False, max_dev
+
+    # Rate condition, exact integer arithmetic: scale by T_H*L and by the
+    # denominator of rho so both sides are integers.
+    pr, qr = rp.rho.numerator, rp.rho.denominator
+    bound = eps0 * THL * qr
+    delta = math.ceil(rp.dv.T_max * rp.sys.T_H * L)
+    starts = list(range(t1, t2, delta))
+    starts += [s + delta // 2 for s in starts]
+    for tr, win in zip(tracks, wins):
+        u_l = _ref_cums(tr.clock, win, ts, "left")
+        u_r = _ref_cums(tr.clock, win, ts, "right")
+        for s0 in starts:
+            m = (ts >= s0) & (ts <= min(s0 + delta, t2))
+            if m.sum() < 2:
+                continue
+            s_rel = ts[m] - s0
+            # Interleave pre/post readings at each instant, pre first.
+            u = np.empty(2 * int(m.sum()), dtype=np.int64)
+            u[0::2], u[1::2] = u_l[m], u_r[m]
+            u -= u[0]
+            s2 = np.repeat(s_rel, 2)
+            e = u * (THL * qr) - s2 * (qr + pr)
+            f = -u * (THL * qr) + s2 * (qr - pr)
+            if int((e - np.minimum.accumulate(e)).max()) > bound:
+                return False, max_dev
+            if int((f - np.minimum.accumulate(f)).max()) > bound:
+                return False, max_dev
+    return True, max_dev
+
+
+@st.composite
+def stacked_windows(draw):
+    """0 to 6 tracks, each with its own tick origin, period and initial
+    reading, and a window [t1, t2] that may start anywhere: the shapes
+    whose columns the checker broadcasts and whose jumps it keys apart."""
+    tau = SMALL_RP.tau_max
+    t1 = draw(st.integers(0, 4 * SMALL_DELTA))
+    t2 = t1 + draw(st.sampled_from([0, 1, SMALL_L - 1, SMALL_L, SMALL_DELTA // 2,
+                                    SMALL_DELTA, 2 * SMALL_DELTA + 7]))
+    base = draw(st.integers(0, tau - 1))
+    near = draw(st.booleans())
+    period = st.integers(SMALL_L - 2, SMALL_L + 2) if draw(st.booleans()) \
+        else st.just(SMALL_L)
+    shared = draw(st.lists(st.integers(t1, t2), max_size=3))   # instants several tracks jump at
+    tracks = []
+    for _ in range(draw(st.sampled_from([5, 0, 1, 2, 3, 4, 5, 6]))):
+        clk = HardwareClock(t_ref=draw(st.integers(-3 * SMALL_L, 2 * SMALL_L)),
+                            period=draw(period),
+                            h0=draw(st.integers(0, tau - 1)), tau=tau)
+        value = st.integers(0, 1).map(lambda d: (base + d) % tau) if near \
+            else st.integers(0, tau - 1)
+        tr = ClockTrack(clk, draw(value))
+        times = draw(st.lists(st.integers(0, t2 + SMALL_DELTA), max_size=10))
+        times += draw(st.lists(st.sampled_from(shared), max_size=2)) if shared else []
+        for t in sorted(times):
+            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
+                      new=draw(value))
+        tracks.append(tr)
+    eps0 = draw(st.sampled_from([None, 0, 5, tau // 2]))
+    return tracks, t1, t2, eps0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stacked_windows())
+def test_sync_check_matches_reference(case):
+    tracks, t1, t2, eps0 = case
+    assert sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0) == \
+        reference_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
+
+
+@pytest.mark.parametrize("init", ["synchronized", "random"])
+@pytest.mark.parametrize("name", ["silent", "random_noise", "max_skew", "split_brain"])
+def test_recorded_windows_match_reference(name, init):
+    # The harness's own input: the honest planes and terminals of a run of
+    # the reference system, checked after every window.
+    w = World(RP, make_adversary(name), seed=3, init_policy=init, trace_level="off")
+    verdicts = set()
+    for k in range(30):
+        w.run_until_window(k + 1)
+        args = (w.qap_tracks(), k * w.window, (k + 1) * w.window, RP, w.L)
+        got = sync_check(*args)
+        assert got == reference_sync_check(*args), f"window {k}"
+        verdicts.add(got[0])
+    w.close()
+    if init == "random":
+        assert verdicts == {False, True}   # chaotic start, then synchronized
+    else:
+        assert verdicts == {True}
+
+
+class TestSyncCheckEdges:
+    """Inputs at the edges of the sample matrix; each verdict is stated and
+    checked against the per-track reference too."""
+
+    L = 10
+
+    def both(self, tracks, t1, t2, **kw):
+        got = sync_check(tracks, t1, t2, RP, self.L, **kw)
+        assert got == reference_sync_check(tracks, t1, t2, RP, self.L, **kw)
+        return got
+
+    def test_no_tracks(self):
+        assert self.both([], 0, 5000) == (True, 0)
+        assert self.both([], 3, 3) == (True, 0)
+
+    def test_single_track_skips_precision_not_rate(self):
+        far = _const_track(4096, 2000)
+        assert self.both([far], 0, 5000) == (True, 0)
+        tr = _const_track(4096, 0)
+        step = 4 * RP.eps0
+        for j in range(1, 8):
+            tr.record(t=j * (RP.T * self.L) // 4, old=(j - 1) * step % 4096,
+                      new=j * step % 4096)
+        assert self.both([tr], 0, 3 * RP.T * self.L) == (False, 0)
+
+    def test_no_jump_inside_the_window(self):
+        a, b, c = (_const_track(4096, 0) for _ in range(3))
+        a.record(t=5, old=0, new=3)                  # carried in from before t1
+        c.record(t=6000, old=0, new=100)             # only after t2
+        assert self.both([a, b, c], 100, 5000) == (True, 3)
+        assert self.both([a, b, c], 100, 5000, eps0=2) == (False, 3)
+
+    def test_single_instant(self):
+        a, b = _const_track(4096, 0), _const_track(4096, RP.eps0 + 1)
+        assert self.both([a, b], 50, 50) == (False, RP.eps0 + 1)   # on the grid
+        assert self.both([a, b], 55, 55) == (True, 0)              # no sample at all
+        b.record(t=55, old=RP.eps0 + 1, new=1)
+        assert self.both([a, b], 55, 55) == (False, RP.eps0 + 1)   # the jump is the sample
+
+    def test_span_with_fewer_than_two_samples(self):
+        # One sample in the window: no rate pair exists, even for a clock
+        # that jumps far at that instant.
+        a = _const_track(4096, 0)
+        a.record(t=5, old=0, new=1000)
+        assert self.both([a], 1, 9) == (True, 0)
+        # Two samples in the first span, none in the half-shifted one.
+        assert self.both([a, _const_track(4096, 1000)], 0, 15) == (False, 1000)
+
+    def test_first_sample_past_t1(self):
+        a, b = _const_track(4096, 0), _const_track(4096, 0)
+        b.record(t=2, old=0, new=RP.eps0 + 1)        # before t1: carried in
+        b.record(t=25, old=RP.eps0 + 1, new=1)
+        assert self.both([a, b], 3, 5000) == (False, RP.eps0 + 1)
+        assert self.both([a, b], 26, 5000) == (True, 1)
