@@ -718,7 +718,7 @@ class World:
 # ---- synchronization verdicts ----------------------------------------------
 
 
-def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[list, list, list]:
     """The jumps of tr inside [t1, t2]: their times, and the offset and
     cumulative shift in force after each, led by the values carried in from
     before t1.  Any sample in [t1, t2] indexes this slice exactly as it
@@ -726,27 +726,7 @@ def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[np.ndarray, np.ndarray, n
     jt = tr.jump_times
     lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
     off0, cum0 = (tr.jump_offsets[lo - 1], tr.jump_cum[lo - 1]) if lo else (tr.offset0, 0)
-    return (np.array(jt[lo:hi], dtype=np.int64),
-            np.array([off0, *tr.jump_offsets[lo:hi]], dtype=np.int64),
-            np.array([cum0, *tr.jump_cum[lo:hi]], dtype=np.int64))
-
-
-def _samples(t1: int, t2: int, THL: int, jumps: list[np.ndarray]) -> np.ndarray:
-    grid = np.arange(-(-t1 // THL) * THL, t2 + 1, THL, dtype=np.int64)
-    if any(jt.size for jt in jumps):
-        return np.unique(np.concatenate([grid, *jumps]))
-    return grid
-
-
-def _values(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
-    jt, offs, _cum = win
-    ticks = (ts - clk.t_ref) // clk.period
-    return (clk.h0 + ticks + offs[np.searchsorted(jt, ts, side=side)]) % clk.tau
-
-
-def _cums(clk: HardwareClock, win: tuple, ts: np.ndarray, side: str) -> np.ndarray:
-    jt, _offs, cum = win
-    return (ts - clk.t_ref) // clk.period + cum[np.searchsorted(jt, ts, side=side)]
+    return jt[lo:hi], [off0, *tr.jump_offsets[lo:hi]], [cum0, *tr.jump_cum[lo:hi]]
 
 
 def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
@@ -761,9 +741,15 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     half-shifted spans so every pair within T_max/2 is covered and no pair
     beyond T_max is ever required.
 
-    The cost depends on the samples and jumps inside [t1, t2], not on the
-    run's history: each track's jumps are found by one bisection, so
-    checking window 1000 of a run costs the same as checking window 1.
+    All clocks are checked at once on (side, track, sample) matrices: side 0
+    reads just before any jump at a sample, side 1 just after.  V holds the
+    ring values, U the hardware ticks plus the signed cumulative shift.  One
+    sorted key array holds every track's jumps inside [t1, t2], track k's
+    shifted by k*(t2 - t1 + 1) so the tracks never interleave; a sample's
+    position among them, plus k, indexes the offsets and shifts of all
+    tracks laid end to end, each track's led by the value carried in.  The
+    cost depends on the samples and jumps inside [t1, t2], not on the run's
+    history: checking window 1000 of a run costs the same as window 1.
 
     Returns (verdict, max precision deviation seen in ticks).
     """
@@ -771,48 +757,56 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
         raise ConfigurationError("empty check interval")
     eps0 = rp.eps0 if eps0 is None else eps0
     tau = rp.tau_max
-    THL = int(rp.sys.T_H * L)
+    TH, Tm = rp.sys.T_H, rp.dv.T_max
+    THL = TH.numerator * L // TH.denominator
     wins = [_window(tr, t1, t2) for tr in tracks]
-    ts = _samples(t1, t2, THL, [jt for jt, _offs, _cum in wins])
-    if ts.size == 0:
+    ts = np.arange(-(-t1 // THL) * THL, t2 + 1, THL, dtype=np.int64)
+    off_grid = {t for jt, _offs, _cum in wins for t in jt if t % THL}
+    if off_grid:
+        ts = np.sort(np.concatenate([ts, np.array(list(off_grid), dtype=np.int64)]))
+    if ts.size == 0 or not tracks:
         return True, 0
 
+    n, span = len(tracks), t2 - t1 + 1
+    col = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0) for tr in tracks],
+                   dtype=np.int64).T[:, :, None]
+    ticks = (ts - col[0]) // col[1]
+    keys = np.array([t + k * span for k, (jt, _o, _c) in enumerate(wins) for t in jt],
+                    dtype=np.int64)
+    q = ts + np.arange(0, n * span, span, dtype=np.int64)[:, None]
+    idx = np.stack([np.searchsorted(keys, q, side=s) for s in ("left", "right")])
+    idx += np.arange(n)[:, None]
+    V = (col[2] + ticks + np.array([o for _j, offs, _c in wins for o in offs])[idx]) % tau
+    U = ticks + np.array([c for _j, _o, cum in wins for c in cum])[idx]
+
     max_dev = 0
-    if len(tracks) > 1:
-        for side in ("left", "right"):
-            V = np.stack([_values(tr.clock, win, ts, side) for tr, win in zip(tracks, wins)])
-            for a in range(len(tracks)):
-                d = (V[a] - V[a + 1:]) % tau
-                d = np.minimum(d, tau - d)
-                if d.size:
-                    max_dev = max(max_dev, int(d.max()))
+    if n > 1:
+        d = np.abs(V[:, :, None] - V[:, None])
+        max_dev = int(np.minimum(d, tau - d).max())
         if max_dev > eps0:
             return False, max_dev
 
     # Rate condition, exact integer arithmetic: scale by T_H*L and by the
-    # denominator of rho so both sides are integers.
+    # denominator of rho so both sides are integers.  Pre/post readings at
+    # each instant interleave, pre first.
     pr, qr = rp.rho.numerator, rp.rho.denominator
     bound = eps0 * THL * qr
-    delta = math.ceil(rp.dv.T_max * rp.sys.T_H * L)
+    delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
     starts = list(range(t1, t2, delta))
     starts += [s + delta // 2 for s in starts]
-    for tr, win in zip(tracks, wins):
-        u_l = _cums(tr.clock, win, ts, "left")
-        u_r = _cums(tr.clock, win, ts, "right")
-        for s0 in starts:
-            m = (ts >= s0) & (ts <= min(s0 + delta, t2))
-            if m.sum() < 2:
-                continue
-            s_rel = ts[m] - s0
-            # Interleave pre/post readings at each instant, pre first.
-            u = np.empty(2 * int(m.sum()), dtype=np.int64)
-            u[0::2], u[1::2] = u_l[m], u_r[m]
-            u -= u[0]
-            s2 = np.repeat(s_rel, 2)
-            e = u * (THL * qr) - s2 * (qr + pr)
-            f = -u * (THL * qr) + s2 * (qr - pr)
-            if int((e - np.minimum.accumulate(e)).max()) > bound:
-                return False, max_dev
-            if int((f - np.minimum.accumulate(f)).max()) > bound:
-                return False, max_dev
+    U = U.transpose(1, 2, 0).reshape(n, -1)
+    S = np.repeat(ts, 2)
+    for s0 in starts:
+        lo, hi = np.searchsorted(ts, s0), np.searchsorted(ts, min(s0 + delta, t2), "right")
+        if hi - lo < 2:
+            continue
+        u = U[:, 2 * lo:2 * hi]
+        u = (u - u[:, :1]) * (THL * qr)
+        s2 = S[2 * lo:2 * hi] - s0
+        e = u - s2 * (qr + pr)
+        f = s2 * (qr - pr) - u
+        if int((e - np.minimum.accumulate(e, axis=1)).max()) > bound:
+            return False, max_dev
+        if int((f - np.minimum.accumulate(f, axis=1)).max()) > bound:
+            return False, max_dev
     return True, max_dev
