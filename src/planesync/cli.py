@@ -128,13 +128,16 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    tmp_path = args.trace + ".replay"
-    run_once(_scenario(args), args.seed, trace_path=tmp_path)
     with open(args.trace) as f:
         want = f.read().splitlines()
-    with open(tmp_path) as f:
-        got = f.read().splitlines()
-    os.remove(tmp_path)
+    tmp_path = args.trace + ".replay"
+    try:
+        run_once(_scenario(args), args.seed, trace_path=tmp_path)
+        with open(tmp_path) as f:
+            got = f.read().splitlines()
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
     if want == got:
         print(f"replay ok: {len(got)} records match")
         return 0

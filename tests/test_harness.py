@@ -281,6 +281,22 @@ class TestCampaign:
                    "'sideways'" in err
 
 
+class TestReplayCli:
+    def test_missing_trace_leaves_nothing_behind(self, tmp_path, capsys):
+        trace = tmp_path / "missing.jsonl"
+        assert cli_main(["replay", "--trace", str(trace), "--horizon", "3"]) == 2
+        assert "missing.jsonl" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_recorded_run_replays(self, tmp_path, capsys):
+        args = ["--horizon", "3", "--seed", "4", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 0
+        assert "records match" in capsys.readouterr().out
+        assert not (tmp_path / "trace_seed4.jsonl.replay").exists()
+
+
 class TestCoinModel:
     def test_bound_holds_at_moderate_size(self):
         s = lemma1_coin_model(RP, n_windows=4000, seed=0)
