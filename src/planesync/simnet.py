@@ -768,15 +768,16 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
         return True, 0
 
     n, span = len(tracks), t2 - t1 + 1
-    col = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0) for tr in tracks],
-                   dtype=np.int64).T[:, :, None]
-    ticks = (ts - col[0]) // col[1]
+    clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0) for tr in tracks],
+                      dtype=np.int64)
+    t_ref, period, h0 = clocks.T[:, :, None]
+    ticks = (ts - t_ref) // period
     keys = np.array([t + k * span for k, (jt, _o, _c) in enumerate(wins) for t in jt],
                     dtype=np.int64)
     q = ts + np.arange(0, n * span, span, dtype=np.int64)[:, None]
     idx = np.stack([np.searchsorted(keys, q, side=s) for s in ("left", "right")])
     idx += np.arange(n)[:, None]
-    V = (col[2] + ticks + np.array([o for _j, offs, _c in wins for o in offs])[idx]) % tau
+    V = (h0 + ticks + np.array([o for _j, offs, _c in wins for o in offs])[idx]) % tau
     U = ticks + np.array([c for _j, _o, cum in wins for c in cum])[idx]
 
     max_dev = 0
@@ -788,7 +789,8 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
 
     # Rate condition, exact integer arithmetic: scale by T_H*L and by the
     # denominator of rho so both sides are integers.  Pre/post readings at
-    # each instant interleave, pre first.
+    # each instant interleave, pre first; rebasing each span on its first
+    # reading bounds the int64 magnitudes by the span, not the run.
     pr, qr = rp.rho.numerator, rp.rho.denominator
     bound = eps0 * THL * qr
     delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
