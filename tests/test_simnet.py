@@ -233,18 +233,30 @@ class TestRounds:
                 assert all(b - a <= bound for a, b in zip(ts, ts[1:]))
 
     def test_watchdog_rescues_a_stuck_round(self):
-        # Random init can start a plane mid-round with a stale busy marker;
-        # the watchdog must still get SIGs flowing on every honest plane.
-        hit = False
-        for seed in range(30):
-            w = World(RP, make_adversary("silent"), seed=seed,
-                      init_policy="random", trace_level="core")
-            stuck = [p for p in w.honest_planes if not w.mws[p].idle]
+        # Random init can start a plane mid-round with a stale busy marker.
+        # Its watchdog fires exactly once, before its first SIG; no plane
+        # that started idle, and no synchronized start, ever needs one.
+        busy = fires = 0
+        for name, init, seed in itertools.product(
+                ("silent", "random_noise", "max_skew", "split_brain"),
+                ("synchronized", "random"), range(20)):
+            w = World(RP, make_adversary(name), seed=seed, init_policy=init,
+                      trace_level="core")
+            stuck = {p for p in w.honest_planes if not w.mws[p].idle}
             w.run_until_window(10)
+            recs = [(r["ev"], r["plane"]) for r in w.trace.records
+                    if r["ev"] in ("watchdog", "sig")]
+            watched = [p for ev, p in recs if ev == "watchdog"]
+            assert set(watched) <= stuck, (name, init, seed)
             for p in stuck:
-                assert any(q == p for _t, q in w.sig_log)
-                hit = True
-        assert hit  # at least one seed exercised the mid-round path
+                evs = [ev for ev, q in recs if q == p]
+                assert evs.count("watchdog") == 1 and "sig" in evs, (name, init, seed, p)
+                assert evs.index("watchdog") < evs.index("sig"), (name, init, seed, p)
+            if init == "synchronized":
+                assert not stuck
+            busy += len(stuck)
+            fires += len(watched)
+        assert busy == fires > 0
 
     def test_busy_start_watchdog_on_the_walked_tick(self, tick_walk):
         # A plane that starts mid-round has its watchdog scheduled on the
