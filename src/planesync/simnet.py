@@ -89,6 +89,7 @@ def derive_seed(master: int, tag: str) -> int:
 class Engine:
     """Min-heap event loop over integer subtick timestamps.
 
+    An event is a handler and its arguments; it runs as fn(*args).
     Tie-break at equal instants: (node rank, kind rank, insertion sequence),
     independent of insertion interleaving.
     """
@@ -98,13 +99,12 @@ class Engine:
         self._seq = 0
         self.now = 0
 
-    def schedule(self, t: int, node_rank: int, kind: int, fn: Callable[[], None]) -> dict:
+    def schedule(self, t: int, node_rank: int, kind: int, fn: Callable[..., None],
+                 *args) -> None:
         if t < self.now:
             raise SimulationError(f"event scheduled in the past: {t} < {self.now}")
-        handle = {"cancelled": False}
-        heapq.heappush(self._heap, (t, node_rank, kind, self._seq, fn, handle))
+        heapq.heappush(self._heap, (t, node_rank, kind, self._seq, fn, args))
         self._seq += 1
-        return handle
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -113,11 +113,9 @@ class Engine:
     def run_until(self, t_end: int) -> None:
         heap = self._heap
         while heap and heap[0][0] <= t_end:
-            t, _rank, _kind, _seq, fn, handle = heapq.heappop(heap)
-            if handle["cancelled"]:
-                continue
+            t, _rank, _kind, _seq, fn, args = heapq.heappop(heap)
             self.now = t
-            fn()
+            fn(*args)
         if self.now < t_end:
             self.now = t_end
 
@@ -198,24 +196,18 @@ class Trace:
 
 
 @dataclass
-class _PlaneRound:
-    version: int
+class _Round:
+    """One round of a plane, or of one terminal's interface to a plane: its
+    anchor, its receive slot [b_recv, e_recv], and the early arrivals held
+    for the slot.  Every event of a round carries this object; its handler
+    returns once another round has taken its place."""
+
     anchor: int
-    b_mc: int
-    e_mc: int
+    b_recv: int
+    e_recv: int
     closed: bool = False
     buffer: list = field(default_factory=list)
-    senders: set = field(default_factory=set)
-
-
-@dataclass
-class _MesRound:
-    version: int
-    anchor: int
-    b_cr: int
-    e_cr: int
-    closed: bool = False
-    buffer: list = field(default_factory=list)
+    senders: set = field(default_factory=set)  # a plane's terminals already ingested
 
 
 class World:
@@ -286,13 +278,11 @@ class World:
 
             self.mws: dict[int, MwsState] = {}
             self.mes: dict[int, MesState] = {}
-            self.plane_round: dict[int, _PlaneRound] = {}
-            self.mes_round: dict[tuple[int, int], _MesRound] = {
-                (i, p): _MesRound(0, -1, -1, -1, closed=True)
+            self.plane_round: dict[int, Optional[_Round]] = {p: None for p in self.honest_planes}
+            self.mes_round: dict[tuple[int, int], _Round] = {
+                (i, p): _Round(-1, -1, -1, closed=True)
                 for i in self.honest_mes for p in range(n1)
             }
-            self._watchdog: dict[int, Optional[dict]] = {p: None for p in self.honest_planes}
-            self._round_no: dict[int, int] = {p: 0 for p in range(n1)}
 
             # Per-run logs consumed by the harness and tests.
             self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
@@ -409,7 +399,7 @@ class World:
         else:
             # Mid-round start: the watchdog rescues the plane once the
             # hardware clock walks past tau_idl.
-            self._schedule_watchdog(p, k0)
+            self._schedule_watchdog_fire(p, k0)
 
     # ---- small utilities --------------------------------------------------
 
@@ -444,14 +434,15 @@ class World:
         clk = self.clocks[("mws", p)]
         base = (clk.h0 + st.clock_offset) % clk.tau
         k = next_sig_tick(base, k_min, clk.tau, self.rp.T % clk.tau)
-        self.engine.schedule(clk.time_of_tick(k), p, K_SIG, lambda: self._on_sig(p))
+        self.engine.schedule(clk.time_of_tick(k), p, K_SIG, self._on_sig, p)
 
-    def _schedule_watchdog(self, p: int, k: int) -> None:
-        """Watchdog of busy plane p, counted from its hardware tick k."""
+    def _schedule_watchdog_fire(self, p: int, k: int) -> None:
+        """Watchdog of busy plane p, counted from its hardware tick k, for
+        the plane's current round (None before its first SIG)."""
         clk = self.clocks[("mws", p)]
         k_fire = k + mws_watchdog_ticks(self.mws[p], (clk.h0 + k) % clk.tau, self.rp)
-        self._watchdog[p] = self.engine.schedule(
-            clk.time_of_tick(k_fire), p, K_WATCHDOG, lambda: self._on_watchdog(p))
+        self.engine.schedule(clk.time_of_tick(k_fire), p, K_WATCHDOG,
+                             self._on_watchdog_fire, p, self.plane_round[p])
 
     def _on_sig(self, p: int) -> None:
         st = self.mws[p]
@@ -463,25 +454,17 @@ class World:
         mws_on_sig(st, h, self.rp)
         self.sig_log.append((t, p))
         self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
-        self._round_no[p] += 1
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
-        rnd = _PlaneRound(
-            version=self._round_no[p], anchor=t,
-            b_mc=clk.time_of_tick(k + sc.mc_recv[0]),
-            e_mc=clk.time_of_tick(k + sc.mc_recv[1]),
-        )
+        rnd = _Round(t, clk.time_of_tick(k + sc.mc_recv[0]), clk.time_of_tick(k + sc.mc_recv[1]))
         self.plane_round[p] = rnd
-        v = rnd.version
         eng = self.engine
-        eng.schedule(rnd.b_mc, p, K_SLOT, lambda: self._on_begin_mc(p, v))
-        eng.schedule(rnd.e_mc, p, K_SLOT, lambda: self._on_end_mc(p, v))
-        eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT,
-                     lambda: self._on_begin_cs(p, v))
-        eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT,
-                     lambda: self._on_end_cs(p, v))
-        self._schedule_watchdog(p, k)
+        eng.schedule(rnd.b_recv, p, K_SLOT, self._on_begin_mc, p, rnd)
+        eng.schedule(rnd.e_recv, p, K_SLOT, self._on_end_mc, p, rnd)
+        eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd)
+        eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT, self._on_end_cs, p, rnd)
+        self._schedule_watchdog_fire(p, k)
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -494,33 +477,27 @@ class World:
             if i in self.faulty_mes:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
-            clk = self.clocks[("mes", i)]
-            rnd = self.mes_round[(i, p)]
-            rnd.version += 1
-            v = rnd.version
-            rnd.anchor = anchor
-            rnd.b_cr = anchor + sc.c_recv[0] * clk.period
-            rnd.e_cr = anchor + sc.c_recv[1] * clk.period
-            rnd.closed = False
-            rnd.buffer = []
+            period = self.clocks[("mes", i)].period
+            rnd = _Round(anchor, anchor + sc.c_recv[0] * period, anchor + sc.c_recv[1] * period)
+            self.mes_round[(i, p)] = rnd
             rank = self.rank(("mes", i))
             eng = self.engine
-            eng.schedule(anchor + sc.vc_send[0] * clk.period, rank, K_SLOT,
-                         lambda i=i, p=p, v=v: self._on_begin_vc(i, p, v))
-            eng.schedule(rnd.b_cr, rank, K_SLOT,
-                         lambda i=i, p=p, v=v: self._on_begin_cr(i, p, v))
-            eng.schedule(rnd.e_cr, rank, K_SLOT,
-                         lambda i=i, p=p, v=v: self._on_end_cr(i, p, v))
+            eng.schedule(anchor + sc.vc_send[0] * period, rank, K_SLOT,
+                         self._on_begin_vc, i, p, rnd)
+            eng.schedule(rnd.b_recv, rank, K_SLOT, self._on_begin_cr, i, p, rnd)
+            eng.schedule(rnd.e_recv, rank, K_SLOT, self._on_end_cr, i, p, rnd)
 
-    def _on_watchdog(self, p: int) -> None:
-        mws_rearm(self.mws[p])
+    def _on_watchdog_fire(self, p: int, rnd: Optional[_Round]) -> None:
+        st = self.mws[p]
+        if st.idle or self.plane_round[p] is not rnd:
+            return
+        mws_rearm(st)
         self.trace.add(True, ev="watchdog", t=self.engine.now, plane=p)
         clk = self.clocks[("mws", p)]
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
-    def _on_begin_mc(self, p: int, v: int) -> None:
-        rnd = self.plane_round.get(p)
-        if rnd is None or rnd.version != v:
+    def _on_begin_mc(self, p: int, rnd: _Round) -> None:
+        if self.plane_round[p] is not rnd:
             return
         st = self.mws[p]
         st.C_mat = Mat.empty(self.rp.n1, self.rp.n0)
@@ -530,9 +507,8 @@ class World:
             self._ingest_up(p, rnd, sender, msg)
         rnd.buffer = []
 
-    def _on_end_mc(self, p: int, v: int) -> None:
-        rnd = self.plane_round.get(p)
-        if rnd is None or rnd.version != v:
+    def _on_end_mc(self, p: int, rnd: _Round) -> None:
+        if self.plane_round[p] is not rnd:
             return
         rnd.closed = True
         st = self.mws[p]
@@ -545,9 +521,8 @@ class World:
                        gl=st.grand_life, stb=summary.stb, branch=summary.branch,
                        c_new=st.c_new)
 
-    def _on_begin_cs(self, p: int, v: int) -> None:
-        rnd = self.plane_round.get(p)
-        if rnd is None or rnd.version != v:
+    def _on_begin_cs(self, p: int, rnd: _Round) -> None:
+        if self.plane_round[p] is not rnd:
             return
         # The value latched by the round; None if the round never reached
         # the matrix-collection stage.
@@ -562,28 +537,23 @@ class World:
             self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
                            arrival=arrival)
             self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
-                                 lambda i=i: self._deliver_down(p, i, m))
+                                 self._deliver_down, p, i, m)
 
-    def _on_end_cs(self, p: int, v: int) -> None:
-        rnd = self.plane_round.get(p)
-        if rnd is None or rnd.version != v:
+    def _on_end_cs(self, p: int, rnd: _Round) -> None:
+        if self.plane_round[p] is not rnd:
             return
         st = self.mws[p]
         clk = self.clocks[("mws", p)]
         old = st.clock_offset
         mws_on_end_c_send(st, clk.h_at(self.engine.now), self.rp)
-        if self._watchdog[p] is not None:
-            self._watchdog[p]["cancelled"] = True
-            self._watchdog[p] = None
         self._record_adjust(("mws", p), old, st.clock_offset)
         if st.idle:
             self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
     # ---- terminal (MES) round machinery ------------------------------------
 
-    def _on_begin_vc(self, i: int, p: int, v: int) -> None:
-        rnd = self.mes_round[(i, p)]
-        if rnd.version != v:
+    def _on_begin_vc(self, i: int, p: int, rnd: _Round) -> None:
+        if self.mes_round[(i, p)] is not rnd:
             return
         t = self.engine.now
         h = self.clocks[("mes", i)].h_at(t)
@@ -597,10 +567,10 @@ class World:
         arrival = send_t + self._delay(("mes", i), p)
         self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
         self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                             lambda: self._deliver_up(p, send_t, i, msg))
+                             self._deliver_up, p, send_t, i, msg)
 
     def _deliver_up(self, p: int, send_t: int, i: int, msg: TTMessageUp) -> None:
-        rnd = self.plane_round.get(p)
+        rnd = self.plane_round[p]
         if rnd is None:
             return
         # TT isolation at the plane boundary: the send instant must lie in
@@ -610,14 +580,14 @@ class World:
                            why="outside policed slot")
             return
         now = self.engine.now
-        if now < rnd.b_mc:
+        if now < rnd.b_recv:
             rnd.buffer.append((send_t, i, msg))
         elif not rnd.closed:
             self._ingest_up(p, rnd, i, msg)
         else:
             self.trace.add(False, ev="drop_up", t=now, plane=p, mes=i, why="late")
 
-    def _ingest_up(self, p: int, rnd: _PlaneRound, i: int, msg: TTMessageUp) -> None:
+    def _ingest_up(self, p: int, rnd: _Round, i: int, msg: TTMessageUp) -> None:
         if i in rnd.senders:
             return
         rnd.senders.add(i)
@@ -633,9 +603,9 @@ class World:
         if rnd.closed or now < rnd.anchor:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
             return
-        if now < rnd.b_cr:
+        if now < rnd.b_recv:
             rnd.buffer.append(m)
-        elif now <= rnd.e_cr:
+        elif now <= rnd.e_recv:
             self._ingest_down(i, p, m)
         else:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="late")
@@ -645,17 +615,15 @@ class World:
         mes_on_clock_msg(self.mes[i], p, m, h, self.rp)
         self.trace.add(False, ev="recv_down", t=self.engine.now, mes=i, plane=p, m=m)
 
-    def _on_begin_cr(self, i: int, p: int, v: int) -> None:
-        rnd = self.mes_round[(i, p)]
-        if rnd.version != v:
+    def _on_begin_cr(self, i: int, p: int, rnd: _Round) -> None:
+        if self.mes_round[(i, p)] is not rnd:
             return
         for m in rnd.buffer:
             self._ingest_down(i, p, m)
         rnd.buffer = []
 
-    def _on_end_cr(self, i: int, p: int, v: int) -> None:
-        rnd = self.mes_round[(i, p)]
-        if rnd.version != v:
+    def _on_end_cr(self, i: int, p: int, rnd: _Round) -> None:
+        if self.mes_round[(i, p)] is not rnd:
             return
         rnd.closed = True
         st = self.mes[i]
@@ -670,7 +638,6 @@ class World:
         the plane side is entirely adversary-driven."""
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
-        self._round_no[p] += 1
         self.trace.add(True, ev="sig", t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)
 
@@ -681,7 +648,7 @@ class World:
             return
         arrival = max(arrival, self.engine.now)
         self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
-                             lambda: self._deliver_down(p, i, m % self.rp.tau_max))
+                             self._deliver_down, p, i, m % self.rp.tau_max)
 
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         if i not in self.faulty_mes:
@@ -690,11 +657,10 @@ class World:
             return
         arrival = max(send_t, self.engine.now) + self._delay(("mes", i), p)
         self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                             lambda: self._deliver_up(p, send_t, i, msg))
+                             self._deliver_up, p, send_t, i, msg)
 
-    def schedule_adv(self, t: int, fn: Callable[[], None]) -> dict:
-        return self.engine.schedule(max(t, self.engine.now),
-                                    self.rp.n1 + self.rp.n0, K_ADV, fn)
+    def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
+        self.engine.schedule(max(t, self.engine.now), self.rp.n1 + self.rp.n0, K_ADV, fn)
 
     # ---- runs ---------------------------------------------------------------
 

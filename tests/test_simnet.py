@@ -19,6 +19,7 @@ from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import MwsState, TTMessageUp, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
+    K_WATCHDOG,
     ClockTrack,
     Engine,
     HardwareClock,
@@ -53,7 +54,7 @@ class TestEngine:
             eng = Engine()
             fired = []
             for t, rank, kind, name in perm:
-                eng.schedule(t, rank, kind, lambda n=name: fired.append(n))
+                eng.schedule(t, rank, kind, fired.append, name)
             eng.run_until(10)
             seq_sensitive = {e[:3] for e in events if
                              sum(1 for f in events if f[:3] == e[:3]) > 1}
@@ -70,16 +71,6 @@ class TestEngine:
             eng.schedule(7, 0, 0, lambda n=name: fired.append(n))
         eng.run_until(7)
         assert fired == ["x", "y", "z"]
-
-    def test_cancelled_events_are_skipped(self):
-        eng = Engine()
-        fired = []
-        h = eng.schedule(1, 0, 0, lambda: fired.append("no"))
-        eng.schedule(2, 0, 0, lambda: fired.append("yes"))
-        h["cancelled"] = True
-        eng.run_until(5)
-        assert fired == ["yes"]
-        assert eng.now == 5
 
     def test_past_scheduling_rejected(self):
         eng = Engine()
@@ -281,7 +272,7 @@ class TestRounds:
                     if walked.idle:
                         break
                     k += 1
-                pending = [ev[0] for ev in w.engine._heap if ev[5] is w._watchdog[p]]
+                pending = [ev[0] for ev in w.engine._heap if ev[1:3] == (p, K_WATCHDOG)]
                 assert pending == [clk.time_of_tick(k)]
         assert seen >= 5
 
