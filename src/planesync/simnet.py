@@ -27,7 +27,7 @@ import heapq
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
@@ -651,10 +651,19 @@ class World:
                              self._deliver_down, p, i, m % self.rp.tau_max)
 
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
+        """A faulty terminal's upload, put in wire form: each vector has n1
+        entries, and every clock value is reduced onto the ring."""
         if i not in self.faulty_mes:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
+        n1, tau = self.rp.n1, self.rp.tau_max
+        for name in ("c_vec", "a_vec", "m_vec"):
+            if len(getattr(msg, name)) != n1:
+                raise SimulationError(f"terminal {i} sent plane {p} a {name} of "
+                                      f"{len(getattr(msg, name))} entries, not n1 = {n1}")
         if p in self.faulty_planes:
             return
+        msg = replace(msg, c_vec=tuple(None if v is None else v % tau for v in msg.c_vec),
+                      m_vec=tuple(None if v is None else v % tau for v in msg.m_vec))
         arrival = max(send_t, self.engine.now) + self._delay(("mes", i), p)
         self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
                              self._deliver_up, p, send_t, i, msg)

@@ -148,9 +148,13 @@ class _SlotSender(_LateSender):
 
     name = "slot_sender"
 
+    def __init__(self, c_vec=(1, 2, 3), m_vec=(1, 2, 3)):
+        super().__init__()
+        self.c_vec, self.m_vec = c_vec, m_vec
+
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(sender=i, c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+        junk = TTMessageUp(sender=i, c_vec=self.c_vec, a_vec=(3, 3, 3), m_vec=self.m_vec)
         send_t = anchor + 7 * w.THL
         w.schedule_adv(send_t,
                        lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
@@ -185,6 +189,27 @@ class TestPolicing:
                        for r in w.trace.records)
         for p in w.honest_planes:
             assert w.mws[p].C_mat.entries[0][faulty] == 1
+
+    def test_out_of_ring_upload_reduced(self):
+        # A faulty terminal's clock values enter the plane reduced onto the
+        # ring, missing entries kept, like downward adversarial values.
+        tau = RP.tau_max
+        adv = _SlotSender(c_vec=(tau + 1, None, -1), m_vec=(2 * tau + 5, 7, None))
+        w = World(RP, adv, seed=3, init_policy="synchronized", trace_level="full")
+        w.run_until_window(3)
+        faulty = next(iter(w.faulty_mes))
+        for p in w.honest_planes:
+            st = w.mws[p]
+            assert [st.C_mat.entries[q][faulty] for q in range(RP.n1)] == [1, None, tau - 1]
+            assert [st.M_mat.entries[q][faulty] for q in range(RP.n1)] == [5, 7, None]
+
+    @pytest.mark.parametrize("c_vec, m_vec", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))])
+    def test_upload_of_wrong_length_rejected(self, c_vec, m_vec):
+        w = World(RP, _SlotSender(c_vec=c_vec, m_vec=m_vec), seed=3,
+                  init_policy="synchronized")
+        faulty = next(iter(w.faulty_mes))
+        with pytest.raises(SimulationError, match=rf"terminal {faulty} sent plane \d"):
+            w.run_until_window(3)
 
     def test_early_arrivals_buffered_until_slot_begin(self):
         w = World(RP, make_adversary("silent"), seed=3,
