@@ -657,9 +657,10 @@ class World:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
         n1, tau = self.rp.n1, self.rp.tau_max
         for name in ("c_vec", "a_vec", "m_vec"):
-            if len(getattr(msg, name)) != n1:
-                raise SimulationError(f"terminal {i} sent plane {p} a {name} of "
-                                      f"{len(getattr(msg, name))} entries, not n1 = {n1}")
+            n = len(getattr(msg, name))
+            if n != n1:
+                raise SimulationError(
+                    f"terminal {i} sent plane {p} a {name} of {n} entries, not n1 = {n1}")
         if p in self.faulty_planes:
             return
         msg = replace(msg, c_vec=tuple(None if v is None else v % tau for v in msg.c_vec),
