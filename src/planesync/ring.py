@@ -4,6 +4,12 @@ All clock and record values live on an integer ring; the operations here
 give them a consistent arithmetic (modular add/subtract), a symmetric
 distance, and an ordering/median convention based on cutting the ring at
 its largest empty arc.  Everything is exact integer arithmetic.
+
+The modular operations take ring values, already in [0, tau_max), and do
+not check them: values are put on the ring where they enter the program
+(derived constants, initial states, the adversary hooks), and circ_sort,
+through which every median and average passes, still rejects an
+off-ring value.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from collections.abc import Iterable, Sequence
 from .errors import ConfigurationError
 
 __all__ = [
-    "check_ring_value",
     "wrap_add",
     "wrap_sub",
     "ring_dist",
@@ -30,23 +35,18 @@ def check_ring_value(v: int, tau_max: int) -> None:
 
 
 def wrap_add(a: int, b: int, tau_max: int) -> int:
-    """(a + b) mod tau_max."""
-    check_ring_value(a, tau_max)
-    check_ring_value(b, tau_max)
+    """(a + b) mod tau_max, for a and b in [0, tau_max)."""
     return (a + b) % tau_max
 
 
 def wrap_sub(a: int, b: int, tau_max: int) -> int:
-    """(a - b) mod tau_max, always non-negative."""
-    check_ring_value(a, tau_max)
-    check_ring_value(b, tau_max)
+    """(a - b) mod tau_max, always non-negative, for a and b in [0, tau_max)."""
     return (a - b) % tau_max
 
 
 def ring_dist(a: int, b: int, tau_max: int) -> int:
-    """Symmetric ring distance min{a - b, b - a} (mod tau_max)."""
-    check_ring_value(a, tau_max)
-    check_ring_value(b, tau_max)
+    """Symmetric ring distance min{a - b, b - a} (mod tau_max), for a and b
+    in [0, tau_max)."""
     d = (a - b) % tau_max
     return min(d, tau_max - d)
 
@@ -60,21 +60,18 @@ def circ_sort(values: Iterable[int], tau_max: int) -> list[int]:
     "median" and "trim extremes" well defined for clustered circular values.
     """
     vals = sorted(values)
-    n = len(vals)
-    if n == 0:
+    if not vals:
         raise ValueError("circ_sort of an empty multiset")
-    for v in vals:
-        check_ring_value(v, tau_max)
-    # Gap after index j runs from vals[j] to its cyclic successor.
-    best_j = None
-    best_gap = -1
-    best_start = None
-    for j in range(n):
-        nxt = vals[(j + 1) % n]
-        gap = (nxt - vals[j]) % tau_max
-        if gap > best_gap or (gap == best_gap and nxt < best_start):
-            best_gap, best_j, best_start = gap, j, nxt
-    cut = (best_j + 1) % n
+    # Sorted, so the ends bound every value.
+    check_ring_value(vals[0], tau_max)
+    check_ring_value(vals[-1], tau_max)
+    # The wrap gap, from vals[-1] round to vals[0], starts the output at the
+    # smallest value, so it wins every tie; among inner gaps the first does.
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    widest = max(gaps, default=0)
+    if tau_max - (vals[-1] - vals[0]) >= widest:
+        return vals
+    cut = gaps.index(widest) + 1
     return vals[cut:] + vals[:cut]
 
 

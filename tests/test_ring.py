@@ -41,10 +41,15 @@ class TestWrapOps:
         assert ring_dist(a, b, tau) == want
 
     def test_out_of_range_rejected(self):
+        # wrap_* take ring values unchecked; the sort behind every median
+        # and average still rejects a value off the ring, or a modulus < 2.
+        for vals in ([3, 100], [-1], [100, 3, 50]):
+            with pytest.raises(ConfigurationError):
+                circ_sort(vals, 100)
+            with pytest.raises(ConfigurationError):
+                ring_med(vals, 100)
         with pytest.raises(ConfigurationError):
-            wrap_add(100, 0, 100)
-        with pytest.raises(ConfigurationError):
-            wrap_sub(0, 0, 1)
+            circ_sort([0], 1)
 
     def test_add_sub_inverse_exhaustive(self):
         for tau in range(2, 65):
