@@ -128,12 +128,13 @@ def fta(C: Mat, rp: Resolved) -> int:
     return fta_values(medians, rp.f0, tau)
 
 
-def rft(C: Mat, c_pre: int, p0: Fraction, rng: Random, rp: Resolved) -> int:
+def rft(C: Mat, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> int:
     """Randomized choice between the averaging result and a single reference.
 
     With probability p0 the deterministic average; otherwise a uniform pick
     among the three row medians and the previous clock value.  Exactly one
-    rng draw decides the branch and one more picks the reference.
+    rng draw decides the branch and one more picks the reference.  p0 may be
+    the exact cut DerivedParams.p0_cut, which decides every draw the same way.
     """
     if rp.n1 != 3:
         raise UnsupportedConfigurationError(

@@ -17,6 +17,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -82,8 +83,11 @@ class Scenario:
         if self.confirm is not None and self.confirm < 1:
             raise ConfigurationError(f"confirm must be >= 1: {self.confirm}")
 
-    @property
+    @cached_property
     def resolved(self) -> Resolved:
+        """The resolved bundle, computed on first use and kept: every run of
+        a campaign reads the same one.  (cached_property writes the instance
+        dict directly, which a frozen dataclass allows.)"""
         return resolve(self.params, self.sched)
 
     def confirm_windows(self, rp: Resolved) -> int:
@@ -488,7 +492,6 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     horizon = math.ceil(t_max * n_windows)
 
     rng = Random(derive_seed(seed, "coin-model"))
-    q0f = float(q0)
     toss_log: list[tuple[int, int, int, int]] = []
     events: list[tuple[int, int]] = []
     for node in range(n):
@@ -497,7 +500,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     events.sort()
     gl = {node: 0 for node in range(n)}
     for t, node in events:
-        b = 1 if rng.random() < q0f else 0
+        b = 1 if rng.random() < rp.dv.q0_cut else 0
         gl[node] = g0 if b else max(gl[node] - 1, 0)
         toss_log.append((t, node, b, gl[node]))
 

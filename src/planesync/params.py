@@ -98,6 +98,8 @@ class DerivedParams:
     g0: int                      # grandmaster lifetime, rounds
     q0: Fraction
     p0: Fraction
+    q0_cut: float                # rng.random() < q0_cut exactly when < q0
+    p0_cut: float                # the same for p0
     T: int                       # nominal SIG cycle, ticks
     delta_tt0: int
     delta_tt1: int
@@ -149,6 +151,16 @@ def _resolve_eps(p: SystemParams) -> tuple[int, int, int]:
         eps1 = math.ceil((2 * eps0 + 4 * p.rho * p.T0 + 2 * dmt) / (1 - 8 * p.rho))
     eps2 = p.eps2 if p.eps2 is not None else 2 * eps1
     return eps0, eps1, eps2
+
+
+def _draw_cut(q: Fraction) -> float:
+    """The float c such that rng.random() < c exactly when rng.random() < q.
+
+    random() returns k/2**53 for an integer k, and k < q*2**53 holds exactly
+    when k < ceil(q*2**53); that bound over 2**53 is an exact float, so the
+    per-round draw compares two floats instead of a float with a Fraction.
+    """
+    return -(-q.numerator * 2**53 // q.denominator) / 2**53
 
 
 def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
@@ -264,6 +276,7 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
 
     return DerivedParams(
         c0=c0, k0=k0, g0=g0, q0=q0, p0=p0, T=T,
+        q0_cut=_draw_cut(q0), p0_cut=_draw_cut(p0),
         delta_tt0=d0, delta_tt1=d1, delta_tt2=d2, delta_tt3=d3,
         q1_bound=q1_bound, T_max=t_max, stb_exp_windows=stb_exp,
         eps0=eps0, eps1=eps1, eps2=eps2, d_max_ticks=dmt, hw_acc_bound=hw_acc_bound,
@@ -289,31 +302,26 @@ class Resolved:
     sched: TTSchedule
     dv: DerivedParams = field(repr=False)
 
-    # Shorthands used throughout the fault-tolerant core.
-    @property
-    def n0(self) -> int: return self.sys.n0
-    @property
-    def n1(self) -> int: return self.sys.n1
-    @property
-    def f0(self) -> int: return self.sys.f0
-    @property
-    def f1(self) -> int: return self.sys.f1
-    @property
-    def tau_max(self) -> int: return self.sys.tau_max
-    @property
-    def a0(self) -> int: return self.sys.a0
-    @property
-    def rho(self) -> Fraction: return self.sys.rho
-    @property
-    def T(self) -> int: return self.dv.T
-    @property
-    def eps0(self) -> int: return self.dv.eps0
-    @property
-    def eps1(self) -> int: return self.dv.eps1
-    @property
-    def eps2(self) -> int: return self.dv.eps2
-    @property
-    def d_max_ticks(self) -> int: return self.dv.d_max_ticks
+    # Shorthands used throughout the fault-tolerant core: plain attributes,
+    # copied once from sys and dv, so a hot-path read is not a call.
+    n0: int = field(init=False, repr=False, compare=False)
+    n1: int = field(init=False, repr=False, compare=False)
+    f0: int = field(init=False, repr=False, compare=False)
+    f1: int = field(init=False, repr=False, compare=False)
+    tau_max: int = field(init=False, repr=False, compare=False)
+    a0: int = field(init=False, repr=False, compare=False)
+    rho: Fraction = field(init=False, repr=False, compare=False)
+    T: int = field(init=False, repr=False, compare=False)
+    eps0: int = field(init=False, repr=False, compare=False)
+    eps1: int = field(init=False, repr=False, compare=False)
+    eps2: int = field(init=False, repr=False, compare=False)
+    d_max_ticks: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for source, names in ((self.sys, ("n0", "n1", "f0", "f1", "tau_max", "a0", "rho")),
+                              (self.dv, ("T", "eps0", "eps1", "eps2", "d_max_ticks"))):
+            for name in names:
+                object.__setattr__(self, name, getattr(source, name))
 
 
 def resolve(params: SystemParams, sched: TTSchedule) -> Resolved:

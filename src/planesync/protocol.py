@@ -176,7 +176,7 @@ class RoundSummary:
 def mws_on_end_mc_recv(state: MwsState, h_now: int, rng: Random, rp: Resolved) -> RoundSummary:
     """Coin toss, grandmaster bookkeeping, and the new clock value choice."""
     tau = rp.tau_max
-    state.b_coin = 1 if rng.random() < rp.dv.q0 else 0
+    state.b_coin = 1 if rng.random() < rp.dv.q0_cut else 0
     if state.b_coin == 1:
         state.grand_life = rp.dv.g0
 
@@ -210,7 +210,7 @@ def mws_on_end_mc_recv(state: MwsState, h_now: int, rng: Random, rp: Resolved) -
             c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
             try:
                 branch = "rft"
-                state.c_new = rft(C, c_pre, rp.dv.p0, rng, rp)
+                state.c_new = rft(C, c_pre, rp.dv.p0_cut, rng, rp)
             except InsufficientDataError:
                 branch = "own"
                 state.c_new = own

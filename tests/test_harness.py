@@ -23,6 +23,7 @@ from planesync.harness import (
     run_once,
     summarize,
 )
+from planesync.params import resolve
 
 REF = reference_scenario()
 RP = REF.resolved
@@ -41,6 +42,13 @@ class TestScenario:
     def test_reference_resolves(self):
         assert RP.T == 128 and RP.tau_max % RP.T == 0
         assert G0 == 7 and RP.dv.q0 == Fraction(1, 15)
+
+    def test_resolved_once_per_scenario(self):
+        sc = reference_scenario(adversary="max_skew")
+        assert sc.resolved is sc.resolved
+        assert sc.resolved == resolve(sc.params, sc.sched)
+        other = dataclasses.replace(sc, horizon=5)
+        assert other.resolved is not sc.resolved and other.resolved == sc.resolved
 
     def test_confirm_default_is_g0_plus_1(self):
         assert REF.confirm_windows(RP) == G0 + 1
@@ -175,6 +183,15 @@ class TestRunOnce:
         assert r.resync_windows <= r.resync_point_count
         if r.stabilization_window is not None:
             assert r.max_precision_after_stb <= r.max_precision
+
+    def test_split_brain_with_a_negative_bias_runs(self):
+        # eps0 = eps1 = 1, eps2 = 2 passes validate, and split_brain's upper
+        # bias bias_lo + 2*eps0 - 4 is then -2: like any value a faulty plane
+        # sends, it is wrapped onto the ring.
+        sc = reference_scenario(adversary="split_brain", horizon=30, stop_after_confirm=False)
+        sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, eps0=1, eps1=1,
+                                                                 eps2=2))
+        assert run_once(sc, 0).windows_run == 30
 
     def test_same_seed_same_result(self):
         sc = scenario(horizon=15)

@@ -30,6 +30,29 @@ def make_params(**over):
     return SystemParams(**base)
 
 
+class TestDrawCuts:
+    def test_cut_decides_each_draw_like_the_fraction(self):
+        # random() returns k/2**53; the float cut must agree with the exact
+        # comparison against q on both sides of K = ceil(q*2**53) and at the
+        # ends of the draw range.
+        ref = derive(make_params(), SCHED)
+        qs = {ref.q0, ref.p0} | {Fraction(a, b) for b in range(1, 40) for a in range(b + 1)}
+        for q in qs:
+            dv = derive(make_params(q0=q, p0=q), SCHED)
+            K = math.ceil(q * 2**53)
+            ks = {k for k in range(K - 2, K + 3) if 0 <= k < 2**53} | {0, 2**53 - 1}
+            for cut in (dv.q0_cut, dv.p0_cut):
+                for k in ks:
+                    assert (k / 2**53 < cut) == (Fraction(k, 2**53) < q), (q, k)
+
+    def test_reference_cut_matches_the_rounded_float(self):
+        # For the reference q0 and p0 no draw lies between float(q) and the
+        # cut, so a draw against either decides the same way.
+        ref = derive(make_params(), SCHED)
+        for q, cut in ((ref.q0, ref.q0_cut), (ref.p0, ref.p0_cut)):
+            assert math.ceil(float(q) * 2**53) == math.ceil(q * 2**53) == cut * 2**53
+
+
 class TestValidate:
     def test_reference_shape_passes(self):
         assert validate(make_params(), SCHED).ok
