@@ -29,6 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Callable, Optional
 
@@ -398,7 +399,11 @@ class World:
             self._schedule_sig(p, k0)
         else:
             # Mid-round start: the watchdog rescues the plane once the
-            # hardware clock walks past tau_idl.
+            # hardware clock walks past tau_idl.  This is the only watchdog
+            # ever scheduled.  A SIG's watchdog could not fire: validate keeps
+            # c_send[1] <= T0, so the round's end_cs comes before tick
+            # k + T0 + 1, and every branch of mws_on_end_mc_recv latches
+            # c_new, so end_cs always rearms.
             self._schedule_watchdog_fire(p, k0)
 
     # ---- small utilities --------------------------------------------------
@@ -437,12 +442,12 @@ class World:
         self.engine.schedule(clk.time_of_tick(k), p, K_SIG, self._on_sig, p)
 
     def _schedule_watchdog_fire(self, p: int, k: int) -> None:
-        """Watchdog of busy plane p, counted from its hardware tick k, for
-        the plane's current round (None before its first SIG)."""
+        """Watchdog of plane p, busy from the start, counted from its
+        hardware tick k."""
         clk = self.clocks[("mws", p)]
         k_fire = k + mws_watchdog_ticks(self.mws[p], (clk.h0 + k) % clk.tau, self.rp)
         self.engine.schedule(clk.time_of_tick(k_fire), p, K_WATCHDOG,
-                             self._on_watchdog_fire, p, self.plane_round[p])
+                             self._on_watchdog_fire, p)
 
     def _on_sig(self, p: int) -> None:
         st = self.mws[p]
@@ -464,7 +469,6 @@ class World:
         eng.schedule(rnd.e_recv, p, K_SLOT, self._on_end_mc, p, rnd)
         eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd)
         eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT, self._on_end_cs, p, rnd)
-        self._schedule_watchdog_fire(p, k)
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -487,11 +491,10 @@ class World:
             eng.schedule(rnd.b_recv, rank, K_SLOT, self._on_begin_cr, i, p, rnd)
             eng.schedule(rnd.e_recv, rank, K_SLOT, self._on_end_cr, i, p, rnd)
 
-    def _on_watchdog_fire(self, p: int, rnd: Optional[_Round]) -> None:
-        st = self.mws[p]
-        if st.idle or self.plane_round[p] is not rnd:
-            return
-        mws_rearm(st)
+    def _on_watchdog_fire(self, p: int) -> None:
+        # Nothing else is scheduled for a plane that starts busy, so it is
+        # still busy, before its first round, when this fires.
+        mws_rearm(self.mws[p])
         self.trace.add(True, ev="watchdog", t=self.engine.now, plane=p)
         clk = self.clocks[("mws", p)]
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
@@ -705,6 +708,13 @@ def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[list, list, list]:
     return jt[lo:hi], [off0, *tr.jump_offsets[lo:hi]], [cum0, *tr.jump_cum[lo:hi]]
 
 
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays naming each unordered pair of n clocks once; kept, since
+    building them costs more than checking a window's pairs."""
+    return np.triu_indices(n, 1)
+
+
 def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
                eps0: Optional[int] = None) -> tuple[bool, int]:
     """Verdict of the two synchronization conditions over [t1, t2] subticks.
@@ -715,7 +725,9 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     apart deviate from elapsed time by no more than rho*elapsed + eps0;
     evaluated exactly on integer-scaled samples over T_max-aligned and
     half-shifted spans so every pair within T_max/2 is covered and no pair
-    beyond T_max is ever required.
+    beyond T_max is ever required.  The last aligned span ends at t2, so
+    its half-shifted span would lie inside it and is not checked; a window
+    exactly T_max long is one span.
 
     All clocks are checked at once on (side, track, sample) matrices: side 0
     reads just before any jump at a sample, side 1 just after.  V holds the
@@ -758,7 +770,8 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
 
     max_dev = 0
     if n > 1:
-        d = np.abs(V[:, :, None] - V[:, None])
+        a, b = _pairs(n)
+        d = np.abs(V[:, a] - V[:, b])
         max_dev = int(np.minimum(d, tau - d).max())
         if max_dev > eps0:
             return False, max_dev
@@ -771,7 +784,7 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     bound = eps0 * THL * qr
     delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
     starts = list(range(t1, t2, delta))
-    starts += [s + delta // 2 for s in starts]
+    starts += [s + delta // 2 for s in starts[:-1]]
     U = U.transpose(1, 2, 0).reshape(n, -1)
     S = np.repeat(ts, 2)
     for s0 in starts:

@@ -160,6 +160,28 @@ class _SlotSender(_LateSender):
                        lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
 
 
+class _DownSender(Adversary):
+    """Faulty plane starts one round and sends every honest terminal the
+    clock value m as its receive slot opens."""
+
+    name = "down_sender"
+
+    def __init__(self, m):
+        super().__init__()
+        self.m = m
+
+    def setup(self):
+        w = self.world
+        pf = next(iter(w.faulty_planes))
+
+        def fire():
+            w.faulty_sig(pf, w.engine.now)
+            for i in w.honest_mes:
+                w.adv_deliver_down(pf, i, self.m, w.mes_round[(i, pf)].b_recv)
+
+        w.schedule_adv(w.THL, fire)
+
+
 class TestPolicing:
     def test_honest_traffic_never_dropped(self):
         w = World(RP, make_adversary("silent"), seed=3,
@@ -202,6 +224,14 @@ class TestPolicing:
             st = w.mws[p]
             assert [st.C_mat.entries[q][faulty] for q in range(RP.n1)] == [1, None, tau - 1]
             assert [st.M_mat.entries[q][faulty] for q in range(RP.n1)] == [5, 7, None]
+
+    def test_out_of_ring_delivery_reduced(self):
+        # A faulty plane's clock value enters a terminal reduced onto the ring.
+        w = World(RP, _DownSender(RP.tau_max + 5), seed=3, init_policy="synchronized",
+                  trace_level="full")
+        w.run_until_window(1)
+        pf = next(iter(w.faulty_planes))
+        assert w.honest_mes and all(w.mes[i].m_rec[pf] == 5 for i in w.honest_mes)
 
     @pytest.mark.parametrize("c_vec, m_vec", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))])
     def test_upload_of_wrong_length_rejected(self, c_vec, m_vec):
@@ -274,6 +304,30 @@ class TestRounds:
             fires += len(watched)
         assert busy == fires > 0
 
+    def test_no_watchdog_pending_after_a_sig(self):
+        # Only a plane that starts busy gets a watchdog: a SIG schedules
+        # none, because the round's end_cs always rearms before it could fire.
+        class Probe(World):
+            def __init__(self, *args, **kwargs):
+                self.pending_after_sig = []
+                super().__init__(*args, **kwargs)
+
+            def _on_sig(self, p):
+                sigs = len(self.sig_log)
+                super()._on_sig(p)
+                if len(self.sig_log) > sigs:
+                    self.pending_after_sig.append(
+                        [ev for ev in self.engine._heap if ev[1:3] == (p, K_WATCHDOG)])
+
+        sigs = 0
+        for name, init, seed in itertools.product(
+                ("silent", "random_noise", "split_brain"), ("synchronized", "random"), range(3)):
+            w = Probe(RP, make_adversary(name), seed=seed, init_policy=init)
+            w.run_until_window(4)
+            assert all(pending == [] for pending in w.pending_after_sig), (name, init, seed)
+            sigs += len(w.pending_after_sig)
+        assert sigs > 0
+
     def test_busy_start_watchdog_on_the_walked_tick(self, tick_walk):
         # A plane that starts mid-round has its watchdog scheduled on the
         # first tick at or after time 0 where the literal tick walk of its
@@ -322,6 +376,22 @@ class TestConstruction:
             assert adv.world is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    def test_initial_states_on_ring(self, init):
+        # Initial states are where clock values enter the ring: every one
+        # lies in [0, tau_max), as wrap_* and the protocol take for granted.
+        tau = RP.tau_max
+        for seed in range(10):
+            w = World(RP, make_adversary("silent"), seed=seed, init_policy=init)
+            assert all(0 <= clk.h0 < tau for clk in w.clocks.values())
+            for st in w.mws.values():
+                assert 0 <= st.clock_offset < tau and 0 <= st.c_tilde_old < tau
+                assert 0 <= st.tau_idl <= tau       # tau_max is the idle sentinel
+            for st in w.mes.values():
+                assert 0 <= st.clock_offset < tau
+                for rec in (st.m_rec, st.h_rec, st.c_tilde, st.prev_m, st.prev_h):
+                    assert all(0 <= v < tau for v in rec.values()), (init, seed)
 
     def test_out_of_range_period_clamped_with_warning(self):
         adv = make_adversary("silent")
@@ -444,6 +514,20 @@ class TestSyncCheck:
             tr.record(t=t, old=-(j - 1) * step % 4096, new=-j * step % 4096)
         ok, _dev = sync_check([tr], 0, 3 * RP.T * self.L, RP, self.L)
         assert not ok
+
+    @pytest.mark.parametrize("where", [0.25, 0.75])
+    def test_rate_violation_in_either_half_of_a_window(self, where):
+        # A window exactly T_max long is checked as one span: an excursion
+        # confined to either half of it breaks the rate condition.
+        delta = math.ceil(RP.dv.T_max * RP.sys.T_H * self.L)
+        t1 = 3 * delta
+        tr = _const_track(4096, 0)
+        t = t1 + int(where * delta)
+        tr.record(t=t, old=0, new=2 * RP.eps0)
+        tr.record(t=t + 5, old=2 * RP.eps0, new=0)
+        assert sync_check([tr], t1, t1 + delta, RP, self.L) == (False, 0)
+        assert sync_check([tr], t1, t1 + delta, RP, self.L) == \
+            reference_sync_check([tr], t1, t1 + delta, RP, self.L)
 
     def test_steady_clocks_pass_rate_condition(self):
         ok, dev = sync_check([_const_track(4096, 5), _const_track(4096, 7)],
