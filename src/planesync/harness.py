@@ -492,6 +492,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     horizon = math.ceil(t_max * n_windows)
 
     rng = Random(derive_seed(seed, "coin-model"))
+    q0_cut = rp.dv.q0_cut
     toss_log: list[tuple[int, int, int, int]] = []
     events: list[tuple[int, int]] = []
     for node in range(n):
@@ -500,7 +501,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     events.sort()
     gl = {node: 0 for node in range(n)}
     for t, node in events:
-        b = 1 if rng.random() < rp.dv.q0_cut else 0
+        b = 1 if rng.random() < q0_cut else 0
         gl[node] = g0 if b else max(gl[node] - 1, 0)
         toss_log.append((t, node, b, gl[node]))
 
