@@ -22,7 +22,8 @@ from .protocol import TTMessageUp
 from .ring import wrap_add
 from .simnet import DRIFT_DENOM, QUANT, World
 
-__all__ = ["Adversary", "Silent", "RandomNoise", "MaxSkew", "SplitBrain", "make_adversary"]
+__all__ = ["Adversary", "Silent", "RandomNoise", "MaxSkew", "SplitBrain", "BUILTINS",
+           "make_adversary"]
 
 
 class Adversary:
@@ -31,8 +32,7 @@ class Adversary:
 
     name = "silent"
 
-    def __init__(self, params: dict | None = None) -> None:
-        self.params = dict(params or {})
+    def __init__(self) -> None:
         self.world: World | None = None
 
     # -- wiring ------------------------------------------------------------
@@ -229,13 +229,13 @@ class SplitBrain(Adversary):
                 w.adv_deliver_down(pf, i, m, u)
 
 
-_BUILTINS = {a.name: a for a in (Silent, RandomNoise, MaxSkew, SplitBrain)}
+BUILTINS = {a.name: a for a in (Silent, RandomNoise, MaxSkew, SplitBrain)}
 
 
-def make_adversary(name: str, params: dict | None = None) -> Adversary:
+def make_adversary(name: str) -> Adversary:
     try:
-        cls = _BUILTINS[name]
+        cls = BUILTINS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown adversary {name!r}; built-ins: {sorted(_BUILTINS)}") from None
-    return cls(params)
+            f"unknown adversary {name!r}; built-ins: {sorted(BUILTINS)}") from None
+    return cls()

@@ -16,7 +16,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import cached_property
 from fractions import Fraction
 from random import Random
@@ -24,7 +24,7 @@ from typing import Optional
 
 from scipy.stats import beta
 
-from .adversaries import make_adversary
+from .adversaries import BUILTINS, make_adversary
 from .errors import ConfigurationError
 from .params import (
     Resolved,
@@ -36,7 +36,7 @@ from .params import (
     resolve,
     validate,
 )
-from .simnet import World, derive_seed, sync_check
+from .simnet import INIT_POLICIES, TRACE_LEVELS, World, derive_seed, sync_check
 
 __all__ = [
     "Scenario",
@@ -66,7 +66,6 @@ class Scenario:
     params: SystemParams
     sched: TTSchedule
     adversary: str = "silent"
-    adversary_params: dict = field(default_factory=dict)
     init: str = "random"
     horizon: int = 1000                 # max simulated windows
     confirm: Optional[int] = None       # consecutive good windows; default g0+1
@@ -82,6 +81,13 @@ class Scenario:
             raise ConfigurationError(f"horizon must be >= 1: {self.horizon}")
         if self.confirm is not None and self.confirm < 1:
             raise ConfigurationError(f"confirm must be >= 1: {self.confirm}")
+        if self.adversary not in BUILTINS:
+            raise ConfigurationError(
+                f"unknown adversary {self.adversary!r}; built-ins: {sorted(BUILTINS)}")
+        if self.init not in INIT_POLICIES:
+            raise ConfigurationError(f"unknown initial-state policy {self.init!r}")
+        if self.trace_level not in TRACE_LEVELS:
+            raise ConfigurationError(f"unknown trace level {self.trace_level!r}")
 
     @cached_property
     def resolved(self) -> Resolved:
@@ -103,8 +109,9 @@ class Scenario:
             unknown = set(adv) - _ADVERSARY_KEYS
             if unknown:
                 raise ConfigurationError(f"unknown adversary keys: {sorted(unknown)}")
+            if adv.get("params"):
+                raise ConfigurationError("adversary params: no built-in adversary takes parameters")
             kwargs["adversary"] = adv.get("name", "silent")
-            kwargs["adversary_params"] = dict(adv.get("params") or {})
         if "init" in doc:
             kwargs["init"] = doc["init"]
         run = doc.get("run", {})
@@ -180,8 +187,7 @@ class RunResult:
 
 def resync_points(toss_log: list[tuple[int, int, int, int]],
                   nodes: list[int],
-                  initial_gl: dict[int, int],
-                  t_end: Optional[int] = None) -> list[tuple[int, int]]:
+                  initial_gl: dict[int, int]) -> list[tuple[int, int]]:
     """Extract resynchronization points from a coin-toss log.
 
     A log entry is (time, node, coin, lifetime_after).  Time t is a point
@@ -203,8 +209,6 @@ def resync_points(toss_log: list[tuple[int, int, int, int]],
     for t, p, b, _gl in toss_log:
         if b != 1 or p not in times:
             continue
-        if t_end is not None and t > t_end:
-            break
         for q in nodes:
             if q == p:
                 continue
@@ -222,8 +226,8 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
     rp = sc.resolved
     level = sc.trace_level if trace_path is None else \
         (sc.trace_level if sc.trace_level != "off" else "core")
-    world = World(rp, make_adversary(sc.adversary, sc.adversary_params),
-                  seed=seed, init_policy=sc.init, trace_level=level)
+    world = World(rp, make_adversary(sc.adversary), seed=seed, init_policy=sc.init,
+                  trace_level=level)
     initial_gl = {p: world.mws[p].grand_life for p in world.honest_planes}
     confirm = sc.confirm_windows(rp)
     g0 = rp.dv.g0
@@ -474,7 +478,6 @@ class CoinModelSummary:
 
 
 def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
-                      n_nodes: Optional[int] = None,
                       alpha: float = 0.01) -> CoinModelSummary:
     """Coin tosses and lifetime bookkeeping only, no network.
 
@@ -484,9 +487,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     """
     if n_windows < 1:
         raise ConfigurationError(f"need at least one window: {n_windows}")
-    n = (rp.n1 - rp.f1) if n_nodes is None else n_nodes
-    if n < 2:
-        raise ConfigurationError(f"coin model needs >= 2 nodes: {n}")
+    n = rp.n1 - rp.f1  # 2 or 3: resolve validates n1 == 3 > 2*f1
     g0, q0, T = rp.dv.g0, rp.dv.q0, rp.T
     t_max = rp.dv.T_max  # ticks, Fraction
     horizon = math.ceil(t_max * n_windows)

@@ -12,7 +12,7 @@ functions here mutate in place and lean on the pure core in ftcore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
@@ -48,18 +48,16 @@ class TTMessageUp:
     m_vec: tuple[Optional[int], ...]
 
 
-@dataclass
 class MesState:
-    """Per-plane records of one terminal node plus its adjustable clock offset."""
+    """One terminal node: its adjustable clock offset and, per plane, the last
+    record (the plane's value m_rec and the local reading h_rec it arrived
+    at, both None before the first) with its accuracy counter acc."""
 
-    n1: int
-    clock_offset: int = 0
-    m_rec: dict[int, int] = field(default_factory=dict)
-    h_rec: dict[int, int] = field(default_factory=dict)
-    c_tilde: dict[int, int] = field(default_factory=dict)
-    prev_m: dict[int, int] = field(default_factory=dict)
-    prev_h: dict[int, int] = field(default_factory=dict)
-    acc: dict[int, int] = field(default_factory=dict)
+    def __init__(self, n1: int, clock_offset: int = 0) -> None:
+        self.clock_offset = clock_offset
+        self.m_rec: list[Optional[int]] = [None] * n1
+        self.h_rec: list[Optional[int]] = [None] * n1
+        self.acc = [0] * n1
 
 
 @dataclass
@@ -88,34 +86,28 @@ class MwsState:
 
 def mes_on_clock_msg(state: MesState, p: int, m: int, h_now: int, rp: Resolved) -> None:
     """Record a plane's distributed clock value received in its receive slot."""
-    tau = rp.tau_max
-    had_prev = p in state.m_rec
-    if had_prev:
-        state.prev_m[p] = state.m_rec[p]
-        state.prev_h[p] = state.h_rec[p]
-    h = wrap_add(h_now, rp.dv.delta_tt0, tau)
+    h = wrap_add(h_now, rp.dv.delta_tt0, rp.tau_max)
+    m_pre, h_pre = state.m_rec[p], state.h_rec[p]
     state.m_rec[p] = m
     state.h_rec[p] = h
-    state.c_tilde[p] = wrap_sub(m, h, tau)
-    if had_prev:
-        ok = accuracy_check(m, state.prev_m[p], h, state.prev_h[p], rp)
-        state.acc[p] = update_acc_counter(state.acc.get(p, 0), ok, rp.a0)
+    if m_pre is None:
+        state.acc[p] = 0  # a first record carries no history to grade
     else:
-        state.acc[p] = 0
+        ok = accuracy_check(m, m_pre, h, h_pre, rp)
+        state.acc[p] = update_acc_counter(state.acc[p], ok, rp.a0)
 
 
 def mes_on_begin_vc_send(state: MesState, sender: int, h_now: int, rp: Resolved) -> TTMessageUp:
-    """Build the upward relay message; identical content goes to every plane."""
+    """Build the upward relay message; identical content goes to every plane.
+
+    A plane's clock estimate is its record's offset m_rec - h_rec carried
+    forward to the reading h_now + delta_tt1."""
     tau = rp.tau_max
-    c_vec, a_vec, m_vec = [], [], []
-    for q in range(state.n1):
-        if q in state.c_tilde:
-            c_vec.append(wrap_add(wrap_add(state.c_tilde[q], h_now, tau), rp.dv.delta_tt1, tau))
-        else:
-            c_vec.append(None)
-        a_vec.append(state.acc.get(q, 0))
-        m_vec.append(state.m_rec.get(q))
-    return TTMessageUp(sender=sender, c_vec=tuple(c_vec), a_vec=tuple(a_vec), m_vec=tuple(m_vec))
+    shift = wrap_add(h_now, rp.dv.delta_tt1, tau)
+    c_vec = tuple(None if m is None else wrap_add(wrap_sub(m, h, tau), shift, tau)
+                  for m, h in zip(state.m_rec, state.h_rec))
+    return TTMessageUp(sender=sender, c_vec=c_vec, a_vec=tuple(state.acc),
+                       m_vec=tuple(state.m_rec))
 
 
 def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
@@ -125,11 +117,12 @@ def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
     in the past (the planes' adjustment instant) and the median is shifted
     back, so the resulting clock tracks the plane clocks with no offset.
     """
-    if not state.c_tilde:
-        return
     tau = rp.tau_max
     h_ref = wrap_sub(h_now, rp.dv.delta_tt2, tau)
-    proj = [wrap_add(ct, h_ref, tau) for ct in state.c_tilde.values()]
+    proj = [wrap_add(wrap_sub(m, h, tau), h_ref, tau)
+            for m, h in zip(state.m_rec, state.h_rec) if m is not None]
+    if not proj:
+        return
     target = wrap_add(ring_med(proj, tau), rp.dv.delta_tt2, tau)
     state.clock_offset = wrap_sub(target, h_now, tau)
 

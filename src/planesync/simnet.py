@@ -64,7 +64,12 @@ __all__ = [
     "derive_seed",
     "DRIFT_DENOM",
     "QUANT",
+    "INIT_POLICIES",
+    "TRACE_LEVELS",
 ]
+
+INIT_POLICIES = ("synchronized", "random")
+TRACE_LEVELS = ("off", "core", "full")
 
 # Event-kind processing order at equal instants.  Slot handlers run before
 # the SIG check of the same tick (a completed round may re-arm immediately);
@@ -111,14 +116,14 @@ class Engine:
         """Drop every pending event."""
         self._heap.clear()
 
-    def run_until(self, t_end: int) -> None:
+    def run_until(self, t_stop: int) -> None:
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
+        while heap and heap[0][0] <= t_stop:
             t, _rank, _kind, _seq, fn, args = heapq.heappop(heap)
             self.now = t
             fn(*args)
-        if self.now < t_end:
-            self.now = t_end
+        if self.now < t_stop:
+            self.now = t_stop
 
 
 @dataclass
@@ -179,7 +184,7 @@ class Trace:
     field order so identical runs produce identical bytes."""
 
     def __init__(self, level: str = "core") -> None:
-        if level not in ("off", "core", "full"):
+        if level not in TRACE_LEVELS:
             raise ConfigurationError(f"unknown trace level {level!r}")
         self.level = level
         self.records: list[dict] = []
@@ -215,9 +220,7 @@ class World:
     """One simulated system: nodes, clocks, round machinery, adversary."""
 
     def __init__(self, rp: Resolved, adversary, seed: int, init_policy: str = "random",
-                 trace_level: str = "core",
-                 faulty_planes: Optional[set[int]] = None,
-                 faulty_mes: Optional[set[int]] = None) -> None:
+                 trace_level: str = "core") -> None:
         self.rp = rp
         self.seed = seed
         self.engine = Engine()
@@ -225,10 +228,8 @@ class World:
         self.adversary = adversary
 
         n0, n1 = rp.n0, rp.n1
-        self.faulty_planes = set(range(n1 - rp.f1, n1)) if faulty_planes is None else set(faulty_planes)
-        self.faulty_mes = set(range(n0 - rp.f0, n0)) if faulty_mes is None else set(faulty_mes)
-        if len(self.faulty_planes) > rp.f1 or len(self.faulty_mes) > rp.f0:
-            raise ConfigurationError("fault assignment exceeds the fault budget")
+        self.faulty_planes = set(range(n1 - rp.f1, n1))
+        self.faulty_mes = set(range(n0 - rp.f0, n0))
         self.honest_planes = [p for p in range(n1) if p not in self.faulty_planes]
         self.honest_mes = [i for i in range(n0) if i not in self.faulty_mes]
 
@@ -355,9 +356,6 @@ class World:
                         c_init, tau)
                     st.m_rec[q] = wrap_add(c_init, rec_lag, tau)
                     st.h_rec[q] = wrap_add(clk.h0, rec_lag, tau)
-                    st.c_tilde[q] = off
-                    st.prev_m[q] = wrap_sub(st.m_rec[q], T, tau)
-                    st.prev_h[q] = wrap_sub(st.h_rec[q], T, tau)
                     st.acc[q] = rp.a0
                 self.mes[i] = st
         elif policy == "random":
@@ -377,11 +375,11 @@ class World:
                     if rng.random() < 0.5:
                         st.m_rec[q] = rng.randrange(tau)
                         st.h_rec[q] = rng.randrange(tau)
-                        st.c_tilde[q] = wrap_sub(st.m_rec[q], st.h_rec[q], tau)
                         st.acc[q] = rng.randrange(rp.a0 + 1)
+                        # Unread draws (an older record); they keep each seed's bytes.
                         if rng.random() < 0.5:
-                            st.prev_m[q] = rng.randrange(tau)
-                            st.prev_h[q] = rng.randrange(tau)
+                            rng.randrange(tau)
+                            rng.randrange(tau)
                 self.mes[i] = st
         else:
             raise ConfigurationError(f"unknown initial-state policy {policy!r}")

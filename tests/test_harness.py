@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from planesync import harness
+from planesync import adversaries, harness
 from planesync.cli import main as cli_main
-from planesync.errors import ConfigurationError
+from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import (
     CoinModelSummary,
     Scenario,
@@ -61,6 +61,10 @@ class TestScenario:
             dataclasses.replace(REF, confirm=0)
         with pytest.raises(ConfigurationError):
             scenario(f0=2)  # n0 > 3*f0 fails
+        for knob, name in [("adversary", "no_such_strategy"), ("init", "sideways"),
+                           ("trace_level", "verbose")]:
+            with pytest.raises(ConfigurationError, match=repr(name)):
+                dataclasses.replace(REF, **{knob: name})
 
     def test_from_doc_roundtrip(self):
         doc = {
@@ -89,6 +93,15 @@ class TestScenario:
             Scenario.from_doc({**base, "adversary": {"name": "silent", "typo": 1}})
         with pytest.raises(ConfigurationError):
             Scenario.from_doc({**base, "run": {"horizn": 10}})
+
+    def test_from_doc_rejects_adversary_params(self):
+        doc = {"system": dataclasses.asdict(REF.params),
+               "schedule": dataclasses.asdict(REF.sched)}
+        for empty in ({}, None):
+            adv = {"name": "max_skew", "params": empty}
+            assert Scenario.from_doc({**doc, "adversary": adv}).adversary == "max_skew"
+        with pytest.raises(ConfigurationError, match="no built-in adversary takes parameters"):
+            Scenario.from_doc({**doc, "adversary": {"name": "max_skew", "params": {"bias": 3}}})
 
     def test_reference_file_matches_builtin(self):
         sc = Scenario.from_file("scenarios/reference.yaml")
@@ -126,12 +139,6 @@ class TestResyncPoints:
         # node 2 witnesses both heads; node 1's own head cannot witness
         pts = resync_points(log, [0, 1, 2], {0: 0, 1: 0, 2: 0})
         assert pts == [(10, 0), (12, 1)]
-
-    def test_t_end_cutoff(self):
-        log = [(10, 0, 1, G0), (20, 1, 0, 0), (30, 0, 1, G0), (40, 1, 0, 0)]
-        full = resync_points(log, [0, 1], {0: 0, 1: 0})
-        assert full == [(10, 0), (30, 0)]
-        assert resync_points(log, [0, 1], {0: 0, 1: 0}, t_end=20) == [(10, 0)]
 
 
 class TestRunOnce:
@@ -257,45 +264,72 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             run_monte_carlo(REF, [1, 2, 1])
 
-    def test_failing_seed_marks_campaign_incomplete(self):
-        sc = dataclasses.replace(REF, adversary="no_such_strategy", horizon=5)
+    @pytest.fixture
+    def setup_fails(self, monkeypatch):
+        """A failure only a run can meet: the silent adversary's setup
+        raises, naming the seed.  Returns the reason recorded for seed s."""
+        def setup(adv):
+            raise SimulationError(f"setup failed at seed {adv.world.seed}")
+
+        monkeypatch.setattr(adversaries.Silent, "setup", setup)
+        return "SimulationError: setup failed at seed {}".format
+
+    def test_failing_seed_marks_campaign_incomplete(self, setup_fails):
+        sc = dataclasses.replace(REF, horizon=5)
         summary, results = run_monte_carlo(sc, [0, 1])
         assert summary.incomplete and summary.failed_seeds == (0, 1)
         assert not summary.all_stabilized and results == []
 
-    def test_failure_reasons_name_the_exception(self):
-        # Scenario does not check the initial-state policy; World raises on
-        # it inside every run.
-        sc = dataclasses.replace(REF, init="sideways", horizon=5)
+    def test_failure_reasons_name_the_exception(self, setup_fails):
+        sc = dataclasses.replace(REF, horizon=5)
         summary, results = run_monte_carlo(sc, [3, 4])
         assert summary.failed_seeds == (3, 4) and results == []
-        assert summary.failure_reasons == (
-            "ConfigurationError: unknown initial-state policy 'sideways'",) * 2
+        assert summary.failure_reasons == (setup_fails(3), setup_fails(4))
         assert summary.to_record()["failure_reasons"] == summary.failure_reasons
 
-    def test_table_names_each_failed_seed(self):
-        sc = dataclasses.replace(REF, init="sideways", horizon=5)
+    def test_table_names_each_failed_seed(self, setup_fails):
+        sc = dataclasses.replace(REF, horizon=5)
         summary, _ = run_monte_carlo(sc, [3, 4])
         lines = summary.table().splitlines()
-        why = "ConfigurationError: unknown initial-state policy 'sideways'"
         assert [" ".join(ln.split()) for ln in lines[-2:]] == \
-            [f"failed seed {s} {why}" for s in (3, 4)]
+            [f"failed seed {s} {setup_fails(s)}" for s in (3, 4)]
         # A complete campaign's table has no such rows.
-        done, _ = run_monte_carlo(scenario(horizon=10), [0])
+        done, _ = run_monte_carlo(scenario(adversary="max_skew", horizon=10), [0])
         assert not done.incomplete and "failed seed" not in done.table()
         assert len(done.table().splitlines()) == len(lines) - 2
 
-    def test_campaign_cli_prints_why_each_seed_failed(self, tmp_path, capsys):
-        path = tmp_path / "scenario.yaml"
-        with open("scenarios/reference.yaml") as f:
-            path.write_text(f.read().replace("init: random", "init: sideways"))
-        rc = cli_main(["campaign", "-c", str(path), "--seeds", "2", "--horizon", "5"])
+    def test_campaign_cli_prints_why_each_seed_failed(self, setup_fails, capsys):
+        rc = cli_main(["campaign", "-c", "scenarios/reference.yaml", "--seeds", "2",
+                       "--horizon", "5"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "failed seeds: [0, 1]" in err
         for s in (0, 1):
-            assert f"seed {s}: ConfigurationError: unknown initial-state policy " \
-                   "'sideways'" in err
+            assert f"seed {s}: {setup_fails(s)}" in err
+
+
+class TestValidateCli:
+    def test_reference_passes(self, capsys):
+        assert cli_main(["validate", "-c", "scenarios/reference.yaml"]) == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    @pytest.mark.parametrize("edit, why", [
+        (("  trace: \"off\"", "  trace: \"off\"\n  bogus: 1"), "unknown run keys: ['bogus']"),
+        (("name: silent", "name: nope"), "unknown adversary 'nope'"),
+        (("init: random", "init: sideways"), "unknown initial-state policy 'sideways'"),
+        (("params: {}", "params: {bias: 3}"), "no built-in adversary takes parameters"),
+        (("n0: 4", "n0: 3"), "n0>3f0 violated"),
+    ], ids=["run_key", "adversary", "init", "adversary_params", "invariant"])
+    def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
+        # Everything `run` and `campaign` would reject, validate rejects too.
+        path = tmp_path / "scenario.yaml"
+        with open("scenarios/reference.yaml") as f:
+            text = f.read()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1]))
+        assert cli_main(["validate", "-c", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and why in captured.err
 
 
 class TestReplayCli:
@@ -329,8 +363,6 @@ class TestCoinModel:
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
             lemma1_coin_model(RP, n_windows=0, seed=0)
-        with pytest.raises(ConfigurationError):
-            lemma1_coin_model(RP, n_windows=10, seed=0, n_nodes=1)
 
     def test_deterministic_in_seed(self):
         a = lemma1_coin_model(RP, n_windows=300, seed=5)

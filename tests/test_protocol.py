@@ -1,13 +1,18 @@
 """Protocol state machine tests for terminal and master switch nodes."""
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from planesync.ftcore import Mat, fta
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planesync.ftcore import Mat, accuracy_check, fta, hw_accuracy_threshold, update_acc_counter
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import (
     MesState,
     MwsState,
+    TTMessageUp,
     mes_on_begin_vc_send,
     mes_on_clock_msg,
     mes_on_end_c_recv,
@@ -18,7 +23,7 @@ from planesync.protocol import (
     mws_watchdog_ticks,
     next_sig_tick,
 )
-from planesync.ring import wrap_add, wrap_sub
+from planesync.ring import ring_med, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
 
@@ -49,10 +54,9 @@ class TestMes:
         assert rp.dv.delta_tt0 == (34 - 38) % rp.tau_max
         mes_on_clock_msg(st, 1, 500, 300, rp)
         h = wrap_add(300, rp.dv.delta_tt0, rp.tau_max)
-        assert st.m_rec[1] == 500
-        assert st.h_rec[1] == h
-        assert st.c_tilde[1] == wrap_sub(500, h, rp.tau_max)
-        assert st.acc[1] == 0  # first record carries no history to grade
+        assert st.m_rec == [None, 500, None]
+        assert st.h_rec == [None, h, None]
+        assert st.acc == [0, 0, 0]  # first record carries no history to grade
 
     def test_acc_counter_saturates(self):
         rp = make_rp()
@@ -83,7 +87,8 @@ class TestMes:
         mes_on_clock_msg(st, 0, 500, 300, rp)
         h_now = 900
         msg = mes_on_begin_vc_send(st, 2, h_now, rp)
-        want = wrap_add(wrap_add(st.c_tilde[0], h_now, tau), rp.dv.delta_tt1, tau)
+        c_tilde = wrap_sub(500, wrap_add(300, rp.dv.delta_tt0, tau), tau)
+        want = wrap_add(wrap_add(c_tilde, h_now, tau), rp.dv.delta_tt1, tau)
         assert msg.sender == 2
         assert msg.c_vec[0] == want
         assert msg.c_vec[1] is None and msg.c_vec[2] is None
@@ -99,7 +104,9 @@ class TestMes:
         h_now = 1000
         h_ref = wrap_sub(h_now, rp.dv.delta_tt2, tau)
         for p, c in enumerate((100, 102, 104)):
-            st.c_tilde[p] = wrap_sub(c, h_ref, tau)
+            # Each record was taken 5 + p ticks before h_ref.
+            st.h_rec[p] = wrap_sub(h_ref, 5 + p, tau)
+            st.m_rec[p] = wrap_sub(c, 5 + p, tau)
         mes_on_end_c_recv(st, h_now, rp)
         # Terminal clock at the reference instant equals the median estimate.
         assert wrap_add(h_ref, st.clock_offset, tau) == 102
@@ -294,3 +301,106 @@ class TestRoundTrip:
             mws.M_mat = Mat([[base] * rp.n0 for _ in range(3)])
             mws_on_end_mc_recv(mws, 0, random.Random(1), rp)
             assert mws.c_new == want
+
+
+# ---- reference: the dict-based terminal machine --------------------------------
+#
+# The terminal rules as they stood when MesState kept one dict per field,
+# including the derived c_tilde and the previous record.  The list-based
+# MesState must send the same messages and set the same offsets.
+
+
+@dataclass
+class RefMesState:
+    n1: int
+    clock_offset: int = 0
+    m_rec: dict = field(default_factory=dict)
+    h_rec: dict = field(default_factory=dict)
+    c_tilde: dict = field(default_factory=dict)
+    prev_m: dict = field(default_factory=dict)
+    prev_h: dict = field(default_factory=dict)
+    acc: dict = field(default_factory=dict)
+
+
+def ref_mes_on_clock_msg(state, p, m, h_now, rp):
+    tau = rp.tau_max
+    had_prev = p in state.m_rec
+    if had_prev:
+        state.prev_m[p] = state.m_rec[p]
+        state.prev_h[p] = state.h_rec[p]
+    h = wrap_add(h_now, rp.dv.delta_tt0, tau)
+    state.m_rec[p] = m
+    state.h_rec[p] = h
+    state.c_tilde[p] = wrap_sub(m, h, tau)
+    if had_prev:
+        ok = accuracy_check(m, state.prev_m[p], h, state.prev_h[p], rp)
+        state.acc[p] = update_acc_counter(state.acc.get(p, 0), ok, rp.a0)
+    else:
+        state.acc[p] = 0
+
+
+def ref_mes_on_begin_vc_send(state, sender, h_now, rp):
+    tau = rp.tau_max
+    c_vec, a_vec, m_vec = [], [], []
+    for q in range(state.n1):
+        if q in state.c_tilde:
+            c_vec.append(wrap_add(wrap_add(state.c_tilde[q], h_now, tau), rp.dv.delta_tt1, tau))
+        else:
+            c_vec.append(None)
+        a_vec.append(state.acc.get(q, 0))
+        m_vec.append(state.m_rec.get(q))
+    return TTMessageUp(sender=sender, c_vec=tuple(c_vec), a_vec=tuple(a_vec), m_vec=tuple(m_vec))
+
+
+def ref_mes_on_end_c_recv(state, h_now, rp):
+    if not state.c_tilde:
+        return
+    tau = rp.tau_max
+    h_ref = wrap_sub(h_now, rp.dv.delta_tt2, tau)
+    proj = [wrap_add(ct, h_ref, tau) for ct in state.c_tilde.values()]
+    target = wrap_add(ring_med(proj, tau), rp.dv.delta_tt2, tau)
+    state.clock_offset = wrap_sub(target, h_now, tau)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_terminal_matches_dict_reference(data):
+    """Initial records on some planes, then clock messages (one cycle after
+    the last record, give or take a little more than the accuracy check
+    allows, or anywhere on the ring), relay messages and clock settings, in
+    any order: both machines send and set the same."""
+    rp = make_rp()
+    tau, n1 = rp.tau_max, rp.n1
+    ring = st.integers(0, tau - 1)
+    dm, dh = 2 * rp.eps0 + 1, hw_accuracy_threshold(rp) + 1
+    off = data.draw(ring)
+    new, ref = MesState(n1, clock_offset=off), RefMesState(n1, clock_offset=off)
+    for q in range(n1):
+        if data.draw(st.booleans()):
+            m, h, a = data.draw(ring), data.draw(ring), data.draw(st.integers(0, rp.a0))
+            new.m_rec[q], new.h_rec[q], new.acc[q] = m, h, a
+            ref.m_rec[q], ref.h_rec[q], ref.acc[q] = m, h, a
+            ref.c_tilde[q] = wrap_sub(m, h, tau)
+    for _ in range(data.draw(st.integers(1, 16))):
+        step = data.draw(st.sampled_from(["clock", "clock", "send", "recv"]))
+        h_now = data.draw(ring)
+        if step == "clock":
+            p = data.draw(st.integers(0, n1 - 1))
+            if p in ref.m_rec and data.draw(st.booleans()):
+                m = (ref.m_rec[p] + rp.T + data.draw(st.integers(-dm, dm))) % tau
+                h_now = (ref.h_rec[p] + rp.T + data.draw(st.integers(-dh, dh))
+                         - rp.dv.delta_tt0) % tau
+            else:
+                m = data.draw(ring)
+            mes_on_clock_msg(new, p, m, h_now, rp)
+            ref_mes_on_clock_msg(ref, p, m, h_now, rp)
+        elif step == "send":
+            sender = data.draw(st.integers(0, rp.n0 - 1))
+            assert mes_on_begin_vc_send(new, sender, h_now, rp) == \
+                ref_mes_on_begin_vc_send(ref, sender, h_now, rp)
+        else:
+            mes_on_end_c_recv(new, h_now, rp)
+            ref_mes_on_end_c_recv(ref, h_now, rp)
+        assert new.clock_offset == ref.clock_offset
+    h_now = data.draw(ring)
+    assert mes_on_begin_vc_send(new, 0, h_now, rp) == ref_mes_on_begin_vc_send(ref, 0, h_now, rp)

@@ -390,8 +390,9 @@ class TestConstruction:
                 assert 0 <= st.tau_idl <= tau       # tau_max is the idle sentinel
             for st in w.mes.values():
                 assert 0 <= st.clock_offset < tau
-                for rec in (st.m_rec, st.h_rec, st.c_tilde, st.prev_m, st.prev_h):
-                    assert all(0 <= v < tau for v in rec.values()), (init, seed)
+                for m, h in zip(st.m_rec, st.h_rec):
+                    assert (m is None) == (h is None), (init, seed)
+                    assert m is None or (0 <= m < tau and 0 <= h < tau), (init, seed)
 
     def test_out_of_range_period_clamped_with_warning(self):
         adv = make_adversary("silent")
