@@ -4,6 +4,7 @@ message policing, and the synchronization verdict."""
 import gc
 import itertools
 import math
+import re
 import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -327,6 +328,26 @@ class TestRounds:
             assert all(pending == [] for pending in w.pending_after_sig), (name, init, seed)
             sigs += len(w.pending_after_sig)
         assert sigs > 0
+
+    def test_plane_rounds_never_overlap(self):
+        # An honest plane runs one round at a time: at most one leading
+        # watchdog (a busy start), then sig, round, adjust, over and over;
+        # the horizon may cut the last cycle short.  Only end_cs, or a busy
+        # start's watchdog, makes a plane idle, and a SIG fires only then.
+        letter = {"watchdog": "w", "sig": "s", "round": "r", "adjust": "a"}
+        cycles = 0
+        for name, init, seed in itertools.product(
+                ("silent", "random_noise", "max_skew", "split_brain"),
+                ("synchronized", "random"), range(10)):
+            w = World(RP, make_adversary(name), seed=seed, init_policy=init,
+                      trace_level="core")
+            w.run_until_window(20)
+            for p in w.honest_planes:
+                seq = "".join(letter[r["ev"]] for r in w.trace.records
+                              if r.get("plane") == p or r.get("node") == ["mws", p])
+                assert re.fullmatch(r"w?(sra)*(s|sr)?", seq), (name, init, seed, p, seq)
+                cycles += seq.count("sra")
+        assert cycles > 0
 
     def test_busy_start_watchdog_on_the_walked_tick(self, tick_walk):
         # A plane that starts mid-round has its watchdog scheduled on the
