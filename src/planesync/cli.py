@@ -93,7 +93,7 @@ def _seed_list(args: argparse.Namespace) -> list[int]:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     sc = _scenario(args)
     seeds = _seed_list(args)
-    summary, results = run_monte_carlo(sc, seeds, alpha=args.alpha, jobs=args.jobs)
+    summary, results = run_monte_carlo(sc, seeds, jobs=args.jobs)
     if args.format == "text":
         print(summary.table())
     else:
@@ -118,8 +118,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
     sc = _scenario(args)
-    summary = lemma1_coin_model(sc.resolved, args.windows, args.seed,
-                                alpha=args.alpha)
+    summary = lemma1_coin_model(sc.resolved, args.windows, args.seed)
     if args.format == "text":
         print(summary.table())
     else:
@@ -160,48 +159,55 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="debug logging on stderr")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, seeded=True):
+    def config(p, overrides=True):
         p.add_argument("-c", "--config", help="scenario YAML (default: "
                        f"${SCENARIO_ENV_VAR} or the built-in reference scenario)")
-        p.add_argument("--horizon", type=int, help="max windows to simulate")
-        p.add_argument("--adversary", help="override the adversary strategy")
-        p.add_argument("--init", choices=["random", "synchronized"],
-                       help="override the initial-state policy")
+        if overrides:
+            p.add_argument("--horizon", type=int, help="max windows to simulate")
+            p.add_argument("--adversary", help="override the adversary strategy")
+            p.add_argument("--init", choices=["random", "synchronized"],
+                           help="override the initial-state policy")
+
+    def formatted(p):
         p.add_argument("--format", choices=["jsonl", "text"], default="text",
                        help="stdout format")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check that a scenario file can run")
     p.add_argument("-c", "--config", help=f"scenario YAML (default: ${SCENARIO_ENV_VAR})")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("run", help="simulate one seed")
-    common(p)
+    config(p)
+    formatted(p)
+    seeded(p)
     p.add_argument("--trace-level", choices=["off", "core", "full"],
                    dest="trace_level", help="override the trace detail level")
     p.add_argument("--out", help="directory for the result and trace files")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("campaign", help="Monte Carlo over many seeds")
-    common(p, seeded=False)
+    config(p)
+    formatted(p)
     p.add_argument("--seeds", type=int, default=100,
                    help="number of seeds, 0..N-1")
     p.add_argument("--seed-list", help="explicit comma-separated seeds")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--alpha", type=float, default=0.01,
-                   help="one-sided confidence level")
     p.add_argument("--out", help="directory for summary and per-run records")
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("lemma1", help="coin-model resynchronization-point bound")
-    common(p)
+    config(p, overrides=False)
+    formatted(p)
+    seeded(p)
     p.add_argument("--windows", type=int, default=100_000)
-    p.add_argument("--alpha", type=float, default=0.01)
     p.set_defaults(fn=_cmd_lemma1)
 
     p = sub.add_parser("replay", help="re-run a recorded trace and diff")
-    common(p)
+    config(p)
+    seeded(p)
     p.add_argument("--trace", required=True, help="trace file from a previous run")
     p.add_argument("--trace-level", choices=["core", "full"],
                    dest="trace_level", help="detail level of the recorded trace")

@@ -30,6 +30,7 @@ from .params import (
     Resolved,
     SystemParams,
     TTSchedule,
+    as_int,
     load_system_config,
     parse_schedule_section,
     parse_system_section,
@@ -119,14 +120,15 @@ class Scenario:
             unknown = set(run) - _RUN_KEYS
             if unknown:
                 raise ConfigurationError(f"unknown run keys: {sorted(unknown)}")
-            if run.get("horizon") is not None:
-                kwargs["horizon"] = int(run["horizon"])
-            if run.get("confirm") is not None:
-                kwargs["confirm"] = int(run["confirm"])
-            if run.get("stop_after_confirm") is not None:
-                kwargs["stop_after_confirm"] = bool(run["stop_after_confirm"])
-            if run.get("eps0_check") is not None:
-                kwargs["eps0_check"] = int(run["eps0_check"])
+            for k in ("horizon", "confirm", "eps0_check"):
+                if run.get(k) is not None:
+                    kwargs[k] = as_int(run[k], f"run key {k}")
+            stop = run.get("stop_after_confirm")
+            if stop is not None:
+                if not isinstance(stop, bool):
+                    raise ConfigurationError(
+                        f"run key stop_after_confirm must be true or false: {stop!r}")
+                kwargs["stop_after_confirm"] = stop
             if run.get("trace") is not None:
                 kwargs["trace_level"] = run["trace"]
         kwargs.update(overrides)
@@ -302,7 +304,10 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
 # ---- statistics ----------------------------------------------------------------
 
 
-def lower_confidence_bound(k: int, n: int, alpha: float = 0.01) -> float:
+ALPHA = 0.01  # one-sided confidence level of every lower bound reported
+
+
+def lower_confidence_bound(k: int, n: int, alpha: float = ALPHA) -> float:
     """One-sided Clopper-Pearson lower bound on a binomial proportion."""
     if n <= 0 or k <= 0:
         return 0.0
@@ -352,7 +357,7 @@ class StatsSummary:
             ("resync attempts", self.attempts),
             ("confirmed attempts", self.successes),
             ("attempt frequency", self.attempt_freq),
-            ("attempt frequency lcb (a=0.01)", f"{self.attempt_freq_lcb:.6f}"),
+            (f"attempt frequency lcb (a={ALPHA})", f"{self.attempt_freq_lcb:.6f}"),
             ("theoretical q1 bound", f"{self.q1_bound:.6f}"),
             ("attempt bound satisfied", self.attempt_freq_ok),
             ("windows with resync point", f"{self.resync_windows}/{self.windows_total}"),
@@ -367,8 +372,7 @@ class StatsSummary:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def summarize(results: list[RunResult], rp: Resolved, alpha: float = 0.01,
-              incomplete: bool = False,
+def summarize(results: list[RunResult], rp: Resolved, incomplete: bool = False,
               failed_seeds: tuple[int, ...] = (),
               failure_reasons: tuple[str, ...] = ()) -> StatsSummary:
     results = sorted(results, key=lambda r: r.seed)
@@ -376,7 +380,7 @@ def summarize(results: list[RunResult], rp: Resolved, alpha: float = 0.01,
     attempts = sum(r.attempts for r in results)
     successes = sum(r.successes for r in results)
     q1 = float(rp.dv.q1_bound)
-    lcb = lower_confidence_bound(successes, attempts, alpha)
+    lcb = lower_confidence_bound(successes, attempts)
     mean_bound = float(2 / rp.dv.q1_bound + rp.dv.g0) if rp.dv.q1_bound > 0 else math.inf
     stab_mean = sum(stabs) / len(stabs) if stabs else None
     devs = [r.max_precision_after_stb for r in results
@@ -413,7 +417,7 @@ def _mc_worker(args: tuple) -> RunResult:
     return run_once(sc, seed)
 
 
-def run_monte_carlo(sc: Scenario, seeds: list[int], alpha: float = 0.01,
+def run_monte_carlo(sc: Scenario, seeds: list[int],
                     jobs: int = 1) -> tuple[StatsSummary, list[RunResult]]:
     """Independent runs, one per seed, joined in seed order.
 
@@ -446,7 +450,7 @@ def run_monte_carlo(sc: Scenario, seeds: list[int], alpha: float = 0.01,
                 results.append(_mc_worker((sc, s)))
             except Exception as e:
                 fail(s, e)
-    summary = summarize(results, rp, alpha=alpha, incomplete=bool(failed),
+    summary = summarize(results, rp, incomplete=bool(failed),
                         failed_seeds=tuple(failed), failure_reasons=tuple(reasons))
     return summary, results
 
@@ -471,14 +475,13 @@ class CoinModelSummary:
             f"windows                 {self.n_windows}",
             f"windows with point      {self.windows_with_point}",
             f"frequency               {self.freq:.4f}",
-            f"frequency lcb (a=0.01)  {self.freq_lcb:.4f}",
+            f"frequency lcb (a={ALPHA})  {self.freq_lcb:.4f}",
             f"theoretical bound       {self.bound:.4f}",
             f"bound satisfied         {self.ok}",
         ])
 
 
-def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
-                      alpha: float = 0.01) -> CoinModelSummary:
+def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSummary:
     """Coin tosses and lifetime bookkeeping only, no network.
 
     Each of the nonfaulty coin holders tosses once per cycle of T ticks at
@@ -511,7 +514,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int,
     hit = {w for w in hit if w < n_windows}
     k = len(hit)
     bound = float(2 * q0 * (1 - q0) ** g0)
-    lcb = lower_confidence_bound(k, n_windows, alpha)
+    lcb = lower_confidence_bound(k, n_windows)
     return CoinModelSummary(
         n_windows=n_windows,
         windows_with_point=k,

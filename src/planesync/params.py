@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
@@ -21,6 +21,7 @@ from .ring import wrap_sub
 
 __all__ = [
     "as_fraction",
+    "as_int",
     "SystemParams",
     "TTSchedule",
     "DerivedParams",
@@ -48,8 +49,19 @@ def as_fraction(x: Any) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConfigurationError(f"cannot interpret {x!r} as an exact rational")
+
+
+def as_int(x: Any, what: str) -> int:
+    """x itself if it is an int; anything else, a bool or a numeric string
+    included, is refused with a message naming what x is."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigurationError(f"{what} must be an integer: {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,6 @@ class SystemParams:
     eps1: int | None = None      # stability-condition window, ticks
     eps2: int | None = None      # weak-condition window, ticks
     eps_rnd: Fraction | None = None  # intra-plane round-start skew bound, time
-    min_delay: Fraction = Fraction(0)  # delivery delays lie in (min_delay, d_max]
     q0: Fraction | None = None   # coin head probability
     p0: Fraction | None = None   # deterministic branch probability of RFT
 
@@ -182,8 +193,6 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
         v.append(f"T_H must be positive: {p.T_H}")
     if p.a0 < 1:
         v.append(f"a0 must be >= 1: {p.a0}")
-    if not (0 <= p.min_delay < p.d_max):
-        v.append(f"min_delay must be in [0, d_max): {p.min_delay}")
     if p.q0 is not None and not (0 <= p.q0 <= 1):
         v.append(f"q0 outside [0,1]: {p.q0}")
     if p.p0 is not None and not (0 <= p.p0 <= 1):
@@ -330,9 +339,9 @@ def resolve(params: SystemParams, sched: TTSchedule) -> Resolved:
 
 _SYSTEM_KEYS = {
     "n0", "n1", "f0", "f1", "tau_max", "T_H", "rho", "d_max", "T0", "a0",
-    "eps0", "eps1", "eps2", "eps_rnd", "min_delay", "q0", "p0",
+    "eps0", "eps1", "eps2", "eps_rnd", "q0", "p0",
 }
-_FRACTION_KEYS = {"T_H", "rho", "d_max", "eps_rnd", "min_delay", "q0", "p0"}
+_FRACTION_KEYS = {"T_H", "rho", "d_max", "eps_rnd", "q0", "p0"}
 _SCHEDULE_KEYS = {"vc_send", "mc_recv", "c_send", "c_recv"}
 
 
@@ -340,10 +349,19 @@ def parse_system_section(data: dict) -> SystemParams:
     unknown = set(data) - _SYSTEM_KEYS
     if unknown:
         raise ConfigurationError(f"unknown system keys: {sorted(unknown)}")
+    derived = {f.name for f in fields(SystemParams) if f.default is None}
     kwargs: dict[str, Any] = {}
     for k in _SYSTEM_KEYS & set(data):
         val = data[k]
-        kwargs[k] = as_fraction(val) if (k in _FRACTION_KEYS and val is not None) else val
+        if val is None and k in derived:
+            kwargs[k] = None
+        elif k in _FRACTION_KEYS:
+            try:
+                kwargs[k] = as_fraction(val)
+            except ConfigurationError as e:
+                raise ConfigurationError(f"system key {k}: {e}") from None
+        else:
+            kwargs[k] = as_int(val, f"system key {k}")
     try:
         return SystemParams(**kwargs)
     except TypeError as e:
@@ -362,7 +380,7 @@ def parse_schedule_section(data: dict) -> TTSchedule:
         pair = data[k]
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigurationError(f"schedule slot {k} must be [begin, end]: {pair!r}")
-        slots[k] = (int(pair[0]), int(pair[1]))
+        slots[k] = tuple(as_int(v, f"schedule slot {k}") for v in pair)
     return TTSchedule(**slots)
 
 

@@ -3,8 +3,9 @@
 Terminal (MES) nodes act as one virtual client per switch plane: they
 record each plane's distributed clock value, grade its accuracy, relay
 records upward, and set their own clock to the median of the plane clocks.
-Master switch (MWS) nodes generate round signals, collect the relayed
-matrices, toss the grandmaster coin, and compute their next clock value.
+Master switch (MWS) nodes generate round signals, toss the grandmaster
+coin over the relays a round collected, and compute their next clock value;
+the relays and that value belong to the round, not to the switch.
 
 All state is single-owner (mutated only by the simulation event loop); the
 functions here mutate in place and lean on the pure core in ftcore.
@@ -62,18 +63,14 @@ class MesState:
 
 @dataclass
 class MwsState:
-    """Grandmaster bookkeeping and per-round matrices of one master switch."""
+    """One master switch: its clock offset, the offset before its last
+    adjustment, its grandmaster lifetime and its busy marker."""
 
     tau_max: int
     clock_offset: int = 0
     grand_life: int = 0
-    b_coin: int = 0
     tau_idl: int = -1         # tau_max is the idle sentinel
     c_tilde_old: int = 0
-    c_new: Optional[int] = None
-    C_mat: Optional[Mat] = None
-    A_mat: Optional[Mat] = None
-    M_mat: Optional[Mat] = None
 
     def __post_init__(self) -> None:
         if self.tau_idl < 0:
@@ -130,13 +127,13 @@ def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
 def next_sig_tick(base: int, k_min: int, tau: int, T: int) -> int:
     """Smallest tick k >= k_min at which an idle switch emits a SIG: its
     clock (base + k) mod tau is a multiple of T, where base is the clock
-    reading plus offset at tick 0."""
-    best = None
-    for v in range(0, ((tau - 1) // T) * T + 1, T):
-        k = k_min + (v - base - k_min) % tau
-        if best is None or k < best:
-            best = k
-    return best
+    reading plus offset at tick 0.  When T does not divide tau, the clock
+    passes no multiple between the last one below tau and the wrap to 0."""
+    x = (base + k_min) % tau
+    d = -x % T
+    if x + d > (tau - 1) // T * T:
+        d = tau - x
+    return k_min + d
 
 
 def mws_on_sig(state: MwsState, h_now: int, rp: Resolved) -> None:
@@ -160,21 +157,31 @@ def mws_rearm(state: MwsState) -> None:
 
 @dataclass(frozen=True)
 class RoundSummary:
-    """What the end-of-collection step decided, for traces and tests."""
+    """What the end-of-collection step decided: the coin, the stability
+    verdict, the branch taken and the new clock value."""
 
+    b_coin: int
     stb: bool
     branch: str  # "avg", "weak", "own", "rft"
+    c_new: int
 
 
-def mws_on_end_mc_recv(state: MwsState, h_now: int, rng: Random, rp: Resolved) -> RoundSummary:
-    """Coin toss, grandmaster bookkeeping, and the new clock value choice."""
+def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: int,
+                       rng: Random, rp: Resolved) -> RoundSummary:
+    """Coin toss, grandmaster bookkeeping, and the new clock value choice,
+    over the round's relays keyed by the terminal that delivered them.
+
+    Column i of C, A and M holds terminal i's relay; a terminal that sent
+    none leaves its column missing."""
     tau = rp.tau_max
-    state.b_coin = 1 if rng.random() < rp.dv.q0_cut else 0
-    if state.b_coin == 1:
+    b_coin = 1 if rng.random() < rp.dv.q0_cut else 0
+    if b_coin == 1:
         state.grand_life = rp.dv.g0
 
-    C, A, M = state.C_mat, state.A_mat, state.M_mat
-    assert C is not None and A is not None and M is not None
+    cols = [relays.get(i) for i in range(rp.n0)]
+    C, A, M = (Mat([[None if u is None else getattr(u, vec)[p] for u in cols]
+                    for p in range(rp.n1)])
+               for vec in ("c_vec", "a_vec", "m_vec"))
     fr = filters(M, A, rp)
     stb = check_stb(C, fr.p_acma, rp)
     own = wrap_add(wrap_add(h_now, state.clock_offset, tau), rp.dv.delta_tt3, tau)
@@ -190,31 +197,28 @@ def mws_on_end_mc_recv(state: MwsState, h_now: int, rng: Random, rp: Resolved) -
 
     if state.grand_life > 0:
         state.grand_life -= 1
-        if state.b_coin == 0 or stb:
-            state.c_new = averaged()
+        if b_coin == 0 or stb:
+            c_new = averaged()
         else:
             weak = check_weak(C, rp)
             branch = "weak" if weak is not None else "own"
-            state.c_new = weak if weak is not None else own
+            c_new = weak if weak is not None else own
     else:
         if stb:
-            state.c_new = averaged()
+            c_new = averaged()
         else:
             c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
             try:
                 branch = "rft"
-                state.c_new = rft(C, c_pre, rp.dv.p0_cut, rng, rp)
+                c_new = rft(C, c_pre, rp.dv.p0_cut, rng, rp)
             except InsufficientDataError:
                 branch = "own"
-                state.c_new = own
-    return RoundSummary(stb=stb, branch=branch)
+                c_new = own
+    return RoundSummary(b_coin=b_coin, stb=stb, branch=branch, c_new=c_new)
 
 
-def mws_on_end_c_send(state: MwsState, h_now: int, rp: Resolved) -> None:
-    """Adjust the clock to the latched value and rearm SIG generation."""
-    if state.c_new is None:
-        return
-    tau = rp.tau_max
+def mws_on_end_c_send(state: MwsState, c_new: int, h_now: int, rp: Resolved) -> None:
+    """Adjust the clock to the round's new value and rearm SIG generation."""
     state.c_tilde_old = state.clock_offset
-    state.clock_offset = wrap_sub(state.c_new, h_now, tau)
+    state.clock_offset = wrap_sub(c_new, h_now, rp.tau_max)
     mws_rearm(state)

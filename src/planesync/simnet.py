@@ -17,8 +17,10 @@ multiple of T while idle (protocol.py states the SIG and watchdog rules;
 this module only schedules them).  The SIG gives every member of the plane (the
 switch itself plus each terminal's per-plane interface) a round anchor
 offset by a bounded skew; TT-slot boundaries then ride on each member's own
-tick progression.  Messages arriving before their receive slot opens are
-buffered and processed at slot begin; arrivals after slot end are dropped.
+tick progression.  A plane's round keeps the first relay from each
+terminal until its receive slot ends; a terminal buffers a clock value that
+arrives before its receive slot opens and processes it at slot begin.
+Arrivals after slot end are dropped.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SimulationError
-from .ftcore import Mat
 from .params import Resolved
 from .protocol import (
     MesState,
@@ -204,16 +205,20 @@ class Trace:
 @dataclass
 class _Round:
     """One round of a plane, or of one terminal's interface to a plane: its
-    anchor, its receive slot [b_recv, e_recv], and the early arrivals held
-    for the slot.  Every event of a round carries this object; its handler
-    returns once another round has taken its place."""
+    anchor and its receive slot [b_recv, e_recv].  A plane's round holds the
+    first relay from each terminal and the clock value it chose; a
+    terminal's holds the clock values that arrive before its slot opens.
+    Every event of a round carries this object.  A terminal's handlers
+    return once another round has taken its place; a plane's rounds never
+    overlap, since each SIG starts one only when the previous has ended."""
 
     anchor: int
     b_recv: int
     e_recv: int
     closed: bool = False
     buffer: list = field(default_factory=list)
-    senders: set = field(default_factory=set)  # a plane's terminals already ingested
+    relays: dict = field(default_factory=dict)   # terminal -> TTMessageUp
+    c_new: Optional[int] = None
 
 
 class World:
@@ -259,8 +264,6 @@ class World:
             self.THL = scaled(rp.sys.T_H)
             self.skew_quantum = scaled(Fraction(eps_rnd, QUANT)) if eps_rnd > 0 else 0
             self.delay_quantum = scaled(Fraction(rp.sys.d_max, QUANT))
-            self.min_delay_k = max(1, -(-scaled(rp.sys.min_delay) // self.delay_quantum)) \
-                if rp.sys.min_delay > 0 else 1
             # Observation-window length in subticks, rounded up to the grid.
             self.window = math.ceil(rp.dv.T_max * rp.sys.T_H * self.L)
             # Policed image of the upward slot, in subticks from a round anchor:
@@ -286,10 +289,8 @@ class World:
                 for i in self.honest_mes for p in range(n1)
             }
 
-            # Per-run logs consumed by the harness and tests.
+            # Coin tosses, for the harness's resynchronization points.
             self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
-            self.stb_log: list[tuple[int, int, bool]] = []        # (t, plane, e_stb)
-            self.sig_log: list[tuple[int, int]] = []              # (t, plane)
 
             self._init_states(init_policy)
             adversary.setup()
@@ -361,14 +362,12 @@ class World:
         elif policy == "random":
             for p in self.honest_planes:
                 tau_idl = tau if rng.random() < 0.5 else rng.randrange(tau)
-                self.mws[p] = MwsState(
-                    tau_max=tau,
-                    clock_offset=rng.randrange(tau),
-                    grand_life=rng.randrange(rp.dv.g0 + 1),
-                    b_coin=rng.randrange(2),
-                    tau_idl=tau_idl,
-                    c_tilde_old=rng.randrange(tau),
-                )
+                clock_offset = rng.randrange(tau)
+                grand_life = rng.randrange(rp.dv.g0 + 1)
+                rng.randrange(2)  # unread draw (a last coin); it keeps each seed's bytes
+                self.mws[p] = MwsState(tau_max=tau, clock_offset=clock_offset,
+                                       grand_life=grand_life, tau_idl=tau_idl,
+                                       c_tilde_old=rng.randrange(tau))
             for i in self.honest_mes:
                 st = MesState(n1=rp.n1, clock_offset=rng.randrange(tau))
                 for q in range(rp.n1):
@@ -400,8 +399,7 @@ class World:
             # hardware clock walks past tau_idl.  This is the only watchdog
             # ever scheduled.  A SIG's watchdog could not fire: validate keeps
             # c_send[1] <= T0, so the round's end_cs comes before tick
-            # k + T0 + 1, and every branch of mws_on_end_mc_recv latches
-            # c_new, so end_cs always rearms.
+            # k + T0 + 1, and end_cs always rearms.
             self._schedule_watchdog_fire(p, k0)
 
     # ---- small utilities --------------------------------------------------
@@ -423,7 +421,7 @@ class World:
 
     def _delay(self, sender, p: int) -> int:
         k = self.adversary.choose_delay(sender, p)
-        return min(max(int(k), self.min_delay_k), QUANT) * self.delay_quantum
+        return min(max(int(k), 1), QUANT) * self.delay_quantum
 
     def _record_adjust(self, key, old: int, new: int) -> None:
         self.tracks[key].record(self.engine.now, old, new)
@@ -448,14 +446,12 @@ class World:
                              self._on_watchdog_fire, p)
 
     def _on_sig(self, p: int) -> None:
+        # Scheduled only for an idle plane, and nothing else makes it busy.
         st = self.mws[p]
-        if not st.idle:
-            return
         t = self.engine.now
         clk = self.clocks[("mws", p)]
         h = clk.h_at(t)
         mws_on_sig(st, h, self.rp)
-        self.sig_log.append((t, p))
         self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
 
         k = clk.ticks_at(t)
@@ -463,7 +459,6 @@ class World:
         rnd = _Round(t, clk.time_of_tick(k + sc.mc_recv[0]), clk.time_of_tick(k + sc.mc_recv[1]))
         self.plane_round[p] = rnd
         eng = self.engine
-        eng.schedule(rnd.b_recv, p, K_SLOT, self._on_begin_mc, p, rnd)
         eng.schedule(rnd.e_recv, p, K_SLOT, self._on_end_mc, p, rnd)
         eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd)
         eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT, self._on_end_cs, p, rnd)
@@ -497,39 +492,21 @@ class World:
         clk = self.clocks[("mws", p)]
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
-    def _on_begin_mc(self, p: int, rnd: _Round) -> None:
-        if self.plane_round[p] is not rnd:
-            return
-        st = self.mws[p]
-        st.C_mat = Mat.empty(self.rp.n1, self.rp.n0)
-        st.A_mat = Mat.empty(self.rp.n1, self.rp.n0)
-        st.M_mat = Mat.empty(self.rp.n1, self.rp.n0)
-        for send_t, sender, msg in rnd.buffer:
-            self._ingest_up(p, rnd, sender, msg)
-        rnd.buffer = []
-
     def _on_end_mc(self, p: int, rnd: _Round) -> None:
-        if self.plane_round[p] is not rnd:
-            return
         rnd.closed = True
         st = self.mws[p]
-        h = self.clocks[("mws", p)].h_at(self.engine.now)
-        summary = mws_on_end_mc_recv(st, h, self.coin_rng[p], self.rp)
         t = self.engine.now
-        self.toss_log.append((t, p, st.b_coin, st.grand_life))
-        self.stb_log.append((t, p, summary.stb))
-        self.trace.add(True, ev="round", t=t, plane=p, b=st.b_coin,
+        h = self.clocks[("mws", p)].h_at(t)
+        summary = mws_on_end_mc_recv(st, rnd.relays, h, self.coin_rng[p], self.rp)
+        rnd.c_new = summary.c_new
+        self.toss_log.append((t, p, summary.b_coin, st.grand_life))
+        self.trace.add(True, ev="round", t=t, plane=p, b=summary.b_coin,
                        gl=st.grand_life, stb=summary.stb, branch=summary.branch,
-                       c_new=st.c_new)
+                       c_new=summary.c_new)
 
     def _on_begin_cs(self, p: int, rnd: _Round) -> None:
-        if self.plane_round[p] is not rnd:
-            return
-        # The value latched by the round; None if the round never reached
-        # the matrix-collection stage.
-        m = self.mws[p].c_new
-        if m is None:
-            return
+        # validate orders the slots, so the round's end_mc has chosen c_new.
+        m = rnd.c_new
         t = self.engine.now
         for i in range(self.rp.n0):
             if i in self.faulty_mes:
@@ -541,15 +518,12 @@ class World:
                                  self._deliver_down, p, i, m)
 
     def _on_end_cs(self, p: int, rnd: _Round) -> None:
-        if self.plane_round[p] is not rnd:
-            return
         st = self.mws[p]
         clk = self.clocks[("mws", p)]
         old = st.clock_offset
-        mws_on_end_c_send(st, clk.h_at(self.engine.now), self.rp)
+        mws_on_end_c_send(st, rnd.c_new, clk.h_at(self.engine.now), self.rp)
         self._record_adjust(("mws", p), old, st.clock_offset)
-        if st.idle:
-            self._schedule_sig(p, clk.ticks_at(self.engine.now))
+        self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
     # ---- terminal (MES) round machinery ------------------------------------
 
@@ -580,23 +554,11 @@ class World:
             self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i,
                            why="outside policed slot")
             return
-        now = self.engine.now
-        if now < rnd.b_recv:
-            rnd.buffer.append((send_t, i, msg))
-        elif not rnd.closed:
-            self._ingest_up(p, rnd, i, msg)
+        if rnd.closed:
+            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
         else:
-            self.trace.add(False, ev="drop_up", t=now, plane=p, mes=i, why="late")
-
-    def _ingest_up(self, p: int, rnd: _Round, i: int, msg: TTMessageUp) -> None:
-        if i in rnd.senders:
-            return
-        rnd.senders.add(i)
-        st = self.mws[p]
-        for q in range(self.rp.n1):
-            st.C_mat.entries[q][i] = msg.c_vec[q]
-            st.A_mat.entries[q][i] = msg.a_vec[q]
-            st.M_mat.entries[q][i] = msg.m_vec[q]
+            # Keyed by the delivering terminal: a faulty one writes msg.sender.
+            rnd.relays.setdefault(i, msg)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
         rnd = self.mes_round[(i, p)]

@@ -319,7 +319,14 @@ class TestValidateCli:
         (("init: random", "init: sideways"), "unknown initial-state policy 'sideways'"),
         (("params: {}", "params: {bias: 3}"), "no built-in adversary takes parameters"),
         (("n0: 4", "n0: 3"), "n0>3f0 violated"),
-    ], ids=["run_key", "adversary", "init", "adversary_params", "invariant"])
+        (("horizon: 1000", "horizon: abc"), "run key horizon must be an integer"),
+        (("vc_send: [6, 10]", "vc_send: [6, ten]"), "schedule slot vc_send must be an integer"),
+        (("n0: 4", "n0: \"4\""), "system key n0 must be an integer"),
+        (("stop_after_confirm: true", "stop_after_confirm: \"false\""),
+         "run key stop_after_confirm must be true or false"),
+        (("rho: 1/1000", "rho: abc"), "system key rho: cannot interpret 'abc'"),
+    ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
+            "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"

@@ -1,7 +1,7 @@
 """Protocol state machine tests for terminal and master switch nodes."""
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -38,12 +38,17 @@ def make_rp(**over):
     return resolve(SystemParams(**base), SCHED)
 
 
-def full_mats(rp, C_rows, acc=None):
-    n0, n1 = rp.n0, rp.n1
-    C = Mat([[C_rows[p]] * n0 for p in range(n1)])
-    A = Mat([[acc if acc is not None else rp.a0] * n0 for _ in range(n1)])
-    M = Mat([[C_rows[p]] * n0 for p in range(n1)])
-    return C, A, M
+def full_relays(rp, C_rows, acc=None):
+    """Every terminal relays C_rows[p] for plane p, as its estimate and as
+    its record, with accuracy counter acc (default a0)."""
+    col = tuple(C_rows)
+    a_vec = (acc if acc is not None else rp.a0,) * rp.n1
+    return {i: TTMessageUp(sender=i, c_vec=col, a_vec=a_vec, m_vec=col) for i in range(rp.n0)}
+
+
+def row_mat(rp, C_rows):
+    """The matrix C that full_relays gives."""
+    return Mat([[v] * rp.n0 for v in C_rows])
 
 
 class TestMes:
@@ -191,9 +196,8 @@ class TestMwsRound:
     def test_stable_branch_uses_average(self):
         rp = make_rp()
         st = MwsState(tau_max=rp.tau_max)
-        st.C_mat, st.A_mat, st.M_mat = full_mats(rp, [700, 702, 704])
-        mws_on_end_mc_recv(st, 50, random.Random(0), rp)
-        assert st.c_new == fta(st.C_mat, rp)
+        s = mws_on_end_mc_recv(st, full_relays(rp, [700, 702, 704]), 50, random.Random(0), rp)
+        assert s.c_new == fta(row_mat(rp, [700, 702, 704]), rp)
 
     def test_unstable_nongrandmaster_randomizes(self):
         rp = make_rp()
@@ -202,20 +206,18 @@ class TestMwsRound:
         seen = set()
         for seed in range(200):
             st = MwsState(tau_max=tau, c_tilde_old=wrap_sub(3100, rp.dv.delta_tt3, tau))
-            st.C_mat, st.A_mat, st.M_mat = full_mats(rp, rows, acc=0)
-            mws_on_end_mc_recv(st, 0, random.Random(seed), rp)
-            seen.add(st.c_new)
+            s = mws_on_end_mc_recv(st, full_relays(rp, rows, acc=0), 0, random.Random(seed), rp)
+            seen.add(s.c_new)
         assert {100, 1100, 2100, 3100} <= seen  # all four references reachable
-        assert fta(st.C_mat, rp) in seen
+        assert fta(row_mat(rp, rows), rp) in seen
 
     def test_grandmaster_head_toss_sets_lifetime(self):
         rp = make_rp()
         st = MwsState(tau_max=rp.tau_max)
-        st.C_mat, st.A_mat, st.M_mat = full_mats(rp, [700, 702, 704])
         # Find a seed whose first draw lands under q0.
         seed = next(s for s in range(10_000) if random.Random(s).random() < float(rp.dv.q0))
-        mws_on_end_mc_recv(st, 50, random.Random(seed), rp)
-        assert st.b_coin == 1
+        s = mws_on_end_mc_recv(st, full_relays(rp, [700, 702, 704]), 50, random.Random(seed), rp)
+        assert s.b_coin == 1
         # Lifetime is granted and then spent for the current round.
         assert st.grand_life == rp.dv.g0 - 1
 
@@ -223,56 +225,49 @@ class TestMwsRound:
         rp = make_rp()
         tau = rp.tau_max
         st = MwsState(tau_max=tau, grand_life=3)
-        st.C_mat, st.A_mat, st.M_mat = full_mats(rp, [700, 702, 704])
         seed = next(s for s in range(10_000) if random.Random(s).random() >= float(rp.dv.q0))
-        mws_on_end_mc_recv(st, 50, random.Random(seed), rp)
-        assert st.b_coin == 0 and st.grand_life == 2
+        s = mws_on_end_mc_recv(st, full_relays(rp, [700, 702, 704]), 50, random.Random(seed), rp)
+        assert s.b_coin == 0 and st.grand_life == 2
 
     def test_grandmaster_unstable_holds_own_clock(self):
         rp = make_rp()
         tau = rp.tau_max
         st = MwsState(tau_max=tau, grand_life=2, clock_offset=321)
         rows = [0, 1300, 2600]  # scattered: no weak window either
-        st.C_mat, st.A_mat, st.M_mat = full_mats(rp, rows, acc=0)
         h_now = 77
         seed = next(s for s in range(10_000) if random.Random(s).random() < float(rp.dv.q0))
-        mws_on_end_mc_recv(st, h_now, random.Random(seed), rp)
+        s = mws_on_end_mc_recv(st, full_relays(rp, rows, acc=0), h_now, random.Random(seed), rp)
         own = wrap_add(wrap_add(h_now, 321, tau), rp.dv.delta_tt3, tau)
-        assert st.c_new == own
+        assert s.c_new == own
 
     def test_grandmaster_weak_window(self):
         rp = make_rp()
         tau = rp.tau_max
         st = MwsState(tau_max=tau, grand_life=2)
         # Two rows share value 800 in n0-2f0 = 2 columns; third row far off.
-        C = Mat([
+        C = [
             [800, 800, 2000, 2400],
             [800, 800, 2800, 3200],
             [1600, 1601, 1602, 1603],
-        ])
-        st.C_mat = C
-        st.A_mat = Mat([[0] * 4 for _ in range(3)])
-        st.M_mat = Mat([[None] * 4 for _ in range(3)])
+        ]
+        # Terminal i relays column i, with no record and a zero counter.
+        relays = {i: TTMessageUp(sender=i, c_vec=tuple(row[i] for row in C),
+                                 a_vec=(0, 0, 0), m_vec=(None, None, None))
+                  for i in range(4)}
         seed = next(s for s in range(10_000) if random.Random(s).random() < float(rp.dv.q0))
-        mws_on_end_mc_recv(st, 50, random.Random(seed), rp)
+        s = mws_on_end_mc_recv(st, relays, 50, random.Random(seed), rp)
         from planesync.ring import ring_dist
-        assert ring_dist(st.c_new, 800, tau) <= rp.eps2 // 2
+        assert ring_dist(s.c_new, 800, tau) <= rp.eps2 // 2
 
     def test_send_and_adjust(self):
         rp = make_rp()
         tau = rp.tau_max
-        st = MwsState(tau_max=tau, clock_offset=10, tau_idl=500, c_new=1234)
+        st = MwsState(tau_max=tau, clock_offset=10, tau_idl=500)
         h_now = 400
-        mws_on_end_c_send(st, h_now, rp)
+        mws_on_end_c_send(st, 1234, h_now, rp)
         assert st.c_tilde_old == 10
         assert st.clock_offset == wrap_sub(1234, h_now, tau)
         assert st.idle
-
-    def test_send_noop_without_value(self):
-        rp = make_rp()
-        st = MwsState(tau_max=rp.tau_max, clock_offset=10, tau_idl=500)
-        mws_on_end_c_send(st, 400, rp)
-        assert st.clock_offset == 10 and not st.idle
 
 
 class TestRoundTrip:
@@ -295,12 +290,11 @@ class TestRoundTrip:
             # The sender's hardware clock cancels out of the projection.
             want = wrap_add(base, rp.dv.delta_tt1, tau)
             assert all(u.c_vec[p] == want for u in ups for p in range(3))
-            mws = MwsState(tau_max=tau)
-            mws.C_mat = Mat([[u.c_vec[p] for u in ups] for p in range(3)])
-            mws.A_mat = Mat([[rp.a0] * rp.n0 for _ in range(3)])
-            mws.M_mat = Mat([[base] * rp.n0 for _ in range(3)])
-            mws_on_end_mc_recv(mws, 0, random.Random(1), rp)
-            assert mws.c_new == want
+            assert all(u.m_vec == (base,) * 3 for u in ups)
+            # Counters as after a0 graded records (a first record grades 0).
+            relays = {i: replace(u, a_vec=(rp.a0,) * 3) for i, u in enumerate(ups)}
+            s = mws_on_end_mc_recv(MwsState(tau_max=tau), relays, 0, random.Random(1), rp)
+            assert s.c_new == want
 
 
 # ---- reference: the dict-based terminal machine --------------------------------

@@ -183,6 +183,19 @@ class _DownSender(Adversary):
         w.schedule_adv(w.THL, fire)
 
 
+class _Closed(World):
+    """Keeps every closed round of an honest plane, with the relays it
+    collected."""
+
+    def __init__(self, *args, **kwargs):
+        self.closed_rounds = []
+        super().__init__(*args, **kwargs)
+
+    def _on_end_mc(self, p, rnd):
+        super()._on_end_mc(p, rnd)
+        self.closed_rounds.append((p, rnd))
+
+
 class TestPolicing:
     def test_honest_traffic_never_dropped(self):
         w = World(RP, make_adversary("silent"), seed=3,
@@ -192,39 +205,38 @@ class TestPolicing:
         assert drops == []
 
     def test_out_of_slot_send_dropped(self):
-        w = World(RP, _LateSender(), seed=3, init_policy="synchronized",
-                  trace_level="full")
+        w = _Closed(RP, _LateSender(), seed=3, init_policy="synchronized",
+                    trace_level="full")
         w.run_until_window(3)
         faulty = next(iter(w.faulty_mes))
         drops = [r for r in w.trace.records
                  if r["ev"] == "drop_up" and r["mes"] == faulty]
         assert drops and all(r["why"] == "outside policed slot" for r in drops)
-        for p in w.honest_planes:
-            assert all(w.mws[p].C_mat.entries[q][faulty] is None
-                       for q in range(RP.n1))
+        assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
+        assert all(faulty not in rnd.relays for _p, rnd in w.closed_rounds)
 
     def test_in_slot_send_ingested(self):
-        w = World(RP, _SlotSender(), seed=3, init_policy="synchronized",
-                  trace_level="full")
+        w = _Closed(RP, _SlotSender(), seed=3, init_policy="synchronized",
+                    trace_level="full")
         w.run_until_window(3)
         faulty = next(iter(w.faulty_mes))
         assert not any(r["ev"] == "drop_up" and r["mes"] == faulty
                        for r in w.trace.records)
-        for p in w.honest_planes:
-            assert w.mws[p].C_mat.entries[0][faulty] == 1
+        assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
+        assert all(rnd.relays[faulty].c_vec[0] == 1 for _p, rnd in w.closed_rounds)
 
     def test_out_of_ring_upload_reduced(self):
         # A faulty terminal's clock values enter the plane reduced onto the
         # ring, missing entries kept, like downward adversarial values.
         tau = RP.tau_max
         adv = _SlotSender(c_vec=(tau + 1, None, -1), m_vec=(2 * tau + 5, 7, None))
-        w = World(RP, adv, seed=3, init_policy="synchronized", trace_level="full")
+        w = _Closed(RP, adv, seed=3, init_policy="synchronized", trace_level="full")
         w.run_until_window(3)
         faulty = next(iter(w.faulty_mes))
-        for p in w.honest_planes:
-            st = w.mws[p]
-            assert [st.C_mat.entries[q][faulty] for q in range(RP.n1)] == [1, None, tau - 1]
-            assert [st.M_mat.entries[q][faulty] for q in range(RP.n1)] == [5, 7, None]
+        assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
+        for _p, rnd in w.closed_rounds:
+            assert rnd.relays[faulty].c_vec == (1, None, tau - 1)
+            assert rnd.relays[faulty].m_vec == (5, 7, None)
 
     def test_out_of_ring_delivery_reduced(self):
         # A faulty plane's clock value enters a terminal reduced onto the ring.
@@ -243,14 +255,15 @@ class TestPolicing:
             w.run_until_window(3)
 
     def test_early_arrivals_buffered_until_slot_begin(self):
-        w = World(RP, make_adversary("silent"), seed=3,
-                  init_policy="synchronized", trace_level="full")
+        w = _Closed(RP, make_adversary("silent"), seed=3,
+                    init_policy="synchronized", trace_level="full")
         w.run_until_window(3)
         # Upward sends end at tick 10, collection opens at tick 14: every
-        # honest relay is an early arrival, yet all land in the matrices.
-        for p in w.honest_planes:
+        # honest relay is an early arrival, yet each closed round holds all.
+        assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
+        for _p, rnd in w.closed_rounds:
             for i in w.honest_mes:
-                assert w.mws[p].C_mat.entries[0][i] is not None
+                assert rnd.relays[i].c_vec[0] is not None
 
 
 class TestRounds:
@@ -271,11 +284,11 @@ class TestRounds:
         # even from a random state with a noisy adversary.
         for seed in range(5):
             w = World(RP, make_adversary("random_noise"), seed=seed,
-                      init_policy="random", trace_level="off")
+                      init_policy="random", trace_level="core")
             w.run_until_window(20)
             bound = (RP.T + RP.sys.T0 + 1) * (1 + RP.rho) * RP.sys.T_H * w.L
             for p in w.honest_planes:
-                ts = [t for t, q in w.sig_log if q == p]
+                ts = [r["t"] for r in w.trace.records if r["ev"] == "sig" and r["plane"] == p]
                 assert ts and ts[0] <= bound
                 assert all(b - a <= bound for a, b in zip(ts, ts[1:]))
 
@@ -314,11 +327,9 @@ class TestRounds:
                 super().__init__(*args, **kwargs)
 
             def _on_sig(self, p):
-                sigs = len(self.sig_log)
-                super()._on_sig(p)
-                if len(self.sig_log) > sigs:
-                    self.pending_after_sig.append(
-                        [ev for ev in self.engine._heap if ev[1:3] == (p, K_WATCHDOG)])
+                super()._on_sig(p)  # every SIG starts a round
+                self.pending_after_sig.append(
+                    [ev for ev in self.engine._heap if ev[1:3] == (p, K_WATCHDOG)])
 
         sigs = 0
         for name, init, seed in itertools.product(
@@ -470,11 +481,13 @@ class TestSplitBrain:
         diverged = False
         for seed in range(100):
             w = World(RP, make_adversary("split_brain"), seed=seed,
-                      init_policy="random", trace_level="off")
+                      init_policy="random", trace_level="core")
             w.run_until_window(40)
             by_win = {}
-            for t, p, stb in w.stb_log:
-                by_win.setdefault(t // w.window, {}).setdefault(p, set()).add(stb)
+            for r in w.trace.records:
+                if r["ev"] == "round":
+                    by_win.setdefault(r["t"] // w.window, {}).setdefault(
+                        r["plane"], set()).add(r["stb"])
             if any(len(d) > 1
                    and any(True in v for v in d.values())
                    and any(v == {False} for v in d.values())
