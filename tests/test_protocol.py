@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +259,46 @@ class TestMwsRound:
         s = mws_on_end_mc_recv(st, relays, 50, random.Random(seed), rp)
         from planesync.ring import ring_dist
         assert ring_dist(s.c_new, 800, tau) <= rp.eps2 // 2
+
+    # Each branch of the round decision.  C[p][i] is what terminal i relays
+    # about plane p (as estimate and as record); only terminals 0..n-1
+    # relay.  `draws` picks the seed: it must hold for a fresh Random(seed)
+    # in the order the round draws (coin, then the p0 draw, then the pick).
+    # want None stands for the switch's own clock.
+    @pytest.mark.parametrize("life, C, n, accurate, draws, branch, want", [
+        (0, [[700] * 4, [702] * 4, [704] * 4], 4, True,
+         lambda r, dv: r.random() >= dv.q0_cut, "avg", 702),
+        # Too few columns to average: the switch keeps its own clock.
+        (2, [[700] * 4, [702] * 4, [704] * 4], 2, True,
+         lambda r, dv: r.random() >= dv.q0_cut, "own", None),
+        # Rows 0 and 1 share 800 in n0-2f0 = 2 columns; row 2 is far off.
+        # The weak center is 800 + eps2 // 2, and eps2 is 66.
+        (2, [[800, 800, 2000, 2400], [800, 800, 2800, 3200], [1600, 1601, 1602, 1603]],
+         4, False, lambda r, dv: r.random() < dv.q0_cut, "weak", 833),
+        (2, [[0] * 4, [1300] * 4, [2600] * 4], 4, False,
+         lambda r, dv: r.random() < dv.q0_cut, "own", None),
+        # A hop onto row 1's median.
+        (0, [[100] * 4, [1100] * 4, [2100] * 4], 4, False,
+         lambda r, dv: r.random() >= dv.q0_cut and r.random() >= dv.p0_cut
+         and r.randrange(4) == 1, "rft", 1100),
+        # The averaging draw, with too few columns to average.
+        (0, [[100] * 4, [1100] * 4, [2100] * 4], 2, False,
+         lambda r, dv: r.random() >= dv.q0_cut and r.random() < dv.p0_cut, "own", None),
+    ], ids=["avg", "avg_own", "weak", "weak_own", "rft", "rft_own"])
+    def test_each_branch(self, life, C, n, accurate, draws, branch, want):
+        rp = make_rp()
+        tau = rp.tau_max
+        h_now, offset = 77, 321
+        st = MwsState(tau_max=tau, grand_life=life, clock_offset=offset)
+        acc = rp.a0 if accurate else 0
+        relays = {i: TTMessageUp(sender=i, c_vec=tuple(row[i] for row in C),
+                                 a_vec=(acc,) * 3, m_vec=tuple(row[i] for row in C))
+                  for i in range(n)}
+        seed = next(s for s in range(10_000) if draws(random.Random(s), rp.dv))
+        s = mws_on_end_mc_recv(st, relays, h_now, random.Random(seed), rp)
+        if want is None:
+            want = wrap_add(wrap_add(h_now, offset, tau), rp.dv.delta_tt3, tau)
+        assert (s.branch, s.c_new) == (branch, want)
 
     def test_send_and_adjust(self):
         rp = make_rp()

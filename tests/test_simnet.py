@@ -2,7 +2,9 @@
 message policing, and the synchronization verdict."""
 
 import gc
+import hashlib
 import itertools
+import json
 import math
 import re
 import weakref
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesync.adversaries import Adversary, make_adversary
+from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
+from planesync.harness import reference_scenario, run_once
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import MwsState, TTMessageUp, next_sig_tick
 from planesync.ring import ring_dist
@@ -472,6 +475,26 @@ class TestDeterminism:
             w.run_until_window(5)
             traces.add(w.trace.to_jsonl())
         assert len(traces) == 3
+
+    def test_result_and_trace_bytes_are_pinned(self, tmp_path):
+        """Every byte a seeded run writes, pinned by one hash: SHA-256 over
+        json.dumps(RunResult.to_record(), sort_keys=True) and the full trace
+        file (named t<seed>.jsonl, which the record names), for each
+        built-in adversary x {synchronized, random} x seeds 1-3, 200 windows
+        without an early stop.  A change that alters bytes on purpose (a
+        new draw, a new trace field) updates the hash and says so in
+        CHANGES.md; any other change must leave it as it is."""
+        h = hashlib.sha256()
+        for name in BUILTINS:
+            for init in ("synchronized", "random"):
+                sc = reference_scenario(adversary=name, init=init, horizon=200,
+                                        stop_after_confirm=False, trace_level="full")
+                for seed in (1, 2, 3):
+                    path = tmp_path / f"t{seed}.jsonl"
+                    result = run_once(sc, seed, trace_path=str(path))
+                    h.update(json.dumps(result.to_record(), sort_keys=True).encode())
+                    h.update(path.read_bytes())
+        assert h.hexdigest()[:16] == "a7958b87c7db65cb"
 
 
 class TestSplitBrain:
