@@ -132,7 +132,6 @@ class RandomNoise(Adversary):
             tau = rp.tau_max
             pick = lambda: self.rng.randrange(tau) if self.rng.random() < 0.8 else None
             msg = TTMessageUp(
-                sender=i,
                 c_vec=tuple(pick() for _ in range(rp.n1)),
                 a_vec=tuple(self.rng.randrange(rp.a0 + 1) for _ in range(rp.n1)),
                 m_vec=tuple(pick() for _ in range(rp.n1)),

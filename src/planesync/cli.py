@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from typing import Optional
@@ -26,8 +25,6 @@ from .harness import (
 )
 from .params import SCENARIO_ENV_VAR
 
-log = logging.getLogger("planesync")
-
 
 def _scenario(args: argparse.Namespace) -> Scenario:
     overrides = {}
@@ -38,9 +35,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
             overrides[field] = val
     path = getattr(args, "config", None) or os.environ.get(SCENARIO_ENV_VAR)
     if path:
-        log.debug("loading scenario from %s", path)
         return Scenario.from_file(path, **overrides)
-    log.debug("no config given; using the built-in reference scenario")
     return reference_scenario(**overrides)
 
 
@@ -155,8 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="planesync",
                                  description="multi-plane clock synchronization "
                                              "simulator and verification harness")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="debug logging on stderr")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def config(p, overrides=True):
@@ -217,9 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
     try:
         return args.fn(args)
     except PlanesyncError as e:

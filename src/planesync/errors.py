@@ -13,10 +13,6 @@ class FaultBudgetError(PlanesyncError, ValueError):
     """Too few values for the requested number of tolerated faults."""
 
 
-class InsufficientDataError(PlanesyncError):
-    """Not enough usable matrix columns for a fault-tolerant computation."""
-
-
 class UnsupportedConfigurationError(PlanesyncError, ValueError):
     """A configuration outside the implemented parameter range."""
 

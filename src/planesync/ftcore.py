@@ -5,27 +5,25 @@ variant that occasionally hops onto a single plane's clock, the accuracy
 and majority filters, and the two guarded conditions that decide whether a
 master switch treats the system as (possibly) synchronized.
 
-Matrix convention: entries[p][i] is the record about plane p relayed by
-terminal node i; None marks a missing message.  Missing entries are skipped
-by medians and disqualify their column in window searches: absence is
-evidence of fault and must never help satisfy a condition.
+Matrix convention: rows[p][i] is the record about plane p relayed by
+terminal node i, as plain lists; None marks a missing message.  Missing
+entries are skipped by medians and disqualify their column in window
+searches: absence is evidence of fault and must never help satisfy a
+condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 from typing import Optional
 
-from .errors import FaultBudgetError, InsufficientDataError, UnsupportedConfigurationError
+from .errors import FaultBudgetError, UnsupportedConfigurationError
 from .params import Resolved
 from .ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
 
 __all__ = [
-    "Mat",
-    "FilterResult",
     "msr_reduce",
     "msr_select",
     "circ_mean",
@@ -40,43 +38,7 @@ __all__ = [
     "check_weak",
 ]
 
-Entry = Optional[int]
-
-
-@dataclass
-class Mat:
-    """An n1 x n0 grid of optional entries (clock values or counters)."""
-
-    entries: list[list[Entry]]
-
-    @classmethod
-    def empty(cls, n1: int, n0: int) -> "Mat":
-        return cls([[None] * n0 for _ in range(n1)])
-
-    @property
-    def n1(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n0(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def row(self, p: int) -> list[Entry]:
-        return self.entries[p]
-
-    def col(self, i: int) -> list[Entry]:
-        return [r[i] for r in self.entries]
-
-    def present_in_row(self, p: int) -> list[int]:
-        return [v for v in self.entries[p] if v is not None]
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    p_acc: frozenset[int]
-    p_maj: frozenset[int]
-    p_acma: frozenset[int]
-    majority_values: dict[int, int]
+Rows = list[list[Optional[int]]]
 
 
 def msr_reduce(values: list[int], f: int, tau_max: int) -> list[int]:
@@ -109,32 +71,32 @@ def fta_values(values: list[int], f: int, tau_max: int) -> int:
     return circ_mean(msr_select(msr_reduce(values, f, tau_max), f), tau_max)
 
 
-def fta(C: Mat, rp: Resolved) -> int:
+def fta(C: Rows, rp: Resolved) -> Optional[int]:
     """Deterministic fault-tolerant average of a clock matrix.
 
     Column medians over present entries (a column needs at least n1-f1 of
-    them), then reduce/select/mean over the medians.
+    them), then reduce/select/mean over the medians; None when fewer than
+    2f0+1 columns are usable.
     """
     tau = rp.tau_max
     medians = []
-    for i in range(C.n0):
-        col = [v for v in C.col(i) if v is not None]
-        if len(col) >= rp.n1 - rp.f1:
-            medians.append(ring_med(col, tau))
+    for col in zip(*C):
+        present = [v for v in col if v is not None]
+        if len(present) >= rp.n1 - rp.f1:
+            medians.append(ring_med(present, tau))
     if len(medians) < 2 * rp.f0 + 1:
-        raise InsufficientDataError(
-            f"only {len(medians)} usable columns, need {2 * rp.f0 + 1}"
-        )
+        return None
     return fta_values(medians, rp.f0, tau)
 
 
-def rft(C: Mat, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> int:
+def rft(C: Rows, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> Optional[int]:
     """Randomized choice between the averaging result and a single reference.
 
-    With probability p0 the deterministic average; otherwise a uniform pick
-    among the three row medians and the previous clock value.  Exactly one
-    rng draw decides the branch and one more picks the reference.  p0 may be
-    the exact cut DerivedParams.p0_cut, which decides every draw the same way.
+    With probability p0 the deterministic average (None when fta has too
+    few columns); otherwise a uniform pick among the three row medians and
+    the previous clock value.  Exactly one rng draw decides the branch and
+    one more picks the reference.  p0 may be the exact cut
+    DerivedParams.p0_cut, which decides every draw the same way.
     """
     if rp.n1 != 3:
         raise UnsupportedConfigurationError(
@@ -143,10 +105,10 @@ def rft(C: Mat, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> 
     if rng.random() < p0:
         return fta(C, rp)
     candidates = []
-    for p in range(3):
-        row = C.present_in_row(p)
+    for row in C:
+        present = [v for v in row if v is not None]
         # An empty row offers no reference; fall back to the previous clock.
-        candidates.append(ring_med(row, rp.tau_max) if row else c_pre)
+        candidates.append(ring_med(present, rp.tau_max) if present else c_pre)
     candidates.append(c_pre)
     return candidates[rng.randrange(4)]
 
@@ -169,54 +131,35 @@ def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
     return min(counter + 1, a0) if ok else 0
 
 
-def filters(M: Mat, A: Mat, rp: Resolved) -> FilterResult:
-    """Accuracy and majority filters over the relayed record matrices."""
+def filters(M: Rows, A: Rows, rp: Resolved) -> frozenset[int]:
+    """The planes that pass both the accuracy filter (n0-f0 counters at a0)
+    and the majority filter (n0-f0 records equal to the row median)."""
     need = rp.n0 - rp.f0
-    p_acc = set()
+    passed = []
     for p in range(rp.n1):
-        if sum(1 for v in A.row(p) if v == rp.a0) >= need:
-            p_acc.add(p)
-    p_maj = set()
-    majority: dict[int, int] = {}
-    for p in range(rp.n1):
-        present = M.present_in_row(p)
-        if not present:
+        if sum(1 for v in A[p] if v == rp.a0) < need:
             continue
-        m_p = ring_med(present, rp.tau_max)
-        if sum(1 for v in M.row(p) if v == m_p) >= need:
-            p_maj.add(p)
-            majority[p] = m_p
-    p_acma = p_acc & p_maj
-    return FilterResult(frozenset(p_acc), frozenset(p_maj), frozenset(p_acma), majority)
+        present = [v for v in M[p] if v is not None]
+        if present and M[p].count(ring_med(present, rp.tau_max)) >= need:
+            passed.append(p)
+    return frozenset(passed)
 
 
-def _window_hit(C: Mat, rows: tuple[int, ...], width: int, min_cols: int, tau: int) -> list[int]:
+def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int, tau: int) -> list[int]:
     """Anchors v for which >= min_cols columns have all their `rows` entries
     present and inside the arc [v, v + width].
 
     Any maximal qualifying window can be shifted until its start coincides
     with an attained entry, so anchoring at entries is lossless.
     """
-    anchors = sorted({C.entries[p][i] for p in rows for i in range(C.n0)
-                      if C.entries[p][i] is not None})
-    hits = []
-    for v in anchors:
-        count = 0
-        for i in range(C.n0):
-            ok = True
-            for p in rows:
-                e = C.entries[p][i]
-                if e is None or wrap_sub(e, v, tau) > width:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        if count >= min_cols:
-            hits.append(v)
-    return hits
+    sub = [C[p] for p in rows]
+    anchors = sorted({v for row in sub for v in row if v is not None})
+    full = [col for col in zip(*sub) if None not in col]
+    return [v for v in anchors
+            if sum(all(wrap_sub(e, v, tau) <= width for e in col) for col in full) >= min_cols]
 
 
-def check_stb(C: Mat, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
+def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
     """Stability condition: some n1-f1 filtered rows and n0-f0 columns whose
     entries all fit in one arc of length eps1."""
     k = rp.n1 - rp.f1
@@ -228,7 +171,7 @@ def check_stb(C: Mat, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
     return False
 
 
-def check_weak(C: Mat, rp: Resolved) -> Optional[int]:
+def check_weak(C: Rows, rp: Resolved) -> Optional[int]:
     """Weak reference: a center within eps2/2 of entries from n1-f1 rows
     (unfiltered) and n0-2f0 columns; None when no window qualifies.
 

@@ -31,12 +31,14 @@ from .params import (
     SystemParams,
     TTSchedule,
     as_int,
+    as_mapping,
     load_system_config,
     parse_schedule_section,
     parse_system_section,
     resolve,
     validate,
 )
+from .protocol import grandmaster_toss
 from .simnet import INIT_POLICIES, TRACE_LEVELS, World, derive_seed, sync_check
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
 # ---- scenario ----------------------------------------------------------------
 
 
+_SECTIONS = {"system", "schedule", "adversary", "init", "run"}
 _ADVERSARY_KEYS = {"name", "params"}
 _RUN_KEYS = {"horizon", "confirm", "stop_after_confirm", "trace", "eps0_check"}
 
@@ -102,20 +105,26 @@ class Scenario:
 
     @classmethod
     def from_doc(cls, doc: dict, **overrides) -> "Scenario":
+        unknown = set(doc) - _SECTIONS
+        if unknown:
+            raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
         params = parse_system_section(doc.get("system", {}))
         sched = parse_schedule_section(doc.get("schedule", {}))
         kwargs: dict = {"params": params, "sched": sched}
-        adv = doc.get("adversary", {})
+        adv = _optional_section(doc, "adversary")
         if adv:
             unknown = set(adv) - _ADVERSARY_KEYS
             if unknown:
                 raise ConfigurationError(f"unknown adversary keys: {sorted(unknown)}")
             if adv.get("params"):
                 raise ConfigurationError("adversary params: no built-in adversary takes parameters")
-            kwargs["adversary"] = adv.get("name", "silent")
+            name = adv.get("name", "silent")
+            if not isinstance(name, str):
+                raise ConfigurationError(f"adversary name must be a string: {name!r}")
+            kwargs["adversary"] = name
         if "init" in doc:
             kwargs["init"] = doc["init"]
-        run = doc.get("run", {})
+        run = _optional_section(doc, "run")
         if run:
             unknown = set(run) - _RUN_KEYS
             if unknown:
@@ -138,6 +147,12 @@ class Scenario:
     def from_file(cls, path: Optional[str] = None, **overrides) -> "Scenario":
         _params, _sched, doc = load_system_config(path)
         return cls.from_doc(doc, **overrides)
+
+
+def _optional_section(doc: dict, key: str) -> dict:
+    """An optional scenario section: a mapping, or null or absent for none."""
+    section = doc.get(key)
+    return {} if section is None else as_mapping(section, f"{key} section")
 
 
 def reference_scenario(**overrides) -> Scenario:
@@ -482,7 +497,8 @@ class CoinModelSummary:
 
 
 def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSummary:
-    """Coin tosses and lifetime bookkeeping only, no network.
+    """Coin tosses and lifetime bookkeeping only, no network, by the
+    switch's own rule (protocol.grandmaster_toss).
 
     Each of the nonfaulty coin holders tosses once per cycle of T ticks at
     a random phase; a window is T_max ticks.  The per-window frequency of
@@ -496,7 +512,6 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSumma
     horizon = math.ceil(t_max * n_windows)
 
     rng = Random(derive_seed(seed, "coin-model"))
-    q0_cut = rp.dv.q0_cut
     toss_log: list[tuple[int, int, int, int]] = []
     events: list[tuple[int, int]] = []
     for node in range(n):
@@ -505,8 +520,7 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSumma
     events.sort()
     gl = {node: 0 for node in range(n)}
     for t, node in events:
-        b = 1 if rng.random() < q0_cut else 0
-        gl[node] = g0 if b else max(gl[node] - 1, 0)
+        b, gl[node] = grandmaster_toss(gl[node], rng, rp)
         toss_log.append((t, node, b, gl[node]))
 
     points = resync_points(toss_log, list(range(n)), {q: 0 for q in range(n)})

@@ -22,6 +22,7 @@ from .ring import wrap_sub
 __all__ = [
     "as_fraction",
     "as_int",
+    "as_mapping",
     "SystemParams",
     "TTSchedule",
     "DerivedParams",
@@ -61,6 +62,14 @@ def as_int(x: Any, what: str) -> int:
     included, is refused with a message naming what x is."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ConfigurationError(f"{what} must be an integer: {x!r}")
+    return x
+
+
+def as_mapping(x: Any, what: str) -> dict:
+    """x itself if it is a mapping; anything else is refused with a message
+    naming what x is."""
+    if not isinstance(x, dict):
+        raise ConfigurationError(f"{what} must be a mapping: {x!r}")
     return x
 
 
@@ -346,7 +355,7 @@ _SCHEDULE_KEYS = {"vc_send", "mc_recv", "c_send", "c_recv"}
 
 
 def parse_system_section(data: dict) -> SystemParams:
-    unknown = set(data) - _SYSTEM_KEYS
+    unknown = set(as_mapping(data, "system section")) - _SYSTEM_KEYS
     if unknown:
         raise ConfigurationError(f"unknown system keys: {sorted(unknown)}")
     derived = {f.name for f in fields(SystemParams) if f.default is None}
@@ -369,7 +378,7 @@ def parse_system_section(data: dict) -> SystemParams:
 
 
 def parse_schedule_section(data: dict) -> TTSchedule:
-    unknown = set(data) - _SCHEDULE_KEYS
+    unknown = set(as_mapping(data, "schedule section")) - _SCHEDULE_KEYS
     if unknown:
         raise ConfigurationError(f"unknown schedule keys: {sorted(unknown)}")
     missing = _SCHEDULE_KEYS - set(data)

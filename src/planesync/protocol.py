@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .errors import InsufficientDataError
-from .ftcore import Mat, check_stb, check_weak, filters, fta, rft, accuracy_check, update_acc_counter
+from .ftcore import check_stb, check_weak, filters, fta, rft, accuracy_check, update_acc_counter
 from .params import Resolved
 from .ring import ring_med, wrap_add, wrap_sub
 
@@ -31,6 +30,7 @@ __all__ = [
     "mes_on_begin_vc_send",
     "mes_on_end_c_recv",
     "next_sig_tick",
+    "grandmaster_toss",
     "mws_on_sig",
     "mws_watchdog_ticks",
     "mws_rearm",
@@ -41,9 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TTMessageUp:
-    """Terminal-to-plane relay: clock estimates, accuracy counters, raw records."""
+    """Terminal-to-plane relay: clock estimates, accuracy counters, raw records.
+    It names no sender: the plane keys it by the terminal that delivered it."""
 
-    sender: int
     c_vec: tuple[Optional[int], ...]
     a_vec: tuple[int, ...]
     m_vec: tuple[Optional[int], ...]
@@ -94,7 +94,7 @@ def mes_on_clock_msg(state: MesState, p: int, m: int, h_now: int, rp: Resolved) 
         state.acc[p] = update_acc_counter(state.acc[p], ok, rp.a0)
 
 
-def mes_on_begin_vc_send(state: MesState, sender: int, h_now: int, rp: Resolved) -> TTMessageUp:
+def mes_on_begin_vc_send(state: MesState, h_now: int, rp: Resolved) -> TTMessageUp:
     """Build the upward relay message; identical content goes to every plane.
 
     A plane's clock estimate is its record's offset m_rec - h_rec carried
@@ -103,8 +103,7 @@ def mes_on_begin_vc_send(state: MesState, sender: int, h_now: int, rp: Resolved)
     shift = wrap_add(h_now, rp.dv.delta_tt1, tau)
     c_vec = tuple(None if m is None else wrap_add(wrap_sub(m, h, tau), shift, tau)
                   for m, h in zip(state.m_rec, state.h_rec))
-    return TTMessageUp(sender=sender, c_vec=c_vec, a_vec=tuple(state.acc),
-                       m_vec=tuple(state.m_rec))
+    return TTMessageUp(c_vec=c_vec, a_vec=tuple(state.acc), m_vec=tuple(state.m_rec))
 
 
 def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
@@ -166,54 +165,45 @@ class RoundSummary:
     c_new: int
 
 
+def grandmaster_toss(life: int, rng: Random, rp: Resolved) -> tuple[int, int]:
+    """One toss of the grandmaster coin by a switch holding `life` rounds of
+    grandmaster lifetime: the coin, and the lifetime left after the round.
+    A head grants g0 rounds; a round that holds any lifetime spends one."""
+    b_coin = 1 if rng.random() < rp.dv.q0_cut else 0
+    if b_coin == 1:
+        life = rp.dv.g0
+    return b_coin, max(life - 1, 0)
+
+
 def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: int,
                        rng: Random, rp: Resolved) -> RoundSummary:
     """Coin toss, grandmaster bookkeeping, and the new clock value choice,
     over the round's relays keyed by the terminal that delivered them.
 
     Column i of C, A and M holds terminal i's relay; a terminal that sent
-    none leaves its column missing."""
+    none leaves its column missing.  When the chosen branch has too few
+    columns to work with, the switch keeps its own clock."""
     tau = rp.tau_max
-    b_coin = 1 if rng.random() < rp.dv.q0_cut else 0
-    if b_coin == 1:
-        state.grand_life = rp.dv.g0
+    held = state.grand_life
+    b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
+    grand = b_coin == 1 or held > 0
 
     cols = [relays.get(i) for i in range(rp.n0)]
-    C, A, M = (Mat([[None if u is None else getattr(u, vec)[p] for u in cols]
-                    for p in range(rp.n1)])
-               for vec in ("c_vec", "a_vec", "m_vec"))
-    fr = filters(M, A, rp)
-    stb = check_stb(C, fr.p_acma, rp)
-    own = wrap_add(wrap_add(h_now, state.clock_offset, tau), rp.dv.delta_tt3, tau)
-    branch = "avg"
-
-    def averaged() -> int:
-        nonlocal branch
-        try:
-            return fta(C, rp)
-        except InsufficientDataError:
-            branch = "own"  # during chaos a node must still output something
-            return own
-
-    if state.grand_life > 0:
-        state.grand_life -= 1
-        if b_coin == 0 or stb:
-            c_new = averaged()
-        else:
-            weak = check_weak(C, rp)
-            branch = "weak" if weak is not None else "own"
-            c_new = weak if weak is not None else own
+    C = [[None if u is None else u.c_vec[p] for u in cols] for p in range(rp.n1)]
+    A = [[None if u is None else u.a_vec[p] for u in cols] for p in range(rp.n1)]
+    M = [[None if u is None else u.m_vec[p] for u in cols] for p in range(rp.n1)]
+    stb = check_stb(C, filters(M, A, rp), rp)
+    if stb or (grand and b_coin == 0):
+        branch, c_new = "avg", fta(C, rp)
+    elif grand:
+        branch, c_new = "weak", check_weak(C, rp)
     else:
-        if stb:
-            c_new = averaged()
-        else:
-            c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
-            try:
-                branch = "rft"
-                c_new = rft(C, c_pre, rp.dv.p0_cut, rng, rp)
-            except InsufficientDataError:
-                branch = "own"
-                c_new = own
+        c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
+        branch, c_new = "rft", rft(C, c_pre, rp.dv.p0_cut, rng, rp)
+    if c_new is None:
+        # During chaos a node must still output something: its own clock.
+        branch = "own"
+        c_new = wrap_add(wrap_add(h_now, state.clock_offset, tau), rp.dv.delta_tt3, tau)
     return RoundSummary(b_coin=b_coin, stb=stb, branch=branch, c_new=c_new)
 
 

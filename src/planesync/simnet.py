@@ -532,7 +532,7 @@ class World:
             return
         t = self.engine.now
         h = self.clocks[("mes", i)].h_at(t)
-        msg = mes_on_begin_vc_send(self.mes[i], i, h, self.rp)
+        msg = mes_on_begin_vc_send(self.mes[i], h, self.rp)
         self.send_up(i, p, msg, t)
 
     def send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
@@ -557,7 +557,6 @@ class World:
         if rnd.closed:
             self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
         else:
-            # Keyed by the delivering terminal: a faulty one writes msg.sender.
             rnd.relays.setdefault(i, msg)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
@@ -566,12 +565,11 @@ class World:
         if rnd.closed or now < rnd.anchor:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
             return
+        # The round closes at e_recv, before any delivery at that instant.
         if now < rnd.b_recv:
             rnd.buffer.append(m)
-        elif now <= rnd.e_recv:
-            self._ingest_down(i, p, m)
         else:
-            self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="late")
+            self._ingest_down(i, p, m)
 
     def _ingest_down(self, i: int, p: int, m: int) -> None:
         h = self.clocks[("mes", i)].h_at(self.engine.now)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from planesync.cli import main as cli_main
-from planesync.ftcore import Mat, check_stb, check_weak, fta_values
+from planesync.ftcore import check_stb, check_weak, fta_values
 from planesync.harness import (
     lemma1_coin_model,
     reference_scenario,
@@ -83,7 +83,7 @@ def brute_med(values, tau):
 
 def window_counts(C, rows, width, tau, anchors=None):
     """Columns fully inside [v, v+width] for the given rows, per anchor v."""
-    ent = np.array([[-1 if e is None else e for e in C.entries[p]] for p in rows])
+    ent = np.array([[-1 if e is None else e for e in C[p]] for p in rows])
     present = (ent >= 0).all(axis=0)
     v = np.arange(tau) if anchors is None else np.asarray(sorted(anchors))
     off = (ent[None, :, :] - v[:, None, None]) % tau
@@ -105,8 +105,8 @@ def brute_weak(C, rp):
     half = rp.eps2 // 2
     starts = set()
     for rows in combinations(range(rp.n1), k):
-        anchors = {C.entries[p][i] for p in rows for i in range(rp.n0)
-                   if C.entries[p][i] is not None}
+        anchors = {C[p][i] for p in rows for i in range(rp.n0)
+                   if C[p][i] is not None}
         if not anchors:
             continue
         v, counts = window_counts(C, rows, 2 * half, rp.tau_max, anchors)
@@ -206,7 +206,7 @@ def test_criterion_3_checker_oracles():
             cfg.eps1 = rng.randint(3, 9)
             cfg.eps2 = rng.randint(6, 18)
             base = rng.randrange(tau)
-            rows = []
+            C = []
             for _ in range(3):
                 row = []
                 for _ in range(n0):
@@ -217,8 +217,7 @@ def test_criterion_3_checker_oracles():
                         row.append(wrap_add(base, rng.randrange(2 * cfg.eps1 + 1), tau))
                     else:
                         row.append(rng.randrange(tau))
-                rows.append(row)
-            C = Mat(rows)
+                C.append(row)
             p_acma = frozenset(p for p in range(3) if rng.random() < 0.8)
             assert check_stb(C, p_acma, cfg) == brute_stb(C, p_acma, cfg)
             assert check_weak(C, cfg) == brute_weak(C, cfg)

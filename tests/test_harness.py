@@ -103,6 +103,27 @@ class TestScenario:
         with pytest.raises(ConfigurationError, match="no built-in adversary takes parameters"):
             Scenario.from_doc({**doc, "adversary": {"name": "max_skew", "params": {"bias": 3}}})
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("system", 5, "system section must be a mapping: 5"),
+        ("system", None, "system section must be a mapping: None"),
+        ("schedule", [6, 10], "schedule section must be a mapping: [6, 10]"),
+        ("run", 5, "run section must be a mapping: 5"),
+        ("adversary", "max_skew", "adversary section must be a mapping: 'max_skew'"),
+        ("adversary", {"name": 5}, "adversary name must be a string: 5"),
+        ("runs", {}, "unknown sections: ['runs']"),
+    ])
+    def test_from_doc_rejects_misshapen_sections(self, key, value, why):
+        doc = {"system": dataclasses.asdict(REF.params),
+               "schedule": dataclasses.asdict(REF.sched)}
+        with pytest.raises(ConfigurationError) as e:
+            Scenario.from_doc({**doc, key: value})
+        assert str(e.value) == why
+
+    def test_from_doc_takes_null_optional_sections(self):
+        doc = {"system": dataclasses.asdict(REF.params),
+               "schedule": dataclasses.asdict(REF.sched)}
+        assert Scenario.from_doc({**doc, "adversary": None, "run": None}) == REF
+
     def test_reference_file_matches_builtin(self):
         sc = Scenario.from_file("scenarios/reference.yaml")
         assert sc == REF
@@ -325,8 +346,13 @@ class TestValidateCli:
         (("stop_after_confirm: true", "stop_after_confirm: \"false\""),
          "run key stop_after_confirm must be true or false"),
         (("rho: 1/1000", "rho: abc"), "system key rho: cannot interpret 'abc'"),
+        (("name: silent", "name: [silent]"), "adversary name must be a string: ['silent']"),
+        (("adversary:\n  name: silent\n  params: {}", "adversary: max_skew"),
+         "adversary section must be a mapping: 'max_skew'"),
+        (("adversary:", "adversery:"), "unknown sections: ['adversery']"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
-            "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text"])
+            "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
+            "name_list", "adversary_string", "section_typo"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"
@@ -370,6 +396,21 @@ class TestCoinModel:
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
             lemma1_coin_model(RP, n_windows=0, seed=0)
+
+    def test_lifetime_is_logged_as_the_switch_leaves_it(self, monkeypatch):
+        # The switch's rule (TestMwsRound asserts g0 - 1 after a head): a
+        # head grants g0 rounds, and every round that holds any spends one.
+        logs = []
+        real = harness.resync_points
+        monkeypatch.setattr(harness, "resync_points",
+                            lambda log, *args: logs.append(log) or real(log, *args))
+        lemma1_coin_model(RP, n_windows=300, seed=0)
+        (log,) = logs
+        held = {}
+        for _, node, b, gl in log:
+            assert gl == (G0 - 1 if b else max(held.get(node, 0) - 1, 0))
+            held[node] = gl
+        assert any(b for _, _, b, _ in log)
 
     def test_deterministic_in_seed(self):
         a = lemma1_coin_model(RP, n_windows=300, seed=5)

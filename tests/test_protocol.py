@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesync.ftcore import Mat, accuracy_check, fta, hw_accuracy_threshold, update_acc_counter
+from planesync.ftcore import accuracy_check, fta, hw_accuracy_threshold, update_acc_counter
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import (
     MesState,
@@ -44,12 +44,12 @@ def full_relays(rp, C_rows, acc=None):
     its record, with accuracy counter acc (default a0)."""
     col = tuple(C_rows)
     a_vec = (acc if acc is not None else rp.a0,) * rp.n1
-    return {i: TTMessageUp(sender=i, c_vec=col, a_vec=a_vec, m_vec=col) for i in range(rp.n0)}
+    return {i: TTMessageUp(c_vec=col, a_vec=a_vec, m_vec=col) for i in range(rp.n0)}
 
 
 def row_mat(rp, C_rows):
     """The matrix C that full_relays gives."""
-    return Mat([[v] * rp.n0 for v in C_rows])
+    return [[v] * rp.n0 for v in C_rows]
 
 
 class TestMes:
@@ -92,10 +92,9 @@ class TestMes:
         tau = rp.tau_max
         mes_on_clock_msg(st, 0, 500, 300, rp)
         h_now = 900
-        msg = mes_on_begin_vc_send(st, 2, h_now, rp)
+        msg = mes_on_begin_vc_send(st, h_now, rp)
         c_tilde = wrap_sub(500, wrap_add(300, rp.dv.delta_tt0, tau), tau)
         want = wrap_add(wrap_add(c_tilde, h_now, tau), rp.dv.delta_tt1, tau)
-        assert msg.sender == 2
         assert msg.c_vec[0] == want
         assert msg.c_vec[1] is None and msg.c_vec[2] is None
         assert msg.a_vec == (0, 0, 0)
@@ -252,7 +251,7 @@ class TestMwsRound:
             [1600, 1601, 1602, 1603],
         ]
         # Terminal i relays column i, with no record and a zero counter.
-        relays = {i: TTMessageUp(sender=i, c_vec=tuple(row[i] for row in C),
+        relays = {i: TTMessageUp(c_vec=tuple(row[i] for row in C),
                                  a_vec=(0, 0, 0), m_vec=(None, None, None))
                   for i in range(4)}
         seed = next(s for s in range(10_000) if random.Random(s).random() < float(rp.dv.q0))
@@ -291,7 +290,7 @@ class TestMwsRound:
         h_now, offset = 77, 321
         st = MwsState(tau_max=tau, grand_life=life, clock_offset=offset)
         acc = rp.a0 if accurate else 0
-        relays = {i: TTMessageUp(sender=i, c_vec=tuple(row[i] for row in C),
+        relays = {i: TTMessageUp(c_vec=tuple(row[i] for row in C),
                                  a_vec=(acc,) * 3, m_vec=tuple(row[i] for row in C))
                   for i in range(n)}
         seed = next(s for s in range(10_000) if draws(random.Random(s), rp.dv))
@@ -327,7 +326,7 @@ class TestRoundTrip:
                 h_recv = wrap_sub(h_mes[i], rp.dv.delta_tt0, tau)
                 for p in range(3):
                     mes_on_clock_msg(mes[i], p, base, h_recv, rp)
-            ups = [mes_on_begin_vc_send(mes[i], i, h_mes[i], rp) for i in range(rp.n0)]
+            ups = [mes_on_begin_vc_send(mes[i], h_mes[i], rp) for i in range(rp.n0)]
             # The sender's hardware clock cancels out of the projection.
             want = wrap_add(base, rp.dv.delta_tt1, tau)
             assert all(u.c_vec[p] == want for u in ups for p in range(3))
@@ -374,7 +373,7 @@ def ref_mes_on_clock_msg(state, p, m, h_now, rp):
         state.acc[p] = 0
 
 
-def ref_mes_on_begin_vc_send(state, sender, h_now, rp):
+def ref_mes_on_begin_vc_send(state, h_now, rp):
     tau = rp.tau_max
     c_vec, a_vec, m_vec = [], [], []
     for q in range(state.n1):
@@ -384,7 +383,7 @@ def ref_mes_on_begin_vc_send(state, sender, h_now, rp):
             c_vec.append(None)
         a_vec.append(state.acc.get(q, 0))
         m_vec.append(state.m_rec.get(q))
-    return TTMessageUp(sender=sender, c_vec=tuple(c_vec), a_vec=tuple(a_vec), m_vec=tuple(m_vec))
+    return TTMessageUp(c_vec=tuple(c_vec), a_vec=tuple(a_vec), m_vec=tuple(m_vec))
 
 
 def ref_mes_on_end_c_recv(state, h_now, rp):
@@ -430,12 +429,10 @@ def test_terminal_matches_dict_reference(data):
             mes_on_clock_msg(new, p, m, h_now, rp)
             ref_mes_on_clock_msg(ref, p, m, h_now, rp)
         elif step == "send":
-            sender = data.draw(st.integers(0, rp.n0 - 1))
-            assert mes_on_begin_vc_send(new, sender, h_now, rp) == \
-                ref_mes_on_begin_vc_send(ref, sender, h_now, rp)
+            assert mes_on_begin_vc_send(new, h_now, rp) == ref_mes_on_begin_vc_send(ref, h_now, rp)
         else:
             mes_on_end_c_recv(new, h_now, rp)
             ref_mes_on_end_c_recv(ref, h_now, rp)
         assert new.clock_offset == ref.clock_offset
     h_now = data.draw(ring)
-    assert mes_on_begin_vc_send(new, 0, h_now, rp) == ref_mes_on_begin_vc_send(ref, 0, h_now, rp)
+    assert mes_on_begin_vc_send(new, h_now, rp) == ref_mes_on_begin_vc_send(ref, h_now, rp)

@@ -142,7 +142,7 @@ class _LateSender(Adversary):
 
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(sender=i, c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+        junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
         w.schedule_adv(anchor + 20 * w.THL,
                        lambda i=i, p=p: w.adv_send_up(i, p, junk, w.engine.now))
 
@@ -158,7 +158,7 @@ class _SlotSender(_LateSender):
 
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(sender=i, c_vec=self.c_vec, a_vec=(3, 3, 3), m_vec=self.m_vec)
+        junk = TTMessageUp(c_vec=self.c_vec, a_vec=(3, 3, 3), m_vec=self.m_vec)
         send_t = anchor + 7 * w.THL
         w.schedule_adv(send_t,
                        lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
