@@ -565,7 +565,8 @@ class World:
         if rnd.closed or now < rnd.anchor:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
             return
-        # The round closes at e_recv, before any delivery at that instant.
+        # Nothing arrives late: _on_end_cr closes the round at e_recv as a
+        # K_SLOT event, which runs before any K_DELIVER at that instant.
         if now < rnd.b_recv:
             rnd.buffer.append(m)
         else:

@@ -103,14 +103,13 @@ class TestScenario:
         with pytest.raises(ConfigurationError, match="no built-in adversary takes parameters"):
             Scenario.from_doc({**doc, "adversary": {"name": "max_skew", "params": {"bias": 3}}})
 
+    # Whole sections replaced, which TestValidateCli's one-line edits of
+    # scenarios/reference.yaml cannot express.
     @pytest.mark.parametrize("key, value, why", [
         ("system", 5, "system section must be a mapping: 5"),
         ("system", None, "system section must be a mapping: None"),
         ("schedule", [6, 10], "schedule section must be a mapping: [6, 10]"),
         ("run", 5, "run section must be a mapping: 5"),
-        ("adversary", "max_skew", "adversary section must be a mapping: 'max_skew'"),
-        ("adversary", {"name": 5}, "adversary name must be a string: 5"),
-        ("runs", {}, "unknown sections: ['runs']"),
     ])
     def test_from_doc_rejects_misshapen_sections(self, key, value, why):
         doc = {"system": dataclasses.asdict(REF.params),
