@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import FaultBudgetError, UnsupportedConfigurationError
 from .params import Resolved
@@ -137,7 +137,7 @@ def filters(M: Rows, A: Rows, rp: Resolved) -> frozenset[int]:
     need = rp.n0 - rp.f0
     passed = []
     for p in range(rp.n1):
-        if sum(1 for v in A[p] if v == rp.a0) < need:
+        if A[p].count(rp.a0) < need:
             continue
         present = [v for v in M[p] if v is not None]
         if present and M[p].count(ring_med(present, rp.tau_max)) >= need:
@@ -145,9 +145,11 @@ def filters(M: Rows, A: Rows, rp: Resolved) -> frozenset[int]:
     return frozenset(passed)
 
 
-def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int, tau: int) -> list[int]:
-    """Anchors v for which >= min_cols columns have all their `rows` entries
-    present and inside the arc [v, v + width].
+def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int,
+                tau: int) -> Iterator[int]:
+    """Anchors v, ascending, for which >= min_cols columns have all their
+    `rows` entries present and inside the arc [v, v + width]; lazily, so a
+    caller that needs one hit stops at it.
 
     Any maximal qualifying window can be shifted until its start coincides
     with an attained entry, so anchoring at entries is lossless.
@@ -155,8 +157,8 @@ def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int, tau: 
     sub = [C[p] for p in rows]
     anchors = sorted({v for row in sub for v in row if v is not None})
     full = [col for col in zip(*sub) if None not in col]
-    return [v for v in anchors
-            if sum(all(wrap_sub(e, v, tau) <= width for e in col) for col in full) >= min_cols]
+    return (v for v in anchors
+            if sum(all(wrap_sub(e, v, tau) <= width for e in col) for col in full) >= min_cols)
 
 
 def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
@@ -165,10 +167,8 @@ def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
     k = rp.n1 - rp.f1
     if len(p_acma) < k:
         return False
-    for rows in combinations(sorted(p_acma), k):
-        if _window_hit(C, rows, rp.eps1, rp.n0 - rp.f0, rp.tau_max):
-            return True
-    return False
+    return any(next(_window_hit(C, rows, rp.eps1, rp.n0 - rp.f0, rp.tau_max), None) is not None
+               for rows in combinations(sorted(p_acma), k))
 
 
 def check_weak(C: Rows, rp: Resolved) -> Optional[int]:

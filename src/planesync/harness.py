@@ -32,7 +32,7 @@ from .params import (
     TTSchedule,
     as_int,
     as_mapping,
-    load_system_config,
+    load_config_doc,
     parse_schedule_section,
     parse_system_section,
     resolve,
@@ -145,8 +145,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: Optional[str] = None, **overrides) -> "Scenario":
-        _params, _sched, doc = load_system_config(path)
-        return cls.from_doc(doc, **overrides)
+        return cls.from_doc(load_config_doc(path), **overrides)
 
 
 def _optional_section(doc: dict, key: str) -> dict:

@@ -31,6 +31,7 @@ __all__ = [
     "validate",
     "derive",
     "resolve",
+    "load_config_doc",
     "load_system_config",
     "SCENARIO_ENV_VAR",
 ]
@@ -393,11 +394,11 @@ def parse_schedule_section(data: dict) -> TTSchedule:
     return TTSchedule(**slots)
 
 
-def load_system_config(path: str | None = None) -> tuple[SystemParams, TTSchedule, dict]:
-    """Load a YAML config; path may come from the environment override.
+def load_config_doc(path: str | None = None) -> dict:
+    """Read a YAML config once; path may come from the environment override.
 
-    Returns the parsed system/schedule plus the raw document (the harness
-    reads the remaining scenario sections from it).
+    Returns the raw document, checked to be a mapping that holds the
+    `system` and `schedule` sections; callers parse what they read.
     """
     if path is None:
         path = os.environ.get(SCENARIO_ENV_VAR)
@@ -409,6 +410,16 @@ def load_system_config(path: str | None = None) -> tuple[SystemParams, TTSchedul
         raise ConfigurationError(f"config root must be a mapping: {path}")
     if "system" not in doc or "schedule" not in doc:
         raise ConfigurationError("config must contain 'system' and 'schedule' sections")
+    return doc
+
+
+def load_system_config(path: str | None = None) -> tuple[SystemParams, TTSchedule, dict]:
+    """Load a YAML config; path may come from the environment override.
+
+    Returns the parsed system/schedule plus the raw document (the harness
+    reads the remaining scenario sections from it).
+    """
+    doc = load_config_doc(path)
     params = parse_system_section(doc["system"])
     sched = parse_schedule_section(doc["schedule"])
     return params, sched, doc

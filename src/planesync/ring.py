@@ -7,9 +7,9 @@ its largest empty arc.  Everything is exact integer arithmetic.
 
 The modular operations take ring values, already in [0, tau_max), and do
 not check them: values are put on the ring where they enter the program
-(derived constants, initial states, the adversary hooks), and circ_sort,
-through which every median and average passes, still rejects an
-off-ring value.
+(derived constants, initial states, the adversary hooks), and the ring
+cut behind every median and average (circ_sort, ring_med) still rejects
+an off-ring value.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ __all__ = [
     "circ_sort",
     "ring_med",
 ]
-
-
-def check_ring_value(v: int, tau_max: int) -> None:
-    if tau_max < 2:
-        raise ConfigurationError(f"ring modulus must be >= 2, got {tau_max}")
-    if not (0 <= v < tau_max):
-        raise ConfigurationError(f"value {v} outside ring [0, {tau_max})")
 
 
 def wrap_add(a: int, b: int, tau_max: int) -> int:
@@ -51,6 +44,28 @@ def ring_dist(a: int, b: int, tau_max: int) -> int:
     return min(d, tau_max - d)
 
 
+def _cut(vals: list[int], tau_max: int) -> int:
+    """Where the circular order of the ascending `vals` starts: the index
+    just past the largest gap between adjacent values.  The wrap gap, from
+    vals[-1] round to vals[0], starts the order at the smallest value, so it
+    wins every tie; among inner gaps the first does."""
+    if not vals:
+        raise ValueError("circ_sort of an empty multiset")
+    lo, hi = vals[0], vals[-1]   # sorted, so the ends bound every value
+    if tau_max < 2:
+        raise ConfigurationError(f"ring modulus must be >= 2, got {tau_max}")
+    if lo < 0 or hi >= tau_max:
+        raise ConfigurationError(f"value {lo if lo < 0 else hi} outside ring [0, {tau_max})")
+    widest, cut = tau_max - (hi - lo), 0
+    if 2 * widest >= tau_max:
+        return 0   # the inner gaps sum to hi - lo, so none is wider
+    for k in range(1, len(vals)):
+        gap = vals[k] - vals[k - 1]
+        if gap > widest:
+            widest, cut = gap, k
+    return cut
+
+
 def circ_sort(values: Iterable[int], tau_max: int) -> list[int]:
     """Order ring values along the arc that excludes the largest gap.
 
@@ -60,18 +75,7 @@ def circ_sort(values: Iterable[int], tau_max: int) -> list[int]:
     "median" and "trim extremes" well defined for clustered circular values.
     """
     vals = sorted(values)
-    if not vals:
-        raise ValueError("circ_sort of an empty multiset")
-    # Sorted, so the ends bound every value.
-    check_ring_value(vals[0], tau_max)
-    check_ring_value(vals[-1], tau_max)
-    # The wrap gap, from vals[-1] round to vals[0], starts the output at the
-    # smallest value, so it wins every tie; among inner gaps the first does.
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    widest = max(gaps, default=0)
-    if tau_max - (vals[-1] - vals[0]) >= widest:
-        return vals
-    cut = gaps.index(widest) + 1
+    cut = _cut(vals, tau_max)
     return vals[cut:] + vals[:cut]
 
 
@@ -81,8 +85,9 @@ def ring_med(values: Iterable[int], tau_max: int) -> int:
     Always returns an attained input value, so equality tests against the
     median are meaningful.
     """
-    ordered = circ_sort(values, tau_max)
-    return ordered[(len(ordered) - 1) // 2]
+    vals = sorted(values)
+    cut = _cut(vals, tau_max)
+    return vals[(cut + (len(vals) - 1) // 2) % len(vals)]
 
 
 def unwrap(ordered: Sequence[int], tau_max: int) -> list[int]:

@@ -21,6 +21,17 @@ tick progression.  A plane's round keeps the first relay from each
 terminal until its receive slot ends; a terminal buffers a clock value that
 arrives before its receive slot opens and processes it at slot begin.
 Arrivals after slot end are dropped.
+
+An honest message that will land in its round and simply be kept there is
+stored at send time, with no delivery event: an honest terminal's relay
+that reaches the plane's round before its receive slot ends, and an honest
+plane's clock value that reaches a terminal's round before its receive
+slot opens.  One rule decides at send time and at arrival: `_Round.fate`,
+with the upward policing in `World._refusal_up`.  The store is exact: the
+round stays current until the arrival, and it reads what it holds only at
+its slot boundaries, later still.  Every other message keeps its delivery
+event at its arrival instant: faulty traffic, a value that arrives inside
+a terminal's receive slot, and any message to drop.
 """
 
 from __future__ import annotations
@@ -202,10 +213,15 @@ class Trace:
         )
 
 
+# What a terminal's round does with a clock value arriving at an instant.
+DROP, BUFFER, INGEST = range(3)
+
+
 @dataclass
 class _Round:
     """One round of a plane, or of one terminal's interface to a plane: its
-    anchor and its receive slot [b_recv, e_recv].  A plane's round holds the
+    anchor and its receive slot [b_recv, e_recv).  It takes messages from
+    its anchor until its receive slot ends.  A plane's round holds the
     first relay from each terminal and the clock value it chose; a
     terminal's holds the clock values that arrive before its slot opens.
     Every event of a round carries this object.  A terminal's handlers
@@ -215,10 +231,17 @@ class _Round:
     anchor: int
     b_recv: int
     e_recv: int
-    closed: bool = False
     buffer: list = field(default_factory=list)
     relays: dict = field(default_factory=dict)   # terminal -> TTMessageUp
     c_new: Optional[int] = None
+
+    def fate(self, t: int) -> int:
+        """DROP, BUFFER or INGEST for a message arriving at instant t.  The
+        slot handlers at e_recv run before any delivery at that instant, so
+        an arrival at e_recv is already too late."""
+        if not (self.anchor <= t < self.e_recv):
+            return DROP
+        return BUFFER if t < self.b_recv else INGEST
 
 
 class World:
@@ -285,7 +308,7 @@ class World:
             self.mes: dict[int, MesState] = {}
             self.plane_round: dict[int, Optional[_Round]] = {p: None for p in self.honest_planes}
             self.mes_round: dict[tuple[int, int], _Round] = {
-                (i, p): _Round(-1, -1, -1, closed=True)
+                (i, p): _Round(-1, -1, -1)
                 for i in self.honest_mes for p in range(n1)
             }
 
@@ -459,9 +482,11 @@ class World:
         rnd = _Round(t, clk.time_of_tick(k + sc.mc_recv[0]), clk.time_of_tick(k + sc.mc_recv[1]))
         self.plane_round[p] = rnd
         eng = self.engine
+        t_end_cs = clk.time_of_tick(k + sc.c_send[1])
         eng.schedule(rnd.e_recv, p, K_SLOT, self._on_end_mc, p, rnd)
-        eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd)
-        eng.schedule(clk.time_of_tick(k + sc.c_send[1]), p, K_SLOT, self._on_end_cs, p, rnd)
+        eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd,
+                     t_end_cs)
+        eng.schedule(t_end_cs, p, K_SLOT, self._on_end_cs, p, rnd)
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -493,7 +518,6 @@ class World:
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
     def _on_end_mc(self, p: int, rnd: _Round) -> None:
-        rnd.closed = True
         st = self.mws[p]
         t = self.engine.now
         h = self.clocks[("mws", p)].h_at(t)
@@ -504,7 +528,7 @@ class World:
                        gl=st.grand_life, stb=summary.stb, branch=summary.branch,
                        c_new=summary.c_new)
 
-    def _on_begin_cs(self, p: int, rnd: _Round) -> None:
+    def _on_begin_cs(self, p: int, rnd: _Round, t_end_cs: int) -> None:
         # validate orders the slots, so the round's end_mc has chosen c_new.
         m = rnd.c_new
         t = self.engine.now
@@ -514,8 +538,15 @@ class World:
             arrival = t + self._delay(("mws", p), p)
             self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
                            arrival=arrival)
-            self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
-                                 self._deliver_down, p, i, m)
+            # Only this plane's next SIG replaces the terminal's round for
+            # it, and that comes no earlier than end_cs: before then, the
+            # round it will land in is the one open now.
+            dest = self.mes_round[(i, p)]
+            if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
+                dest.buffer.append(m)
+            else:
+                self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
+                                     self._deliver_down, p, i, m)
 
     def _on_end_cs(self, p: int, rnd: _Round) -> None:
         st = self.mws[p]
@@ -541,33 +572,45 @@ class World:
             return
         arrival = send_t + self._delay(("mes", i), p)
         self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
-        self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                             self._deliver_up, p, send_t, i, msg)
+        # A plane's round stays current until the SIG after its end_cs, so
+        # a relay that this round takes at its arrival is stored now.
+        rnd = self.plane_round[p]
+        if rnd is not None and self._refusal_up(rnd, send_t, arrival) is None:
+            rnd.relays.setdefault(i, msg)
+        else:
+            self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
+                                 self._deliver_up, p, send_t, i, msg)
+
+    def _refusal_up(self, rnd: _Round, send_t: int, arrival: int) -> Optional[str]:
+        """Why plane round rnd refuses a relay sent at send_t that arrives at
+        `arrival`; None when it keeps it.  TT isolation at the plane
+        boundary: the send instant must lie in the policed image of the
+        upward slot for the round."""
+        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
+            return "outside policed slot"
+        return "late" if rnd.fate(arrival) == DROP else None
 
     def _deliver_up(self, p: int, send_t: int, i: int, msg: TTMessageUp) -> None:
         rnd = self.plane_round[p]
         if rnd is None:
             return
-        # TT isolation at the plane boundary: the send instant must lie in
-        # the policed image of the upward slot for the current round.
-        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
-            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i,
-                           why="outside policed slot")
-            return
-        if rnd.closed:
-            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
-        else:
+        why = self._refusal_up(rnd, send_t, self.engine.now)
+        if why is None:
             rnd.relays.setdefault(i, msg)
+        else:
+            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why=why)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
+        """A clock value at its arrival instant.  An honest plane's value
+        that lands before the receive slot opens was buffered at send time;
+        what comes here is faulty traffic, a value arriving inside the
+        slot, which is ingested at once, or a value to drop."""
         rnd = self.mes_round[(i, p)]
         now = self.engine.now
-        if rnd.closed or now < rnd.anchor:
+        fate = rnd.fate(now)
+        if fate == DROP:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
-            return
-        # Nothing arrives late: _on_end_cr closes the round at e_recv as a
-        # K_SLOT event, which runs before any K_DELIVER at that instant.
-        if now < rnd.b_recv:
+        elif fate == BUFFER:
             rnd.buffer.append(m)
         else:
             self._ingest_down(i, p, m)
@@ -587,7 +630,6 @@ class World:
     def _on_end_cr(self, i: int, p: int, rnd: _Round) -> None:
         if self.mes_round[(i, p)] is not rnd:
             return
-        rnd.closed = True
         st = self.mes[i]
         old = st.clock_offset
         mes_on_end_c_recv(st, self.clocks[("mes", i)].h_at(self.engine.now), self.rp)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from planesync import adversaries, harness
+from planesync import adversaries, harness, params
 from planesync.cli import main as cli_main
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import (
@@ -126,6 +126,20 @@ class TestScenario:
     def test_reference_file_matches_builtin(self):
         sc = Scenario.from_file("scenarios/reference.yaml")
         assert sc == REF
+
+    def test_from_file_parses_the_system_section_once(self, monkeypatch):
+        calls = []
+        parse = params.parse_system_section
+
+        def counted(data):
+            calls.append(data)
+            return parse(data)
+
+        # Both the loader's module and the harness's imported name.
+        monkeypatch.setattr(params, "parse_system_section", counted)
+        monkeypatch.setattr(harness, "parse_system_section", counted)
+        assert Scenario.from_file("scenarios/reference.yaml") == REF
+        assert len(calls) == 1
 
 
 class TestResyncPoints:

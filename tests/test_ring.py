@@ -1,5 +1,7 @@
 """Ring algebra unit tests and brute-force oracles."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,3 +135,29 @@ class TestRingMed:
             vals = [rng.randrange(tau) for _ in range(rng.randrange(1, 6))]
             assert circ_sort(vals, tau) == brute_circ_sort(vals, tau)
             assert ring_med(vals, tau) == brute_ring_med(vals, tau)
+
+
+class TestSmallInputsExhaustive:
+    """Every multiset of 1-4 values on every ring of 2..9 ticks: the round
+    decision only takes medians of that many values."""
+
+    def test_against_brute_force(self):
+        ties = 0
+        for tau in range(2, 10):
+            for n in range(1, 5):
+                for ascending in combinations_with_replacement(range(tau), n):
+                    vals = list(reversed(ascending))
+                    assert circ_sort(vals, tau) == brute_circ_sort(vals, tau)
+                    assert ring_med(vals, tau) == brute_ring_med(vals, tau)
+                    gaps = [(b - a) % tau for a, b in zip(ascending, ascending[1:])]
+                    gaps.append(tau - (ascending[-1] - ascending[0]))
+                    ties += n > 1 and gaps.count(max(gaps)) > 1
+        assert ties > 0   # equal-gap ties are among the cases
+
+    def test_off_ring_value_rejected(self):
+        for tau in range(2, 10):
+            for vals in ([tau], [-1], [0, tau], [tau - 1, -1, 0, 1]):
+                with pytest.raises(ConfigurationError):
+                    ring_med(vals, tau)
+                with pytest.raises(ConfigurationError):
+                    circ_sort(vals, tau)

@@ -1,6 +1,7 @@
 """Simulator tests: event engine, clock staircases, round machinery,
 message policing, and the synchronization verdict."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -23,7 +24,9 @@ from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import MwsState, TTMessageUp, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
+    K_DELIVER,
     K_WATCHDOG,
+    QUANT,
     ClockTrack,
     Engine,
     HardwareClock,
@@ -267,6 +270,140 @@ class TestPolicing:
         for _p, rnd in w.closed_rounds:
             for i in w.honest_mes:
                 assert rnd.relays[i].c_vec[0] is not None
+
+
+class _EventDelivery(World):
+    """The reference for storing in-slot honest messages at send time: every
+    message becomes a delivery event at its arrival instant, and a round
+    refuses what arrives once its slot-end handler has closed it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for rnd in self.mes_round.values():   # no round yet: nothing is taken
+            rnd.closed = True
+
+    def send_up(self, i, p, msg, send_t):
+        if p in self.faulty_planes:
+            self.adversary.on_up_to_faulty(i, p, msg, send_t)
+            return
+        arrival = send_t + self._delay(("mes", i), p)
+        self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+        self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
+                             self._deliver_up, p, send_t, i, msg)
+
+    def _on_begin_cs(self, p, rnd, t_end_cs):
+        t = self.engine.now
+        for i in range(self.rp.n0):
+            if i in self.faulty_mes:
+                continue
+            arrival = t + self._delay(("mws", p), p)
+            self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=rnd.c_new,
+                           arrival=arrival)
+            self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
+                                 self._deliver_down, p, i, rnd.c_new)
+
+    def _on_end_mc(self, p, rnd):
+        rnd.closed = True
+        super()._on_end_mc(p, rnd)
+
+    def _on_end_cr(self, i, p, rnd):
+        if self.mes_round[(i, p)] is rnd:
+            rnd.closed = True
+        super()._on_end_cr(i, p, rnd)
+
+    def _deliver_up(self, p, send_t, i, msg):
+        rnd = self.plane_round[p]
+        if rnd is None:
+            return
+        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
+            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i,
+                           why="outside policed slot")
+        elif getattr(rnd, "closed", False):
+            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
+        else:
+            rnd.relays.setdefault(i, msg)
+
+    def _deliver_down(self, p, i, m):
+        rnd = self.mes_round[(i, p)]
+        now = self.engine.now
+        if getattr(rnd, "closed", False) or now < rnd.anchor:
+            self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
+        elif now < rnd.b_recv:
+            rnd.buffer.append(m)
+        else:
+            self._ingest_down(i, p, m)
+
+
+class TestSendTimeDelivery:
+    def test_matches_event_delivery(self):
+        events = ref_events = 0
+        for name, init, seed in itertools.product(BUILTINS, ("synchronized", "random"),
+                                                  (1, 2, 3)):
+            w, ref = (cls(RP, make_adversary(name), seed=seed, init_policy=init,
+                          trace_level="full") for cls in (World, _EventDelivery))
+            w.run_until_window(100)
+            ref.run_until_window(100)
+            case = (name, init, seed)
+            assert w.trace.records == ref.trace.records, case
+            assert w.toss_log == ref.toss_log, case
+            for key, tr in w.tracks.items():
+                other = ref.tracks[key]
+                assert (tr.jump_times, tr.jump_offsets, tr.jump_cum) == \
+                    (other.jump_times, other.jump_offsets, other.jump_cum), (case, key)
+            assert w.mws == ref.mws, case
+            assert {i: vars(st) for i, st in w.mes.items()} == \
+                {i: vars(st) for i, st in ref.mes.items()}, case
+            events += w.engine._seq
+            ref_events += ref.engine._seq
+        assert events <= 0.75 * ref_events
+
+    def test_value_inside_the_receive_slot_ingested_on_arrival(self):
+        # Receive slots open as the plane's send slot ends, plane clocks run
+        # fast and terminal clocks slow, no skew, the longest delay: every
+        # honest clock value arrives inside the terminal's receive slot,
+        # before the plane's send slot ends.  It takes the delivery event
+        # and is ingested on arrival, at the hardware reading of that instant.
+        sched = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34),
+                           c_recv=(34, 48))
+        rp = resolve(dataclasses.replace(RP.sys, d_max=Fraction(4)), sched)
+
+        class LongDelay(Adversary):
+            def choose_period(self, key):
+                return rp.sys.T_H * (1 + rp.rho if key[0] == "mws" else 1 - rp.rho)
+
+            def choose_skew(self, i, p):
+                return 0
+
+            def choose_delay(self, sender, p):
+                return QUANT
+
+        class Probe(World):
+            def __init__(self, *args, **kwargs):
+                self.delivered, self.ingested = [], []
+                super().__init__(*args, **kwargs)
+
+            def _deliver_down(self, p, i, m):
+                if p in self.honest_planes:
+                    self.delivered.append((self.engine.now, i, p))
+                super()._deliver_down(p, i, m)
+
+            def _ingest_down(self, i, p, m):
+                super()._ingest_down(i, p, m)
+                if p in self.honest_planes:
+                    self.ingested.append((self.engine.now, i, p, self.mes[i].h_rec[p],
+                                          self.mes_round[(i, p)].b_recv))
+
+        w = Probe(rp, LongDelay(), seed=3, init_policy="synchronized", trace_level="full")
+        w.run_until_window(3)
+        records = w.trace.records
+        arrivals = sorted((r["arrival"], r["to"], r["plane"])
+                          for r in records if r["ev"] == "send_down")
+        assert arrivals and not any(r["ev"] == "drop_down" for r in records)
+        assert sorted(w.delivered) == arrivals
+        assert sorted(rec[:3] for rec in w.ingested) == arrivals
+        for t, i, p, h_rec, b_recv in w.ingested:
+            assert b_recv < t
+            assert h_rec == (w.clocks[("mes", i)].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
 
 
 class TestRounds:
