@@ -222,7 +222,7 @@ class SplitBrain(Adversary):
                 u = max(w.engine.now, r1) + w.delay_quantum
                 if u >= r2:
                     u = (max(w.engine.now, r1) + r2) // 2  # best effort
-                base = w.read_clock(("mws", self.tracked), u)
+                base = w.read_clock(self.tracked, u)
                 m = wrap_add(wrap_add(base, rp.dv.delta_tt0, rp.tau_max),
                              bias, rp.tau_max)
                 w.adv_deliver_down(pf, i, m, u)

@@ -22,8 +22,6 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from scipy.stats import beta
-
 from .adversaries import BUILTINS, make_adversary
 from .errors import ConfigurationError
 from .params import (
@@ -320,14 +318,76 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
 
 ALPHA = 0.01  # one-sided confidence level of every lower bound reported
 
+_TINY = 1e-300  # keeps Lentz's divisors off zero
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) minus (x - 1/2) ln x - x + ln(2 pi)/2, for x >= 10."""
+    y = 1.0 / (x * x)
+    return (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y * (1 / 1680 - y * (
+        1 / 1188 - y * (691 / 360360 - y / 156)))))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b).  For large b, lgamma(b) - lgamma(a + b) is a difference
+    of two values near b ln b; Stirling's series gives it without that
+    cancellation."""
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    s = a + b
+    return (math.lgamma(a) + _stirling_tail(b) - _stirling_tail(s)
+            + a - a * math.log(s) + (b - 0.5) * math.log1p(-a / s))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method;
+    it converges fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 100_000):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
+
+
+def _reg_inc_beta(x: float, a: float, b: float) -> float:
+    """The regularized incomplete beta I_x(a, b) for 0 < x < 1."""
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x * (a + b + 2.0) < a + 1.0:
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
 
 def lower_confidence_bound(k: int, n: int, alpha: float = ALPHA) -> float:
-    """One-sided Clopper-Pearson lower bound on a binomial proportion."""
+    """One-sided Clopper-Pearson lower bound on a binomial proportion.
+
+    The bound is the p at which P(X >= k; n, p) = I_p(k, n - k + 1) equals
+    alpha.  Bisection halves [0, 1] until its ends are adjacent floats and
+    returns the lower end, where the tail is still below alpha.
+    """
     if n <= 0 or k <= 0:
         return 0.0
     if k >= n:
         return float(alpha ** (1.0 / n))
-    return float(beta.ppf(alpha, k, n - k + 1))
+    a, b = float(k), float(n - k + 1)
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = (lo + hi) / 2
+        if mid <= lo or mid >= hi:
+            return lo
+        if _reg_inc_beta(mid, a, b) < alpha:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -339,7 +399,7 @@ class StatsSummary:
     all_stabilized: bool
     stab_mean: Optional[float]
     stab_max: Optional[int]
-    stab_mean_bound: float          # 2/q1_bound + g0, windows
+    stab_mean_bound: float          # DerivedParams.stb_exp_windows (2/q1 + g0), windows
     stab_mean_ok: bool              # mean within the bound with 20% slack
     attempts: int
     successes: int
@@ -395,7 +455,8 @@ def summarize(results: list[RunResult], rp: Resolved, incomplete: bool = False,
     successes = sum(r.successes for r in results)
     q1 = float(rp.dv.q1_bound)
     lcb = lower_confidence_bound(successes, attempts)
-    mean_bound = float(2 / rp.dv.q1_bound + rp.dv.g0) if rp.dv.q1_bound > 0 else math.inf
+    stb_exp = rp.dv.stb_exp_windows
+    mean_bound = float(stb_exp) if stb_exp is not None else math.inf
     stab_mean = sum(stabs) / len(stabs) if stabs else None
     devs = [r.max_precision_after_stb for r in results
             if r.max_precision_after_stb is not None]

@@ -32,7 +32,6 @@ __all__ = [
     "derive",
     "resolve",
     "load_config_doc",
-    "load_system_config",
     "SCENARIO_ENV_VAR",
 ]
 
@@ -128,7 +127,8 @@ class DerivedParams:
     delta_tt3: int
     q1_bound: Fraction           # per-attempt stabilization probability bound
     T_max: Fraction              # window length 2*T*(1+rho), ticks
-    stb_exp_windows: Fraction    # expected stabilization bound, 2/q1 + 4 windows
+    stb_exp_windows: Fraction | None  # mean stabilization bound 2/q1 + g0, windows;
+                                      # None when q1_bound is 0
     # Resolved inputs carried along for convenience:
     eps0: int
     eps1: int
@@ -290,7 +290,7 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
 
     t_max = 2 * T * (1 + p.rho)
     hw_acc_bound = math.ceil(Fraction(2 * eps0 + 2 * p.rho * T + dmt) / (1 - p.rho) ** 2)
-    stb_exp = (2 / q1_bound + 4) if q1_bound > 0 else Fraction(0)
+    stb_exp = 2 / q1_bound + g0 if q1_bound > 0 else None
     eps_rnd = p.eps_rnd if p.eps_rnd is not None else Fraction(p.d_max)
 
     return DerivedParams(
@@ -411,15 +411,3 @@ def load_config_doc(path: str | None = None) -> dict:
     if "system" not in doc or "schedule" not in doc:
         raise ConfigurationError("config must contain 'system' and 'schedule' sections")
     return doc
-
-
-def load_system_config(path: str | None = None) -> tuple[SystemParams, TTSchedule, dict]:
-    """Load a YAML config; path may come from the environment override.
-
-    Returns the parsed system/schedule plus the raw document (the harness
-    reads the remaining scenario sections from it).
-    """
-    doc = load_config_doc(path)
-    params = parse_system_section(doc["system"])
-    sched = parse_schedule_section(doc["schedule"])
-    return params, sched, doc

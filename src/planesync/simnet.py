@@ -430,11 +430,11 @@ class World:
     def rank(self, key) -> int:
         return key[1] if key[0] == "mws" else self.rp.n1 + key[1]
 
-    def read_clock(self, key, t: Optional[int] = None) -> int:
+    def read_clock(self, p: int, t: Optional[int] = None) -> int:
+        """Switch p's clock value at instant t (default: now)."""
         t = self.engine.now if t is None else t
-        clk = self.clocks[key]
-        state = self.mws[key[1]] if key[0] == "mws" else self.mes[key[1]]
-        return (clk.h_at(t) + state.clock_offset) % clk.tau
+        clk = self.clocks[("mws", p)]
+        return (clk.h_at(t) + self.mws[p].clock_offset) % clk.tau
 
     def _skew(self, i: int, p: int) -> int:
         if self.skew_quantum == 0:

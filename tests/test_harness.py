@@ -4,8 +4,12 @@ campaign reduction, and the coin-model bound checker."""
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +280,56 @@ class TestConfidenceBound:
     def test_tighter_with_more_data(self):
         assert lower_confidence_bound(50, 100) < lower_confidence_bound(500, 1000)
 
+    @staticmethod
+    def _tail_below_alpha(k: int, n: int, p: Fraction) -> bool:
+        """Exactly, P(X >= k; n, p) < ALPHA, in integers over p's denominator."""
+        num, den = p.numerator, p.denominator
+        tail = sum(math.comb(n, j) * num**j * (den - num)**(n - j)
+                   for j in range(k, n + 1))
+        alpha = Fraction(harness.ALPHA)
+        return tail * alpha.denominator < alpha.numerator * den**n
+
+    def test_exact_binomial_tail_brackets_alpha(self):
+        # A float continued fraction cannot reach a one-ulp bracket; a
+        # relative 1e-12 bracket is met in all 1,770 cases.
+        rel = Fraction(1, 10**12)
+        for n in range(2, 61):
+            for k in range(1, n):
+                p = Fraction(lower_confidence_bound(k, n))
+                assert self._tail_below_alpha(k, n, p * (1 - rel)), (k, n)
+                assert not self._tail_below_alpha(k, n, p * (1 + rel)), (k, n)
+
+    # scipy.stats.beta.ppf(0.01, k, n - k + 1), recorded with scipy 1.17.1.
+    RECORDED = [
+        (1, 1000, 1.0050285349045254e-05),
+        (500, 1000, 0.46277806676099753),
+        (999, 1000, 0.9933803316043514),
+        (7, 10000, 0.00023306402287031348),
+        (4321, 10000, 0.42055477771717087),
+        (5, 100000, 1.2791234820278724e-05),
+        (16021, 100000, 0.15752005954195925),   # criterion 5's count
+        (99990, 100000, 0.9997985634157721),
+        (1, 1000000, 1.0050335802996816e-08),
+        (3, 1000000, 4.360455060561863e-07),
+        (1000, 1000000, 0.000927941152247036),
+        (240759, 1000000, 0.2397649070285469),
+        (500000, 1000000, 0.49883632792948496),
+        (999999, 1000000, 0.9999933616666467),
+    ]
+
+    @pytest.mark.parametrize("k,n,expected", RECORDED)
+    def test_matches_recorded_reference(self, k, n, expected):
+        assert lower_confidence_bound(k, n) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, planesync.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(harness.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr or "importing planesync.cli loaded scipy"
+
 
 class TestCampaign:
     def test_summary_is_order_independent(self):
@@ -293,6 +347,12 @@ class TestCampaign:
         assert summary.attempt_freq_ok
         assert summary.windows_total == sum(r.windows_run for r in results)
         assert "stabilized" in summary.table()
+
+    def test_mean_bound_is_the_derived_one(self):
+        assert summarize([], RP).stab_mean_bound == float(2 / RP.dv.q1_bound + G0)
+        no_coins = scenario(q0=Fraction(0)).resolved
+        assert no_coins.dv.stb_exp_windows is None
+        assert summarize([], no_coins).stab_mean_bound == math.inf
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -11,7 +11,9 @@ from planesync.params import (
     TTSchedule,
     as_fraction,
     derive,
-    load_system_config,
+    load_config_doc,
+    parse_schedule_section,
+    parse_system_section,
     q1_closed_form_floor,
     resolve,
     validate,
@@ -100,7 +102,7 @@ class TestDerive:
         floor = q1_closed_form_floor(dv.g0)
         assert floor == pytest.approx(1 / (90 * math.e**2), rel=1e-15)
         assert float(dv.q1_bound) >= floor
-        assert dv.stb_exp_windows == 2 / dv.q1_bound + 4
+        assert dv.stb_exp_windows == 2 / dv.q1_bound + dv.g0
 
     def test_k0_solves_log_inequality(self):
         dv = derive(make_params(), SCHED)
@@ -176,19 +178,20 @@ schedule:
     def test_load_and_resolve(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(self.CONFIG)
-        params, sched, doc = load_system_config(str(path))
-        rp = resolve(params, sched)
+        doc = load_config_doc(str(path))
+        rp = resolve(parse_system_section(doc["system"]),
+                     parse_schedule_section(doc["schedule"]))
         assert rp.T == rp.sys.T0 + rp.eps2
 
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "scenario.yaml"
         path.write_text(self.CONFIG)
         monkeypatch.setenv("PLANESYNC_CONFIG", str(path))
-        params, _, _ = load_system_config()
-        assert params.n0 == 4
+        assert parse_system_section(load_config_doc()["system"]).n0 == 4
 
     def test_strict_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(self.CONFIG.replace("a0: 3", "a0: 3\n  bogus: 1"))
-        with pytest.raises(ConfigurationError):
-            load_system_config(str(path))
+        doc = load_config_doc(str(path))
+        with pytest.raises(ConfigurationError, match="bogus"):
+            parse_system_section(doc["system"])
