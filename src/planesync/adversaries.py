@@ -216,7 +216,7 @@ class SplitBrain(Adversary):
         bias = self.bias_hi if self._hi else self.bias_lo
         for pf in sorted(w.faulty_planes):
             for i in sorted(w.honest_mes):
-                period = w.clocks[("mes", i)].period
+                period = w.clocks[rp.n1 + i].period
                 r1 = t1 + rp.sched.vc_send[0] * period
                 r2 = t2 + rp.sched.vc_send[0] * period
                 u = max(w.engine.now, r1) + w.delay_quantum

@@ -79,15 +79,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed_list(args: argparse.Namespace) -> list[int]:
-    if args.seed_list:
-        return [int(s) for s in args.seed_list.split(",")]
-    return list(range(args.seeds))
+def _seed_list(text: str) -> list[int]:
+    """The seeds of --seed-list, comma-separated integers."""
+    seeds = []
+    for s in text.split(","):
+        try:
+            seeds.append(int(s))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed {s!r} is not an integer") from None
+    return seeds
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     sc = _scenario(args)
-    seeds = _seed_list(args)
+    seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
     summary, results = run_monte_carlo(sc, seeds, jobs=args.jobs)
     if args.format == "text":
         print(summary.table())
@@ -186,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     formatted(p)
     p.add_argument("--seeds", type=int, default=100,
                    help="number of seeds, 0..N-1")
-    p.add_argument("--seed-list", help="explicit comma-separated seeds")
+    p.add_argument("--seed-list", type=_seed_list, help="explicit comma-separated seeds")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", help="directory for summary and per-run records")
     p.set_defaults(fn=_cmd_campaign)

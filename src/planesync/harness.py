@@ -255,12 +255,13 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
     windows_run = 0
     devs: list[int] = []
 
+    tracks = world.qap_tracks()
     # Closing breaks the world's reference cycles, so it is freed as soon
     # as this call returns; its logs and trace stay readable.
     try:
         for k in range(sc.horizon):
             world.run_until_window(k + 1)
-            ok, dev = sync_check(world.qap_tracks(), k * world.window,
+            ok, dev = sync_check(tracks, k * world.window,
                                  (k + 1) * world.window, rp, world.L,
                                  eps0=sc.eps0_check)
             windows_run = k + 1
@@ -500,6 +501,8 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
     failure_reasons, and marks the campaign incomplete rather than aborting
     the others.
     """
+    if not seeds:
+        raise ConfigurationError("a campaign needs at least one seed")
     if len(seeds) != len(set(seeds)):
         raise ConfigurationError("duplicate seeds in campaign")
     rp = sc.resolved

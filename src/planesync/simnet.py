@@ -26,12 +26,14 @@ An honest message that will land in its round and simply be kept there is
 stored at send time, with no delivery event: an honest terminal's relay
 that reaches the plane's round before its receive slot ends, and an honest
 plane's clock value that reaches a terminal's round before its receive
-slot opens.  One rule decides at send time and at arrival: `_Round.fate`,
-with the upward policing in `World._refusal_up`.  The store is exact: the
-round stays current until the arrival, and it reads what it holds only at
-its slot boundaries, later still.  Every other message keeps its delivery
-event at its arrival instant: faulty traffic, a value that arrives inside
-a terminal's receive slot, and any message to drop.
+slot opens and before the plane's own end_cs.  One rule decides at send
+time and at arrival: `_Round.fate`, with the upward policing in
+`World._refusal_up`.  The store is exact: the round stays current until
+the arrival (only the plane's next SIG, after its end_cs, replaces a
+plane's round or a terminal's round for that plane), and it reads what it
+holds only at its slot boundaries, later still.  Every other message keeps
+its delivery event at its arrival instant: faulty traffic, a value that
+arrives inside a terminal's receive slot, and any message to drop.
 """
 
 from __future__ import annotations
@@ -50,35 +52,13 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationError
 from .params import Resolved
-from .protocol import (
-    MesState,
-    MwsState,
-    TTMessageUp,
-    mes_on_begin_vc_send,
-    mes_on_clock_msg,
-    mes_on_end_c_recv,
-    mws_on_end_c_send,
-    mws_on_end_mc_recv,
-    mws_on_sig,
-    mws_rearm,
-    mws_watchdog_ticks,
-    next_sig_tick,
-)
+from .protocol import (MesState, MwsState, TTMessageUp, mes_on_begin_vc_send, mes_on_clock_msg,
+                       mes_on_end_c_recv, mws_on_end_c_send, mws_on_end_mc_recv, mws_on_sig,
+                       mws_rearm, mws_watchdog_ticks, next_sig_tick)
 from .ring import wrap_add, wrap_sub
 
-__all__ = [
-    "Engine",
-    "HardwareClock",
-    "ClockTrack",
-    "World",
-    "Trace",
-    "sync_check",
-    "derive_seed",
-    "DRIFT_DENOM",
-    "QUANT",
-    "INIT_POLICIES",
-    "TRACE_LEVELS",
-]
+__all__ = ["Engine", "HardwareClock", "ClockTrack", "World", "Trace", "sync_check",
+           "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS"]
 
 INIT_POLICIES = ("synchronized", "random")
 TRACE_LEVELS = ("off", "core", "full")
@@ -107,9 +87,11 @@ def derive_seed(master: int, tag: str) -> int:
 class Engine:
     """Min-heap event loop over integer subtick timestamps.
 
-    An event is a handler and its arguments; it runs as fn(*args).
-    Tie-break at equal instants: (node rank, kind rank, insertion sequence),
-    independent of insertion interleaving.
+    An event is a handler and its arguments; it runs as fn(*args).  Events
+    at one instant run by node rank, then kind rank.  Events that share the
+    instant, the node and the kind run in the order they were scheduled: one
+    terminal's slot steps for two planes' rounds can meet so, and then
+    insertion order decides which runs first.
     """
 
     def __init__(self) -> None:
@@ -152,7 +134,7 @@ class HardwareClock:
         return (t - self.t_ref) // self.period
 
     def h_at(self, t: int) -> int:
-        return (self.h0 + self.ticks_at(t)) % self.tau
+        return (self.h0 + (t - self.t_ref) // self.period) % self.tau
 
     def time_of_tick(self, k: int) -> int:
         return self.t_ref + k * self.period
@@ -183,12 +165,10 @@ class ClockTrack:
         self.jump_offsets.append(new)
         self.jump_cum.append(prev + delta)
 
-    def offset_at(self, t: int, side: str = "right") -> int:
-        idx = (bisect_right if side == "right" else bisect_left)(self.jump_times, t)
-        return self.jump_offsets[idx - 1] if idx else self.offset0
-
     def value_at(self, t: int, side: str = "right") -> int:
-        return (self.clock.h_at(t) + self.offset_at(t, side)) % self.clock.tau
+        idx = (bisect_right if side == "right" else bisect_left)(self.jump_times, t)
+        offset = self.jump_offsets[idx - 1] if idx else self.offset0
+        return (self.clock.h_at(t) + offset) % self.clock.tau
 
 
 class Trace:
@@ -220,13 +200,12 @@ DROP, BUFFER, INGEST = range(3)
 @dataclass
 class _Round:
     """One round of a plane, or of one terminal's interface to a plane: its
-    anchor and its receive slot [b_recv, e_recv).  It takes messages from
-    its anchor until its receive slot ends.  A plane's round holds the
-    first relay from each terminal and the clock value it chose; a
-    terminal's holds the clock values that arrive before its slot opens.
-    Every event of a round carries this object.  A terminal's handlers
-    return once another round has taken its place; a plane's rounds never
-    overlap, since each SIG starts one only when the previous has ended."""
+    anchor and its receive slot [b_recv, e_recv); it takes messages from its
+    anchor until that slot ends.  A plane's round holds the first relay from
+    each terminal and the value it chose; a terminal's, the values that
+    arrive before its slot opens.  Every event of a round carries it; a
+    terminal's handlers return once another round has taken its place, and
+    a plane's rounds never overlap (a SIG starts one only after the last)."""
 
     anchor: int
     b_recv: int
@@ -245,7 +224,10 @@ class _Round:
 
 
 class World:
-    """One simulated system: nodes, clocks, round machinery, adversary."""
+    """One simulated system: nodes, clocks, round machinery, adversary.
+    Plane p has rank p and terminal i rank n1 + i, the engine's tie-break;
+    `clocks` and `tracks` (None for a faulty node) are indexed by rank, and
+    `mes_round[i][p]` is honest terminal i's round for plane p."""
 
     def __init__(self, rp: Resolved, adversary, seed: int, init_policy: str = "random",
                  trace_level: str = "core") -> None:
@@ -253,9 +235,14 @@ class World:
         self.seed = seed
         self.engine = Engine()
         self.trace = Trace(trace_level)
+        # A record is built only at a level that keeps it.
+        self._trace_core = trace_level != "off"
+        self._trace_full = trace_level == "full"
         self.adversary = adversary
 
         n0, n1 = rp.n0, rp.n1
+        self._n1 = n1
+        self._keys = [("mws", p) for p in range(n1)] + [("mes", i) for i in range(n0)]
         self.faulty_planes = set(range(n1 - rp.f1, n1))
         self.faulty_mes = set(range(n0 - rp.f0, n0))
         self.honest_planes = [p for p in range(n1) if p not in self.faulty_planes]
@@ -271,16 +258,15 @@ class World:
         self.warnings: list[str] = []  # clamped periods
         adversary.bind(self)
         try:
-            periods: dict = {}
-            phases: dict = {}
-            for key in self._node_keys():
-                periods[key] = self._quantize_period(adversary.choose_period(key))
-                phases[key] = Fraction(adversary.choose_phase(key) % QUANT, QUANT)
+            periods, phases = [], []
+            for key in self._keys:
+                periods.append(self._quantize_period(adversary.choose_period(key)))
+                phases.append(Fraction(adversary.choose_phase(key) % QUANT, QUANT))
             atoms = [rp.sys.T_H, Fraction(rp.sys.T_H, QUANT), Fraction(rp.sys.d_max, QUANT)]
             if eps_rnd > 0:
                 atoms.append(Fraction(eps_rnd, QUANT))
-            atoms.extend(periods.values())
-            atoms.extend(p * q for p, q in zip(periods.values(), phases.values()))
+            atoms.extend(periods)
+            atoms.extend(p * q for p, q in zip(periods, phases))
             self.L = math.lcm(*(a.denominator for a in atoms))
 
             scaled = self.scaled
@@ -296,21 +282,16 @@ class World:
             self._police_hi = math.ceil((sc.vc_send[1] * (1 + rho) * T_H + eps_rnd) * self.L)
 
             tau = rp.tau_max
-            self.clocks: dict = {}
-            self.tracks: dict = {}
-            for key in self._node_keys():
-                h0 = self.init_rng.randrange(tau)
-                t_ref = -scaled(periods[key] * phases[key])
-                self.clocks[key] = HardwareClock(t_ref=t_ref, period=scaled(periods[key]),
-                                                 h0=h0, tau=tau)
+            self.clocks = [HardwareClock(t_ref=-scaled(per * ph), period=scaled(per),
+                                         h0=self.init_rng.randrange(tau), tau=tau)
+                           for per, ph in zip(periods, phases)]
+            self.tracks: list[Optional[ClockTrack]] = [None] * (n1 + n0)
 
             self.mws: dict[int, MwsState] = {}
             self.mes: dict[int, MesState] = {}
-            self.plane_round: dict[int, Optional[_Round]] = {p: None for p in self.honest_planes}
-            self.mes_round: dict[tuple[int, int], _Round] = {
-                (i, p): _Round(-1, -1, -1)
-                for i in self.honest_mes for p in range(n1)
-            }
+            self.plane_round: list[Optional[_Round]] = [None] * n1
+            self.mes_round = [None if i in self.faulty_mes else
+                              [_Round(-1, -1, -1) for _p in range(n1)] for i in range(n0)]
 
             # Coin tosses, for the harness's resynchronization points.
             self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
@@ -333,12 +314,6 @@ class World:
         assert v.denominator == 1
         return int(v)
 
-    def _node_keys(self):
-        for p in range(self.rp.n1):
-            yield ("mws", p)
-        for i in range(self.rp.n0):
-            yield ("mes", i)
-
     def _quantize_period(self, period: Fraction) -> Fraction:
         rp = self.rp
         lo = (1 - rp.rho) * rp.sys.T_H
@@ -351,7 +326,7 @@ class World:
         return clamped
 
     def _init_states(self, policy: str) -> None:
-        rp, tau, rng = self.rp, self.rp.tau_max, self.init_rng
+        rp, tau, rng, n1 = self.rp, self.rp.tau_max, self.init_rng, self._n1
         if policy == "synchronized":
             # Start on a SIG boundary with records that look exactly like the
             # aftermath of a completed previous round: the last distributed
@@ -362,19 +337,16 @@ class World:
             # A plane's first SIG may anchor one or more cycles past c_init
             # depending on its tick phase; records must sit exactly one cycle
             # behind that anchor or the first accuracy check fails.
-            anchor_c: dict[int, int] = {}
-            for p in range(rp.n1):
-                k = next_sig_tick(c_init, self.clocks[("mws", p)].first_tick(0), tau, T)
-                anchor_c[p] = (c_init + k) % tau
+            anchor_c = [(c_init + next_sig_tick(c_init, self.clocks[p].first_tick(0), tau, T))
+                        % tau for p in range(n1)]
             for p in self.honest_planes:
-                clk = self.clocks[("mws", p)]
-                off = wrap_sub(c_init, clk.h0, tau)
+                off = wrap_sub(c_init, self.clocks[p].h0, tau)
                 self.mws[p] = MwsState(tau_max=tau, clock_offset=off, c_tilde_old=off)
             for i in self.honest_mes:
-                clk = self.clocks[("mes", i)]
+                clk = self.clocks[n1 + i]
                 off = wrap_sub(c_init, clk.h0, tau)
-                st = MesState(n1=rp.n1, clock_offset=off)
-                for q in range(rp.n1):
+                st = MesState(n1=n1, clock_offset=off)
+                for q in range(n1):
                     rec_lag = wrap_sub(
                         wrap_add(wrap_sub(anchor_c[q], T, tau), rp.sched.c_send[1] % tau, tau),
                         c_init, tau)
@@ -392,8 +364,8 @@ class World:
                                        grand_life=grand_life, tau_idl=tau_idl,
                                        c_tilde_old=rng.randrange(tau))
             for i in self.honest_mes:
-                st = MesState(n1=rp.n1, clock_offset=rng.randrange(tau))
-                for q in range(rp.n1):
+                st = MesState(n1=n1, clock_offset=rng.randrange(tau))
+                for q in range(n1):
                     if rng.random() < 0.5:
                         st.m_rec[q] = rng.randrange(tau)
                         st.h_rec[q] = rng.randrange(tau)
@@ -407,33 +379,25 @@ class World:
             raise ConfigurationError(f"unknown initial-state policy {policy!r}")
 
         for p in self.honest_planes:
-            self.tracks[("mws", p)] = ClockTrack(self.clocks[("mws", p)],
-                                                 self.mws[p].clock_offset)
+            self.tracks[p] = ClockTrack(self.clocks[p], self.mws[p].clock_offset)
         for i in self.honest_mes:
-            self.tracks[("mes", i)] = ClockTrack(self.clocks[("mes", i)],
-                                                 self.mes[i].clock_offset)
+            self.tracks[n1 + i] = ClockTrack(self.clocks[n1 + i], self.mes[i].clock_offset)
 
     def _arm_initial(self, p: int) -> None:
-        k0 = self.clocks[("mws", p)].first_tick(0)
+        k0 = self.clocks[p].first_tick(0)
         if self.mws[p].idle:
             self._schedule_sig(p, k0)
         else:
-            # Mid-round start: the watchdog rescues the plane once the
-            # hardware clock walks past tau_idl.  This is the only watchdog
-            # ever scheduled.  A SIG's watchdog could not fire: validate keeps
-            # c_send[1] <= T0, so the round's end_cs comes before tick
-            # k + T0 + 1, and end_cs always rearms.
+            # Mid-round start: the watchdog rescues the plane once its
+            # hardware clock walks past tau_idl.  No SIG needs one: validate
+            # keeps c_send[1] <= T0, so end_cs, which rearms, comes first.
             self._schedule_watchdog_fire(p, k0)
 
     # ---- small utilities --------------------------------------------------
 
-    def rank(self, key) -> int:
-        return key[1] if key[0] == "mws" else self.rp.n1 + key[1]
-
-    def read_clock(self, p: int, t: Optional[int] = None) -> int:
-        """Switch p's clock value at instant t (default: now)."""
-        t = self.engine.now if t is None else t
-        clk = self.clocks[("mws", p)]
+    def read_clock(self, p: int, t: int) -> int:
+        """Switch p's clock value at instant t."""
+        clk = self.clocks[p]
         return (clk.h_at(t) + self.mws[p].clock_offset) % clk.tau
 
     def _skew(self, i: int, p: int) -> int:
@@ -442,20 +406,23 @@ class World:
         k = self.adversary.choose_skew(i, p)
         return min(max(int(k), 0), QUANT) * self.skew_quantum
 
-    def _delay(self, sender, p: int) -> int:
-        k = self.adversary.choose_delay(sender, p)
+    def _delay(self, sender: int, p: int) -> int:
+        """Delay of a message from the node of rank `sender` over plane p."""
+        k = self.adversary.choose_delay(self._keys[sender], p)
         return min(max(int(k), 1), QUANT) * self.delay_quantum
 
-    def _record_adjust(self, key, old: int, new: int) -> None:
-        self.tracks[key].record(self.engine.now, old, new)
-        self.trace.add(True, ev="adjust", t=self.engine.now, node=list(key),
-                       old=old, new=new)
+    def _record_adjust(self, rank: int, old: int, new: int) -> None:
+        now = self.engine.now
+        self.tracks[rank].record(now, old, new)
+        if self._trace_core:
+            self.trace.add(True, ev="adjust", t=now, node=list(self._keys[rank]),
+                           old=old, new=new)
 
     # ---- plane (MWS) round machinery --------------------------------------
 
     def _schedule_sig(self, p: int, k_min: int) -> None:
         st = self.mws[p]
-        clk = self.clocks[("mws", p)]
+        clk = self.clocks[p]
         base = (clk.h0 + st.clock_offset) % clk.tau
         k = next_sig_tick(base, k_min, clk.tau, self.rp.T % clk.tau)
         self.engine.schedule(clk.time_of_tick(k), p, K_SIG, self._on_sig, p)
@@ -463,7 +430,7 @@ class World:
     def _schedule_watchdog_fire(self, p: int, k: int) -> None:
         """Watchdog of plane p, busy from the start, counted from its
         hardware tick k."""
-        clk = self.clocks[("mws", p)]
+        clk = self.clocks[p]
         k_fire = k + mws_watchdog_ticks(self.mws[p], (clk.h0 + k) % clk.tau, self.rp)
         self.engine.schedule(clk.time_of_tick(k_fire), p, K_WATCHDOG,
                              self._on_watchdog_fire, p)
@@ -472,10 +439,11 @@ class World:
         # Scheduled only for an idle plane, and nothing else makes it busy.
         st = self.mws[p]
         t = self.engine.now
-        clk = self.clocks[("mws", p)]
+        clk = self.clocks[p]
         h = clk.h_at(t)
         mws_on_sig(st, h, self.rp)
-        self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
+        if self._trace_core:
+            self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
@@ -493,99 +461,93 @@ class World:
 
     def _start_member_rounds(self, p: int, t_sig: int) -> None:
         """Give every terminal a skewed anchor for plane p's new round."""
-        sc = self.rp.sched
+        sc, eng, n1 = self.rp.sched, self.engine, self._n1
         for i in range(self.rp.n0):
             anchor = t_sig + self._skew(i, p)
             if i in self.faulty_mes:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
-            period = self.clocks[("mes", i)].period
+            period = self.clocks[n1 + i].period
             rnd = _Round(anchor, anchor + sc.c_recv[0] * period, anchor + sc.c_recv[1] * period)
-            self.mes_round[(i, p)] = rnd
-            rank = self.rank(("mes", i))
-            eng = self.engine
-            eng.schedule(anchor + sc.vc_send[0] * period, rank, K_SLOT,
+            self.mes_round[i][p] = rnd
+            eng.schedule(anchor + sc.vc_send[0] * period, n1 + i, K_SLOT,
                          self._on_begin_vc, i, p, rnd)
-            eng.schedule(rnd.b_recv, rank, K_SLOT, self._on_begin_cr, i, p, rnd)
-            eng.schedule(rnd.e_recv, rank, K_SLOT, self._on_end_cr, i, p, rnd)
+            eng.schedule(rnd.b_recv, n1 + i, K_SLOT, self._on_begin_cr, i, p, rnd)
+            eng.schedule(rnd.e_recv, n1 + i, K_SLOT, self._on_end_cr, i, p, rnd)
 
     def _on_watchdog_fire(self, p: int) -> None:
         # Nothing else is scheduled for a plane that starts busy, so it is
         # still busy, before its first round, when this fires.
         mws_rearm(self.mws[p])
-        self.trace.add(True, ev="watchdog", t=self.engine.now, plane=p)
-        clk = self.clocks[("mws", p)]
-        self._schedule_sig(p, clk.ticks_at(self.engine.now))
+        now = self.engine.now
+        if self._trace_core:
+            self.trace.add(True, ev="watchdog", t=now, plane=p)
+        self._schedule_sig(p, self.clocks[p].ticks_at(now))
 
     def _on_end_mc(self, p: int, rnd: _Round) -> None:
         st = self.mws[p]
         t = self.engine.now
-        h = self.clocks[("mws", p)].h_at(t)
+        h = self.clocks[p].h_at(t)
         summary = mws_on_end_mc_recv(st, rnd.relays, h, self.coin_rng[p], self.rp)
         rnd.c_new = summary.c_new
         self.toss_log.append((t, p, summary.b_coin, st.grand_life))
-        self.trace.add(True, ev="round", t=t, plane=p, b=summary.b_coin,
-                       gl=st.grand_life, stb=summary.stb, branch=summary.branch,
-                       c_new=summary.c_new)
+        if self._trace_core:
+            self.trace.add(True, ev="round", t=t, plane=p, b=summary.b_coin,
+                           gl=st.grand_life, stb=summary.stb, branch=summary.branch,
+                           c_new=summary.c_new)
 
     def _on_begin_cs(self, p: int, rnd: _Round, t_end_cs: int) -> None:
-        # validate orders the slots, so the round's end_mc has chosen c_new.
+        # validate orders the slots, so end_mc has chosen c_new.  A value
+        # landing before t_end_cs lands in the round open now (module docstring).
         m = rnd.c_new
         t = self.engine.now
-        for i in range(self.rp.n0):
-            if i in self.faulty_mes:
-                continue
-            arrival = t + self._delay(("mws", p), p)
-            self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
-                           arrival=arrival)
-            # Only this plane's next SIG replaces the terminal's round for
-            # it, and that comes no earlier than end_cs: before then, the
-            # round it will land in is the one open now.
-            dest = self.mes_round[(i, p)]
+        for i in self.honest_mes:
+            arrival = t + self._delay(p, p)
+            if self._trace_full:
+                self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
+                               arrival=arrival)
+            dest = self.mes_round[i][p]
             if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
                 dest.buffer.append(m)
             else:
-                self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
+                self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
                                      self._deliver_down, p, i, m)
 
     def _on_end_cs(self, p: int, rnd: _Round) -> None:
         st = self.mws[p]
-        clk = self.clocks[("mws", p)]
+        clk = self.clocks[p]
         old = st.clock_offset
         mws_on_end_c_send(st, rnd.c_new, clk.h_at(self.engine.now), self.rp)
-        self._record_adjust(("mws", p), old, st.clock_offset)
+        self._record_adjust(p, old, st.clock_offset)
         self._schedule_sig(p, clk.ticks_at(self.engine.now))
 
     # ---- terminal (MES) round machinery ------------------------------------
 
     def _on_begin_vc(self, i: int, p: int, rnd: _Round) -> None:
-        if self.mes_round[(i, p)] is not rnd:
+        if self.mes_round[i][p] is not rnd:
             return
         t = self.engine.now
-        h = self.clocks[("mes", i)].h_at(t)
-        msg = mes_on_begin_vc_send(self.mes[i], h, self.rp)
+        msg = mes_on_begin_vc_send(self.mes[i], self.clocks[self._n1 + i].h_at(t), self.rp)
         self.send_up(i, p, msg, t)
 
     def send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         if p in self.faulty_planes:
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
-        arrival = send_t + self._delay(("mes", i), p)
-        self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
-        # A plane's round stays current until the SIG after its end_cs, so
-        # a relay that this round takes at its arrival is stored now.
+        arrival = send_t + self._delay(self._n1 + i, p)
+        if self._trace_full:
+            self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+        # A relay the round keeps at its arrival is stored now (module docstring).
         rnd = self.plane_round[p]
         if rnd is not None and self._refusal_up(rnd, send_t, arrival) is None:
             rnd.relays.setdefault(i, msg)
         else:
-            self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                                 self._deliver_up, p, send_t, i, msg)
+            self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def _refusal_up(self, rnd: _Round, send_t: int, arrival: int) -> Optional[str]:
         """Why plane round rnd refuses a relay sent at send_t that arrives at
-        `arrival`; None when it keeps it.  TT isolation at the plane
-        boundary: the send instant must lie in the policed image of the
-        upward slot for the round."""
+        `arrival`; None when it keeps it.  TT isolation at the plane: the
+        send instant must lie in the policed image of the round's upward slot."""
         if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
             return "outside policed slot"
         return "late" if rnd.fate(arrival) == DROP else None
@@ -597,43 +559,43 @@ class World:
         why = self._refusal_up(rnd, send_t, self.engine.now)
         if why is None:
             rnd.relays.setdefault(i, msg)
-        else:
+        elif self._trace_full:
             self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why=why)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
-        """A clock value at its arrival instant.  An honest plane's value
-        that lands before the receive slot opens was buffered at send time;
-        what comes here is faulty traffic, a value arriving inside the
-        slot, which is ingested at once, or a value to drop."""
-        rnd = self.mes_round[(i, p)]
+        """A clock value at its arrival instant, when it was not stored at
+        send time (see the module docstring)."""
+        rnd = self.mes_round[i][p]
         now = self.engine.now
         fate = rnd.fate(now)
         if fate == DROP:
-            self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
+            if self._trace_full:
+                self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
         elif fate == BUFFER:
             rnd.buffer.append(m)
         else:
             self._ingest_down(i, p, m)
 
     def _ingest_down(self, i: int, p: int, m: int) -> None:
-        h = self.clocks[("mes", i)].h_at(self.engine.now)
-        mes_on_clock_msg(self.mes[i], p, m, h, self.rp)
-        self.trace.add(False, ev="recv_down", t=self.engine.now, mes=i, plane=p, m=m)
+        now = self.engine.now
+        mes_on_clock_msg(self.mes[i], p, m, self.clocks[self._n1 + i].h_at(now), self.rp)
+        if self._trace_full:
+            self.trace.add(False, ev="recv_down", t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _Round) -> None:
-        if self.mes_round[(i, p)] is not rnd:
+        if self.mes_round[i][p] is not rnd:
             return
         for m in rnd.buffer:
             self._ingest_down(i, p, m)
         rnd.buffer = []
 
     def _on_end_cr(self, i: int, p: int, rnd: _Round) -> None:
-        if self.mes_round[(i, p)] is not rnd:
+        if self.mes_round[i][p] is not rnd:
             return
         st = self.mes[i]
         old = st.clock_offset
-        mes_on_end_c_recv(st, self.clocks[("mes", i)].h_at(self.engine.now), self.rp)
-        self._record_adjust(("mes", i), old, st.clock_offset)
+        mes_on_end_c_recv(st, self.clocks[self._n1 + i].h_at(self.engine.now), self.rp)
+        self._record_adjust(self._n1 + i, old, st.clock_offset)
 
     # ---- adversary-facing hooks for faulty components ----------------------
 
@@ -642,7 +604,8 @@ class World:
         the plane side is entirely adversary-driven."""
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
-        self.trace.add(True, ev="sig", t=t_sig, plane=p, c=None)
+        if self._trace_core:
+            self.trace.add(True, ev="sig", t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
@@ -651,7 +614,7 @@ class World:
         if i in self.faulty_mes:
             return
         arrival = max(arrival, self.engine.now)
-        self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
+        self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
                              self._deliver_down, p, i, m % self.rp.tau_max)
 
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
@@ -669,12 +632,11 @@ class World:
             return
         msg = replace(msg, c_vec=tuple(None if v is None else v % tau for v in msg.c_vec),
                       m_vec=tuple(None if v is None else v % tau for v in msg.m_vec))
-        arrival = max(send_t, self.engine.now) + self._delay(("mes", i), p)
-        self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                             self._deliver_up, p, send_t, i, msg)
+        arrival = max(send_t, self.engine.now) + self._delay(n1 + i, p)
+        self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
-        self.engine.schedule(max(t, self.engine.now), self.rp.n1 + self.rp.n0, K_ADV, fn)
+        self.engine.schedule(max(t, self.engine.now), len(self._keys), K_ADV, fn)
 
     # ---- runs ---------------------------------------------------------------
 
@@ -690,23 +652,14 @@ class World:
         self.adversary.unbind()
 
     def qap_tracks(self) -> list[ClockTrack]:
-        keys = [("mws", p) for p in self.honest_planes] + \
-               [("mes", i) for i in self.honest_mes]
-        return [self.tracks[k] for k in keys]
+        """The honest nodes' tracks, in rank order: planes, then terminals."""
+        return [tr for tr in self.tracks if tr is not None]
 
 
 # ---- synchronization verdicts ----------------------------------------------
 
 
-def _window(tr: ClockTrack, t1: int, t2: int) -> tuple[list, list, list]:
-    """The jumps of tr inside [t1, t2]: their times, and the offset and
-    cumulative shift in force after each, led by the values carried in from
-    before t1.  Any sample in [t1, t2] indexes this slice exactly as it
-    would the whole history."""
-    jt = tr.jump_times
-    lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
-    off0, cum0 = (tr.jump_offsets[lo - 1], tr.jump_cum[lo - 1]) if lo else (tr.offset0, 0)
-    return jt[lo:hi], [off0, *tr.jump_offsets[lo:hi]], [cum0, *tr.jump_cum[lo:hi]]
+_SIDES = np.array([0, 1]).reshape(2, 1, 1)
 
 
 @cache
@@ -716,29 +669,63 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+def _decisive_samples(tracks: list[ClockTrack], jumps: set[int], t1: int, t2: int,
+                      THL: int, ends: list[int]) -> list[int]:
+    """The instants in [t1, t2] that can decide sync_check (see there), sorted;
+    `jumps` holds the jumps inside [t1, t2], `ends` the rate spans' ends."""
+    keep = set()
+    for t in (t1, t2, *ends):
+        keep.update((-(-t // THL) * THL, t // THL * THL))
+    for t in jumps:
+        r = t % THL
+        keep.update((t - THL, t) if r == 0 else (t - r, t, t - r + THL))
+    m_lo, m_hi = -(-t1 // THL), t2 // THL        # grid indices inside [t1, t2]
+    for tr in tracks:
+        t_ref, period = tr.clock.t_ref, tr.clock.period
+        # A clock's ticks minus m, at grid index m, is monotone in m.
+        lo, g_hi = m_lo, (m_hi * THL - t_ref) // period - m_hi
+        while lo < m_hi and (g_lo := (lo * THL - t_ref) // period - lo) != g_hi:
+            a, b = lo, m_hi              # find the first index past a slip
+            while b - a > 1:
+                mid = (a + b) // 2
+                if (mid * THL - t_ref) // period - mid == g_lo:
+                    a = mid
+                else:
+                    b = mid
+            keep.update((a * THL, b * THL))
+            lo = b
+    return sorted(t for t in keep if t1 <= t <= t2)
+
+
 def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
                eps0: Optional[int] = None) -> tuple[bool, int]:
     """Verdict of the two synchronization conditions over [t1, t2] subticks.
 
     Precision: every pair of clocks stays within eps0 ring distance at every
-    sample (grid of period T_H plus both sides of each adjustment).
-    Rate accuracy: per clock, elapsed ticks between samples at most T_max
-    apart deviate from elapsed time by no more than rho*elapsed + eps0;
-    evaluated exactly on integer-scaled samples over T_max-aligned and
-    half-shifted spans so every pair within T_max/2 is covered and no pair
-    beyond T_max is ever required.  The last aligned span ends at t2, so
-    its half-shifted span would lie inside it and is not checked; a window
-    exactly T_max long is one span.
+    sample (the T_H grid and each jump, read on both sides of a jump).
+    Rate accuracy: per clock, elapsed ticks between two samples of a span
+    deviate from elapsed time by at most rho*elapsed + eps0.  Spans are
+    T_max-aligned and half-shifted, so every pair within T_max/2 is covered
+    and none beyond T_max is required; the last aligned span ends at t2,
+    and its half-shifted span, inside it, is skipped.
+
+    Only the samples that can decide are evaluated: the grid samples at the
+    ends of [t1, t2] and of each span, on both sides of each clock's slip
+    (a grid step m to m+1 over which its ticks minus m change; monotone in
+    m, so bisection finds each) and around each jump (with the one before a
+    jump on the grid), and each jump off the grid: about 29 of 271 samples
+    on a reference window.  Between two kept samples no clock jumps and
+    each reads m plus a constant, so every pair's ring distance stays that
+    of the first; and each rate sequence below (e, f) falls by
+    T_H*L*rho_num per sample, so a run's first sample bounds its rises and
+    its last its running minimum.
 
     All clocks are checked at once on (side, track, sample) matrices: side 0
-    reads just before any jump at a sample, side 1 just after.  V holds the
-    ring values, U the hardware ticks plus the signed cumulative shift.  One
-    sorted key array holds every track's jumps inside [t1, t2], track k's
-    shifted by k*(t2 - t1 + 1) so the tracks never interleave; a sample's
-    position among them, plus k, indexes the offsets and shifts of all
-    tracks laid end to end, each track's led by the value carried in.  The
-    cost depends on the samples and jumps inside [t1, t2], not on the run's
-    history: checking window 1000 of a run costs the same as window 1.
+    reads just before any jump at a sample, side 1 just after.  V holds ring
+    values, U hardware ticks plus the signed cumulative shift.  Track k's
+    jumps inside [t1, t2] are keyed k*(t2 - t1 + 1) later in one sorted
+    array; a sample's position among them, plus k, indexes every track's
+    offsets and shifts laid end to end, each led by the value carried in.
 
     Returns (verdict, max precision deviation seen in ticks).
     """
@@ -748,26 +735,34 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     tau = rp.tau_max
     TH, Tm = rp.sys.T_H, rp.dv.T_max
     THL = TH.numerator * L // TH.denominator
-    wins = [_window(tr, t1, t2) for tr in tracks]
-    ts = np.arange(-(-t1 // THL) * THL, t2 + 1, THL, dtype=np.int64)
-    off_grid = {t for jt, _offs, _cum in wins for t in jt if t % THL}
-    if off_grid:
-        ts = np.sort(np.concatenate([ts, np.array(list(off_grid), dtype=np.int64)]))
-    if ts.size == 0 or not tracks:
-        return True, 0
-
+    delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
+    starts = list(range(t1, t2, delta))
+    starts += [s + delta // 2 for s in starts[:-1]]
+    stops = [min(s + delta, t2) for s in starts]
     n, span = len(tracks), t2 - t1 + 1
+    jumps, keys, offs, cums = set(), [], [], []
+    for k, tr in enumerate(tracks):
+        jt = tr.jump_times
+        lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
+        offs += [tr.jump_offsets[lo - 1] if lo else tr.offset0, *tr.jump_offsets[lo:hi]]
+        cums += [tr.jump_cum[lo - 1] if lo else 0, *tr.jump_cum[lo:hi]]
+        jumps.update(jt[lo:hi])
+        keys += [t + k * span for t in jt[lo:hi]]
+    samples = _decisive_samples(tracks, jumps, t1, t2, THL, starts + stops)
+    if not samples or not tracks:
+        return True, 0
+    ts = np.array(samples, dtype=np.int64)
+
     clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0) for tr in tracks],
                       dtype=np.int64)
     t_ref, period, h0 = clocks.T[:, :, None]
     ticks = (ts - t_ref) // period
-    keys = np.array([t + k * span for k, (jt, _o, _c) in enumerate(wins) for t in jt],
-                    dtype=np.int64)
+    # Side 0 counts a track's jumps before each sample, side 1 those at or
+    # before it: on integers, searching q + 1 is searching q to the right.
     q = ts + np.arange(0, n * span, span, dtype=np.int64)[:, None]
-    idx = np.stack([np.searchsorted(keys, q, side=s) for s in ("left", "right")])
-    idx += np.arange(n)[:, None]
-    V = (h0 + ticks + np.array([o for _j, offs, _c in wins for o in offs])[idx]) % tau
-    U = ticks + np.array([c for _j, _o, cum in wins for c in cum])[idx]
+    idx = np.searchsorted(np.array(keys, dtype=np.int64), q + _SIDES) + np.arange(n)[:, None]
+    V = (h0 + ticks + np.array(offs)[idx]) % tau
+    U = ticks + np.array(cums)[idx]
 
     max_dev = 0
     if n > 1:
@@ -783,13 +778,10 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     # reading bounds the int64 magnitudes by the span, not the run.
     pr, qr = rp.rho.numerator, rp.rho.denominator
     bound = eps0 * THL * qr
-    delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
-    starts = list(range(t1, t2, delta))
-    starts += [s + delta // 2 for s in starts[:-1]]
     U = U.transpose(1, 2, 0).reshape(n, -1)
     S = np.repeat(ts, 2)
-    for s0 in starts:
-        lo, hi = np.searchsorted(ts, s0), np.searchsorted(ts, min(s0 + delta, t2), "right")
+    for s0, stop in zip(starts, stops):
+        lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
         if hi - lo < 2:
             continue
         u = U[:, 2 * lo:2 * hi]

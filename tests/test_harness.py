@@ -358,6 +358,25 @@ class TestCampaign:
         with pytest.raises(ConfigurationError):
             run_monte_carlo(REF, [1, 2, 1])
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            run_monte_carlo(REF, [])
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_campaign_cli_refuses_no_seeds(self, count, capsys):
+        # No run, so no verdict: not "all stabilized True" with exit 0.
+        assert cli_main(["campaign", "--seeds", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a campaign needs at least one seed\n"
+
+    def test_campaign_cli_names_a_bad_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["campaign", "--seed-list", "1,x", "--horizon", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed-list: seed 'x' is not an integer" in err
+        assert "Traceback" not in err
+
     @pytest.fixture
     def setup_fails(self, monkeypatch):
         """A failure only a run can meet: the silent adversary's setup

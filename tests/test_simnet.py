@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planesync import simnet
 from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import reference_scenario, run_once
@@ -30,6 +31,7 @@ from planesync.simnet import (
     ClockTrack,
     Engine,
     HardwareClock,
+    Trace,
     World,
     derive_seed,
     sync_check,
@@ -184,7 +186,7 @@ class _DownSender(Adversary):
         def fire():
             w.faulty_sig(pf, w.engine.now)
             for i in w.honest_mes:
-                w.adv_deliver_down(pf, i, self.m, w.mes_round[(i, pf)].b_recv)
+                w.adv_deliver_down(pf, i, self.m, w.mes_round[i][pf].b_recv)
 
         w.schedule_adv(w.THL, fire)
 
@@ -279,27 +281,27 @@ class _EventDelivery(World):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for rnd in self.mes_round.values():   # no round yet: nothing is taken
-            rnd.closed = True
+        for rounds in self.mes_round:   # no round yet: nothing is taken
+            for rnd in rounds or ():
+                rnd.closed = True
 
     def send_up(self, i, p, msg, send_t):
         if p in self.faulty_planes:
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
-        arrival = send_t + self._delay(("mes", i), p)
+        arrival = send_t + self._delay(self.rp.n1 + i, p)
         self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
-        self.engine.schedule(arrival, self.rank(("mws", p)), K_DELIVER,
-                             self._deliver_up, p, send_t, i, msg)
+        self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def _on_begin_cs(self, p, rnd, t_end_cs):
         t = self.engine.now
         for i in range(self.rp.n0):
             if i in self.faulty_mes:
                 continue
-            arrival = t + self._delay(("mws", p), p)
+            arrival = t + self._delay(p, p)
             self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=rnd.c_new,
                            arrival=arrival)
-            self.engine.schedule(arrival, self.rank(("mes", i)), K_DELIVER,
+            self.engine.schedule(arrival, self.rp.n1 + i, K_DELIVER,
                                  self._deliver_down, p, i, rnd.c_new)
 
     def _on_end_mc(self, p, rnd):
@@ -307,7 +309,7 @@ class _EventDelivery(World):
         super()._on_end_mc(p, rnd)
 
     def _on_end_cr(self, i, p, rnd):
-        if self.mes_round[(i, p)] is rnd:
+        if self.mes_round[i][p] is rnd:
             rnd.closed = True
         super()._on_end_cr(i, p, rnd)
 
@@ -324,7 +326,7 @@ class _EventDelivery(World):
             rnd.relays.setdefault(i, msg)
 
     def _deliver_down(self, p, i, m):
-        rnd = self.mes_round[(i, p)]
+        rnd = self.mes_round[i][p]
         now = self.engine.now
         if getattr(rnd, "closed", False) or now < rnd.anchor:
             self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
@@ -346,10 +348,9 @@ class TestSendTimeDelivery:
             case = (name, init, seed)
             assert w.trace.records == ref.trace.records, case
             assert w.toss_log == ref.toss_log, case
-            for key, tr in w.tracks.items():
-                other = ref.tracks[key]
+            for k, (tr, other) in enumerate(zip(w.qap_tracks(), ref.qap_tracks())):
                 assert (tr.jump_times, tr.jump_offsets, tr.jump_cum) == \
-                    (other.jump_times, other.jump_offsets, other.jump_cum), (case, key)
+                    (other.jump_times, other.jump_offsets, other.jump_cum), (case, k)
             assert w.mws == ref.mws, case
             assert {i: vars(st) for i, st in w.mes.items()} == \
                 {i: vars(st) for i, st in ref.mes.items()}, case
@@ -391,7 +392,7 @@ class TestSendTimeDelivery:
                 super()._ingest_down(i, p, m)
                 if p in self.honest_planes:
                     self.ingested.append((self.engine.now, i, p, self.mes[i].h_rec[p],
-                                          self.mes_round[(i, p)].b_recv))
+                                          self.mes_round[i][p].b_recv))
 
         w = Probe(rp, LongDelay(), seed=3, init_policy="synchronized", trace_level="full")
         w.run_until_window(3)
@@ -403,7 +404,7 @@ class TestSendTimeDelivery:
         assert sorted(rec[:3] for rec in w.ingested) == arrivals
         for t, i, p, h_rec, b_recv in w.ingested:
             assert b_recv < t
-            assert h_rec == (w.clocks[("mes", i)].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
+            assert h_rec == (w.clocks[rp.n1 + i].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
 
 
 class TestRounds:
@@ -415,7 +416,7 @@ class TestRounds:
         assert all(r["c"] % RP.T == 0 for r in sigs)
         for p in w.honest_planes:
             ts = [r["t"] for r in sigs if r["plane"] == p]
-            period = w.clocks[("mws", p)].period
+            period = w.clocks[p].period
             assert len(ts) >= 4
             assert all(b - a == RP.T * period for a, b in zip(ts, ts[1:]))
 
@@ -513,7 +514,7 @@ class TestRounds:
                 if st.idle:
                     continue
                 seen += 1
-                clk = w.clocks[("mws", p)]
+                clk = w.clocks[p]
                 walked = MwsState(tau_max=st.tau_max, clock_offset=st.clock_offset,
                                   tau_idl=st.tau_idl)
                 k = clk.first_tick(0)
@@ -556,7 +557,7 @@ class TestConstruction:
         tau = RP.tau_max
         for seed in range(10):
             w = World(RP, make_adversary("silent"), seed=seed, init_policy=init)
-            assert all(0 <= clk.h0 < tau for clk in w.clocks.values())
+            assert all(0 <= clk.h0 < tau for clk in w.clocks)
             for st in w.mws.values():
                 assert 0 <= st.clock_offset < tau and 0 <= st.c_tilde_old < tau
                 assert 0 <= st.tau_idl <= tau       # tau_max is the idle sentinel
@@ -571,7 +572,7 @@ class TestConstruction:
         adv.choose_period = lambda key: 2 * RP.sys.T_H
         w = World(RP, adv, seed=1, init_policy="synchronized")
         fast = (1 + RP.rho) * RP.sys.T_H
-        assert all(c.period == w.scaled(fast) for c in w.clocks.values())
+        assert all(c.period == w.scaled(fast) for c in w.clocks)
         assert len(w.warnings) == RP.n1 + RP.n0
         assert all(m.endswith(f"adjusted to {fast}") for m in w.warnings)
 
@@ -583,7 +584,7 @@ class TestMaxSkew:
         w = World(RP, make_adversary("max_skew"), seed=1,
                   init_policy="synchronized", trace_level="off")
         a, b = w.honest_planes[:2]
-        ca, cb = w.clocks[("mws", a)], w.clocks[("mws", b)]
+        ca, cb = w.clocks[a], w.clocks[b]
         span = 10_000
         d = abs((ca.ticks_at(span * w.THL) - ca.ticks_at(0)) -
                 (cb.ticks_at(span * w.THL) - cb.ticks_at(0)))
@@ -1059,3 +1060,165 @@ class TestSyncCheckEdges:
         b.record(t=25, old=RP.eps0 + 1, new=1)
         assert self.both([a, b], 3, 5000) == (False, RP.eps0 + 1)
         assert self.both([a, b], 26, 5000) == (True, 1)
+
+
+# ---- decisive samples ---------------------------------------------------------
+#
+# The checker evaluates only the samples that can decide a window.  These
+# inputs reach what the strategies above rarely do: clocks so far from the
+# nominal rate that their ticks minus the grid index change several times a
+# window, and jumps on exactly the instants the checker keeps or skips.
+
+
+def _slips(clk: HardwareClock, t1: int, t2: int, THL: int) -> int:
+    """Grid steps m to m+1 inside [t1, t2] over which clk's ticks minus m change."""
+    g = [(m * THL - clk.t_ref) // clk.period - m for m in range(-(-t1 // THL), t2 // THL + 1)]
+    return sum(a != b for a, b in zip(g, g[1:]))
+
+
+@st.composite
+def slipping_windows(draw):
+    """1 to 4 clocks with periods up to 10% off nominal, jumping on grid
+    samples, on span starts, half-span starts and span ends, at t1 and t2,
+    and anywhere else."""
+    tau = SMALL_RP.tau_max
+    t1 = draw(st.integers(0, 3 * SMALL_DELTA))
+    t2 = t1 + draw(st.sampled_from([0, SMALL_L, SMALL_DELTA // 2, SMALL_DELTA - 1, SMALL_DELTA,
+                                    SMALL_DELTA + 1, 2 * SMALL_DELTA + SMALL_L]))
+    starts = list(range(t1, t2, SMALL_DELTA))
+    marks = [t1, t2, *starts, *(s + SMALL_DELTA // 2 for s in starts),
+             *(min(s + SMALL_DELTA, t2) for s in starts)]
+    grid = list(range(-(-t1 // SMALL_L) * SMALL_L, t2 + 1, SMALL_L)) or [t1]
+    base = draw(st.integers(0, tau - 1))
+    near = draw(st.booleans())
+    value = st.integers(0, 2).map(lambda d: (base + d) % tau) if near \
+        else st.integers(0, tau - 1)
+    tracks = []
+    for _ in range(draw(st.integers(1, 4))):
+        clk = HardwareClock(t_ref=draw(st.integers(-3 * SMALL_L, 2 * SMALL_L)),
+                            period=draw(st.integers(SMALL_L - 10, SMALL_L + 10)),
+                            h0=0 if near else draw(st.integers(0, tau - 1)), tau=tau)
+        tr = ClockTrack(clk, draw(value))
+        times = draw(st.lists(st.sampled_from(marks), max_size=4))
+        times += draw(st.lists(st.sampled_from(grid), max_size=5))
+        times += draw(st.lists(st.integers(0, t2 + SMALL_DELTA), max_size=4))
+        for t in sorted(times):
+            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
+                      new=draw(value))
+        tracks.append(tr)
+    return tracks, t1, t2, draw(st.sampled_from([None, 0, 3, 8, tau // 2]))
+
+
+def test_slipping_clocks_match_oracle_and_reference():
+    verdicts, most = set(), 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(slipping_windows())
+    def check(case):
+        nonlocal most
+        tracks, t1, t2, eps0 = case
+        got = sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
+        assert got == oracle_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
+        assert got == reference_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
+        verdicts.add(got[0])
+        most = max([most] + [_slips(tr.clock, t1, t2, SMALL_L) for tr in tracks])
+
+    check()
+    # Not vacuous: passing and failing verdicts, and clocks that slip
+    # several times in one window.
+    assert verdicts == {False, True} and most >= 5
+
+
+def test_first_side_of_a_slip_decides_a_long_run():
+    # rho = 1/10: e falls by T_H*L per grid step and rises by 9*T_H*L over
+    # the slip between samples 10 and 11 (ticks 10 -> 12).  Against sample
+    # 0, ten steps back, that rise nets -T_H*L; against sample 10 it breaks
+    # the rate condition at eps0 = 0.  Runs longer than 1/rho samples need
+    # the sample before each slip.
+    rp = resolve(dataclasses.replace(SMALL_RP.sys, rho=Fraction(1, 10)), SMALL_RP.sched)
+    tr = ClockTrack(HardwareClock(t_ref=-42, period=95, h0=0, tau=rp.tau_max), 0)
+    assert _slips(tr.clock, 0, 2000, SMALL_L) == 1
+    assert sync_check([tr], 0, 2000, rp, SMALL_L, eps0=0) == (False, 0)
+    assert oracle_sync_check([tr], 0, 2000, rp, SMALL_L, eps0=0) == (False, 0)
+    assert sync_check([tr], 0, 2000, rp, SMALL_L, eps0=1) == (True, 0)
+
+
+def test_jump_at_the_start_of_a_long_window():
+    # A window of two spans whose only jump lies on its first instant: the
+    # first span's last grid sample keeps the pre/post pair at t1 checked.
+    t1 = 3 * SMALL_L
+    tr = _const_track(SMALL_RP.tau_max, 0, period=SMALL_L)
+    tr.record(t=t1, old=0, new=SMALL_RP.eps0 + 1)
+    args = ([tr], t1, t1 + 2 * SMALL_DELTA, SMALL_RP, SMALL_L)
+    assert sync_check(*args) == oracle_sync_check(*args) == (False, 0)
+
+
+@pytest.mark.parametrize("init", ["synchronized", "random"])
+@pytest.mark.parametrize("name", ["silent", "random_noise", "max_skew", "split_brain"])
+def test_recorded_windows_evaluate_few_samples(name, init, monkeypatch):
+    # At most three samples per distinct jump instant, two per slip of a
+    # clock against the grid, and six for the ends of the window and of its
+    # rate spans; the verdicts stay the reference's.
+    counts = []
+    decisive = simnet._decisive_samples
+
+    def counted(*args):
+        out = decisive(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(simnet, "_decisive_samples", counted)
+    w = World(RP, make_adversary(name), seed=4, init_policy=init, trace_level="off")
+    tracks, slipped, grid = w.qap_tracks(), 0, 0
+    for k in range(40):
+        w.run_until_window(k + 1)
+        t1, t2 = k * w.window, (k + 1) * w.window
+        args = (tracks, t1, t2, RP, w.L)
+        assert sync_check(*args) == reference_sync_check(*args), f"window {k}"
+        jumps = len({t for tr in tracks for t in tr.jump_times if t1 <= t <= t2})
+        slips = sum(_slips(tr.clock, t1, t2, w.THL) for tr in tracks)
+        assert counts[-1] <= 3 * jumps + 2 * slips + 6, (k, counts[-1], jumps, slips)
+        slipped += slips
+        grid += t2 // w.THL - -(-t1 // w.THL) + 1
+    w.close()
+    assert len(counts) == 40 and sum(counts) < grid / 4
+    if name == "max_skew":
+        assert slipped > 0      # clocks at the drift bound slip against the grid
+
+
+# ---- trace levels ---------------------------------------------------------------
+
+
+FULL_ONLY = {"send_up", "send_down", "recv_down", "drop_up", "drop_down"}
+
+
+@pytest.mark.parametrize("init", ["synchronized", "random"])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_untraced_run_builds_no_record(name, init, monkeypatch):
+    def refuse(self, core, **rec):
+        raise AssertionError(f"trace record built at level off: {rec}")
+
+    monkeypatch.setattr(Trace, "add", refuse)
+    sc = reference_scenario(adversary=name, init=init, horizon=20, stop_after_confirm=False)
+    assert run_once(sc, 1).windows_run == 20
+
+
+def test_core_trace_builds_no_full_only_record(monkeypatch):
+    calls = []
+    add = Trace.add
+
+    def spy(self, core, **rec):
+        calls.append((self.level, core))
+        add(self, core, **rec)
+
+    monkeypatch.setattr(Trace, "add", spy)
+    seen = {"core": set(), "full": set()}
+    adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS), _LateSender]
+    for adversary, init, level in itertools.product(adversaries, ("synchronized", "random"),
+                                                    ("core", "full")):
+        w = World(RP, adversary(), seed=2, init_policy=init, trace_level=level)
+        w.run_until_window(20)
+        seen[level] |= {r["ev"] for r in w.trace.records}
+    assert seen["core"] and seen["core"].isdisjoint(FULL_ONLY)
+    assert seen["full"] == seen["core"] | FULL_ONLY     # each full-only kind occurs
+    assert all(core for level, core in calls if level == "core")
