@@ -5,6 +5,7 @@ An adversary owns every nondeterministic knob of a run: per-node tick rates
 per-member round-start skews in [0, eps_rnd], and the complete behavior of
 faulty components.  All rates are quantized so event timestamps stay on the
 global subtick grid; delays and skews are chosen as integer quantum counts.
+A node is named by its engine rank: plane p is p, terminal i is n1 + i.
 
 Faulty planes act through three World hooks: faulty_sig starts a round at
 the terminals, adv_deliver_down injects arbitrary per-recipient clock
@@ -50,16 +51,16 @@ class Adversary:
 
     # -- physical knobs ------------------------------------------------------
 
-    def choose_period(self, key) -> Fraction:
+    def choose_period(self, rank: int) -> Fraction:
         return self.rp.sys.T_H
 
-    def choose_phase(self, key) -> int:
+    def choose_phase(self, rank: int) -> int:
         return self.rng.randrange(QUANT)
 
     def choose_skew(self, i: int, p: int) -> int:
         return self.rng.randrange(QUANT + 1)
 
-    def choose_delay(self, sender, p: int) -> int:
+    def choose_delay(self, sender: int, p: int) -> int:
         return self.rng.randrange(1, QUANT + 1)
 
     # -- faulty-component behavior -------------------------------------------
@@ -88,14 +89,12 @@ class RandomNoise(Adversary):
         super().bind(world)
         frac = self.rp.rho * DRIFT_DENOM
         span = int(frac)  # rho is validated rational with denominator | DRIFT_DENOM
-        self._rates = {}
-        for key in [("mws", q) for q in range(self.rp.n1)] + \
-                    [("mes", j) for j in range(self.rp.n0)]:
-            r = self.rng.randint(-span, span)
-            self._rates[key] = self.rp.sys.T_H * Fraction(DRIFT_DENOM + r, DRIFT_DENOM)
+        T_H = self.rp.sys.T_H
+        self._rates = [T_H * Fraction(DRIFT_DENOM + self.rng.randint(-span, span), DRIFT_DENOM)
+                       for _rank in range(self.rp.n1 + self.rp.n0)]
 
-    def choose_period(self, key) -> Fraction:
-        return self._rates[key]
+    def choose_period(self, rank: int) -> Fraction:
+        return self._rates[rank]
 
     def setup(self) -> None:
         for p in sorted(self.world.faulty_planes):
@@ -148,19 +147,17 @@ class MaxSkew(Adversary):
 
     name = "max_skew"
 
-    def choose_period(self, key) -> Fraction:
-        T_H, rho = self.rp.sys.T_H, self.rp.rho
-        kind, idx = key
-        ranked = sorted(self.world.honest_planes) if kind == "mws" else \
-            sorted(self.world.honest_mes)
-        if idx not in ranked:
+    def choose_period(self, rank: int) -> Fraction:
+        T_H, rho, n1, w = self.rp.sys.T_H, self.rp.rho, self.rp.n1, self.world
+        ranked = w.honest_planes if rank < n1 else [n1 + i for i in w.honest_mes]
+        if rank not in ranked:
             return T_H
-        return T_H * (1 + rho) if ranked.index(idx) % 2 == 0 else T_H * (1 - rho)
+        return T_H * (1 + rho) if ranked.index(rank) % 2 == 0 else T_H * (1 - rho)
 
     def choose_skew(self, i: int, p: int) -> int:
         return QUANT if (i + p) % 2 == 0 else 0
 
-    def choose_delay(self, sender, p: int) -> int:
+    def choose_delay(self, sender: int, p: int) -> int:
         return QUANT
 
 

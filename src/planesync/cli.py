@@ -24,6 +24,7 @@ from .harness import (
     run_once,
 )
 from .params import SCENARIO_ENV_VAR
+from .simnet import INIT_POLICIES, TRACE_LEVELS
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
@@ -163,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if overrides:
             p.add_argument("--horizon", type=int, help="max windows to simulate")
             p.add_argument("--adversary", help="override the adversary strategy")
-            p.add_argument("--init", choices=["random", "synchronized"],
+            p.add_argument("--init", choices=INIT_POLICIES,
                            help="override the initial-state policy")
 
     def formatted(p):
@@ -181,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     config(p)
     formatted(p)
     seeded(p)
-    p.add_argument("--trace-level", choices=["off", "core", "full"],
+    p.add_argument("--trace-level", choices=TRACE_LEVELS,
                    dest="trace_level", help="override the trace detail level")
     p.add_argument("--out", help="directory for the result and trace files")
     p.set_defaults(fn=_cmd_run)
@@ -207,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     config(p)
     seeded(p)
     p.add_argument("--trace", required=True, help="trace file from a previous run")
-    p.add_argument("--trace-level", choices=["core", "full"],
+    p.add_argument("--trace-level", choices=TRACE_LEVELS[1:],     # every level but off
                    dest="trace_level", help="detail level of the recorded trace")
     p.set_defaults(fn=_cmd_replay)
     return ap

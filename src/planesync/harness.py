@@ -16,8 +16,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
-from functools import cached_property
+from dataclasses import dataclass, asdict, field
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -29,12 +28,11 @@ from .params import (
     SystemParams,
     TTSchedule,
     as_int,
-    as_mapping,
+    checked_section,
     load_config_doc,
     parse_schedule_section,
     parse_system_section,
     resolve,
-    validate,
 )
 from .protocol import grandmaster_toss
 from .simnet import INIT_POLICIES, TRACE_LEVELS, World, derive_seed, sync_check
@@ -57,7 +55,6 @@ __all__ = [
 
 
 _SECTIONS = {"system", "schedule", "adversary", "init", "run"}
-_ADVERSARY_KEYS = {"name", "params"}
 _RUN_KEYS = {"horizon", "confirm", "stop_after_confirm", "trace", "eps0_check"}
 
 
@@ -74,11 +71,12 @@ class Scenario:
     stop_after_confirm: bool = True
     eps0_check: Optional[int] = None    # precision bound checked; default eps0
     trace_level: str = "off"
+    # Resolved once, which checks every static invariant; every run of a
+    # campaign reads this one.
+    resolved: Resolved = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        report = validate(self.params, self.sched)
-        if not report.ok:
-            raise ConfigurationError(f"scenario rejected: {report}")
+        object.__setattr__(self, "resolved", resolve(self.params, self.sched))
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1: {self.horizon}")
         if self.confirm is not None and self.confirm < 1:
@@ -91,13 +89,6 @@ class Scenario:
         if self.trace_level not in TRACE_LEVELS:
             raise ConfigurationError(f"unknown trace level {self.trace_level!r}")
 
-    @cached_property
-    def resolved(self) -> Resolved:
-        """The resolved bundle, computed on first use and kept: every run of
-        a campaign reads the same one.  (cached_property writes the instance
-        dict directly, which a frozen dataclass allows.)"""
-        return resolve(self.params, self.sched)
-
     def confirm_windows(self, rp: Resolved) -> int:
         return self.confirm if self.confirm is not None else rp.dv.g0 + 1
 
@@ -106,50 +97,36 @@ class Scenario:
         unknown = set(doc) - _SECTIONS
         if unknown:
             raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
-        params = parse_system_section(doc.get("system", {}))
-        sched = parse_schedule_section(doc.get("schedule", {}))
-        kwargs: dict = {"params": params, "sched": sched}
-        adv = _optional_section(doc, "adversary")
-        if adv:
-            unknown = set(adv) - _ADVERSARY_KEYS
-            if unknown:
-                raise ConfigurationError(f"unknown adversary keys: {sorted(unknown)}")
-            if adv.get("params"):
-                raise ConfigurationError("adversary params: no built-in adversary takes parameters")
-            name = adv.get("name", "silent")
-            if not isinstance(name, str):
-                raise ConfigurationError(f"adversary name must be a string: {name!r}")
-            kwargs["adversary"] = name
+        kwargs: dict = {"params": parse_system_section(doc.get("system", {})),
+                        "sched": parse_schedule_section(doc.get("schedule", {}))}
+        adv = checked_section(doc.get("adversary"), "adversary", ("name", "params"),
+                              optional=True)
+        if adv.get("params"):
+            raise ConfigurationError("adversary params: no built-in adversary takes parameters")
+        if "name" in adv:
+            if not isinstance(adv["name"], str):
+                raise ConfigurationError(f"adversary name must be a string: {adv['name']!r}")
+            kwargs["adversary"] = adv["name"]
         if "init" in doc:
             kwargs["init"] = doc["init"]
-        run = _optional_section(doc, "run")
-        if run:
-            unknown = set(run) - _RUN_KEYS
-            if unknown:
-                raise ConfigurationError(f"unknown run keys: {sorted(unknown)}")
-            for k in ("horizon", "confirm", "eps0_check"):
-                if run.get(k) is not None:
-                    kwargs[k] = as_int(run[k], f"run key {k}")
-            stop = run.get("stop_after_confirm")
-            if stop is not None:
-                if not isinstance(stop, bool):
-                    raise ConfigurationError(
-                        f"run key stop_after_confirm must be true or false: {stop!r}")
-                kwargs["stop_after_confirm"] = stop
-            if run.get("trace") is not None:
-                kwargs["trace_level"] = run["trace"]
+        run = checked_section(doc.get("run"), "run", _RUN_KEYS, optional=True)
+        for k in ("horizon", "confirm", "eps0_check"):
+            if run.get(k) is not None:
+                kwargs[k] = as_int(run[k], f"run key {k}")
+        stop = run.get("stop_after_confirm")
+        if stop is not None:
+            if not isinstance(stop, bool):
+                raise ConfigurationError(
+                    f"run key stop_after_confirm must be true or false: {stop!r}")
+            kwargs["stop_after_confirm"] = stop
+        if run.get("trace") is not None:
+            kwargs["trace_level"] = run["trace"]
         kwargs.update(overrides)
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: Optional[str] = None, **overrides) -> "Scenario":
         return cls.from_doc(load_config_doc(path), **overrides)
-
-
-def _optional_section(doc: dict, key: str) -> dict:
-    """An optional scenario section: a mapping, or null or absent for none."""
-    section = doc.get(key)
-    return {} if section is None else as_mapping(section, f"{key} section")
 
 
 def reference_scenario(**overrides) -> Scenario:
@@ -238,7 +215,8 @@ def resync_points(toss_log: list[tuple[int, int, int, int]],
 def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunResult:
     """Simulate one seed; see RunResult for the verdict semantics."""
     rp = sc.resolved
-    level = sc.trace_level if trace_path is None else \
+    # A trace is built only to be written, at level core or finer.
+    level = "off" if trace_path is None else \
         (sc.trace_level if sc.trace_level != "off" else "core")
     world = World(rp, make_adversary(sc.adversary), seed=seed, init_policy=sc.init,
                   trace_level=level)
@@ -503,6 +481,8 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
     """
     if not seeds:
         raise ConfigurationError("a campaign needs at least one seed")
+    if jobs < 1:
+        raise ConfigurationError(f"a campaign needs at least one worker process: {jobs}")
     if len(seeds) != len(set(seeds)):
         raise ConfigurationError("duplicate seeds in campaign")
     rp = sc.resolved

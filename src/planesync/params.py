@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 import yaml
 
@@ -22,7 +22,7 @@ from .ring import wrap_sub
 __all__ = [
     "as_fraction",
     "as_int",
-    "as_mapping",
+    "checked_section",
     "SystemParams",
     "TTSchedule",
     "DerivedParams",
@@ -62,14 +62,6 @@ def as_int(x: Any, what: str) -> int:
     included, is refused with a message naming what x is."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ConfigurationError(f"{what} must be an integer: {x!r}")
-    return x
-
-
-def as_mapping(x: Any, what: str) -> dict:
-    """x itself if it is a mapping; anything else is refused with a message
-    naming what x is."""
-    if not isinstance(x, dict):
-        raise ConfigurationError(f"{what} must be a mapping: {x!r}")
     return x
 
 
@@ -143,6 +135,9 @@ class DerivedParams:
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...] = ()
+    # What the invariants were checked against, for derive; None where undefined.
+    d_max_ticks: int | None = field(default=None, repr=False, compare=False)
+    eps: tuple[int, int, int] | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if self.ok:
@@ -154,7 +149,7 @@ def _d_max_ticks(p: SystemParams) -> int:
     return math.ceil(Fraction(p.d_max) / ((1 - p.rho) * p.T_H))
 
 
-def _resolve_eps(p: SystemParams) -> tuple[int, int, int]:
+def _resolve_eps(p: SystemParams, dmt: int) -> tuple[int, int, int]:
     """Defaults: eps0 from the precision claim, eps1/eps2 from their orders.
 
     eps1 and eps2 are mutually dependent through T = T0 + eps2, so the
@@ -162,7 +157,6 @@ def _resolve_eps(p: SystemParams) -> tuple[int, int, int]:
         eps1 = 2*eps0 + 4*rho*(T0 + 2*eps1) + 2*d_max_ticks,  eps2 = 2*eps1
     exactly and rounds up to ticks.  Requires rho < 1/8.
     """
-    dmt = _d_max_ticks(p)
     eps0 = p.eps0 if p.eps0 is not None else math.ceil(3 * (1 + p.rho) * dmt)
     if p.eps1 is not None:
         eps1 = p.eps1
@@ -207,9 +201,17 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
         v.append(f"q0 outside [0,1]: {p.q0}")
     if p.p0 is not None and not (0 <= p.p0 <= 1):
         v.append(f"p0 outside [0,1]: {p.p0}")
+    b = sched.bounds()
+    if any(x < 0 for x in b) or b[-1] > p.T0:
+        v.append(f"schedule must lie within [0, T0={p.T0}]: {b}")
+    if b != sorted(b):
+        v.append(f"schedule slot ordering violated: {b}")
+    if p.T_H <= 0 or not 0 <= p.rho < 1:
+        return ValidationReport(ok=False, violations=tuple(v))   # no tick count exists
 
+    dmt, eps = _d_max_ticks(p), None
     try:
-        eps0, eps1, eps2 = _resolve_eps(p)
+        eps0, eps1, eps2 = eps = _resolve_eps(p, dmt)
         if not (eps2 >= eps1 >= eps0 > 0):
             v.append(f"eps2 >= eps1 >= eps0 > 0 violated: {eps0}, {eps1}, {eps2}")
         T = p.T0 + eps2
@@ -217,13 +219,6 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
             v.append(f"tau_max >= 4T violated: tau_max={p.tau_max}, T={T}")
     except ConfigurationError as e:
         v.append(str(e))
-
-    b = sched.bounds()
-    if any(x < 0 for x in b) or b[-1] > p.T0:
-        v.append(f"schedule must lie within [0, T0={p.T0}]: {b}")
-    if b != sorted(b):
-        v.append(f"schedule slot ordering violated: {b}")
-    dmt = _d_max_ticks(p)
     if sched.mc_recv[1] - sched.vc_send[0] <= dmt:
         v.append(
             "vc_send->mc_recv gap must exceed "
@@ -234,7 +229,7 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
             "c_send->c_recv gap must exceed "
             f"d_max ticks ({dmt}): {sched.c_send} -> {sched.c_recv}"
         )
-    return ValidationReport(ok=not v, violations=tuple(v))
+    return ValidationReport(ok=not v, violations=tuple(v), d_max_ticks=dmt, eps=eps)
 
 
 def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
@@ -248,8 +243,7 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
         raise ConfigurationError(str(rep))
     p = params
     warnings: list[str] = []
-    dmt = _d_max_ticks(p)
-    eps0, eps1, eps2 = _resolve_eps(p)
+    dmt, (eps0, eps1, eps2) = rep.d_max_ticks, rep.eps
     T = p.T0 + eps2
 
     if p.f0 == 0:
@@ -347,25 +341,26 @@ def resolve(params: SystemParams, sched: TTSchedule) -> Resolved:
     return Resolved(sys=params, sched=sched, dv=derive(params, sched))
 
 
-_SYSTEM_KEYS = {
-    "n0", "n1", "f0", "f1", "tau_max", "T_H", "rho", "d_max", "T0", "a0",
-    "eps0", "eps1", "eps2", "eps_rnd", "q0", "p0",
-}
-_FRACTION_KEYS = {"T_H", "rho", "d_max", "eps_rnd", "q0", "p0"}
-_SCHEDULE_KEYS = {"vc_send", "mc_recv", "c_send", "c_recv"}
-
-
-def parse_system_section(data: dict) -> SystemParams:
-    unknown = set(as_mapping(data, "system section")) - _SYSTEM_KEYS
+def checked_section(data: Any, name: str, keys: Iterable[str], optional: bool = False) -> dict:
+    """Config section `name` as a mapping whose keys all lie in `keys`; an
+    optional section may also be null, which means empty."""
+    if optional and data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{name} section must be a mapping: {data!r}")
+    unknown = data.keys() - set(keys)
     if unknown:
-        raise ConfigurationError(f"unknown system keys: {sorted(unknown)}")
-    derived = {f.name for f in fields(SystemParams) if f.default is None}
+        raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
+    return data
+
+
+def parse_system_section(data: Any) -> SystemParams:
     kwargs: dict[str, Any] = {}
-    for k in _SYSTEM_KEYS & set(data):
-        val = data[k]
-        if val is None and k in derived:
+    fs = {f.name: f for f in fields(SystemParams)}
+    for k, val in checked_section(data, "system", fs).items():
+        if val is None and fs[k].default is None:     # a derived default
             kwargs[k] = None
-        elif k in _FRACTION_KEYS:
+        elif "Fraction" in fs[k].type:
             try:
                 kwargs[k] = as_fraction(val)
             except ConfigurationError as e:
@@ -378,15 +373,13 @@ def parse_system_section(data: dict) -> SystemParams:
         raise ConfigurationError(f"bad system section: {e}") from e
 
 
-def parse_schedule_section(data: dict) -> TTSchedule:
-    unknown = set(as_mapping(data, "schedule section")) - _SCHEDULE_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown schedule keys: {sorted(unknown)}")
-    missing = _SCHEDULE_KEYS - set(data)
+def parse_schedule_section(data: Any) -> TTSchedule:
+    names = [f.name for f in fields(TTSchedule)]
+    missing = set(names) - checked_section(data, "schedule", names).keys()
     if missing:
         raise ConfigurationError(f"missing schedule keys: {sorted(missing)}")
     slots = {}
-    for k in _SCHEDULE_KEYS:
+    for k in names:
         pair = data[k]
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigurationError(f"schedule slot {k} must be [begin, end]: {pair!r}")

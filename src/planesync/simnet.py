@@ -147,28 +147,24 @@ class HardwareClock:
 @dataclass
 class ClockTrack:
     """Sampling view of one node's adjusted clock: the hardware staircase
-    plus the step function of applied offsets."""
+    plus the step function of applied offsets.  The offset after a jump is
+    (offset0 + cum) mod tau, where cum is the signed sum of the jumps so
+    far, each taken the shorter way round the ring."""
 
     clock: HardwareClock
     offset0: int
     jump_times: list[int] = field(default_factory=list)
-    jump_offsets: list[int] = field(default_factory=list)
-    jump_cum: list[int] = field(default_factory=list)  # signed cumulative shift
+    jump_cum: list[int] = field(default_factory=list)
 
-    def record(self, t: int, old: int, new: int) -> None:
+    def record(self, t: int, new: int) -> None:
+        """A jump at instant t from the offset in force to `new`."""
         tau = self.clock.tau
-        delta = (new - old) % tau
+        prev = self.jump_cum[-1] if self.jump_cum else 0
+        delta = (new - self.offset0 - prev) % tau
         if delta > tau // 2:
             delta -= tau
-        prev = self.jump_cum[-1] if self.jump_cum else 0
         self.jump_times.append(t)
-        self.jump_offsets.append(new)
         self.jump_cum.append(prev + delta)
-
-    def value_at(self, t: int, side: str = "right") -> int:
-        idx = (bisect_right if side == "right" else bisect_left)(self.jump_times, t)
-        offset = self.jump_offsets[idx - 1] if idx else self.offset0
-        return (self.clock.h_at(t) + offset) % self.clock.tau
 
 
 class Trace:
@@ -242,7 +238,6 @@ class World:
 
         n0, n1 = rp.n0, rp.n1
         self._n1 = n1
-        self._keys = [("mws", p) for p in range(n1)] + [("mes", i) for i in range(n0)]
         self.faulty_planes = set(range(n1 - rp.f1, n1))
         self.faulty_mes = set(range(n0 - rp.f0, n0))
         self.honest_planes = [p for p in range(n1) if p not in self.faulty_planes]
@@ -259,9 +254,9 @@ class World:
         adversary.bind(self)
         try:
             periods, phases = [], []
-            for key in self._keys:
-                periods.append(self._quantize_period(adversary.choose_period(key)))
-                phases.append(Fraction(adversary.choose_phase(key) % QUANT, QUANT))
+            for rank in range(n1 + n0):
+                periods.append(self._quantize_period(adversary.choose_period(rank)))
+                phases.append(Fraction(adversary.choose_phase(rank) % QUANT, QUANT))
             atoms = [rp.sys.T_H, Fraction(rp.sys.T_H, QUANT), Fraction(rp.sys.d_max, QUANT)]
             if eps_rnd > 0:
                 atoms.append(Fraction(eps_rnd, QUANT))
@@ -408,14 +403,16 @@ class World:
 
     def _delay(self, sender: int, p: int) -> int:
         """Delay of a message from the node of rank `sender` over plane p."""
-        k = self.adversary.choose_delay(self._keys[sender], p)
+        k = self.adversary.choose_delay(sender, p)
         return min(max(int(k), 1), QUANT) * self.delay_quantum
 
     def _record_adjust(self, rank: int, old: int, new: int) -> None:
         now = self.engine.now
-        self.tracks[rank].record(now, old, new)
+        self.tracks[rank].record(now, new)
         if self._trace_core:
-            self.trace.add(True, ev="adjust", t=now, node=list(self._keys[rank]),
+            n1 = self._n1
+            self.trace.add(True, ev="adjust", t=now,
+                           node=["mws", rank] if rank < n1 else ["mes", rank - n1],
                            old=old, new=new)
 
     # ---- plane (MWS) round machinery --------------------------------------
@@ -636,7 +633,7 @@ class World:
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
-        self.engine.schedule(max(t, self.engine.now), len(self._keys), K_ADV, fn)
+        self.engine.schedule(max(t, self.engine.now), self._n1 + self.rp.n0, K_ADV, fn)
 
     # ---- runs ---------------------------------------------------------------
 
@@ -673,12 +670,9 @@ def _decisive_samples(tracks: list[ClockTrack], jumps: set[int], t1: int, t2: in
                       THL: int, ends: list[int]) -> list[int]:
     """The instants in [t1, t2] that can decide sync_check (see there), sorted;
     `jumps` holds the jumps inside [t1, t2], `ends` the rate spans' ends."""
-    keep = set()
-    for t in (t1, t2, *ends):
+    keep = set(jumps)
+    for t in (t1, t2, *ends, *jumps):
         keep.update((-(-t // THL) * THL, t // THL * THL))
-    for t in jumps:
-        r = t % THL
-        keep.update((t - THL, t) if r == 0 else (t - r, t, t - r + THL))
     m_lo, m_hi = -(-t1 // THL), t2 // THL        # grid indices inside [t1, t2]
     for tr in tracks:
         t_ref, period = tr.clock.t_ref, tr.clock.period
@@ -709,23 +703,24 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     and none beyond T_max is required; the last aligned span ends at t2,
     and its half-shifted span, inside it, is skipped.
 
-    Only the samples that can decide are evaluated: the grid samples at the
-    ends of [t1, t2] and of each span, on both sides of each clock's slip
+    Only the samples that can decide are evaluated: each jump, the grid
+    samples at the floor and ceiling of each jump and of the ends of
+    [t1, t2] and of each span, and those on both sides of each clock's slip
     (a grid step m to m+1 over which its ticks minus m change; monotone in
-    m, so bisection finds each) and around each jump (with the one before a
-    jump on the grid), and each jump off the grid: about 29 of 271 samples
-    on a reference window.  Between two kept samples no clock jumps and
+    m, so bisection finds each): about 29 of 271 samples on a reference
+    window.  Between two kept samples no clock jumps and
     each reads m plus a constant, so every pair's ring distance stays that
     of the first; and each rate sequence below (e, f) falls by
     T_H*L*rho_num per sample, so a run's first sample bounds its rises and
     its last its running minimum.
 
     All clocks are checked at once on (side, track, sample) matrices: side 0
-    reads just before any jump at a sample, side 1 just after.  V holds ring
-    values, U hardware ticks plus the signed cumulative shift.  Track k's
-    jumps inside [t1, t2] are keyed k*(t2 - t1 + 1) later in one sorted
-    array; a sample's position among them, plus k, indexes every track's
-    offsets and shifts laid end to end, each led by the value carried in.
+    reads just before any jump at a sample, side 1 just after.  U holds
+    hardware ticks plus the signed cumulative shift, V the ring values
+    (h0 + offset0 + U) mod tau.  Track k's jumps inside [t1, t2] are keyed
+    k*(t2 - t1 + 1) later in one sorted array; a sample's position among
+    them, plus k, indexes every track's shifts laid end to end, each led by
+    the shift carried in.
 
     Returns (verdict, max precision deviation seen in ticks).
     """
@@ -740,11 +735,10 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     starts += [s + delta // 2 for s in starts[:-1]]
     stops = [min(s + delta, t2) for s in starts]
     n, span = len(tracks), t2 - t1 + 1
-    jumps, keys, offs, cums = set(), [], [], []
+    jumps, keys, cums = set(), [], []
     for k, tr in enumerate(tracks):
         jt = tr.jump_times
         lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
-        offs += [tr.jump_offsets[lo - 1] if lo else tr.offset0, *tr.jump_offsets[lo:hi]]
         cums += [tr.jump_cum[lo - 1] if lo else 0, *tr.jump_cum[lo:hi]]
         jumps.update(jt[lo:hi])
         keys += [t + k * span for t in jt[lo:hi]]
@@ -753,16 +747,16 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
         return True, 0
     ts = np.array(samples, dtype=np.int64)
 
-    clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0) for tr in tracks],
-                      dtype=np.int64)
-    t_ref, period, h0 = clocks.T[:, :, None]
+    clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0 + tr.offset0)
+                       for tr in tracks], dtype=np.int64)
+    t_ref, period, base = clocks.T[:, :, None]
     ticks = (ts - t_ref) // period
     # Side 0 counts a track's jumps before each sample, side 1 those at or
     # before it: on integers, searching q + 1 is searching q to the right.
     q = ts + np.arange(0, n * span, span, dtype=np.int64)[:, None]
     idx = np.searchsorted(np.array(keys, dtype=np.int64), q + _SIDES) + np.arange(n)[:, None]
-    V = (h0 + ticks + np.array(offs)[idx]) % tau
     U = ticks + np.array(cums)[idx]
+    V = (base + U) % tau
 
     max_dev = 0
     if n > 1:

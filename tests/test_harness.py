@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from planesync import adversaries, harness, params
+from planesync import adversaries, harness, params, simnet
 from planesync.cli import main as cli_main
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import (
@@ -53,6 +53,22 @@ class TestScenario:
         assert sc.resolved == resolve(sc.params, sc.sched)
         other = dataclasses.replace(sc, horizon=5)
         assert other.resolved is not sc.resolved and other.resolved == sc.resolved
+
+    def test_invariants_checked_and_eps_resolved_once(self, monkeypatch):
+        # Resolving checks the invariants; derive reuses the eps values and
+        # the d_max tick count that check resolved.
+        calls = {"validate": 0, "_resolve_eps": 0}
+        for name in calls:
+            real = getattr(params, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(params, name, counted)
+        sc = Scenario.from_file("scenarios/reference.yaml")
+        assert calls == {"validate": 1, "_resolve_eps": 1}
+        assert sc.resolved == RP and sc.resolved is sc.resolved
+        assert calls == {"validate": 1, "_resolve_eps": 1}
 
     def test_confirm_default_is_g0_plus_1(self):
         assert REF.confirm_windows(RP) == G0 + 1
@@ -180,6 +196,17 @@ class TestResyncPoints:
 
 
 class TestRunOnce:
+    def test_trace_built_only_to_be_written(self, monkeypatch, tmp_path):
+        def refuse(self, core, **rec):
+            raise AssertionError(f"trace record built with no trace file: {rec}")
+
+        sc = scenario(trace_level="full", horizon=3)
+        path = tmp_path / "trace.jsonl"
+        run_once(sc, 1, trace_path=str(path))
+        assert path.read_text()
+        monkeypatch.setattr(simnet.Trace, "add", refuse)
+        assert run_once(sc, 1).windows_run == 3
+
     def test_synchronized_fault_free_start_is_stable_from_window_zero(self):
         sc = scenario(init="synchronized", horizon=G0 + 3)
         for seed in (0, 1, 2):
@@ -362,6 +389,15 @@ class TestCampaign:
         with pytest.raises(ConfigurationError, match="at least one seed"):
             run_monte_carlo(REF, [])
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_campaign_needs_a_worker(self, jobs, capsys):
+        with pytest.raises(ConfigurationError, match="at least one worker process"):
+            run_monte_carlo(REF, [0], jobs=jobs)
+        assert cli_main(["campaign", "--seeds", "2", "--jobs", str(jobs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and \
+            err == f"error: a campaign needs at least one worker process: {jobs}\n"
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_campaign_cli_refuses_no_seeds(self, count, capsys):
         # No run, so no verdict: not "all stabilized True" with exit 0.
@@ -424,6 +460,14 @@ class TestCampaign:
 class TestValidateCli:
     def test_reference_passes(self, capsys):
         assert cli_main(["validate", "-c", "scenarios/reference.yaml"]) == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    @pytest.mark.parametrize("path", [*sorted(map(str, Path("scenarios").glob("*.yaml"))),
+                                      "bench/record_replay.yaml"])
+    def test_committed_scenario_files_pass(self, path, capsys):
+        # The benchmark's scenario too: a schema change that rejected it
+        # would otherwise show up only in the benchmark.
+        assert cli_main(["validate", "-c", path]) == 0
         assert capsys.readouterr().out == "pass\n"
 
     @pytest.mark.parametrize("edit, why", [

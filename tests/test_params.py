@@ -1,6 +1,7 @@
 """Parameter validation, derivation, and config parsing tests."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,16 @@ class TestValidate:
     def test_schedule_ordering(self):
         bad = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(28, 48))
         assert not validate(make_params(), bad).ok
+
+    @pytest.mark.parametrize("over, why", [({"rho": Fraction(1)}, "rho must be in [0,1)"),
+                                           ({"T_H": Fraction(0)}, "T_H must be positive")])
+    def test_no_tick_scale_reported_not_raised(self, over, why):
+        # The d_max tick count divides by (1 - rho)*T_H: without one, the
+        # checks that need it are skipped, not crashed into.
+        rep = validate(make_params(**over), SCHED)
+        assert not rep.ok and any(why in v for v in rep.violations)
+        with pytest.raises(ConfigurationError, match=re.escape(why)):
+            resolve(make_params(**over), SCHED)
 
     def test_small_tau_max(self):
         rep = validate(make_params(tau_max=128), SCHED)

@@ -349,8 +349,8 @@ class TestSendTimeDelivery:
             assert w.trace.records == ref.trace.records, case
             assert w.toss_log == ref.toss_log, case
             for k, (tr, other) in enumerate(zip(w.qap_tracks(), ref.qap_tracks())):
-                assert (tr.jump_times, tr.jump_offsets, tr.jump_cum) == \
-                    (other.jump_times, other.jump_offsets, other.jump_cum), (case, k)
+                assert (tr.jump_times, tr.jump_cum) == \
+                    (other.jump_times, other.jump_cum), (case, k)
             assert w.mws == ref.mws, case
             assert {i: vars(st) for i, st in w.mes.items()} == \
                 {i: vars(st) for i, st in ref.mes.items()}, case
@@ -369,8 +369,8 @@ class TestSendTimeDelivery:
         rp = resolve(dataclasses.replace(RP.sys, d_max=Fraction(4)), sched)
 
         class LongDelay(Adversary):
-            def choose_period(self, key):
-                return rp.sys.T_H * (1 + rp.rho if key[0] == "mws" else 1 - rp.rho)
+            def choose_period(self, rank):
+                return rp.sys.T_H * (1 + rp.rho if rank < rp.n1 else 1 - rp.rho)
 
             def choose_skew(self, i, p):
                 return 0
@@ -686,8 +686,8 @@ class TestSyncCheck:
 
     def test_transient_jump_between_grid_points_caught(self):
         a, b = _const_track(4096, 0), _const_track(4096, 0)
-        b.record(t=23, old=0, new=RP.eps0 + 5)   # off-grid excursion
-        b.record(t=27, old=RP.eps0 + 5, new=0)   # back before the next sample
+        b.record(t=23, new=RP.eps0 + 5)   # off-grid excursion
+        b.record(t=27, new=0)   # back before the next sample
         ok, dev = sync_check([a, b], 0, 5000, RP, self.L)
         assert not ok and dev == RP.eps0 + 5
 
@@ -698,7 +698,7 @@ class TestSyncCheck:
         step = 4 * RP.eps0
         for j in range(1, 8):
             t = j * (RP.T * self.L) // 4
-            tr.record(t=t, old=(j - 1) * step % 4096, new=j * step % 4096)
+            tr.record(t=t, new=j * step % 4096)
         ok, _dev = sync_check([tr], 0, 3 * RP.T * self.L, RP, self.L)
         assert not ok
 
@@ -707,7 +707,7 @@ class TestSyncCheck:
         step = 4 * RP.eps0
         for j in range(1, 8):
             t = j * (RP.T * self.L) // 4
-            tr.record(t=t, old=-(j - 1) * step % 4096, new=-j * step % 4096)
+            tr.record(t=t, new=-j * step % 4096)
         ok, _dev = sync_check([tr], 0, 3 * RP.T * self.L, RP, self.L)
         assert not ok
 
@@ -719,8 +719,8 @@ class TestSyncCheck:
         t1 = 3 * delta
         tr = _const_track(4096, 0)
         t = t1 + int(where * delta)
-        tr.record(t=t, old=0, new=2 * RP.eps0)
-        tr.record(t=t + 5, old=2 * RP.eps0, new=0)
+        tr.record(t=t, new=2 * RP.eps0)
+        tr.record(t=t + 5, new=0)
         assert sync_check([tr], t1, t1 + delta, RP, self.L) == (False, 0)
         assert sync_check([tr], t1, t1 + delta, RP, self.L) == \
             reference_sync_check([tr], t1, t1 + delta, RP, self.L)
@@ -755,7 +755,8 @@ def oracle_sync_check(tracks, t1, t2, rp, L, eps0=None):
     max_dev = 0
     for t in samples:
         for side in ("left", "right"):
-            vals = [tr.value_at(t, side) for tr in tracks]
+            vals = [(tr.clock.h0 + tr.offset0 + _cum_at(tr, t, side)) % tr.clock.tau
+                    for tr in tracks]
             for a, b in itertools.combinations(vals, 2):
                 max_dev = max(max_dev, ring_dist(a, b, rp.tau_max))
     if max_dev > eps0:
@@ -819,8 +820,7 @@ def checked_windows(draw):
         # window is arbitrary; jumps shortly before t1 can bring it back.
         for t in sorted(times):
             new = draw(st.integers(0, tau - 1) if t < t1 - 4 * SMALL_L else offset)
-            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
-                      new=new)
+            tr.record(t=t, new=new)
         tracks.append(tr)
     return tracks, t1, t2
 
@@ -845,10 +845,10 @@ def test_window_after_history(hold):
     b = _const_track(tau, hold, period=L)
     for j in range(k + 1):
         c = 3 * j
-        a.record(t=j * W + W // 2, old=c % tau, new=(c + 3) % tau)
-        b.record(t=j * W + W // 8, old=(c + hold) % tau, new=(c + 2) % tau)
-        b.record(t=j * W + W // 2 + 1, old=(c + 2) % tau, new=(c + 5) % tau)
-        b.record(t=(j + 1) * W - L // 2, old=(c + 5) % tau, new=(c + 3 + hold) % tau)
+        a.record(t=j * W + W // 2, new=(c + 3) % tau)
+        b.record(t=j * W + W // 8, new=(c + 2) % tau)
+        b.record(t=j * W + W // 2 + 1, new=(c + 5) % tau)
+        b.record(t=(j + 1) * W - L // 2, new=(c + 3 + hold) % tau)
     want = (hold <= RP.eps0, hold)
     assert sync_check([a, b], 0, W, RP, L) == want
     assert sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
@@ -870,10 +870,10 @@ def _ref_window(tr: ClockTrack, t1: int, t2: int) -> tuple[np.ndarray, np.ndarra
     would the whole history."""
     jt = tr.jump_times
     lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
-    off0, cum0 = (tr.jump_offsets[lo - 1], tr.jump_cum[lo - 1]) if lo else (tr.offset0, 0)
+    cums = [tr.jump_cum[lo - 1] if lo else 0, *tr.jump_cum[lo:hi]]
     return (np.array(jt[lo:hi], dtype=np.int64),
-            np.array([off0, *tr.jump_offsets[lo:hi]], dtype=np.int64),
-            np.array([cum0, *tr.jump_cum[lo:hi]], dtype=np.int64))
+            np.array([(tr.offset0 + c) % tr.clock.tau for c in cums], dtype=np.int64),
+            np.array(cums, dtype=np.int64))
 
 
 def _ref_samples(t1: int, t2: int, THL: int, jumps: list[np.ndarray]) -> np.ndarray:
@@ -971,8 +971,7 @@ def stacked_windows(draw):
         times = draw(st.lists(st.integers(0, t2 + SMALL_DELTA), max_size=10))
         times += draw(st.lists(st.sampled_from(shared), max_size=2)) if shared else []
         for t in sorted(times):
-            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
-                      new=draw(value))
+            tr.record(t=t, new=draw(value))
         tracks.append(tr)
     eps0 = draw(st.sampled_from([None, 0, 5, tau // 2]))
     return tracks, t1, t2, eps0
@@ -1027,14 +1026,13 @@ class TestSyncCheckEdges:
         tr = _const_track(4096, 0)
         step = 4 * RP.eps0
         for j in range(1, 8):
-            tr.record(t=j * (RP.T * self.L) // 4, old=(j - 1) * step % 4096,
-                      new=j * step % 4096)
+            tr.record(t=j * (RP.T * self.L) // 4, new=j * step % 4096)
         assert self.both([tr], 0, 3 * RP.T * self.L) == (False, 0)
 
     def test_no_jump_inside_the_window(self):
         a, b, c = (_const_track(4096, 0) for _ in range(3))
-        a.record(t=5, old=0, new=3)                  # carried in from before t1
-        c.record(t=6000, old=0, new=100)             # only after t2
+        a.record(t=5, new=3)                  # carried in from before t1
+        c.record(t=6000, new=100)             # only after t2
         assert self.both([a, b, c], 100, 5000) == (True, 3)
         assert self.both([a, b, c], 100, 5000, eps0=2) == (False, 3)
 
@@ -1042,22 +1040,22 @@ class TestSyncCheckEdges:
         a, b = _const_track(4096, 0), _const_track(4096, RP.eps0 + 1)
         assert self.both([a, b], 50, 50) == (False, RP.eps0 + 1)   # on the grid
         assert self.both([a, b], 55, 55) == (True, 0)              # no sample at all
-        b.record(t=55, old=RP.eps0 + 1, new=1)
+        b.record(t=55, new=1)
         assert self.both([a, b], 55, 55) == (False, RP.eps0 + 1)   # the jump is the sample
 
     def test_span_with_fewer_than_two_samples(self):
         # One sample in the window: no rate pair exists, even for a clock
         # that jumps far at that instant.
         a = _const_track(4096, 0)
-        a.record(t=5, old=0, new=1000)
+        a.record(t=5, new=1000)
         assert self.both([a], 1, 9) == (True, 0)
         # Two samples in the first span, none in the half-shifted one.
         assert self.both([a, _const_track(4096, 1000)], 0, 15) == (False, 1000)
 
     def test_first_sample_past_t1(self):
         a, b = _const_track(4096, 0), _const_track(4096, 0)
-        b.record(t=2, old=0, new=RP.eps0 + 1)        # before t1: carried in
-        b.record(t=25, old=RP.eps0 + 1, new=1)
+        b.record(t=2, new=RP.eps0 + 1)        # before t1: carried in
+        b.record(t=25, new=1)
         assert self.both([a, b], 3, 5000) == (False, RP.eps0 + 1)
         assert self.both([a, b], 26, 5000) == (True, 1)
 
@@ -1103,8 +1101,7 @@ def slipping_windows(draw):
         times += draw(st.lists(st.sampled_from(grid), max_size=5))
         times += draw(st.lists(st.integers(0, t2 + SMALL_DELTA), max_size=4))
         for t in sorted(times):
-            tr.record(t=t, old=tr.jump_offsets[-1] if tr.jump_offsets else tr.offset0,
-                      new=draw(value))
+            tr.record(t=t, new=draw(value))
         tracks.append(tr)
     return tracks, t1, t2, draw(st.sampled_from([None, 0, 3, 8, tau // 2]))
 
@@ -1148,9 +1145,17 @@ def test_jump_at_the_start_of_a_long_window():
     # first span's last grid sample keeps the pre/post pair at t1 checked.
     t1 = 3 * SMALL_L
     tr = _const_track(SMALL_RP.tau_max, 0, period=SMALL_L)
-    tr.record(t=t1, old=0, new=SMALL_RP.eps0 + 1)
+    tr.record(t=t1, new=SMALL_RP.eps0 + 1)
     args = ([tr], t1, t1 + 2 * SMALL_DELTA, SMALL_RP, SMALL_L)
     assert sync_check(*args) == oracle_sync_check(*args) == (False, 0)
+
+
+def test_decisive_samples_of_a_jump():
+    # One rule for the window ends and each jump: the grid samples at its
+    # floor and ceiling, plus a jump itself.  An on-grid jump adds itself
+    # alone; its pre-jump reading is side 0 of that sample.
+    assert simnet._decisive_samples([], {50}, 3, 97, 10, []) == [10, 50, 90]
+    assert simnet._decisive_samples([], {53}, 3, 97, 10, []) == [10, 50, 53, 60, 90]
 
 
 @pytest.mark.parametrize("init", ["synchronized", "random"])
