@@ -212,6 +212,9 @@ def resync_points(toss_log: list[tuple[int, int, int, int]],
     return points
 
 
+CHECK_BLOCK = 32   # most windows one sync_check call checks
+
+
 def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunResult:
     """Simulate one seed; see RunResult for the verdict semantics."""
     rp = sc.resolved
@@ -237,25 +240,32 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
     # Closing breaks the world's reference cycles, so it is freed as soon
     # as this call returns; its logs and trace stay readable.
     try:
-        for k in range(sc.horizon):
-            world.run_until_window(k + 1)
-            ok, dev = sync_check(tracks, k * world.window,
-                                 (k + 1) * world.window, rp, world.L,
-                                 eps0=sc.eps0_check)
-            windows_run = k + 1
-            devs.append(dev)
-            max_dev = max(max_dev, dev)
-            if ok:
-                run_len += 1
-                if stab is None and run_len == confirm:
-                    stab = k - confirm + 1
-                    if sc.stop_after_confirm:
-                        break
-            else:
-                run_len = 0
-                n_viol += 1
-                if first_viol is None:
-                    first_viol = k
+        # Windows are simulated one by one and checked a block at a time.
+        # While the run could still stop at confirmation, a block ends at
+        # the first window where it could, so no window past the stop is
+        # ever simulated.
+        while windows_run < sc.horizon and not (sc.stop_after_confirm and stab is not None):
+            size = min(CHECK_BLOCK, sc.horizon - windows_run)
+            if sc.stop_after_confirm:
+                size = min(size, confirm - run_len)
+            block = range(windows_run, windows_run + size)
+            for k in block:
+                world.run_until_window(k + 1)
+            edges = [w * world.window for w in range(block[0], block[-1] + 2)]
+            for k, (ok, dev) in zip(block, sync_check(tracks, edges, rp, world.L,
+                                                      eps0=sc.eps0_check)):
+                windows_run = k + 1
+                devs.append(dev)
+                max_dev = max(max_dev, dev)
+                if ok:
+                    run_len += 1
+                    if stab is None and run_len == confirm:
+                        stab = k - confirm + 1
+                else:
+                    run_len = 0
+                    n_viol += 1
+                    if first_viol is None:
+                        first_viol = k
     finally:
         world.close()
     if stab is not None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -157,7 +157,10 @@ class ClockTrack:
     jump_cum: list[int] = field(default_factory=list)
 
     def record(self, t: int, new: int) -> None:
-        """A jump at instant t from the offset in force to `new`."""
+        """A jump at instant t from the offset in force to `new`.  A jump that
+        leaves the offset unchanged is kept: its instant is a sample of
+        sync_check, and off the grid two clocks can read further apart than
+        at any grid sample."""
         tau = self.clock.tau
         prev = self.jump_cum[-1] if self.jump_cum else 0
         delta = (new - self.offset0 - prev) % tau
@@ -656,7 +659,7 @@ class World:
 # ---- synchronization verdicts ----------------------------------------------
 
 
-_SIDES = np.array([0, 1]).reshape(2, 1, 1)
+_SIDES = np.array([0, 1])
 
 
 @cache
@@ -666,13 +669,27 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _decisive_samples(tracks: list[ClockTrack], jumps: set[int], t1: int, t2: int,
+@cache
+def _rate_weights(n: int, scale: int, fast: int, slow: int) -> np.ndarray:
+    """The (2n, n+1) integer map from n clocks' readings and the instant to
+    the rate sequences: row k is e_k = scale*u_k - fast*s, row n+k is
+    f_k = slow*s - scale*u_k."""
+    w = np.zeros((2 * n, n + 1), dtype=np.int64)
+    w[:n, :n] = scale * np.eye(n, dtype=np.int64)
+    w[n:, :n] = -w[:n, :n]
+    w[:n, n], w[n:, n] = -fast, slow
+    w.flags.writeable = False
+    return w
+
+
+def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t2: int,
                       THL: int, ends: list[int]) -> list[int]:
     """The instants in [t1, t2] that can decide sync_check (see there), sorted;
     `jumps` holds the jumps inside [t1, t2], `ends` the rate spans' ends."""
     keep = set(jumps)
-    for t in (t1, t2, *ends, *jumps):
-        keep.update((-(-t // THL) * THL, t // THL * THL))
+    marks = [t1, t2, *ends, *keep]
+    keep.update([t // THL * THL for t in marks])
+    keep.update([-(-t // THL) * THL for t in marks])
     m_lo, m_hi = -(-t1 // THL), t2 // THL        # grid indices inside [t1, t2]
     for tr in tracks:
         t_ref, period = tr.clock.t_ref, tr.clock.period
@@ -688,24 +705,26 @@ def _decisive_samples(tracks: list[ClockTrack], jumps: set[int], t1: int, t2: in
                     b = mid
             keep.update((a * THL, b * THL))
             lo = b
-    return sorted(t for t in keep if t1 <= t <= t2)
+    out = sorted(keep)
+    return out[bisect_left(out, t1):bisect_right(out, t2)]
 
 
-def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
-               eps0: Optional[int] = None) -> tuple[bool, int]:
-    """Verdict of the two synchronization conditions over [t1, t2] subticks.
+def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
+               eps0: Optional[int] = None) -> list[tuple[bool, int]]:
+    """Verdicts of the two synchronization conditions over each window
+    [t_j, t_j+1] of the edges [t_0, t_1, ..., t_B], in subticks.
 
     Precision: every pair of clocks stays within eps0 ring distance at every
     sample (the T_H grid and each jump, read on both sides of a jump).
     Rate accuracy: per clock, elapsed ticks between two samples of a span
-    deviate from elapsed time by at most rho*elapsed + eps0.  Spans are
-    T_max-aligned and half-shifted, so every pair within T_max/2 is covered
-    and none beyond T_max is required; the last aligned span ends at t2,
-    and its half-shifted span, inside it, is skipped.
+    deviate from elapsed time by at most rho*elapsed + eps0.  A window's
+    spans are T_max-aligned and half-shifted, so every pair within T_max/2
+    is covered and none beyond T_max is required; the last aligned span ends
+    at the window's end, and its half-shifted span, inside it, is skipped.
 
     Only the samples that can decide are evaluated: each jump, the grid
-    samples at the floor and ceiling of each jump and of the ends of
-    [t1, t2] and of each span, and those on both sides of each clock's slip
+    samples at the floor and ceiling of each jump and of the window's ends
+    and of each span, and those on both sides of each clock's slip
     (a grid step m to m+1 over which its ticks minus m change; monotone in
     m, so bisection finds each): about 29 of 271 samples on a reference
     window.  Between two kept samples no clock jumps and
@@ -714,77 +733,114 @@ def sync_check(tracks: list[ClockTrack], t1: int, t2: int, rp: Resolved, L: int,
     T_H*L*rho_num per sample, so a run's first sample bounds its rises and
     its last its running minimum.
 
-    All clocks are checked at once on (side, track, sample) matrices: side 0
-    reads just before any jump at a sample, side 1 just after.  U holds
-    hardware ticks plus the signed cumulative shift, V the ring values
-    (h0 + offset0 + U) mod tau.  Track k's jumps inside [t1, t2] are keyed
-    k*(t2 - t1 + 1) later in one sorted array; a sample's position among
-    them, plus k, indexes every track's shifts laid end to end, each led by
-    the shift carried in.
+    The windows are a block, checked in one pass: each window's samples
+    are chosen alone and laid end to end (an edge shared by two windows is
+    a sample of both), and every reading depends only on its instant, so
+    each window gets the verdict it would get alone.  All clocks are
+    checked at once: row k of U holds clock k's hardware ticks plus its
+    signed cumulative shift at each sample, read on side 0 (just before any
+    jump there) and side 1 (just after), interleaved; V holds the ring
+    values (h0 + offset0 + U) mod tau.  Track k's jumps inside [t_0, t_B]
+    are keyed k*(t_B - t_0 + 1) later in one sorted array; a reading's
+    position among them, plus k, indexes every track's shifts laid end to
+    end, each led by the shift carried in.  Each window's precision maximum
+    is one segment of a reduceat.  All rate spans of the block are checked
+    together, each padded to the longest by repeating its last reading: a
+    repeated last value cannot raise max(e - cummin(e)).
 
-    Returns (verdict, max precision deviation seen in ticks).
+    Returns one (verdict, max precision deviation seen in ticks) per window.
     """
-    if t1 > t2:
-        raise ConfigurationError("empty check interval")
+    if len(edges) < 2 or sorted(edges) != list(edges):
+        raise ConfigurationError(f"window edges must be at least two, in order: {edges}")
     eps0 = rp.eps0 if eps0 is None else eps0
+    n_win = len(edges) - 1
+    if not tracks:
+        return [(True, 0)] * n_win
     tau = rp.tau_max
     TH, Tm = rp.sys.T_H, rp.dv.T_max
     THL = TH.numerator * L // TH.denominator
     delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
-    starts = list(range(t1, t2, delta))
-    starts += [s + delta // 2 for s in starts[:-1]]
-    stops = [min(s + delta, t2) for s in starts]
-    n, span = len(tracks), t2 - t1 + 1
-    jumps, keys, cums = set(), [], []
+    n, span = len(tracks), edges[-1] - edges[0] + 1
+    jumps, keys, cums = [], [], []
     for k, tr in enumerate(tracks):
-        jt = tr.jump_times
-        lo, hi = bisect_left(jt, t1), bisect_right(jt, t2)
-        cums += [tr.jump_cum[lo - 1] if lo else 0, *tr.jump_cum[lo:hi]]
-        jumps.update(jt[lo:hi])
-        keys += [t + k * span for t in jt[lo:hi]]
-    samples = _decisive_samples(tracks, jumps, t1, t2, THL, starts + stops)
-    if not samples or not tracks:
-        return True, 0
+        jt, cum = tr.jump_times, tr.jump_cum
+        lo, hi = bisect_left(jt, edges[0]), bisect_right(jt, edges[-1])
+        inside, shift = jt[lo:hi], k * span
+        cums.append(cum[lo - 1] if lo else 0)
+        cums += cum[lo:hi]
+        jumps += inside
+        keys += [t + shift for t in inside]
+    jumps.sort()
+
+    # The block's samples, window j's at cut[j]:cut[j+1], and each rate span
+    # that holds two samples or more: its first and last column of
+    # interleaved readings, and its window.
+    samples: list[int] = []
+    cut = [0]
+    cols: list[tuple[int, int]] = []
+    owner: list[int] = []
+    width = 0
+    for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
+        starts = list(range(t1, t2, delta))
+        starts += [s + delta // 2 for s in starts[:-1]]
+        stops = [min(s + delta, t2) for s in starts]
+        inside = jumps[bisect_left(jumps, t1):bisect_right(jumps, t2)]
+        win = _decisive_samples(tracks, inside, t1, t2, THL, starts + stops)
+        first = len(samples)
+        for s0, stop in zip(starts, stops):
+            lo, hi = bisect_left(win, s0), bisect_right(win, stop)
+            if hi - lo >= 2:
+                cols.append((2 * (first + lo), 2 * (first + hi) - 1))
+                owner.append(j)
+                width = max(width, 2 * (hi - lo))
+        samples += win
+        cut.append(len(samples))
+    if not samples:
+        return [(True, 0)] * n_win
     ts = np.array(samples, dtype=np.int64)
 
+    # U holds one row per track, with the readings at each sample
+    # interleaved, side 0 first; its row n is the instant itself, read as a
+    # clock of period 1 that never jumps.
     clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0 + tr.offset0)
-                       for tr in tracks], dtype=np.int64)
+                       for tr in tracks] + [(0, 1, 0)], dtype=np.int64)
     t_ref, period, base = clocks.T[:, :, None]
-    ticks = (ts - t_ref) // period
     # Side 0 counts a track's jumps before each sample, side 1 those at or
     # before it: on integers, searching q + 1 is searching q to the right.
-    q = ts + np.arange(0, n * span, span, dtype=np.int64)[:, None]
-    idx = np.searchsorted(np.array(keys, dtype=np.int64), q + _SIDES) + np.arange(n)[:, None]
-    U = ticks + np.array(cums)[idx]
-    V = (base + U) % tau
+    q = (ts[:, None] + _SIDES).ravel() + np.arange(0, (n + 1) * span, span)[:, None]
+    idx = np.searchsorted(np.array(keys, dtype=np.int64), q) + np.arange(n + 1)[:, None]
+    U = (np.repeat(ts, 2) - t_ref) // period + np.array(cums + [0])[idx]
 
-    max_dev = 0
+    # A window without samples passes with deviation 0; the others' first
+    # indices rise strictly, so reduceat's segments are their samples.
+    devs = [0] * n_win
+    ok = [True] * n_win
     if n > 1:
+        held = [j for j in range(n_win) if cut[j] < cut[j + 1]]
+        V = (base[:n] + U[:n]) % tau
         a, b = _pairs(n)
-        d = np.abs(V[:, a] - V[:, b])
-        max_dev = int(np.minimum(d, tau - d).max())
-        if max_dev > eps0:
-            return False, max_dev
+        d = np.abs(V[a] - V[b])
+        worst = np.minimum(d, tau - d).max(axis=0)
+        seg = np.maximum.reduceat(worst, [2 * cut[j] for j in held]).tolist()
+        for j, dev in zip(held, seg):
+            devs[j] = dev
+            ok[j] = dev <= eps0
 
     # Rate condition, exact integer arithmetic: scale by T_H*L and by the
     # denominator of rho so both sides are integers.  Pre/post readings at
     # each instant interleave, pre first; rebasing each span on its first
-    # reading bounds the int64 magnitudes by the span, not the run.
-    pr, qr = rp.rho.numerator, rp.rho.denominator
-    bound = eps0 * THL * qr
-    U = U.transpose(1, 2, 0).reshape(n, -1)
-    S = np.repeat(ts, 2)
-    for s0, stop in zip(starts, stops):
-        lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
-        if hi - lo < 2:
-            continue
-        u = U[:, 2 * lo:2 * hi]
-        u = (u - u[:, :1]) * (THL * qr)
-        s2 = S[2 * lo:2 * hi] - s0
-        e = u - s2 * (qr + pr)
-        f = s2 * (qr - pr) - u
-        if int((e - np.minimum.accumulate(e, axis=1)).max()) > bound:
-            return False, max_dev
-        if int((f - np.minimum.accumulate(f, axis=1)).max()) > bound:
-            return False, max_dev
-    return True, max_dev
+    # reading bounds the int64 magnitudes by the span, not the run, and
+    # shifts each sequence by a constant, which leaves its rises unchanged.
+    if not all(ok):     # a window that failed precision needs no rate check
+        cols, owner = [c for c, j in zip(cols, owner) if ok[j]], [j for j in owner if ok[j]]
+    if cols:
+        pr, qr = rp.rho.numerator, rp.rho.denominator
+        c = np.array(cols, dtype=np.int64)
+        x = U[:, np.minimum(c[:, :1] + np.arange(width), c[:, 1:])]
+        x = (x - x[:, :, :1]).reshape(n + 1, -1)
+        ef = (_rate_weights(n, THL * qr, qr + pr, qr - pr) @ x).reshape(2 * n, len(cols), -1)
+        rise = (ef - np.minimum.accumulate(ef, axis=2)).max(axis=(0, 2))
+        for j, r in zip(owner, rise.tolist()):
+            if r > eps0 * THL * qr:
+                ok[j] = False
+    return list(zip(ok, devs))

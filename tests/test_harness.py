@@ -290,6 +290,87 @@ class TestRunOnce:
             gc.enable()
 
 
+def per_window_run(sc, seed):
+    """run_once as it was before blocks: one sync_check call per window,
+    right after simulating it.  Kept as the oracle of the block loop."""
+    rp = sc.resolved
+    world = harness.World(rp, adversaries.make_adversary(sc.adversary), seed=seed,
+                          init_policy=sc.init, trace_level="off")
+    initial_gl = {p: world.mws[p].grand_life for p in world.honest_planes}
+    confirm = sc.confirm_windows(rp)
+    run_len, stab, n_viol, first_viol, devs = 0, None, 0, None, []
+    tracks = world.qap_tracks()
+    for k in range(sc.horizon):
+        world.run_until_window(k + 1)
+        [(ok, dev)] = simnet.sync_check(tracks, [k * world.window, (k + 1) * world.window],
+                                        rp, world.L, eps0=sc.eps0_check)
+        devs.append(dev)
+        if ok:
+            run_len += 1
+            if stab is None and run_len == confirm:
+                stab = k - confirm + 1
+                if sc.stop_after_confirm:
+                    break
+        else:
+            run_len = 0
+            n_viol += 1
+            if first_viol is None:
+                first_viol = k
+    world.close()
+    points = resync_points(world.toss_log, world.honest_planes, initial_gl)
+    attempts = successes = 0
+    for t, _p in points:
+        w = t // world.window
+        if stab is not None and w >= stab:
+            continue
+        attempts += 1
+        if stab is not None and stab <= w + G0 + 1:
+            successes += 1
+    return harness.RunResult(
+        seed=seed, stabilization_window=stab, windows_run=len(devs), max_precision=max(devs),
+        max_precision_after_stb=max(devs[stab:]) if stab is not None else None,
+        n_violations=n_viol, first_violation=first_viol, resync_point_count=len(points),
+        attempts=attempts, successes=successes,
+        resync_windows=len({t // world.window for t, _p in points}))
+
+
+class TestBlockRun:
+    @pytest.mark.parametrize("stop", [True, False])
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("adv", ["silent", "random_noise", "max_skew", "split_brain"])
+    def test_matches_the_per_window_loop(self, adv, init, stop):
+        # 70 windows: two full blocks and a short one when nothing stops the run.
+        sc = scenario(adversary=adv, init=init, horizon=70, stop_after_confirm=stop)
+        for seed in (0, 1, 2):
+            assert run_once(sc, seed).to_record() == per_window_run(sc, seed).to_record()
+
+    def test_confirmation_cuts_the_blocks(self):
+        # Violations first, then a stop at confirmation, so the blocks are cut
+        # short; with confirm = 3 as well.
+        for sc in (scenario(horizon=90), scenario(horizon=90, confirm=3)):
+            for seed in (3, 4):
+                r = run_once(sc, seed)
+                assert r.n_violations > 0 and r.stabilization_window is not None
+                assert r == per_window_run(sc, seed)
+
+    @pytest.mark.parametrize("adv", ["silent", "max_skew"])
+    def test_no_window_past_the_stop_is_simulated(self, adv, monkeypatch):
+        calls = []
+
+        class Counted(harness.World):
+            def run_until_window(self, w):
+                calls.append(w)
+                super().run_until_window(w)
+
+        monkeypatch.setattr(harness, "World", Counted)
+        for init in ("synchronized", "random"):
+            for seed in (0, 5):
+                calls.clear()
+                r = run_once(scenario(adversary=adv, init=init, horizon=200), seed)
+                assert r.stabilization_window is not None
+                assert calls == list(range(1, r.windows_run + 1))
+
+
 class TestConfidenceBound:
     def test_edges(self):
         assert lower_confidence_bound(0, 100) == 0.0

@@ -666,29 +666,29 @@ class TestSyncCheck:
     L = 10  # subticks per time unit; matches period=10 with T_H=1
 
     def test_single_clock_trivially_ok(self):
-        ok, dev = sync_check([_const_track(4096, 0)], 0, 5000, RP, self.L)
+        ok, dev = sync_check([_const_track(4096, 0)], [0, 5000], RP, self.L)[0]
         assert ok and dev == 0
 
     def test_constant_offset_at_bound(self):
         a, b = _const_track(4096, 0), _const_track(4096, RP.eps0)
-        ok, dev = sync_check([a, b], 0, 5000, RP, self.L)
+        ok, dev = sync_check([a, b], [0, 5000], RP, self.L)[0]
         assert ok and dev == RP.eps0
 
     def test_constant_offset_beyond_bound(self):
         a, b = _const_track(4096, 0), _const_track(4096, RP.eps0 + 1)
-        ok, dev = sync_check([a, b], 0, 5000, RP, self.L)
+        ok, dev = sync_check([a, b], [0, 5000], RP, self.L)[0]
         assert not ok and dev == RP.eps0 + 1
 
     def test_wraparound_distance(self):
         a, b = _const_track(4096, 0), _const_track(4096, 4096 - 2)
-        ok, dev = sync_check([a, b], 0, 5000, RP, self.L)
+        ok, dev = sync_check([a, b], [0, 5000], RP, self.L)[0]
         assert ok and dev == 2
 
     def test_transient_jump_between_grid_points_caught(self):
         a, b = _const_track(4096, 0), _const_track(4096, 0)
         b.record(t=23, new=RP.eps0 + 5)   # off-grid excursion
         b.record(t=27, new=0)   # back before the next sample
-        ok, dev = sync_check([a, b], 0, 5000, RP, self.L)
+        ok, dev = sync_check([a, b], [0, 5000], RP, self.L)[0]
         assert not ok and dev == RP.eps0 + 5
 
     def test_rate_drift_violation(self):
@@ -699,7 +699,7 @@ class TestSyncCheck:
         for j in range(1, 8):
             t = j * (RP.T * self.L) // 4
             tr.record(t=t, new=j * step % 4096)
-        ok, _dev = sync_check([tr], 0, 3 * RP.T * self.L, RP, self.L)
+        ok, _dev = sync_check([tr], [0, 3 * RP.T * self.L], RP, self.L)[0]
         assert not ok
 
     def test_rate_slow_violation(self):
@@ -708,7 +708,7 @@ class TestSyncCheck:
         for j in range(1, 8):
             t = j * (RP.T * self.L) // 4
             tr.record(t=t, new=-j * step % 4096)
-        ok, _dev = sync_check([tr], 0, 3 * RP.T * self.L, RP, self.L)
+        ok, _dev = sync_check([tr], [0, 3 * RP.T * self.L], RP, self.L)[0]
         assert not ok
 
     @pytest.mark.parametrize("where", [0.25, 0.75])
@@ -721,13 +721,13 @@ class TestSyncCheck:
         t = t1 + int(where * delta)
         tr.record(t=t, new=2 * RP.eps0)
         tr.record(t=t + 5, new=0)
-        assert sync_check([tr], t1, t1 + delta, RP, self.L) == (False, 0)
-        assert sync_check([tr], t1, t1 + delta, RP, self.L) == \
+        assert sync_check([tr], [t1, t1 + delta], RP, self.L)[0] == (False, 0)
+        assert sync_check([tr], [t1, t1 + delta], RP, self.L)[0] == \
             reference_sync_check([tr], t1, t1 + delta, RP, self.L)
 
     def test_steady_clocks_pass_rate_condition(self):
         ok, dev = sync_check([_const_track(4096, 5), _const_track(4096, 7)],
-                             0, 20 * RP.T * self.L, RP, self.L)
+                             [0, 20 * RP.T * self.L], RP, self.L)[0]
         assert ok and dev == 2
 
 
@@ -829,7 +829,7 @@ def checked_windows(draw):
 @given(checked_windows())
 def test_sync_check_matches_oracle(case):
     tracks, t1, t2 = case
-    assert sync_check(tracks, t1, t2, SMALL_RP, SMALL_L) == \
+    assert sync_check(tracks, [t1, t2], SMALL_RP, SMALL_L)[0] == \
         oracle_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L)
 
 
@@ -850,8 +850,8 @@ def test_window_after_history(hold):
         b.record(t=j * W + W // 2 + 1, new=(c + 5) % tau)
         b.record(t=(j + 1) * W - L // 2, new=(c + 3 + hold) % tau)
     want = (hold <= RP.eps0, hold)
-    assert sync_check([a, b], 0, W, RP, L) == want
-    assert sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
+    assert sync_check([a, b], [0, W], RP, L)[0] == want
+    assert sync_check([a, b], [k * W, (k + 1) * W], RP, L)[0] == want
     assert oracle_sync_check([a, b], k * W, (k + 1) * W, RP, L) == want
 
 
@@ -981,7 +981,7 @@ def stacked_windows(draw):
 @given(stacked_windows())
 def test_sync_check_matches_reference(case):
     tracks, t1, t2, eps0 = case
-    assert sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0) == \
+    assert sync_check(tracks, [t1, t2], SMALL_RP, SMALL_L, eps0=eps0)[0] == \
         reference_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
 
 
@@ -995,7 +995,7 @@ def test_recorded_windows_match_reference(name, init):
     for k in range(30):
         w.run_until_window(k + 1)
         args = (w.qap_tracks(), k * w.window, (k + 1) * w.window, RP, w.L)
-        got = sync_check(*args)
+        got = sync_check(args[0], [args[1], args[2]], RP, w.L)[0]
         assert got == reference_sync_check(*args), f"window {k}"
         verdicts.add(got[0])
     w.close()
@@ -1012,7 +1012,7 @@ class TestSyncCheckEdges:
     L = 10
 
     def both(self, tracks, t1, t2, **kw):
-        got = sync_check(tracks, t1, t2, RP, self.L, **kw)
+        got = sync_check(tracks, [t1, t2], RP, self.L, **kw)[0]
         assert got == reference_sync_check(tracks, t1, t2, RP, self.L, **kw)
         return got
 
@@ -1114,7 +1114,7 @@ def test_slipping_clocks_match_oracle_and_reference():
     def check(case):
         nonlocal most
         tracks, t1, t2, eps0 = case
-        got = sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
+        got = sync_check(tracks, [t1, t2], SMALL_RP, SMALL_L, eps0=eps0)[0]
         assert got == oracle_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
         assert got == reference_sync_check(tracks, t1, t2, SMALL_RP, SMALL_L, eps0=eps0)
         verdicts.add(got[0])
@@ -1135,9 +1135,9 @@ def test_first_side_of_a_slip_decides_a_long_run():
     rp = resolve(dataclasses.replace(SMALL_RP.sys, rho=Fraction(1, 10)), SMALL_RP.sched)
     tr = ClockTrack(HardwareClock(t_ref=-42, period=95, h0=0, tau=rp.tau_max), 0)
     assert _slips(tr.clock, 0, 2000, SMALL_L) == 1
-    assert sync_check([tr], 0, 2000, rp, SMALL_L, eps0=0) == (False, 0)
+    assert sync_check([tr], [0, 2000], rp, SMALL_L, eps0=0)[0] == (False, 0)
     assert oracle_sync_check([tr], 0, 2000, rp, SMALL_L, eps0=0) == (False, 0)
-    assert sync_check([tr], 0, 2000, rp, SMALL_L, eps0=1) == (True, 0)
+    assert sync_check([tr], [0, 2000], rp, SMALL_L, eps0=1)[0] == (True, 0)
 
 
 def test_jump_at_the_start_of_a_long_window():
@@ -1147,7 +1147,8 @@ def test_jump_at_the_start_of_a_long_window():
     tr = _const_track(SMALL_RP.tau_max, 0, period=SMALL_L)
     tr.record(t=t1, new=SMALL_RP.eps0 + 1)
     args = ([tr], t1, t1 + 2 * SMALL_DELTA, SMALL_RP, SMALL_L)
-    assert sync_check(*args) == oracle_sync_check(*args) == (False, 0)
+    assert sync_check([tr], [t1, t1 + 2 * SMALL_DELTA], SMALL_RP, SMALL_L)[0] == \
+        oracle_sync_check(*args) == (False, 0)
 
 
 def test_decisive_samples_of_a_jump():
@@ -1179,7 +1180,8 @@ def test_recorded_windows_evaluate_few_samples(name, init, monkeypatch):
         w.run_until_window(k + 1)
         t1, t2 = k * w.window, (k + 1) * w.window
         args = (tracks, t1, t2, RP, w.L)
-        assert sync_check(*args) == reference_sync_check(*args), f"window {k}"
+        assert sync_check(tracks, [t1, t2], RP, w.L)[0] == reference_sync_check(*args), \
+            f"window {k}"
         jumps = len({t for tr in tracks for t in tr.jump_times if t1 <= t <= t2})
         slips = sum(_slips(tr.clock, t1, t2, w.THL) for tr in tracks)
         assert counts[-1] <= 3 * jumps + 2 * slips + 6, (k, counts[-1], jumps, slips)
@@ -1189,6 +1191,145 @@ def test_recorded_windows_evaluate_few_samples(name, init, monkeypatch):
     assert len(counts) == 40 and sum(counts) < grid / 4
     if name == "max_skew":
         assert slipped > 0      # clocks at the drift bound slip against the grid
+
+
+def test_unchanged_offset_is_still_a_sample():
+    # b ticks half a period after a and starts one tick ahead: the two read
+    # alike on every grid sample and one tick apart from t = 5 to 10 after
+    # each.  An adjustment at t = 17 that keeps b's offset is a sample all
+    # the same, and the only one that sees that tick.
+    a = _const_track(4096, 0)
+    b = ClockTrack(HardwareClock(t_ref=5, period=10, h0=0, tau=4096), 1)
+    assert sync_check([a, b], [0, 100], RP, 10, eps0=1) == [(True, 0)]
+    b.record(t=17, new=1)
+    assert b.jump_times == [17] and b.jump_cum == [0]
+    assert sync_check([a, b], [0, 100], RP, 10, eps0=1) == [(True, 1)]
+    assert oracle_sync_check([a, b], 0, 100, RP, 10, eps0=1) == (True, 1)
+
+
+# ---- blocks of windows ----------------------------------------------------------
+#
+# One call checks consecutive windows.  Each window's result must be the
+# one a call for that window alone gives, and the reference's.
+
+
+@st.composite
+def drifting_clocks(draw):
+    """2 to 4 clocks near one reading over several windows: at each of a
+    few instants either every clock moves by the same step, which can break
+    the rate condition alone, or one clock moves near the others or away."""
+    tau = SMALL_RP.tau_max
+    t1 = draw(st.integers(0, SMALL_DELTA))
+    t2 = t1 + 3 * SMALL_DELTA + draw(st.integers(0, SMALL_DELTA))
+    base = draw(st.integers(0, tau - 1))
+    n = draw(st.integers(2, 4))
+    tracks = [ClockTrack(HardwareClock(t_ref=-draw(st.integers(0, SMALL_L - 1)),
+                                       period=draw(st.sampled_from([SMALL_L - 1, SMALL_L])),
+                                       h0=0, tau=tau), base) for _ in range(n)]
+    offsets = [base] * n
+    for t in sorted(draw(st.lists(st.integers(t1, t2), min_size=4, max_size=12))):
+        if draw(st.booleans()):
+            step = draw(st.integers(-6, 6))
+            base = (base + step) % tau
+            moved = {k: (offsets[k] + step) % tau for k in range(n)}
+        else:
+            moved = {draw(st.integers(0, n - 1)): (base + draw(st.integers(0, 6))) % tau}
+        for k, off in moved.items():
+            offsets[k] = off
+            tracks[k].record(t=t, new=off)
+    return tracks, t1, t2, None
+
+
+@st.composite
+def window_blocks(draw):
+    """A case of checked_windows, stacked_windows, slipping_windows or
+    drifting_clocks, with [t1, t2] cut into consecutive windows at random
+    instants: windows of several rate spans, with a half-shifted one, and
+    windows of a single instant."""
+    kind = draw(st.sampled_from(["checked", "stacked", "slipping", "drifting"]))
+    if kind == "checked":
+        (tracks, t1, t2), eps0 = draw(checked_windows()), None
+    else:
+        tracks, t1, t2, eps0 = draw({"stacked": stacked_windows, "slipping": slipping_windows,
+                                     "drifting": drifting_clocks}[kind]())
+    cuts = draw(st.lists(st.integers(t1, t2), max_size=5))
+    return tracks, [t1, *sorted(cuts), t2], eps0
+
+
+def _each_window(tracks, edges, rp, L, eps0=None):
+    """One window at a time: the one-window call, checked against the reference."""
+    out = []
+    for t1, t2 in zip(edges, edges[1:]):
+        got = sync_check(tracks, [t1, t2], rp, L, eps0=eps0)
+        assert got == [reference_sync_check(tracks, t1, t2, rp, L, eps0=eps0)]
+        out += got
+    return out
+
+
+def test_block_matches_each_window_alone():
+    verdicts, longest, blocks, mixed = set(), 0, 0, 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(window_blocks())
+    def check(case):
+        nonlocal longest, blocks, mixed
+        tracks, edges, eps0 = case
+        got = sync_check(tracks, edges, SMALL_RP, SMALL_L, eps0=eps0)
+        assert got == _each_window(tracks, edges, SMALL_RP, SMALL_L, eps0=eps0)
+        verdicts.update(ok for ok, _dev in got)
+        longest = max([longest] + [t2 - t1 for t1, t2 in zip(edges, edges[1:])])
+        blocks += len(got) > 2
+        bound = SMALL_RP.eps0 if eps0 is None else eps0
+        # A block where one window fails precision and another only its rate.
+        mixed += any(dev > bound for _ok, dev in got) and \
+            any(not ok and dev <= bound for ok, dev in got)
+
+    check()
+    # Not vacuous: both verdicts, blocks of several windows, blocks that
+    # fail one window on precision and another on rate alone, and windows
+    # long enough for a second span and a half-shifted one.
+    assert verdicts == {False, True} and blocks > 50 and mixed > 2 and longest > SMALL_DELTA
+
+
+def test_jump_on_a_shared_edge():
+    # b jumps out of precision exactly on the edge of windows 0 and 1 and
+    # back inside window 1; c keeps its offset at the edge of windows 1 and 2.
+    # Both windows that share the first edge read b's jump there.
+    D = SMALL_DELTA
+    a, b, c = (_const_track(SMALL_RP.tau_max, 0, period=SMALL_L) for _ in range(3))
+    b.record(t=D, new=SMALL_RP.eps0 + 1)
+    b.record(t=D + 3 * SMALL_L, new=0)
+    c.record(t=2 * D, new=0)
+    edges = [0, D, 2 * D, 3 * D]
+    got = sync_check([a, b, c], edges, SMALL_RP, SMALL_L)
+    want = [(False, SMALL_RP.eps0 + 1), (False, SMALL_RP.eps0 + 1), (True, 0)]
+    assert got == _each_window([a, b, c], edges, SMALL_RP, SMALL_L) == want
+    assert want == [oracle_sync_check([a, b, c], t1, t2, SMALL_RP, SMALL_L)
+                    for t1, t2 in zip(edges, edges[1:])]
+
+
+def test_slip_across_a_shared_edge():
+    # b's period is 1% short: its ticks minus the grid index step from 0 to 1
+    # between grid samples 98 and 99, and the edge of windows 0 and 1 falls
+    # between them.  At offset eps0 it stays within precision of a up to the
+    # slip and leaves it after.
+    a = _const_track(SMALL_RP.tau_max, 0, period=SMALL_L)
+    b = ClockTrack(HardwareClock(t_ref=0, period=SMALL_L - 1, h0=0, tau=SMALL_RP.tau_max),
+                   SMALL_RP.eps0)
+    edge = 98 * SMALL_L + SMALL_L // 2
+    assert _slips(b.clock, 98 * SMALL_L, 99 * SMALL_L, SMALL_L) == 1
+    edges = [edge - SMALL_DELTA, edge, edge + SMALL_DELTA]
+    got = sync_check([a, b], edges, SMALL_RP, SMALL_L)
+    want = [(True, SMALL_RP.eps0), (False, SMALL_RP.eps0 + 1)]
+    assert got == _each_window([a, b], edges, SMALL_RP, SMALL_L) == want
+    assert want == [oracle_sync_check([a, b], t1, t2, SMALL_RP, SMALL_L)
+                    for t1, t2 in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("edges", [[], [5], [5, 3], (5, 3), [0, 10, 9, 20]])
+def test_block_edges_must_be_in_order(edges):
+    with pytest.raises(ConfigurationError, match="window edges"):
+        sync_check([_const_track(4096, 0)], edges, RP, 10)
 
 
 # ---- trace levels ---------------------------------------------------------------
