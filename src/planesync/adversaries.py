@@ -42,6 +42,10 @@ class Adversary:
         self.world = world
         self.rp: Resolved = world.rp
         self.rng = world.adv_rng
+        # randrange(n) is _randbelow(n) and randrange(1, n + 1) is 1 +
+        # _randbelow(n), after argument checks that cost more than the draw;
+        # tests/test_simnet.py pins the equality on the running interpreter.
+        self._below = world.adv_rng._randbelow
 
     def unbind(self) -> None:
         self.world = None
@@ -58,10 +62,10 @@ class Adversary:
         return self.rng.randrange(QUANT)
 
     def choose_skew(self, i: int, p: int) -> int:
-        return self.rng.randrange(QUANT + 1)
+        return self._below(QUANT + 1)          # randrange(QUANT + 1)
 
     def choose_delay(self, sender: int, p: int) -> int:
-        return self.rng.randrange(1, QUANT + 1)
+        return 1 + self._below(QUANT)          # randrange(1, QUANT + 1)
 
     # -- faulty-component behavior -------------------------------------------
 

@@ -6,7 +6,8 @@ and majority filters, and the two guarded conditions that decide whether a
 master switch treats the system as (possibly) synchronized.
 
 Matrix convention: rows[p][i] is the record about plane p relayed by
-terminal node i, as plain lists; None marks a missing message.  Missing
+terminal node i, as plain sequences (the switch builds tuples by one
+transpose of its relays); None marks a missing message.  Missing
 entries are skipped by medians and disqualify their column in window
 searches: absence is evidence of fault and must never help satisfy a
 condition.
@@ -17,11 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import FaultBudgetError, UnsupportedConfigurationError
 from .params import Resolved
-from .ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
+from .ring import circ_sort, ring_med, unwrap
 
 __all__ = [
     "msr_reduce",
@@ -38,7 +39,7 @@ __all__ = [
     "check_weak",
 ]
 
-Rows = list[list[Optional[int]]]
+Rows = Sequence[Sequence[Optional[int]]]
 
 
 def msr_reduce(values: list[int], f: int, tau_max: int) -> list[int]:
@@ -60,15 +61,27 @@ def msr_select(values: list[int], f: int) -> list[int]:
 def circ_mean(values: list[int], tau_max: int) -> int:
     """Integer circular mean: unwrap along the circ_sort arc, average,
     round half toward the arc start."""
-    ordered = circ_sort(values, tau_max)
+    return _arc_mean(circ_sort(values, tau_max), tau_max)
+
+
+def _arc_mean(ordered: list[int], tau_max: int) -> int:
+    """circ_mean of values already in circ_sort order."""
     s, n = sum(unwrap(ordered, tau_max)), len(ordered)
     rounded = -((n - 2 * s) // (2 * n))   # ceil(s/n - 1/2), exactly
-    return wrap_add(ordered[0], rounded % tau_max, tau_max)
+    return (ordered[0] + rounded) % tau_max
 
 
 def fta_values(values: list[int], f: int, tau_max: int) -> int:
-    """Reduce-select-mean over an already-aggregated value sequence."""
-    return circ_mean(msr_select(msr_reduce(values, f, tau_max), f), tau_max)
+    """Reduce-select-mean over an already-aggregated value sequence.
+
+    msr_reduce returns circ_sort order, and trimming both ends of a circular
+    order leaves the circ_sort order of what is left: the gap the order
+    skips only widens, and where it still ties an inner gap, the trimmed
+    values equal the ends that stay, so the same gap wins the tie.  A step
+    of 1 selects every value, so the mean needs no second sort then.
+    """
+    kept = msr_select(msr_reduce(values, f, tau_max), f)
+    return _arc_mean(kept, tau_max) if f <= 1 else circ_mean(kept, tau_max)
 
 
 def fta(C: Rows, rp: Resolved) -> Optional[int]:
@@ -78,11 +91,11 @@ def fta(C: Rows, rp: Resolved) -> Optional[int]:
     them), then reduce/select/mean over the medians; None when fewer than
     2f0+1 columns are usable.
     """
-    tau = rp.tau_max
+    tau, need = rp.tau_max, rp.n1 - rp.f1
     medians = []
     for col in zip(*C):
-        present = [v for v in col if v is not None]
-        if len(present) >= rp.n1 - rp.f1:
+        present = col if None not in col else [v for v in col if v is not None]
+        if len(present) >= need:
             medians.append(ring_med(present, tau))
     if len(medians) < 2 * rp.f0 + 1:
         return None
@@ -120,11 +133,15 @@ def hw_accuracy_threshold(rp: Resolved) -> int:
 
 
 def accuracy_check(m_curr: int, m_pre: int, h_curr: int, h_pre: int, rp: Resolved) -> bool:
-    """True iff consecutive records look like one synchronization cycle apart."""
-    tau, T = rp.tau_max, rp.T % rp.tau_max
-    if ring_dist(m_curr, wrap_add(m_pre, T, tau), tau) > 2 * rp.eps0:
+    """True iff consecutive records look like one synchronization cycle apart:
+    each reading within its bound of ring distance (ring.ring_dist, inlined)
+    from the previous one advanced by T."""
+    tau, T = rp.tau_max, rp.T
+    d = (m_curr - m_pre - T) % tau
+    if min(d, tau - d) > 2 * rp.eps0:
         return False
-    return ring_dist(h_curr, wrap_add(h_pre, T, tau), tau) <= hw_accuracy_threshold(rp)
+    d = (h_curr - h_pre - T) % tau
+    return min(d, tau - d) <= hw_accuracy_threshold(rp)
 
 
 def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
@@ -134,13 +151,13 @@ def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
 def filters(M: Rows, A: Rows, rp: Resolved) -> frozenset[int]:
     """The planes that pass both the accuracy filter (n0-f0 counters at a0)
     and the majority filter (n0-f0 records equal to the row median)."""
-    need = rp.n0 - rp.f0
+    need, a0, tau = rp.n0 - rp.f0, rp.a0, rp.tau_max
     passed = []
     for p in range(rp.n1):
-        if A[p].count(rp.a0) < need:
+        if A[p].count(a0) < need:
             continue
         present = [v for v in M[p] if v is not None]
-        if present and M[p].count(ring_med(present, rp.tau_max)) >= need:
+        if present and M[p].count(ring_med(present, tau)) >= need:
             passed.append(p)
     return frozenset(passed)
 
@@ -152,13 +169,23 @@ def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int,
     caller that needs one hit stops at it.
 
     Any maximal qualifying window can be shifted until its start coincides
-    with an attained entry, so anchoring at entries is lossless.
+    with an attained entry, so anchoring at entries is lossless.  An entry e
+    lies in the arc iff (e - v) mod tau <= width (ring.wrap_sub, inlined).
     """
     sub = [C[p] for p in rows]
-    anchors = sorted({v for row in sub for v in row if v is not None})
     full = [col for col in zip(*sub) if None not in col]
-    return (v for v in anchors
-            if sum(all(wrap_sub(e, v, tau) <= width for e in col) for col in full) >= min_cols)
+    if len(full) < min_cols:
+        return
+    for v in sorted({v for row in sub for v in row if v is not None}):
+        hits = 0
+        for col in full:
+            for e in col:
+                if (e - v) % tau > width:
+                    break
+            else:
+                hits += 1
+        if hits >= min_cols:
+            yield v
 
 
 def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
@@ -167,8 +194,11 @@ def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
     k = rp.n1 - rp.f1
     if len(p_acma) < k:
         return False
-    return any(next(_window_hit(C, rows, rp.eps1, rp.n0 - rp.f0, rp.tau_max), None) is not None
-               for rows in combinations(sorted(p_acma), k))
+    width, min_cols, tau = rp.eps1, rp.n0 - rp.f0, rp.tau_max
+    for rows in combinations(sorted(p_acma), k):
+        for _v in _window_hit(C, rows, width, min_cols, tau):
+            return True
+    return False
 
 
 def check_weak(C: Rows, rp: Resolved) -> Optional[int]:
@@ -179,12 +209,11 @@ def check_weak(C: Rows, rp: Resolved) -> Optional[int]:
     The returned center comes from the qualifying window whose start is
     smallest in circular order.
     """
-    k = rp.n1 - rp.f1
+    k, tau = rp.n1 - rp.f1, rp.tau_max
     half = rp.eps2 // 2
     starts: set[int] = set()
     for rows in combinations(range(rp.n1), k):
-        starts.update(_window_hit(C, rows, 2 * half, rp.n0 - 2 * rp.f0, rp.tau_max))
+        starts.update(_window_hit(C, rows, 2 * half, rp.n0 - 2 * rp.f0, tau))
     if not starts:
         return None
-    first = circ_sort(starts, rp.tau_max)[0]
-    return wrap_add(first, half, rp.tau_max)
+    return (circ_sort(starts, tau)[0] + half) % tau

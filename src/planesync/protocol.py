@@ -9,6 +9,16 @@ the relays and that value belong to the round, not to the switch.
 
 All state is single-owner (mutated only by the simulation event loop); the
 functions here mutate in place and lean on the pure core in ftcore.
+
+The per-round steps (a terminal's record, relay and median step, and the
+switch's round decision) write ring arithmetic as `% tau` on integers
+instead of calling ring.wrap_add and wrap_sub: (a mod tau + b) mod tau is
+(a + b) mod tau for every integer a and b, so a chain of wrap calls equals
+one `%` of the plain sum or difference, and the result is on the ring.
+The medians still go through ring.ring_med, whose cut rejects an off-ring
+value.  Relays and round summaries are slotted, unfrozen dataclasses: a
+frozen dataclass's __init__ costs about twice as much, and nothing changes
+either once it is built.
 """
 
 from __future__ import annotations
@@ -39,10 +49,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TTMessageUp:
     """Terminal-to-plane relay: clock estimates, accuracy counters, raw records.
-    It names no sender: the plane keys it by the terminal that delivered it."""
+    It names no sender: the plane keys it by the terminal that delivered it.
+    One relay goes to every plane, so it is never changed once built
+    (dataclasses.replace makes an altered copy)."""
 
     c_vec: tuple[Optional[int], ...]
     a_vec: tuple[int, ...]
@@ -83,7 +95,7 @@ class MwsState:
 
 def mes_on_clock_msg(state: MesState, p: int, m: int, h_now: int, rp: Resolved) -> None:
     """Record a plane's distributed clock value received in its receive slot."""
-    h = wrap_add(h_now, rp.dv.delta_tt0, rp.tau_max)
+    h = (h_now + rp.dv.delta_tt0) % rp.tau_max
     m_pre, h_pre = state.m_rec[p], state.h_rec[p]
     state.m_rec[p] = m
     state.h_rec[p] = h
@@ -100,10 +112,11 @@ def mes_on_begin_vc_send(state: MesState, h_now: int, rp: Resolved) -> TTMessage
     A plane's clock estimate is its record's offset m_rec - h_rec carried
     forward to the reading h_now + delta_tt1."""
     tau = rp.tau_max
-    shift = wrap_add(h_now, rp.dv.delta_tt1, tau)
-    c_vec = tuple(None if m is None else wrap_add(wrap_sub(m, h, tau), shift, tau)
-                  for m, h in zip(state.m_rec, state.h_rec))
-    return TTMessageUp(c_vec=c_vec, a_vec=tuple(state.acc), m_vec=tuple(state.m_rec))
+    shift = h_now + rp.dv.delta_tt1
+    m_vec = tuple(state.m_rec)
+    c_vec = tuple([None if m is None else (m - h + shift) % tau
+                   for m, h in zip(m_vec, state.h_rec)])
+    return TTMessageUp(c_vec, tuple(state.acc), m_vec)
 
 
 def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
@@ -113,14 +126,14 @@ def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
     in the past (the planes' adjustment instant) and the median is shifted
     back, so the resulting clock tracks the plane clocks with no offset.
     """
-    tau = rp.tau_max
-    h_ref = wrap_sub(h_now, rp.dv.delta_tt2, tau)
-    proj = [wrap_add(wrap_sub(m, h, tau), h_ref, tau)
-            for m, h in zip(state.m_rec, state.h_rec) if m is not None]
+    tau, d2 = rp.tau_max, rp.dv.delta_tt2
+    h_ref = h_now - d2
+    proj = [(m - h + h_ref) % tau for m, h in zip(state.m_rec, state.h_rec) if m is not None]
     if not proj:
         return
-    target = wrap_add(ring_med(proj, tau), rp.dv.delta_tt2, tau)
-    state.clock_offset = wrap_sub(target, h_now, tau)
+    # The median shifted forward by delta_tt2 is the target reading; the
+    # offset takes the clock there from h_now.
+    state.clock_offset = (ring_med(proj, tau) + d2 - h_now) % tau
 
 
 def next_sig_tick(base: int, k_min: int, tau: int, T: int) -> int:
@@ -154,7 +167,7 @@ def mws_rearm(state: MwsState) -> None:
     state.tau_idl = state.tau_max
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundSummary:
     """What the end-of-collection step decided: the coin, the stability
     verdict, the branch taken and the new clock value."""
@@ -181,30 +194,33 @@ def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: i
     over the round's relays keyed by the terminal that delivered them.
 
     Column i of C, A and M holds terminal i's relay; a terminal that sent
-    none leaves its column missing.  When the chosen branch has too few
-    columns to work with, the switch keeps its own clock."""
+    none leaves its column missing.  Each matrix is one transpose of the
+    relays' vectors, in terminal order, so its rows are tuples.  When the
+    chosen branch has too few columns to work with, the switch keeps its
+    own clock."""
     tau = rp.tau_max
     held = state.grand_life
     b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
     grand = b_coin == 1 or held > 0
 
-    cols = [relays.get(i) for i in range(rp.n0)]
-    C = [[None if u is None else u.c_vec[p] for u in cols] for p in range(rp.n1)]
-    A = [[None if u is None else u.a_vec[p] for u in cols] for p in range(rp.n1)]
-    M = [[None if u is None else u.m_vec[p] for u in cols] for p in range(rp.n1)]
+    gap = (None,) * rp.n1
+    ups = [relays.get(i) for i in range(rp.n0)]
+    C = list(zip(*[gap if u is None else u.c_vec for u in ups]))
+    A = list(zip(*[gap if u is None else u.a_vec for u in ups]))
+    M = list(zip(*[gap if u is None else u.m_vec for u in ups]))
     stb = check_stb(C, filters(M, A, rp), rp)
     if stb or (grand and b_coin == 0):
         branch, c_new = "avg", fta(C, rp)
     elif grand:
         branch, c_new = "weak", check_weak(C, rp)
     else:
-        c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
+        c_pre = (h_now + rp.dv.delta_tt3 + state.c_tilde_old) % tau
         branch, c_new = "rft", rft(C, c_pre, rp.dv.p0_cut, rng, rp)
     if c_new is None:
         # During chaos a node must still output something: its own clock.
         branch = "own"
-        c_new = wrap_add(wrap_add(h_now, state.clock_offset, tau), rp.dv.delta_tt3, tau)
-    return RoundSummary(b_coin=b_coin, stb=stb, branch=branch, c_new=c_new)
+        c_new = (h_now + state.clock_offset + rp.dv.delta_tt3) % tau
+    return RoundSummary(b_coin, stb, branch, c_new)
 
 
 def mws_on_end_c_send(state: MwsState, c_new: int, h_now: int, rp: Resolved) -> None:

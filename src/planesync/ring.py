@@ -10,6 +10,15 @@ not check them: values are put on the ring where they enter the program
 (derived constants, initial states, the adversary hooks), and the ring
 cut behind every median and average (circ_sort, ring_med) still rejects
 an off-ring value.
+
+The per-round hot paths write wrap_add, wrap_sub and ring_dist inline as
+`% tau`: the terminal steps and the switch's round decision in
+protocol.py, and accuracy_check, the window search, check_weak and the
+circular mean in ftcore.  That is exact: Python's % is the floored
+modulo, so (a % tau + b) % tau == (a + b) % tau for all integers a and b,
+and a chain of wraps equals one % of the plain sum or difference, which
+lands on the ring.  Those paths made about 355 such calls per closure
+window, each about 50 ns dearer than the operator on CPython 3.11.
 """
 
 from __future__ import annotations

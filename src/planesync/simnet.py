@@ -45,6 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from numbers import Rational
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -196,22 +197,18 @@ class Trace:
 DROP, BUFFER, INGEST = range(3)
 
 
-@dataclass
 class _Round:
     """One round of a plane, or of one terminal's interface to a plane: its
     anchor and its receive slot [b_recv, e_recv); it takes messages from its
-    anchor until that slot ends.  A plane's round holds the first relay from
-    each terminal and the value it chose; a terminal's, the values that
-    arrive before its slot opens.  Every event of a round carries it; a
+    anchor until that slot ends.  Every event of a round carries it; a
     terminal's handlers return once another round has taken its place, and
-    a plane's rounds never overlap (a SIG starts one only after the last)."""
+    a plane's rounds never overlap (a SIG starts one only after the last).
+    Each kind of round sets its fields in its own __init__, so that a round
+    is built with one call."""
 
     anchor: int
     b_recv: int
     e_recv: int
-    buffer: list = field(default_factory=list)
-    relays: dict = field(default_factory=dict)   # terminal -> TTMessageUp
-    c_new: Optional[int] = None
 
     def fate(self, t: int) -> int:
         """DROP, BUFFER or INGEST for a message arriving at instant t.  The
@@ -220,6 +217,29 @@ class _Round:
         if not (self.anchor <= t < self.e_recv):
             return DROP
         return BUFFER if t < self.b_recv else INGEST
+
+
+class _PlaneRound(_Round):
+    """A plane's round: the first relay from each terminal, and the value it
+    chose (None until its collection ends)."""
+
+    def __init__(self, anchor: int, b_recv: int, e_recv: int) -> None:
+        self.anchor = anchor
+        self.b_recv = b_recv
+        self.e_recv = e_recv
+        self.relays: dict[int, TTMessageUp] = {}
+        self.c_new: Optional[int] = None
+
+
+class _MesRound(_Round):
+    """A terminal's round for one plane: the clock values that arrive before
+    its receive slot opens, ingested when it does."""
+
+    def __init__(self, anchor: int, b_recv: int, e_recv: int) -> None:
+        self.anchor = anchor
+        self.b_recv = b_recv
+        self.e_recv = e_recv
+        self.buffer: list[int] = []
 
 
 class World:
@@ -251,45 +271,33 @@ class World:
         self.coin_rng = {p: Random(derive_seed(seed, f"coin:{p}")) for p in self.honest_planes}
 
         # Adversary-chosen per-node rates and tick phases, then the global
-        # subtick scale from every rational that can enter a timestamp.
-        eps_rnd = rp.dv.eps_rnd  # simulated time units, Fraction
+        # subtick scale from every rational that can enter a timestamp, all
+        # in integers (see _quantize_period and _clock_grid).
         self.warnings: list[str] = []  # clamped periods
         adversary.bind(self)
         try:
-            periods, phases = [], []
+            # Bound once: these hold whatever the adversary's hooks are after
+            # bind, overridden or wrapped, and every skew and delay calls them.
+            self._choose_skew = adversary.choose_skew
+            self._choose_delay = adversary.choose_delay
+            # Periods are T_H * steps / grid, so both ends of the drift
+            # bound are whole steps.
+            grid = math.lcm(DRIFT_DENOM, rp.rho.denominator)
+            steps, phases = [], []
             for rank in range(n1 + n0):
-                periods.append(self._quantize_period(adversary.choose_period(rank)))
-                phases.append(Fraction(adversary.choose_phase(rank) % QUANT, QUANT))
-            atoms = [rp.sys.T_H, Fraction(rp.sys.T_H, QUANT), Fraction(rp.sys.d_max, QUANT)]
-            if eps_rnd > 0:
-                atoms.append(Fraction(eps_rnd, QUANT))
-            atoms.extend(periods)
-            atoms.extend(p * q for p, q in zip(periods, phases))
-            self.L = math.lcm(*(a.denominator for a in atoms))
-
-            scaled = self.scaled
-            self.THL = scaled(rp.sys.T_H)
-            self.skew_quantum = scaled(Fraction(eps_rnd, QUANT)) if eps_rnd > 0 else 0
-            self.delay_quantum = scaled(Fraction(rp.sys.d_max, QUANT))
-            # Observation-window length in subticks, rounded up to the grid.
-            self.window = math.ceil(rp.dv.T_max * rp.sys.T_H * self.L)
-            # Policed image of the upward slot, in subticks from a round anchor:
-            # the slot stretched by the drift bound and the round-start skew.
-            sc, T_H, rho = rp.sched, rp.sys.T_H, rp.rho
-            self._police_lo = math.floor((sc.vc_send[0] * (1 - rho) * T_H - eps_rnd) * self.L)
-            self._police_hi = math.ceil((sc.vc_send[1] * (1 + rho) * T_H + eps_rnd) * self.L)
-
+                steps.append(self._quantize_period(adversary.choose_period(rank), grid))
+                phases.append(adversary.choose_phase(rank) % QUANT)
             tau = rp.tau_max
-            self.clocks = [HardwareClock(t_ref=-scaled(per * ph), period=scaled(per),
+            self.clocks = [HardwareClock(t_ref=t_ref, period=period,
                                          h0=self.init_rng.randrange(tau), tau=tau)
-                           for per, ph in zip(periods, phases)]
+                           for t_ref, period in self._clock_grid(grid, steps, phases)]
             self.tracks: list[Optional[ClockTrack]] = [None] * (n1 + n0)
 
             self.mws: dict[int, MwsState] = {}
             self.mes: dict[int, MesState] = {}
-            self.plane_round: list[Optional[_Round]] = [None] * n1
+            self.plane_round: list[Optional[_PlaneRound]] = [None] * n1
             self.mes_round = [None if i in self.faulty_mes else
-                              [_Round(-1, -1, -1) for _p in range(n1)] for i in range(n0)]
+                              [_MesRound(-1, -1, -1) for _p in range(n1)] for i in range(n0)]
 
             # Coin tosses, for the harness's resynchronization points.
             self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
@@ -312,16 +320,69 @@ class World:
         assert v.denominator == 1
         return int(v)
 
-    def _quantize_period(self, period: Fraction) -> Fraction:
-        rp = self.rp
-        lo = (1 - rp.rho) * rp.sys.T_H
-        hi = (1 + rp.rho) * rp.sys.T_H
-        snapped = rp.sys.T_H * Fraction(round(Fraction(period, rp.sys.T_H) * DRIFT_DENOM),
-                                        DRIFT_DENOM)
-        clamped = min(max(snapped, lo), hi)
-        if clamped != period:
+    def _quantize_period(self, period: Rational, grid: int) -> int:
+        """The adversary's tick period snapped to the nearest multiple of
+        T_H/DRIFT_DENOM (a tie to the even multiple) and clamped to the drift
+        bound [(1 - rho) T_H, (1 + rho) T_H], as a count of T_H/grid; grid
+        is a multiple of DRIFT_DENOM and of rho's denominator.  A period
+        that moves is noted in `warnings`."""
+        if not isinstance(period, Rational):
+            raise TypeError(f"a tick period must be rational: {period!r}")
+        T_H, rho = self.rp.sys.T_H, self.rp.rho
+        num = period.numerator * T_H.denominator * DRIFT_DENOM
+        den = period.denominator * T_H.numerator
+        k, r = divmod(num, den)
+        if 2 * r > den or (2 * r == den and k % 2):
+            k += 1
+        lo = (rho.denominator - rho.numerator) * (grid // rho.denominator)
+        hi = (rho.denominator + rho.numerator) * (grid // rho.denominator)
+        steps = min(max(k * (grid // DRIFT_DENOM), lo), hi)
+        if steps * T_H.numerator * period.denominator != period.numerator * T_H.denominator * grid:
+            clamped = Fraction(steps * T_H.numerator, grid * T_H.denominator)
             self.warnings.append(f"period {period} adjusted to {clamped}")
-        return clamped
+        return steps
+
+    def _clock_grid(self, grid: int, steps: list[int],
+                    phases: list[int]) -> list[tuple[int, int]]:
+        """Set L and every subtick constant from each rank's period, T_H *
+        steps / grid, and its tick phase, in QUANT-ths of a period; return
+        each rank's clock (t_ref, period) in subticks.
+
+        Each clock quantity is a whole number of u = T_H / (grid * QUANT):
+        T_H is grid * QUANT of them, T_H / QUANT grid of them, a period
+        steps * QUANT and its phase offset steps * phase.  With u = un/ud in
+        lowest terms, the least L that makes all of them whole is ud over the
+        gcd of ud and the counts; L is its lcm with the denominators of
+        d_max/QUANT and eps_rnd/QUANT, the least common denominator of every
+        rational that can enter a timestamp.
+        """
+        rp = self.rp
+        T_H, rho, d_max, eps = rp.sys.T_H, rp.rho, rp.sys.d_max, rp.dv.eps_rnd
+        g = math.gcd(T_H.numerator, T_H.denominator * grid * QUANT)
+        un, ud = T_H.numerator // g, T_H.denominator * grid * QUANT // g
+        counts = [grid] + [s * QUANT for s in steps] + [s * j for s, j in zip(steps, phases)]
+        dens = [ud // math.gcd(ud, *counts),
+                d_max.denominator * QUANT // math.gcd(d_max.numerator, QUANT)]
+        if eps > 0:
+            dens.append(eps.denominator * QUANT // math.gcd(eps.numerator, QUANT))
+        L = self.L = math.lcm(*dens)
+
+        uL = un * L          # u * L = uL / ud subticks, and every count * uL / ud is whole
+        self.THL = uL * grid * QUANT // ud
+        self.skew_quantum = eps.numerator * L // (eps.denominator * QUANT) if eps > 0 else 0
+        self.delay_quantum = d_max.numerator * L // (d_max.denominator * QUANT)
+        # Observation-window length in subticks, rounded up to the grid.
+        T_max = rp.dv.T_max
+        self.window = -(-T_max.numerator * self.THL // T_max.denominator)
+        # Policed image of the upward slot, in subticks from a round anchor:
+        # the slot stretched by the drift bound and the round-start skew,
+        # (vc_send[0] (1 - rho) T_H - eps_rnd) L rounded down and
+        # (vc_send[1] (1 + rho) T_H + eps_rnd) L rounded up.
+        vc, rn, rd = rp.sched.vc_send, rho.numerator, rho.denominator
+        den, eps_L = rd * eps.denominator, eps.numerator * L * rd
+        self._police_lo = (vc[0] * (rd - rn) * self.THL * eps.denominator - eps_L) // den
+        self._police_hi = -(-(vc[1] * (rd + rn) * self.THL * eps.denominator + eps_L) // den)
+        return [(-(uL * s * j // ud), uL * s * QUANT // ud) for s, j in zip(steps, phases)]
 
     def _init_states(self, policy: str) -> None:
         rp, tau, rng, n1 = self.rp, self.rp.tau_max, self.init_rng, self._n1
@@ -398,16 +459,10 @@ class World:
         clk = self.clocks[p]
         return (clk.h_at(t) + self.mws[p].clock_offset) % clk.tau
 
-    def _skew(self, i: int, p: int) -> int:
-        if self.skew_quantum == 0:
-            return 0
-        k = self.adversary.choose_skew(i, p)
-        return min(max(int(k), 0), QUANT) * self.skew_quantum
-
     def _delay(self, sender: int, p: int) -> int:
-        """Delay of a message from the node of rank `sender` over plane p."""
-        k = self.adversary.choose_delay(sender, p)
-        return min(max(int(k), 1), QUANT) * self.delay_quantum
+        """Delay of a message from the node of rank `sender` over plane p: the
+        adversary's count of quanta, clamped to [1, QUANT]."""
+        return min(max(int(self._choose_delay(sender, p)), 1), QUANT) * self.delay_quantum
 
     def _record_adjust(self, rank: int, old: int, new: int) -> None:
         now = self.engine.now
@@ -447,7 +502,8 @@ class World:
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
-        rnd = _Round(t, clk.time_of_tick(k + sc.mc_recv[0]), clk.time_of_tick(k + sc.mc_recv[1]))
+        rnd = _PlaneRound(t, clk.time_of_tick(k + sc.mc_recv[0]),
+                          clk.time_of_tick(k + sc.mc_recv[1]))
         self.plane_round[p] = rnd
         eng = self.engine
         t_end_cs = clk.time_of_tick(k + sc.c_send[1])
@@ -460,20 +516,27 @@ class World:
         self.adversary.on_sig(p, t)
 
     def _start_member_rounds(self, p: int, t_sig: int) -> None:
-        """Give every terminal a skewed anchor for plane p's new round."""
-        sc, eng, n1 = self.rp.sched, self.engine, self._n1
+        """Give every terminal an anchor for plane p's new round, skewed by
+        the adversary's count of quanta clamped to [0, QUANT]; with no skew
+        allowed, the adversary is not asked."""
+        sc, n1, quantum = self.rp.sched, self._n1, self.skew_quantum
+        vc0, cr0, cr1 = sc.vc_send[0], sc.c_recv[0], sc.c_recv[1]
+        schedule, choose_skew, clocks = self.engine.schedule, self._choose_skew, self.clocks
+        faulty, mes_round = self.faulty_mes, self.mes_round
+        begin_vc, begin_cr, end_cr = self._on_begin_vc, self._on_begin_cr, self._on_end_cr
         for i in range(self.rp.n0):
-            anchor = t_sig + self._skew(i, p)
-            if i in self.faulty_mes:
+            anchor = t_sig
+            if quantum:
+                anchor += min(max(int(choose_skew(i, p)), 0), QUANT) * quantum
+            if i in faulty:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
-            period = self.clocks[n1 + i].period
-            rnd = _Round(anchor, anchor + sc.c_recv[0] * period, anchor + sc.c_recv[1] * period)
-            self.mes_round[i][p] = rnd
-            eng.schedule(anchor + sc.vc_send[0] * period, n1 + i, K_SLOT,
-                         self._on_begin_vc, i, p, rnd)
-            eng.schedule(rnd.b_recv, n1 + i, K_SLOT, self._on_begin_cr, i, p, rnd)
-            eng.schedule(rnd.e_recv, n1 + i, K_SLOT, self._on_end_cr, i, p, rnd)
+            period, rank = clocks[n1 + i].period, n1 + i
+            rnd = _MesRound(anchor, anchor + cr0 * period, anchor + cr1 * period)
+            mes_round[i][p] = rnd
+            schedule(anchor + vc0 * period, rank, K_SLOT, begin_vc, i, p, rnd)
+            schedule(rnd.b_recv, rank, K_SLOT, begin_cr, i, p, rnd)
+            schedule(rnd.e_recv, rank, K_SLOT, end_cr, i, p, rnd)
 
     def _on_watchdog_fire(self, p: int) -> None:
         # Nothing else is scheduled for a plane that starts busy, so it is
@@ -484,7 +547,7 @@ class World:
             self.trace.add(True, ev="watchdog", t=now, plane=p)
         self._schedule_sig(p, self.clocks[p].ticks_at(now))
 
-    def _on_end_mc(self, p: int, rnd: _Round) -> None:
+    def _on_end_mc(self, p: int, rnd: _PlaneRound) -> None:
         st = self.mws[p]
         t = self.engine.now
         h = self.clocks[p].h_at(t)
@@ -496,7 +559,7 @@ class World:
                            gl=st.grand_life, stb=summary.stb, branch=summary.branch,
                            c_new=summary.c_new)
 
-    def _on_begin_cs(self, p: int, rnd: _Round, t_end_cs: int) -> None:
+    def _on_begin_cs(self, p: int, rnd: _PlaneRound, t_end_cs: int) -> None:
         # validate orders the slots, so end_mc has chosen c_new.  A value
         # landing before t_end_cs lands in the round open now (module docstring).
         m = rnd.c_new
@@ -513,7 +576,7 @@ class World:
                 self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
                                      self._deliver_down, p, i, m)
 
-    def _on_end_cs(self, p: int, rnd: _Round) -> None:
+    def _on_end_cs(self, p: int, rnd: _PlaneRound) -> None:
         st = self.mws[p]
         clk = self.clocks[p]
         old = st.clock_offset
@@ -523,7 +586,7 @@ class World:
 
     # ---- terminal (MES) round machinery ------------------------------------
 
-    def _on_begin_vc(self, i: int, p: int, rnd: _Round) -> None:
+    def _on_begin_vc(self, i: int, p: int, rnd: _MesRound) -> None:
         if self.mes_round[i][p] is not rnd:
             return
         t = self.engine.now
@@ -544,7 +607,7 @@ class World:
         else:
             self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
-    def _refusal_up(self, rnd: _Round, send_t: int, arrival: int) -> Optional[str]:
+    def _refusal_up(self, rnd: _PlaneRound, send_t: int, arrival: int) -> Optional[str]:
         """Why plane round rnd refuses a relay sent at send_t that arrives at
         `arrival`; None when it keeps it.  TT isolation at the plane: the
         send instant must lie in the policed image of the round's upward slot."""
@@ -582,14 +645,14 @@ class World:
         if self._trace_full:
             self.trace.add(False, ev="recv_down", t=now, mes=i, plane=p, m=m)
 
-    def _on_begin_cr(self, i: int, p: int, rnd: _Round) -> None:
+    def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
+        # Runs once, at b_recv: nothing is buffered after it (fate).
         if self.mes_round[i][p] is not rnd:
             return
         for m in rnd.buffer:
             self._ingest_down(i, p, m)
-        rnd.buffer = []
 
-    def _on_end_cr(self, i: int, p: int, rnd: _Round) -> None:
+    def _on_end_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         if self.mes_round[i][p] is not rnd:
             return
         st = self.mes[i]
@@ -731,7 +794,11 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     each reads m plus a constant, so every pair's ring distance stays that
     of the first; and each rate sequence below (e, f) falls by
     T_H*L*rho_num per sample, so a run's first sample bounds its rises and
-    its last its running minimum.
+    its last its running minimum.  A jump on the grid is its own floor and
+    ceiling, so it adds one sample: side 0 of that sample reads the clocks
+    just before the jump, one tick past the grid sample a step earlier on
+    every clock, unless a jump or a slip lies between the two, and either
+    keeps that earlier sample.
 
     The windows are a block, checked in one pass: each window's samples
     are chosen alone and laid end to end (an edge shared by two windows is

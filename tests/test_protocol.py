@@ -1,19 +1,24 @@
 """Protocol state machine tests for terminal and master switch nodes."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planesync.ftcore import accuracy_check, fta, hw_accuracy_threshold, update_acc_counter
+from planesync.ftcore import (accuracy_check, fta, fta_values, hw_accuracy_threshold,
+                              msr_reduce, msr_select, update_acc_counter)
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import (
     MesState,
     MwsState,
+    RoundSummary,
     TTMessageUp,
+    grandmaster_toss,
     mes_on_begin_vc_send,
     mes_on_clock_msg,
     mes_on_end_c_recv,
@@ -24,7 +29,7 @@ from planesync.protocol import (
     mws_watchdog_ticks,
     next_sig_tick,
 )
-from planesync.ring import ring_med, wrap_add, wrap_sub
+from planesync.ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
 
@@ -436,3 +441,195 @@ def test_terminal_matches_dict_reference(data):
         assert new.clock_offset == ref.clock_offset
     h_now = data.draw(ring)
     assert mes_on_begin_vc_send(new, h_now, rp) == ref_mes_on_begin_vc_send(ref, h_now, rp)
+
+
+# ---- reference: the round decision on per-element matrices ---------------------
+#
+# The switch's round decision as it stood when the matrices were built entry by
+# entry as lists, the window search called wrap_sub for each entry, every ring
+# step went through the ring module, and the mean re-sorted what reduce had
+# sorted.  The decision the switch makes now must match it: the same summary,
+# the same lifetime and the same rng state afterwards.
+
+
+def _ref_window_hit(C, rows, width, min_cols, tau):
+    sub = [C[p] for p in rows]
+    anchors = sorted({v for row in sub for v in row if v is not None})
+    full = [col for col in zip(*sub) if None not in col]
+    return (v for v in anchors
+            if sum(all(wrap_sub(e, v, tau) <= width for e in col) for col in full) >= min_cols)
+
+
+def ref_filters(M, A, rp):
+    need = rp.n0 - rp.f0
+    passed = []
+    for p in range(rp.n1):
+        if A[p].count(rp.a0) < need:
+            continue
+        present = [v for v in M[p] if v is not None]
+        if present and M[p].count(ring_med(present, rp.tau_max)) >= need:
+            passed.append(p)
+    return frozenset(passed)
+
+
+def ref_check_stb(C, p_acma, rp):
+    k = rp.n1 - rp.f1
+    if len(p_acma) < k:
+        return False
+    return any(next(_ref_window_hit(C, rows, rp.eps1, rp.n0 - rp.f0, rp.tau_max), None)
+               is not None for rows in combinations(sorted(p_acma), k))
+
+
+def ref_check_weak(C, rp):
+    k = rp.n1 - rp.f1
+    half = rp.eps2 // 2
+    starts = set()
+    for rows in combinations(range(rp.n1), k):
+        starts.update(_ref_window_hit(C, rows, 2 * half, rp.n0 - 2 * rp.f0, rp.tau_max))
+    if not starts:
+        return None
+    return wrap_add(circ_sort(starts, rp.tau_max)[0], half, rp.tau_max)
+
+
+def ref_fta_values(values, f, tau):
+    ordered = circ_sort(msr_select(msr_reduce(values, f, tau), f), tau)
+    s, n = sum(unwrap(ordered, tau)), len(ordered)
+    return wrap_add(ordered[0], -((n - 2 * s) // (2 * n)) % tau, tau)
+
+
+def ref_fta(C, rp):
+    medians = []
+    for col in zip(*C):
+        present = [v for v in col if v is not None]
+        if len(present) >= rp.n1 - rp.f1:
+            medians.append(ring_med(present, rp.tau_max))
+    if len(medians) < 2 * rp.f0 + 1:
+        return None
+    return ref_fta_values(medians, rp.f0, rp.tau_max)
+
+
+def ref_rft(C, c_pre, p0, rng, rp):
+    if rng.random() < p0:
+        return ref_fta(C, rp)
+    candidates = []
+    for row in C:
+        present = [v for v in row if v is not None]
+        candidates.append(ring_med(present, rp.tau_max) if present else c_pre)
+    candidates.append(c_pre)
+    return candidates[rng.randrange(4)]
+
+
+def ref_mws_on_end_mc_recv(state, relays, h_now, rng, rp):
+    tau = rp.tau_max
+    held = state.grand_life
+    b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
+    grand = b_coin == 1 or held > 0
+    cols = [relays.get(i) for i in range(rp.n0)]
+    C = [[None if u is None else u.c_vec[p] for u in cols] for p in range(rp.n1)]
+    A = [[None if u is None else u.a_vec[p] for u in cols] for p in range(rp.n1)]
+    M = [[None if u is None else u.m_vec[p] for u in cols] for p in range(rp.n1)]
+    stb = ref_check_stb(C, ref_filters(M, A, rp), rp)
+    if stb or (grand and b_coin == 0):
+        branch, c_new = "avg", ref_fta(C, rp)
+    elif grand:
+        branch, c_new = "weak", ref_check_weak(C, rp)
+    else:
+        c_pre = wrap_add(wrap_add(h_now, rp.dv.delta_tt3, tau), state.c_tilde_old, tau)
+        branch, c_new = "rft", ref_rft(C, c_pre, rp.dv.p0_cut, rng, rp)
+    if c_new is None:
+        branch = "own"
+        c_new = wrap_add(wrap_add(h_now, state.clock_offset, tau), rp.dv.delta_tt3, tau)
+    return RoundSummary(b_coin=b_coin, stb=stb, branch=branch, c_new=c_new)
+
+
+def _random_relays(rng, rp):
+    """One round's relays: a cluster of estimates and records, sometimes
+    near the ring wrap, with entries pushed out of the windows, missing
+    entries, terminals that sent nothing, low accuracy counters, and
+    arbitrary values from the faulty terminals.  A calm round has few of
+    these, so that the stability condition can hold."""
+    tau, n1 = rp.tau_max, rp.n1
+    calm = rng.random() < 0.4
+    odd = 0.02 if calm else 0.15                       # chance of each fault
+    center = rng.choice([rng.randrange(tau), rng.randrange(8), tau - 1 - rng.randrange(8)])
+    spread = rng.choice([0, 2, rp.eps1 // 2] + ([] if calm else [rp.eps1, 2 * rp.eps2, tau // 2]))
+    row_shift = [0 if calm or rng.random() < 0.7 else rng.randrange(tau) for _ in range(n1)]
+    record = [rng.randrange(tau) for _ in range(n1)]
+    relays = {}
+    for i in range(rp.n0):
+        if rng.random() < odd:
+            continue                                   # sent nothing
+        if i >= rp.n0 - rp.f0 and rng.random() < 0.5:  # faulty: anything at all
+            pick = lambda: rng.randrange(tau) if rng.random() < 0.8 else None
+            relays[i] = TTMessageUp(tuple(pick() for _ in range(n1)),
+                                    tuple(rng.randrange(rp.a0 + 1) for _ in range(n1)),
+                                    tuple(pick() for _ in range(n1)))
+            continue
+        c_vec, a_vec, m_vec = [], [], []
+        for p in range(n1):
+            c = (center + row_shift[p] + rng.randint(-spread, spread)) % tau
+            if rng.random() < odd:
+                c = (c + rp.eps2 + rng.randrange(tau // 2)) % tau   # out of the windows
+            c_vec.append(None if rng.random() < odd else c)
+            a_vec.append(rp.a0 if rng.random() >= odd else rng.randrange(rp.a0))
+            m = record[p] if rng.random() >= odd else rng.randrange(tau)
+            m_vec.append(None if rng.random() < odd else m)
+        relays[i] = TTMessageUp(tuple(c_vec), tuple(a_vec), tuple(m_vec))
+    return dict(sorted(relays.items(), key=lambda kv: rng.random()))   # arrival order
+
+
+@pytest.mark.parametrize("rp", [make_rp(), make_rp(n0=7, f0=2)], ids=["n0=4", "n0=7"])
+def test_round_decision_matches_reference(rp):
+    """Seeded random relay sets and switch states: the summary, the
+    lifetime left and the coin stream's state match the reference's, in
+    every branch."""
+    tau = rp.tau_max
+    rng = random.Random(20261018)
+    branches, stable = Counter(), 0
+    for case in range(3000):
+        relays = _random_relays(rng, rp)
+        state = dict(tau_max=tau, clock_offset=rng.randrange(tau), c_tilde_old=rng.randrange(tau),
+                     grand_life=rng.choice([0, 0, 0, rng.randrange(rp.dv.g0 + 1)]))
+        h_now, seed = rng.randrange(tau), rng.randrange(2**32)
+        new_st, ref_st = MwsState(**state), MwsState(**state)
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = mws_on_end_mc_recv(new_st, relays, h_now, new_rng, rp)
+        want = ref_mws_on_end_mc_recv(ref_st, relays, h_now, ref_rng, rp)
+        assert got == want, case
+        assert new_st == ref_st and new_rng.getstate() == ref_rng.getstate(), case
+        branches[got.branch] += 1
+        stable += got.stb
+    assert min(branches[b] for b in ("avg", "weak", "own", "rft")) >= 20, branches
+    assert 300 <= stable <= 2700, stable
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 99), min_size=1, max_size=9), st.integers(0, 3),
+       st.sampled_from([4, 7, 100]))
+# A step of 2 selects 0 and 60 from the trimmed 0, 30, 60, and their
+# circ_sort order is 60, 0: only a step of 1 may skip the second sort.
+@example([0, 0, 0, 30, 60, 60, 60], 2, 100)
+def test_fta_values_matches_reference(values, f, tau):
+    # Small rings, so that the gap a circular order skips often ties an
+    # inner gap.  Trimming keeps circ_sort order; fta_values relies on it.
+    values = [v % tau for v in values]
+    if len(values) > 2 * f:
+        reduced = msr_reduce(values, f, tau)
+        assert circ_sort(reduced, tau) == reduced
+        assert fta_values(values, f, tau) == ref_fta_values(values, f, tau)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(0, 4095), st.integers(0, 4095), st.integers(0, 4095), st.integers(0, 4095))
+def test_accuracy_check_matches_ring_calls(m_curr, m_pre, h_curr, h_pre):
+    rp = make_rp()
+    tau = rp.tau_max
+    T = rp.T % tau
+    want = ring_dist(m_curr, wrap_add(m_pre, T, tau), tau) <= 2 * rp.eps0 and \
+        ring_dist(h_curr, wrap_add(h_pre, T, tau), tau) <= hw_accuracy_threshold(rp)
+    assert accuracy_check(m_curr, m_pre, h_curr, h_pre, rp) == want
+    # Records one cycle apart, give or take the bounds, are the cases that matter.
+    m_next, h_next = (m_pre + rp.T + m_curr % 9 - 4) % tau, (h_pre + rp.T + h_curr % 9 - 4) % tau
+    want = ring_dist(m_next, wrap_add(m_pre, T, tau), tau) <= 2 * rp.eps0 and \
+        ring_dist(h_next, wrap_add(h_pre, T, tau), tau) <= hw_accuracy_threshold(rp)
+    assert accuracy_check(m_next, m_pre, h_next, h_pre, rp) == want
