@@ -91,8 +91,11 @@ class RandomNoise(Adversary):
 
     def bind(self, world: World) -> None:
         super().bind(world)
-        frac = self.rp.rho * DRIFT_DENOM
-        span = int(frac)  # rho is validated rational with denominator | DRIFT_DENOM
+        # Whole steps of T_H/DRIFT_DENOM, truncated: validate accepts any rho
+        # in [0, 1), and when rho's denominator does not divide DRIFT_DENOM
+        # (rho = 1/3000 gives 333 steps, not 333 1/3) no rate reaches the
+        # drift bound (ROADMAP.md, "Beyond the reference scenario").
+        span = int(self.rp.rho * DRIFT_DENOM)
         T_H = self.rp.sys.T_H
         self._rates = [T_H * Fraction(DRIFT_DENOM + self.rng.randint(-span, span), DRIFT_DENOM)
                        for _rank in range(self.rp.n1 + self.rp.n0)]

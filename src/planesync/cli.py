@@ -10,6 +10,7 @@ same invocation always produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -130,14 +131,9 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as f:
         want = f.read().splitlines()
-    tmp_path = args.trace + ".replay"
-    try:
-        run_once(_scenario(args), args.seed, trace_path=tmp_path)
-        with open(tmp_path) as f:
-            got = f.read().splitlines()
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    replayed = io.StringIO()
+    run_once(_scenario(args), args.seed, trace_path=replayed)
+    got = replayed.getvalue().splitlines()
     if want == got:
         print(f"replay ok: {len(got)} records match")
         return 0

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, field
 from fractions import Fraction
 from random import Random
-from typing import Optional
+from typing import Optional, TextIO, Union
 
 from .adversaries import BUILTINS, make_adversary
 from .errors import ConfigurationError
@@ -215,8 +215,11 @@ def resync_points(toss_log: list[tuple[int, int, int, int]],
 CHECK_BLOCK = 32   # most windows one sync_check call checks
 
 
-def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunResult:
-    """Simulate one seed; see RunResult for the verdict semantics."""
+def run_once(sc: Scenario, seed: int,
+             trace_path: Union[str, TextIO, None] = None) -> RunResult:
+    """Simulate one seed; see RunResult for the verdict semantics.  With
+    trace_path, the run's trace is written to that file, or to that open
+    text stream (replay compares a re-run's trace in memory)."""
     rp = sc.resolved
     # A trace is built only to be written, at level core or finer.
     level = "off" if trace_path is None else \
@@ -282,7 +285,10 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
             successes += 1
     resync_windows = len({t // world.window for t, _p in points})
 
-    if trace_path is not None:
+    to_stream = hasattr(trace_path, "write")
+    if to_stream:
+        trace_path.write(world.trace.to_jsonl())
+    elif trace_path is not None:
         with open(trace_path, "w") as f:
             f.write(world.trace.to_jsonl())
 
@@ -298,7 +304,7 @@ def run_once(sc: Scenario, seed: int, trace_path: Optional[str] = None) -> RunRe
         attempts=attempts,
         successes=successes,
         resync_windows=resync_windows,
-        trace_path=os.path.basename(trace_path) if trace_path else None,
+        trace_path=None if trace_path is None or to_stream else os.path.basename(trace_path),
     )
 
 

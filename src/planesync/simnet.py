@@ -39,8 +39,9 @@ arrives inside a terminal's receive slot, and any message to drop.
 from __future__ import annotations
 
 import heapq
-import json
 import math
+import operator
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -171,9 +172,57 @@ class ClockTrack:
         self.jump_cum.append(prev + delta)
 
 
+# The trace schema: each record kind's exported line, its keys in sorted
+# order.  `%(k)d` writes an integer field, `"%(k)s"` a fixed string;
+# `_VALUES` renders the rest: a node, written ["tag",index], a SIG's clock
+# value (null for a faulty plane's) and a stability verdict.
+_LINES = {
+    "adjust": '{"ev":"adjust","new":%(new)d,"node":["%(node)s",%(node)d],"old":%(old)d,'
+              '"t":%(t)d}\n',
+    "sig": '{"c":%(c)s,"ev":"sig","plane":%(plane)d,"t":%(t)d}\n',
+    "watchdog": '{"ev":"watchdog","plane":%(plane)d,"t":%(t)d}\n',
+    "round": '{"b":%(b)d,"branch":"%(branch)s","c_new":%(c_new)d,"ev":"round",'
+             '"gl":%(gl)d,"plane":%(plane)d,"stb":%(stb)s,"t":%(t)d}\n',
+    "send_up": '{"arrival":%(arrival)d,"ev":"send_up","mes":%(mes)d,"plane":%(plane)d,'
+               '"t":%(t)d}\n',
+    "send_down": '{"arrival":%(arrival)d,"ev":"send_down","m":%(m)d,"plane":%(plane)d,'
+                 '"t":%(t)d,"to":%(to)d}\n',
+    "recv_down": '{"ev":"recv_down","m":%(m)d,"mes":%(mes)d,"plane":%(plane)d,"t":%(t)d}\n',
+    "drop_up": '{"ev":"drop_up","mes":%(mes)d,"plane":%(plane)d,"t":%(t)d,"why":"%(why)s"}\n',
+    "drop_down": '{"ev":"drop_down","mes":%(mes)d,"plane":%(plane)d,"t":%(t)d,'
+                 '"why":"%(why)s"}\n',
+}
+# A record's values in its template's order, where they are not its fields'.
+_VALUES = {
+    "adjust": lambda r: (r["new"], *r["node"], r["old"], r["t"]),
+    "sig": lambda r: ("null" if r["c"] is None else "%d" % r["c"], r["plane"], r["t"]),
+    "round": lambda r: (r["b"], r["branch"], r["c_new"], r["gl"], r["plane"],
+                        "true" if r["stb"] else "false", r["t"]),
+}
+
+
+def _compile(ev: str, line: str) -> tuple[str, frozenset, Callable[[dict], tuple]]:
+    """A kind's positional template, key set and value getter."""
+    names = re.findall(r"%\((\w+)\)", line)
+    return (re.sub(r"%\(\w+\)", "%", line), frozenset(names) | {"ev"},
+            _VALUES.get(ev, operator.itemgetter(*names)))
+
+
+_SCHEMA = {ev: _compile(ev, line) for ev, line in _LINES.items()}
+
+
 class Trace:
-    """Chronological event record; exports line-delimited JSON with a stable
-    field order so identical runs produce identical bytes."""
+    """Chronological event record, exported as one JSON object per line.
+
+    `to_jsonl` writes each record from its kind's template in _LINES, and
+    writes the bytes json.dumps(r, sort_keys=True, separators=(",", ":"))
+    would: each template lists its keys in sorted order; `%d` on a Python
+    int is that int's JSON; every integer field is a Python int, since the
+    World computes in ints and its adversary hooks take each instant and
+    clock value through operator.index; and the fixed strings (`branch`,
+    `why`, the `node` tags) need no escaping.  A record whose keys differ from its template's, or whose
+    kind has none, fails the export, so no field is silently left out.
+    """
 
     def __init__(self, level: str = "core") -> None:
         if level not in TRACE_LEVELS:
@@ -187,10 +236,28 @@ class Trace:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in self.records
-        )
+        lines = []
+        try:
+            for r in self.records:
+                line, keys, values = _SCHEMA[r["ev"]]
+                # values reads every template key, so equal sizes mean equal sets.
+                if len(r) != len(keys):
+                    raise KeyError
+                lines.append(line % values(r))
+        except KeyError:
+            want = _SCHEMA.get(r.get("ev"), (None, None))[1]
+            raise SimulationError(
+                f"trace record of kind {r.get('ev')!r} has keys {sorted(r)}; the trace schema "
+                f"has {'no such kind' if want is None else sorted(want)}") from None
+        return "".join(lines)
+
+
+def _integer(hook: str, name: str, value) -> int:
+    """An adversary hook's instant or clock value as a Python int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SimulationError(f"{hook}: {name} must be an integer, not {value!r}") from None
 
 
 # What a terminal's round does with a clock value arriving at an instant.
@@ -286,7 +353,8 @@ class World:
             steps, phases = [], []
             for rank in range(n1 + n0):
                 steps.append(self._quantize_period(adversary.choose_period(rank), grid))
-                phases.append(adversary.choose_phase(rank) % QUANT)
+                phases.append(_integer("choose_phase", "phase", adversary.choose_phase(rank))
+                              % QUANT)
             tau = rp.tau_max
             self.clocks = [HardwareClock(t_ref=t_ref, period=period,
                                          h0=self.init_rng.randrange(tau), tau=tau)
@@ -313,12 +381,6 @@ class World:
             raise
 
     # ---- construction helpers -------------------------------------------
-
-    def scaled(self, x: Fraction) -> int:
-        """Exact subtick count of a time quantity on this world's grid."""
-        v = x * self.L
-        assert v.denominator == 1
-        return int(v)
 
     def _quantize_period(self, period: Rational, grid: int) -> int:
         """The adversary's tick period snapped to the nearest multiple of
@@ -661,12 +723,16 @@ class World:
         self._record_adjust(self._n1 + i, old, st.clock_offset)
 
     # ---- adversary-facing hooks for faulty components ----------------------
+    # Each takes its instants and clock values through _integer, as set-up
+    # takes each tick phase, so the engine's clock and every traced field
+    # stay Python ints (see Trace).
 
     def faulty_sig(self, p: int, t_sig: int) -> None:
         """A faulty plane starts a round: terminals get anchors as usual, but
         the plane side is entirely adversary-driven."""
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
+        t_sig = _integer("faulty_sig", "t_sig", t_sig)
         if self._trace_core:
             self.trace.add(True, ev="sig", t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)
@@ -674,10 +740,11 @@ class World:
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
         if p not in self.faulty_planes:
             raise SimulationError("adversarial delivery from a nonfaulty plane")
+        m = _integer("adv_deliver_down", "m", m)
+        arrival = _integer("adv_deliver_down", "arrival", arrival)
         if i in self.faulty_mes:
             return
-        arrival = max(arrival, self.engine.now)
-        self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
+        self.engine.schedule(max(arrival, self.engine.now), self._n1 + i, K_DELIVER,
                              self._deliver_down, p, i, m % self.rp.tau_max)
 
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
@@ -685,6 +752,7 @@ class World:
         entries, and every clock value is reduced onto the ring."""
         if i not in self.faulty_mes:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
+        send_t = _integer("adv_send_up", "send_t", send_t)
         n1, tau = self.rp.n1, self.rp.tau_max
         for name in ("c_vec", "a_vec", "m_vec"):
             n = len(getattr(msg, name))
@@ -699,6 +767,7 @@ class World:
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
+        t = _integer("schedule_adv", "t", t)
         self.engine.schedule(max(t, self.engine.now), self._n1 + self.rp.n0, K_ADV, fn)
 
     # ---- runs ---------------------------------------------------------------

@@ -597,6 +597,27 @@ class TestReplayCli:
         assert "records match" in capsys.readouterr().out
         assert not (tmp_path / "trace_seed4.jsonl.replay").exists()
 
+    def test_replay_writes_no_file(self, tmp_path, capsys):
+        # The re-run's trace is compared in memory: a file of the name a
+        # replay once used for it survives byte for byte.
+        args = ["--horizon", "3", "--seed", "4", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        kept = tmp_path / "trace_seed4.jsonl.replay"
+        kept.write_bytes(b"a user's own file\n")
+        before = sorted(tmp_path.iterdir())
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 0
+        assert "records match" in capsys.readouterr().out
+        assert kept.read_bytes() == b"a user's own file\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_other_seed_diverges(self, tmp_path, capsys):
+        args = ["--horizon", "3", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), "--seed", "4", *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        assert cli_main(["replay", "--trace", str(trace), "--seed", "5", *args]) == 1
+        assert "replay diverges at record" in capsys.readouterr().err
+
 
 class TestCoinModel:
     def test_bound_holds_at_moderate_size(self):

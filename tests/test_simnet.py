@@ -606,7 +606,8 @@ class TestConstruction:
         adv.choose_period = lambda key: 2 * RP.sys.T_H
         w = World(RP, adv, seed=1, init_policy="synchronized")
         fast = (1 + RP.rho) * RP.sys.T_H
-        assert all(c.period == w.scaled(fast) for c in w.clocks)
+        assert (fast * w.L).denominator == 1
+        assert all(c.period == fast * w.L for c in w.clocks)
         assert len(w.warnings) == RP.n1 + RP.n0
         assert all(m.endswith(f"adjusted to {fast}") for m in w.warnings)
 
@@ -767,6 +768,175 @@ class TestDeterminism:
                 else:
                     assert adv.choose_delay(3, 0) == ref.randrange(1, QUANT + 1)
             assert adv.rng.getstate() == ref.getstate()
+
+
+
+class _LateRelay(_LateSender):
+    """Faulty terminal stamps its relay inside the policed slot but delivers
+    it after the plane's collection has ended; dropped as late."""
+
+    name = "late_relay"
+
+    def faulty_mes_round(self, i, p, anchor):
+        w = self.world
+        junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+        send_t = anchor + 7 * w.THL
+        w.schedule_adv(anchor + 40 * w.THL,
+                       lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
+
+
+class _Converting(Adversary):
+    """Faulty plane and terminal that hand `hook` its instants and clock
+    values through `conv`, and every other hook plain ints: the plane starts
+    one round and sends each honest terminal an out-of-ring value as its
+    receive slot opens; the terminal relays inside the policed slot."""
+
+    name = "converting"
+
+    def __init__(self, hook, conv):
+        super().__init__()
+        self.hook, self.conv = hook, conv
+
+    def _for(self, hook, *values):
+        return [self.conv(v) if hook == self.hook else v for v in values]
+
+    def setup(self):
+        w = self.world
+        pf = next(iter(w.faulty_planes))
+
+        def fire():
+            w.faulty_sig(pf, *self._for("faulty_sig", w.engine.now))
+            for i in w.honest_mes:
+                w.adv_deliver_down(pf, i, *self._for("adv_deliver_down", RP.tau_max + 5,
+                                                     w.mes_round[i][pf].b_recv))
+
+        w.schedule_adv(*self._for("schedule_adv", w.THL), fire)
+
+    def faulty_mes_round(self, i, p, anchor):
+        w = self.world
+        junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+        send_t = anchor + 7 * w.THL
+        w.schedule_adv(send_t, lambda: w.adv_send_up(i, p, junk,
+                                                     *self._for("adv_send_up", send_t)))
+
+
+def _dumps(r):
+    """The reference export of one record."""
+    return json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+TRACE_STRINGS = {"branch": {"avg", "weak", "own", "rft"},
+                 "why": {"outside policed slot", "late", "no round"}}
+NODE_TAGS = {"mws", "mes"}
+
+
+class TestTraceExport:
+    def test_export_matches_json_dumps(self):
+        # Every built-in adversary x both inits x both levels, plus faulty
+        # terminals whose relays are dropped for each upward reason: every
+        # kind, every fixed string, a SIG with and without a clock value and
+        # both stability verdicts occur.
+        adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
+                       _LateSender, _LateRelay]
+        seen, strings, stb, sig_c = set(), {k: set() for k in TRACE_STRINGS}, set(), set()
+        for adversary, init, level in itertools.product(adversaries, ("synchronized", "random"),
+                                                        ("core", "full")):
+            for seed in (1, 2):
+                w = World(RP, adversary(), seed=seed, init_policy=init, trace_level=level)
+                w.run_until_window(12)
+                w.close()
+                got = w.trace.to_jsonl().splitlines(keepends=True)
+                assert got == [_dumps(r) for r in w.trace.records]
+                for r in w.trace.records:
+                    seen.add(r["ev"])
+                    for k in strings.keys() & r.keys():
+                        strings[k].add(r[k])
+                    if r["ev"] == "round":
+                        stb.add(r["stb"])
+                    elif r["ev"] == "sig":
+                        sig_c.add(r["c"] is None)
+                    elif r["ev"] == "adjust":
+                        assert r["node"][0] in NODE_TAGS
+        assert seen == set(simnet._LINES)
+        assert strings == TRACE_STRINGS
+        assert stb == {True, False} and sig_c == {True, False}
+
+    def test_fixed_strings_need_no_escape(self):
+        for text in set.union(NODE_TAGS, *TRACE_STRINGS.values()):
+            assert json.dumps(text) == f'"{text}"'
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(), min_size=8, max_size=8), st.booleans(), st.booleans(),
+           st.sampled_from(sorted(NODE_TAGS)), st.sampled_from(sorted(TRACE_STRINGS["branch"])),
+           st.sampled_from(sorted(TRACE_STRINGS["why"])))
+    def test_arbitrary_integers(self, v, stb, c_none, tag, branch, why):
+        # Negative integers and integers past 2**63 export as json.dumps does.
+        trace = Trace("full")
+        trace.add(True, ev="adjust", t=v[0], node=[tag, v[1]], old=v[2], new=v[3])
+        trace.add(True, ev="sig", t=v[4], plane=v[5], c=None if c_none else v[6])
+        trace.add(True, ev="watchdog", t=v[7], plane=v[0])
+        trace.add(True, ev="round", t=v[1], plane=v[2], b=v[3], gl=v[4], stb=stb,
+                  branch=branch, c_new=v[5])
+        trace.add(False, ev="send_up", t=v[6], mes=v[7], plane=v[0], arrival=v[1])
+        trace.add(False, ev="send_down", t=v[2], plane=v[3], to=v[4], m=v[5], arrival=v[6])
+        trace.add(False, ev="recv_down", t=v[7], mes=v[0], plane=v[1], m=v[2])
+        trace.add(False, ev="drop_up", t=v[3], plane=v[4], mes=v[5], why=why)
+        trace.add(False, ev="drop_down", t=v[6], plane=v[7], mes=v[0], why=why)
+        assert {r["ev"] for r in trace.records} == set(simnet._LINES)
+        assert trace.to_jsonl() == "".join(map(_dumps, trace.records))
+
+    @pytest.mark.parametrize("rec, keys", [
+        (dict(ev="watchdog", t=1, plane=0, extra=2), "['ev', 'extra', 'plane', 't']"),
+        (dict(ev="watchdog", t=1), "['ev', 't']"),
+        (dict(ev="sig", t=1, plane=0, c=None, note=1), "['c', 'ev', 'note', 'plane', 't']"),
+        (dict(ev="teleport", t=1), "['ev', 't']"),
+        (dict(t=1, plane=0), "['plane', 't']"),
+    ], ids=["extra", "missing", "extra-literal", "unknown-kind", "no-kind"])
+    def test_record_off_schema_fails(self, rec, keys):
+        trace = Trace("full")
+        trace.add(True, ev="watchdog", t=0, plane=1)
+        trace.add(True, **rec)
+        with pytest.raises(SimulationError, match=re.escape(f"{rec.get('ev')!r} has keys {keys}")):
+            trace.to_jsonl()
+
+    HOOKS = ["faulty_sig", "adv_deliver_down", "adv_send_up", "schedule_adv"]
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    def test_numpy_integers_give_plain_bytes(self, hook):
+        traces = []
+        for conv in (int, np.int64):
+            w = World(RP, _Converting(hook, conv), seed=3, init_policy="synchronized",
+                      trace_level="full")
+            w.run_until_window(3)
+            w.close()
+            traces.append(w.trace.to_jsonl())
+        assert traces[0] == traces[1]
+        assert '"ev":"recv_down","m":5,' in traces[0]    # the out-of-ring value, reduced
+
+    def test_tick_phase_is_an_integer(self):
+        # A numpy phase once made every instant an int64; now it gives the
+        # plain bytes, and a float phase is refused by name.
+        traces = []
+        for conv in (int, np.int64):
+            adv = make_adversary("random_noise")
+            choose_phase = adv.choose_phase
+            adv.choose_phase = lambda rank: conv(choose_phase(rank))
+            w = World(RP, adv, seed=3, init_policy="random", trace_level="full")
+            w.run_until_window(3)
+            w.close()
+            traces.append(w.trace.to_jsonl())
+        assert traces[0] == traces[1]
+        adv = make_adversary("silent")
+        adv.choose_phase = lambda rank: 1.5
+        with pytest.raises(SimulationError, match=r"^choose_phase: phase must be an integer"):
+            World(RP, adv, seed=3)
+
+    @pytest.mark.parametrize("hook", HOOKS)
+    @pytest.mark.parametrize("conv", [float, Fraction], ids=["float", "Fraction"])
+    def test_non_integers_refused(self, hook, conv):
+        with pytest.raises(SimulationError, match=rf"^{hook}: \w+ must be an integer"):
+            w = World(RP, _Converting(hook, conv), seed=3, init_policy="synchronized")
+            w.run_until_window(3)
 
 
 class TestSplitBrain:
