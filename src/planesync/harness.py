@@ -482,11 +482,6 @@ def summarize(results: list[RunResult], rp: Resolved, incomplete: bool = False,
     )
 
 
-def _mc_worker(args: tuple) -> RunResult:
-    sc, seed = args
-    return run_once(sc, seed)
-
-
 def run_monte_carlo(sc: Scenario, seeds: list[int],
                     jobs: int = 1) -> tuple[StatsSummary, list[RunResult]]:
     """Independent runs, one per seed, joined in seed order.
@@ -512,7 +507,7 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futs = [(s, ex.submit(_mc_worker, (sc, s))) for s in seeds]
+            futs = [(s, ex.submit(run_once, sc, s)) for s in seeds]
             for s, fut in futs:
                 try:
                     results.append(fut.result())
@@ -521,7 +516,7 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
     else:
         for s in seeds:
             try:
-                results.append(_mc_worker((sc, s)))
+                results.append(run_once(sc, s))
             except Exception as e:
                 fail(s, e)
     summary = summarize(results, rp, incomplete=bool(failed),

@@ -44,9 +44,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache
-from numbers import Rational
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -74,7 +72,7 @@ K_SIG = 2
 K_DELIVER = 3
 K_ADV = 4
 
-DRIFT_DENOM = 1_000_000   # tick periods are T_H * k / DRIFT_DENOM
+DRIFT_DENOM = 1_000_000   # a rate step is T_H / lcm(DRIFT_DENOM, rho's denominator)
 QUANT = 16                # skew/delay/phase quantization steps
 
 
@@ -253,7 +251,7 @@ class Trace:
 
 
 def _integer(hook: str, name: str, value) -> int:
-    """An adversary hook's instant or clock value as a Python int."""
+    """An adversary hook's count, instant or clock value as a Python int."""
     try:
         return operator.index(value)
     except TypeError:
@@ -339,20 +337,25 @@ class World:
 
         # Adversary-chosen per-node rates and tick phases, then the global
         # subtick scale from every rational that can enter a timestamp, all
-        # in integers (see _quantize_period and _clock_grid).
-        self.warnings: list[str] = []  # clamped periods
+        # in integers (see _clock_grid).  A rate is a count k of drift steps:
+        # the period is T_H * (grid + k) / grid, and grid is a multiple of
+        # rho's denominator, so both ends of the drift bound are whole steps.
+        self.warnings: list[str] = []  # clamped rates
+        grid = math.lcm(DRIFT_DENOM, rp.rho.denominator)
+        self._drift_steps = bound = rp.rho.numerator * (grid // rp.rho.denominator)
         adversary.bind(self)
         try:
             # Bound once: these hold whatever the adversary's hooks are after
             # bind, overridden or wrapped, and every skew and delay calls them.
             self._choose_skew = adversary.choose_skew
             self._choose_delay = adversary.choose_delay
-            # Periods are T_H * steps / grid, so both ends of the drift
-            # bound are whole steps.
-            grid = math.lcm(DRIFT_DENOM, rp.rho.denominator)
             steps, phases = [], []
             for rank in range(n1 + n0):
-                steps.append(self._quantize_period(adversary.choose_period(rank), grid))
+                k = _integer("choose_period", "rate", adversary.choose_period(rank))
+                if abs(k) > bound:
+                    self.warnings.append(f"rank {rank}: rate of {k} drift steps clamped "
+                                         f"to the bound {bound}")
+                steps.append(grid + min(max(k, -bound), bound))
                 phases.append(_integer("choose_phase", "phase", adversary.choose_phase(rank))
                               % QUANT)
             tau = rp.tau_max
@@ -380,29 +383,13 @@ class World:
             self.close()
             raise
 
-    # ---- construction helpers -------------------------------------------
+    @property
+    def drift_steps(self) -> int:
+        """The drift bound rho in rate steps: choose_period's count is
+        clamped to [-drift_steps, drift_steps]."""
+        return self._drift_steps
 
-    def _quantize_period(self, period: Rational, grid: int) -> int:
-        """The adversary's tick period snapped to the nearest multiple of
-        T_H/DRIFT_DENOM (a tie to the even multiple) and clamped to the drift
-        bound [(1 - rho) T_H, (1 + rho) T_H], as a count of T_H/grid; grid
-        is a multiple of DRIFT_DENOM and of rho's denominator.  A period
-        that moves is noted in `warnings`."""
-        if not isinstance(period, Rational):
-            raise TypeError(f"a tick period must be rational: {period!r}")
-        T_H, rho = self.rp.sys.T_H, self.rp.rho
-        num = period.numerator * T_H.denominator * DRIFT_DENOM
-        den = period.denominator * T_H.numerator
-        k, r = divmod(num, den)
-        if 2 * r > den or (2 * r == den and k % 2):
-            k += 1
-        lo = (rho.denominator - rho.numerator) * (grid // rho.denominator)
-        hi = (rho.denominator + rho.numerator) * (grid // rho.denominator)
-        steps = min(max(k * (grid // DRIFT_DENOM), lo), hi)
-        if steps * T_H.numerator * period.denominator != period.numerator * T_H.denominator * grid:
-            clamped = Fraction(steps * T_H.numerator, grid * T_H.denominator)
-            self.warnings.append(f"period {period} adjusted to {clamped}")
-        return steps
+    # ---- construction helpers -------------------------------------------
 
     def _clock_grid(self, grid: int, steps: list[int],
                     phases: list[int]) -> list[tuple[int, int]]:
@@ -524,7 +511,8 @@ class World:
     def _delay(self, sender: int, p: int) -> int:
         """Delay of a message from the node of rank `sender` over plane p: the
         adversary's count of quanta, clamped to [1, QUANT]."""
-        return min(max(int(self._choose_delay(sender, p)), 1), QUANT) * self.delay_quantum
+        count = _integer("choose_delay", "delay", self._choose_delay(sender, p))
+        return min(max(count, 1), QUANT) * self.delay_quantum
 
     def _record_adjust(self, rank: int, old: int, new: int) -> None:
         now = self.engine.now
@@ -589,7 +577,8 @@ class World:
         for i in range(self.rp.n0):
             anchor = t_sig
             if quantum:
-                anchor += min(max(int(choose_skew(i, p)), 0), QUANT) * quantum
+                anchor += min(max(_integer("choose_skew", "skew", choose_skew(i, p)), 0),
+                              QUANT) * quantum
             if i in faulty:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
@@ -723,9 +712,9 @@ class World:
         self._record_adjust(self._n1 + i, old, st.clock_offset)
 
     # ---- adversary-facing hooks for faulty components ----------------------
-    # Each takes its instants and clock values through _integer, as set-up
-    # takes each tick phase, so the engine's clock and every traced field
-    # stay Python ints (see Trace).
+    # Each takes its instants and clock values through _integer, as the
+    # World takes every knob's count, so the engine's clock and every traced
+    # field stay Python ints (see Trace).
 
     def faulty_sig(self, p: int, t_sig: int) -> None:
         """A faulty plane starts a round: terminals get anchors as usual, but
@@ -799,19 +788,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays naming each unordered pair of n clocks once; kept, since
     building them costs more than checking a window's pairs."""
     return np.triu_indices(n, 1)
-
-
-@cache
-def _rate_weights(n: int, scale: int, fast: int, slow: int) -> np.ndarray:
-    """The (2n, n+1) integer map from n clocks' readings and the instant to
-    the rate sequences: row k is e_k = scale*u_k - fast*s, row n+k is
-    f_k = slow*s - scale*u_k."""
-    w = np.zeros((2 * n, n + 1), dtype=np.int64)
-    w[:n, :n] = scale * np.eye(n, dtype=np.int64)
-    w[n:, :n] = -w[:n, :n]
-    w[:n, n], w[n:, n] = -fast, slow
-    w.flags.writeable = False
-    return w
 
 
 def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t2: int,
@@ -973,8 +949,11 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
         pr, qr = rp.rho.numerator, rp.rho.denominator
         c = np.array(cols, dtype=np.int64)
         x = U[:, np.minimum(c[:, :1] + np.arange(width), c[:, 1:])]
-        x = (x - x[:, :, :1]).reshape(n + 1, -1)
-        ef = (_rate_weights(n, THL * qr, qr + pr, qr - pr) @ x).reshape(2 * n, len(cols), -1)
+        x = x - x[:, :, :1]
+        # Clock k's readings u_k and the instants s give the rate sequences
+        # e_k = THL*qr*u_k - (qr+pr)*s and f_k = (qr-pr)*s - THL*qr*u_k.
+        su, s = THL * qr * x[:n], x[n]
+        ef = np.concatenate((su - (qr + pr) * s, (qr - pr) * s - su))
         rise = (ef - np.minimum.accumulate(ef, axis=2)).max(axis=(0, 2))
         for j, r in zip(owner, rise.tolist()):
             if r > eps0 * THL * qr:

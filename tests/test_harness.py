@@ -479,6 +479,19 @@ class TestCampaign:
         assert out == "" and \
             err == f"error: a campaign needs at least one worker process: {jobs}\n"
 
+    def test_worker_processes_write_the_serial_bytes(self, tmp_path, capsys):
+        # The pool runs each seed in a worker process; what the campaign
+        # writes must not depend on how many there are.
+        written = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli_main(["campaign", "-c", "scenarios/reference.yaml", "--seeds", "4",
+                             "--horizon", "20", "--adversary", "random_noise",
+                             "--jobs", str(jobs), "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in ("summary.json", "runs.jsonl")])
+        assert written[0] == written[1]
+        assert written[0][1].count(b"\n") == 4
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_campaign_cli_refuses_no_seeds(self, count, capsys):
         # No run, so no verdict: not "all stabilized True" with exit 0.
@@ -536,6 +549,28 @@ class TestCampaign:
         assert "failed seeds: [0, 1]" in err
         for s in (0, 1):
             assert f"seed {s}: {setup_fails(s)}" in err
+
+
+class TestMoreTerminals:
+    """The claim holds for any terminal count with fewer than a third
+    Byzantine, and the reference scenario has 4: the same scenario with 7
+    and with 10 (scenarios/wide.yaml), under every adversary."""
+
+    @pytest.mark.parametrize("adversary", sorted(adversaries.BUILTINS))
+    @pytest.mark.parametrize("n0, f0", [(7, 2), (10, 3)], ids=["n0=7", "n0=10"])
+    def test_closure_and_stabilization(self, n0, f0, adversary):
+        base = reference_scenario(adversary=adversary, horizon=60)
+        base = dataclasses.replace(base, params=dataclasses.replace(base.params, n0=n0, f0=f0))
+        closure = dataclasses.replace(base, init="synchronized", stop_after_confirm=False)
+        summary, results = run_monte_carlo(closure, [0])
+        assert summary.n_violations == 0 and results[0].windows_run == 60
+        summary, _ = run_monte_carlo(dataclasses.replace(base, init="random"), list(range(5)))
+        assert summary.all_stabilized and not summary.incomplete
+
+    def test_wide_scenario_file(self):
+        sc = Scenario.from_file("scenarios/wide.yaml")
+        assert (sc.params.n0, sc.params.f0) == (10, 3)
+        assert dataclasses.replace(sc, params=dataclasses.replace(sc.params, n0=4, f0=1)) == REF
 
 
 class TestValidateCli:

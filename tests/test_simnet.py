@@ -372,7 +372,7 @@ class TestSendTimeDelivery:
 
         class LongDelay(Adversary):
             def choose_period(self, rank):
-                return rp.sys.T_H * (1 + rp.rho if rank < rp.n1 else 1 - rp.rho)
+                return self.world.drift_steps * (1 if rank < rp.n1 else -1)
 
             def choose_skew(self, i, p):
                 return 0
@@ -602,20 +602,27 @@ class TestConstruction:
                     assert m is None or (0 <= m < tau and 0 <= h < tau), (init, seed)
 
     def test_out_of_range_period_clamped_with_warning(self):
+        # Counts at either end of the drift bound stand; counts past it are
+        # clamped to that end, each with a warning that names the rank, the
+        # count and the bound.
         adv = make_adversary("silent")
-        adv.choose_period = lambda key: 2 * RP.sys.T_H
+        b = 1000   # rho = 1/1000 on a grid of 10**6 steps
+        counts = [b, -b, b + 1, -b - 1, 10**9, -10**9, 0]
+        adv.choose_period = lambda rank: counts[rank]
         w = World(RP, adv, seed=1, init_policy="synchronized")
-        fast = (1 + RP.rho) * RP.sys.T_H
-        assert (fast * w.L).denominator == 1
-        assert all(c.period == fast * w.L for c in w.clocks)
-        assert len(w.warnings) == RP.n1 + RP.n0
-        assert all(m.endswith(f"adjusted to {fast}") for m in w.warnings)
+        assert w.drift_steps == b
+        T_H = RP.sys.T_H * w.L
+        fast, slow = (1 + RP.rho) * T_H, (1 - RP.rho) * T_H
+        assert [c.period for c in w.clocks] == [fast, slow, fast, slow, fast, slow, T_H]
+        assert w.warnings == [f"rank {r}: rate of {counts[r]} drift steps clamped to the "
+                              f"bound {b}" for r in (2, 3, 4, 5)]
 
     @pytest.mark.parametrize("rp", [
         RP,
         make_rp(eps_rnd=Fraction(0)),
-        # rho's denominator does not divide DRIFT_DENOM, so a clamped period
-        # is off the snapping grid; T_H, d_max and eps_rnd are not integers.
+        # rho's denominator does not divide DRIFT_DENOM, so the drift steps
+        # are finer than T_H/DRIFT_DENOM; T_H, d_max and eps_rnd are not
+        # integers.
         make_rp(T_H=Fraction(3, 2), rho=Fraction(1, 3000), d_max=Fraction(7, 3),
                 eps_rnd=Fraction(5, 7)),
         make_rp(T_H=Fraction(2, 3), rho=Fraction(7, 9000), d_max=Fraction(5, 4),
@@ -623,25 +630,23 @@ class TestConstruction:
     ], ids=["reference", "no-skew", "odd-3/2", "odd-2/3"])
     def test_integer_setup_matches_fraction_path(self, rp):
         # Every built-in adversary under both initial states and several
-        # seeds, then periods that round half-way, clamp at either end of
-        # the drift bound, sit off the grid or on it.
-        D = simnet.DRIFT_DENOM
-        T_H, rho = rp.sys.T_H, rp.rho
-        odd = [2 * T_H, T_H / 3, T_H * Fraction(2 * D + 1, 2 * D),
-               T_H * Fraction(2 * D + 3, 2 * D), T_H + Fraction(1, 10**9),
-               T_H * (1 + rho), T_H * (1 - rho), T_H, 1]
+        # seeds, then counts that clamp at either end of the drift bound or
+        # far past it, sit at either end or inside it.
+        rho = rp.rho
+        b = int(rho * math.lcm(simnet.DRIFT_DENOM, rho.denominator))
+        odd = [10**9, -10**9, b + 1, -b - 1, b, -b, 0, 1, -1]
         cases = [(name, init, seed, None) for name in BUILTINS
                  for init in ("synchronized", "random") for seed in range(3)]
         cases += [("silent", "random", seed, odd[seed:] + odd[:seed]) for seed in range(len(odd))]
         warned = 0
-        for name, init, seed, periods in cases:
+        for name, init, seed, counts in cases:
             adv = make_adversary(name)
-            if periods is not None:
-                adv.choose_period = lambda rank, periods=periods: periods[rank % len(periods)]
-            raw_periods, raw_phases = [], []
+            if counts is not None:
+                adv.choose_period = lambda rank, counts=counts: counts[rank % len(counts)]
+            raw_counts, raw_phases = [], []
             choose_period, choose_phase = adv.choose_period, adv.choose_phase
-            adv.choose_period = lambda rank: raw_periods.append(choose_period(rank)) or \
-                raw_periods[-1]
+            adv.choose_period = lambda rank: raw_counts.append(choose_period(rank)) or \
+                raw_counts[-1]
             adv.choose_phase = lambda rank: raw_phases.append(choose_phase(rank)) or \
                 raw_phases[-1]
             w = World(rp, adv, seed=seed, init_policy=init, trace_level="off")
@@ -649,30 +654,26 @@ class TestConstruction:
                        window=w.window, police=(w._police_lo, w._police_hi),
                        clocks=[(c.t_ref, c.period) for c in w.clocks], warnings=w.warnings)
             w.close()
-            assert got == _fraction_setup(rp, raw_periods, raw_phases), (name, init, seed)
+            assert got == _fraction_setup(rp, raw_counts, raw_phases), (name, init, seed)
             warned += bool(got["warnings"])
         assert warned >= len(odd)
 
-    def test_irrational_period_refused(self):
-        adv = make_adversary("silent")
-        adv.choose_period = lambda rank: 1.0
-        with pytest.raises(TypeError, match="rational"):
-            World(RP, adv, seed=1)
 
-
-def _fraction_setup(rp, raw_periods, raw_phases):
-    """World's subtick constants computed in Fractions, as World did before
-    it worked in integers: each period snapped to T_H/DRIFT_DENOM (ties to
-    even) and clamped to the drift bound, then L as the least common
-    denominator of every quantity that can enter a timestamp."""
+def _fraction_setup(rp, raw_counts, raw_phases):
+    """World's subtick constants computed in Fractions: count k gives the
+    period T_H * (1 + k / grid), grid the least common multiple of
+    DRIFT_DENOM and rho's denominator, clamped to the drift bound; then L as
+    the least common denominator of every quantity that can enter a
+    timestamp."""
     T_H, rho, eps, d_max = rp.sys.T_H, rp.rho, rp.dv.eps_rnd, rp.sys.d_max
-    D = simnet.DRIFT_DENOM
+    grid = math.lcm(simnet.DRIFT_DENOM, rho.denominator)
     warnings, periods = [], []
-    for period in raw_periods:
-        snapped = T_H * Fraction(round(Fraction(period, T_H) * D), D)
-        clamped = min(max(snapped, (1 - rho) * T_H), (1 + rho) * T_H)
+    for rank, k in enumerate(raw_counts):
+        period = T_H * (1 + Fraction(k, grid))
+        clamped = min(max(period, (1 - rho) * T_H), (1 + rho) * T_H)
         if clamped != period:
-            warnings.append(f"period {period} adjusted to {clamped}")
+            warnings.append(f"rank {rank}: rate of {k} drift steps clamped to the bound "
+                            f"{rho * grid}")
         periods.append(clamped)
     phases = [Fraction(j % QUANT, QUANT) for j in raw_phases]
     atoms = [T_H, Fraction(T_H, QUANT), Fraction(d_max, QUANT)]
@@ -707,6 +708,21 @@ class TestMaxSkew:
                 (cb.ticks_at(span * w.THL) - cb.ticks_at(0)))
         want = float(2 * RP.rho / (1 - RP.rho ** 2))
         assert abs(d / span - want) < 3e-4
+
+    @pytest.mark.parametrize("rho", [Fraction(1, 1000), Fraction(1, 3000), Fraction(7, 9000)],
+                             ids=["1/1000", "1/3000", "7/9000"])
+    def test_periods_exactly_at_the_bound(self, rho):
+        # Whatever rho's denominator, every honest clock runs at (1 + rho)
+        # or (1 - rho) T_H exactly, and nothing is clamped.
+        rp = make_rp(rho=rho)
+        w = World(rp, make_adversary("max_skew"), seed=1, init_policy="synchronized",
+                  trace_level="off")
+        T_H = rp.sys.T_H * w.L
+        honest = w.honest_planes + [rp.n1 + i for i in w.honest_mes]
+        assert sorted(w.clocks[r].period for r in honest) == \
+            [(1 - rho) * T_H] * 2 + [(1 + rho) * T_H] * 3
+        assert all(c.period == T_H for r, c in enumerate(w.clocks) if r not in honest)
+        assert w.warnings == []
 
 
 class TestDeterminism:
@@ -913,23 +929,28 @@ class TestTraceExport:
         assert traces[0] == traces[1]
         assert '"ev":"recv_down","m":5,' in traces[0]    # the out-of-ring value, reduced
 
-    def test_tick_phase_is_an_integer(self):
-        # A numpy phase once made every instant an int64; now it gives the
-        # plain bytes, and a float phase is refused by name.
+    @pytest.mark.parametrize("knob", ["choose_period", "choose_phase", "choose_skew",
+                                      "choose_delay"])
+    def test_knob_is_an_integer(self, knob):
+        # A numpy count gives the plain bytes (a numpy phase once made every
+        # instant an int64), and a float or a Fraction is refused by name.
+        def converted(name, conv):
+            adv = make_adversary(name)
+            choose = getattr(adv, knob)
+            setattr(adv, knob, lambda *key: conv(choose(*key)))
+            return adv
+
         traces = []
         for conv in (int, np.int64):
-            adv = make_adversary("random_noise")
-            choose_phase = adv.choose_phase
-            adv.choose_phase = lambda rank: conv(choose_phase(rank))
-            w = World(RP, adv, seed=3, init_policy="random", trace_level="full")
+            w = World(RP, converted("random_noise", conv), seed=3, init_policy="random",
+                      trace_level="full")
             w.run_until_window(3)
             w.close()
             traces.append(w.trace.to_jsonl())
         assert traces[0] == traces[1]
-        adv = make_adversary("silent")
-        adv.choose_phase = lambda rank: 1.5
-        with pytest.raises(SimulationError, match=r"^choose_phase: phase must be an integer"):
-            World(RP, adv, seed=3)
+        for conv in (float, Fraction):
+            with pytest.raises(SimulationError, match=rf"^{knob}: \w+ must be an integer"):
+                World(RP, converted("silent", conv), seed=3).run_until_window(3)
 
     @pytest.mark.parametrize("hook", HOOKS)
     @pytest.mark.parametrize("conv", [float, Fraction], ids=["float", "Fraction"])
