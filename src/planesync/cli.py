@@ -25,16 +25,15 @@ from .harness import (
     run_once,
 )
 from .params import SCENARIO_ENV_VAR
-from .simnet import INIT_POLICIES, TRACE_LEVELS
+from .simnet import FULL_ONLY, INIT_POLICIES, TRACE_LEVELS
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
     overrides = {}
-    for flag, field in [("horizon", "horizon"), ("adversary", "adversary"),
-                        ("init", "init"), ("trace_level", "trace_level")]:
-        val = getattr(args, flag, None)
+    for name in ("horizon", "adversary", "init", "trace_level"):
+        val = getattr(args, name, None)
         if val is not None:
-            overrides[field] = val
+            overrides[name] = val
     path = getattr(args, "config", None) or os.environ.get(SCENARIO_ENV_VAR)
     if path:
         return Scenario.from_file(path, **overrides)
@@ -50,17 +49,14 @@ def _emit(record: dict, fmt: str, out) -> None:
             out.write(f"{k:<{width}}  {record[k]}\n")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        Scenario.from_file(args.config)
+        sc = Scenario.from_file(args.config)
     except ConfigurationError as e:
         print(f"validation failed: {e}", file=sys.stderr)
         return 1
+    for w in sc.resolved.dv.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     print("pass")
     return 0
 
@@ -108,7 +104,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "runs.jsonl"), "w") as f:
             for r in sorted(results, key=lambda r: r.seed):
                 f.write(json.dumps(r.to_record(), sort_keys=True) + "\n")
-        _write_text(os.path.join(args.out, "summary.txt"), summary.table() + "\n")
+        with open(os.path.join(args.out, "summary.txt"), "w") as f:
+            f.write(summary.table() + "\n")
     if summary.incomplete:
         print(f"campaign incomplete; failed seeds: {list(summary.failed_seeds)}",
               file=sys.stderr)
@@ -131,6 +128,9 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as f:
         want = f.read().splitlines()
+    if args.trace_level is None:    # the recording's own; a line names its kind "ev":"<kind>"
+        full = any(f'"ev":"{ev}"' in line for line in want for ev in FULL_ONLY)
+        args.trace_level = "full" if full else "core"
     replayed = io.StringIO()
     run_once(_scenario(args), args.seed, trace_path=replayed)
     got = replayed.getvalue().splitlines()
@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded(p)
     p.add_argument("--trace", required=True, help="trace file from a previous run")
     p.add_argument("--trace-level", choices=TRACE_LEVELS[1:],     # every level but off
-                   dest="trace_level", help="detail level of the recorded trace")
+                   dest="trace_level", help="the recorded trace's level (default: read from it)")
     p.set_defaults(fn=_cmd_replay)
     return ap
 
@@ -214,10 +214,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PlanesyncError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PlanesyncError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

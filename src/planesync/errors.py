@@ -13,9 +13,5 @@ class FaultBudgetError(PlanesyncError, ValueError):
     """Too few values for the requested number of tolerated faults."""
 
 
-class UnsupportedConfigurationError(PlanesyncError, ValueError):
-    """A configuration outside the implemented parameter range."""
-
-
 class SimulationError(PlanesyncError, RuntimeError):
     """Internal inconsistency detected by the event engine."""

@@ -20,7 +20,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterator, Optional, Sequence
 
-from .errors import FaultBudgetError, UnsupportedConfigurationError
+from .errors import FaultBudgetError
 from .params import Resolved
 from .ring import circ_sort, ring_med, unwrap
 
@@ -106,15 +106,11 @@ def rft(C: Rows, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) ->
     """Randomized choice between the averaging result and a single reference.
 
     With probability p0 the deterministic average (None when fta has too
-    few columns); otherwise a uniform pick among the three row medians and
-    the previous clock value.  Exactly one rng draw decides the branch and
-    one more picks the reference.  p0 may be the exact cut
-    DerivedParams.p0_cut, which decides every draw the same way.
+    few columns); otherwise a uniform pick among the three row medians
+    (validate admits only n1 = 3) and the previous clock value.  Exactly one
+    rng draw decides the branch and one more picks the reference.  p0 may be
+    the exact cut DerivedParams.p0_cut, which decides every draw the same way.
     """
-    if rp.n1 != 3:
-        raise UnsupportedConfigurationError(
-            f"randomized reference choice defined for 3 planes only, n1={rp.n1}"
-        )
     if rng.random() < p0:
         return fta(C, rp)
     candidates = []

@@ -10,15 +10,10 @@ the relays and that value belong to the round, not to the switch.
 All state is single-owner (mutated only by the simulation event loop); the
 functions here mutate in place and lean on the pure core in ftcore.
 
-The per-round steps (a terminal's record, relay and median step, and the
-switch's round decision) write ring arithmetic as `% tau` on integers
-instead of calling ring.wrap_add and wrap_sub: (a mod tau + b) mod tau is
-(a + b) mod tau for every integer a and b, so a chain of wrap calls equals
-one `%` of the plain sum or difference, and the result is on the ring.
-The medians still go through ring.ring_med, whose cut rejects an off-ring
-value.  Relays and round summaries are slotted, unfrozen dataclasses: a
-frozen dataclass's __init__ costs about twice as much, and nothing changes
-either once it is built.
+The per-round steps write ring arithmetic as `% tau` (ring.py says why
+that is exact).  Relays and round summaries are slotted, unfrozen
+dataclasses: a frozen dataclass's __init__ costs about twice as much, and
+nothing changes either once it is built.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ protocol.py, and accuracy_check, the window search, check_weak and the
 circular mean in ftcore.  That is exact: Python's % is the floored
 modulo, so (a % tau + b) % tau == (a + b) % tau for all integers a and b,
 and a chain of wraps equals one % of the plain sum or difference, which
-lands on the ring.  Those paths made about 355 such calls per closure
-window, each about 50 ns dearer than the operator on CPython 3.11.
+lands on the ring.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from .protocol import (MesState, MwsState, TTMessageUp, mes_on_begin_vc_send, me
 from .ring import wrap_add, wrap_sub
 
 __all__ = ["Engine", "HardwareClock", "ClockTrack", "World", "Trace", "sync_check",
-           "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS"]
+           "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS", "FULL_ONLY"]
 
 INIT_POLICIES = ("synchronized", "random")
 TRACE_LEVELS = ("off", "core", "full")
@@ -72,8 +72,16 @@ K_SIG = 2
 K_DELIVER = 3
 K_ADV = 4
 
-DRIFT_DENOM = 1_000_000   # a rate step is T_H / lcm(DRIFT_DENOM, rho's denominator)
+DRIFT_DENOM = 1_000_000   # the rate grid's base (World.drift_steps)
 QUANT = 16                # skew/delay/phase quantization steps
+
+
+def _lengths(rp: Resolved, L: int) -> tuple[int, int]:
+    """T_H and the observation window T_max in subticks at scale L; the
+    window is rounded up."""
+    TH, Tm = rp.sys.T_H, rp.dv.T_max
+    THL = TH.numerator * L // TH.denominator
+    return THL, -(-Tm.numerator * THL // Tm.denominator)
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -190,6 +198,8 @@ _LINES = {
     "drop_down": '{"ev":"drop_down","mes":%(mes)d,"plane":%(plane)d,"t":%(t)d,'
                  '"why":"%(why)s"}\n',
 }
+# A full trace is the core trace, in its order, with records of these kinds added.
+FULL_ONLY = frozenset({"send_up", "send_down", "recv_down", "drop_up", "drop_down"})
 # A record's values in its template's order, where they are not its fields'.
 _VALUES = {
     "adjust": lambda r: (r["new"], *r["node"], r["old"], r["t"]),
@@ -218,19 +228,15 @@ class Trace:
     int is that int's JSON; every integer field is a Python int, since the
     World computes in ints and its adversary hooks take each instant and
     clock value through operator.index; and the fixed strings (`branch`,
-    `why`, the `node` tags) need no escaping.  A record whose keys differ from its template's, or whose
-    kind has none, fails the export, so no field is silently left out.
+    `why`, the `node` tags) need no escaping.  A record whose keys differ
+    from its template's, or whose kind has none, fails the export, so no
+    field is silently left out.
     """
 
-    def __init__(self, level: str = "core") -> None:
-        if level not in TRACE_LEVELS:
-            raise ConfigurationError(f"unknown trace level {level!r}")
-        self.level = level
+    def __init__(self) -> None:
         self.records: list[dict] = []
 
-    def add(self, core: bool, **rec) -> None:
-        if self.level == "off" or (self.level == "core" and not core):
-            return
+    def add(self, **rec) -> None:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
@@ -264,12 +270,11 @@ DROP, BUFFER, INGEST = range(3)
 
 class _Round:
     """One round of a plane, or of one terminal's interface to a plane: its
-    anchor and its receive slot [b_recv, e_recv); it takes messages from its
-    anchor until that slot ends.  Every event of a round carries it; a
-    terminal's handlers return once another round has taken its place, and
-    a plane's rounds never overlap (a SIG starts one only after the last).
-    Each kind of round sets its fields in its own __init__, so that a round
-    is built with one call."""
+    anchor and its receive slot [b_recv, e_recv).  Every event of a round
+    carries it, and a terminal's handlers return once another round has
+    taken its place (when that happens: the module docstring).  Each kind
+    of round sets its fields in its own __init__, so that a round is built
+    with one call."""
 
     anchor: int
     b_recv: int
@@ -318,7 +323,9 @@ class World:
         self.rp = rp
         self.seed = seed
         self.engine = Engine()
-        self.trace = Trace(trace_level)
+        if trace_level not in TRACE_LEVELS:
+            raise ConfigurationError(f"unknown trace level {trace_level!r}")
+        self.trace = Trace()
         # A record is built only at a level that keeps it.
         self._trace_core = trace_level != "off"
         self._trace_full = trace_level == "full"
@@ -335,11 +342,8 @@ class World:
         self.adv_rng = Random(derive_seed(seed, "adversary"))
         self.coin_rng = {p: Random(derive_seed(seed, f"coin:{p}")) for p in self.honest_planes}
 
-        # Adversary-chosen per-node rates and tick phases, then the global
-        # subtick scale from every rational that can enter a timestamp, all
-        # in integers (see _clock_grid).  A rate is a count k of drift steps:
-        # the period is T_H * (grid + k) / grid, and grid is a multiple of
-        # rho's denominator, so both ends of the drift bound are whole steps.
+        # Adversary-chosen rates (see drift_steps) and tick phases, then the
+        # subtick scale, all in integers (see _clock_grid).
         self.warnings: list[str] = []  # clamped rates
         grid = math.lcm(DRIFT_DENOM, rp.rho.denominator)
         self._drift_steps = bound = rp.rho.numerator * (grid // rp.rho.denominator)
@@ -385,8 +389,10 @@ class World:
 
     @property
     def drift_steps(self) -> int:
-        """The drift bound rho in rate steps: choose_period's count is
-        clamped to [-drift_steps, drift_steps]."""
+        """The drift bound rho in rate steps.  choose_period returns a count
+        k of steps, clamped to [-drift_steps, drift_steps]; the period is
+        T_H * (grid + k) / grid, and grid = lcm(DRIFT_DENOM, rho's
+        denominator) makes both ends of the bound whole steps."""
         return self._drift_steps
 
     # ---- construction helpers -------------------------------------------
@@ -417,12 +423,9 @@ class World:
         L = self.L = math.lcm(*dens)
 
         uL = un * L          # u * L = uL / ud subticks, and every count * uL / ud is whole
-        self.THL = uL * grid * QUANT // ud
+        self.THL, self.window = _lengths(rp, L)
         self.skew_quantum = eps.numerator * L // (eps.denominator * QUANT) if eps > 0 else 0
         self.delay_quantum = d_max.numerator * L // (d_max.denominator * QUANT)
-        # Observation-window length in subticks, rounded up to the grid.
-        T_max = rp.dv.T_max
-        self.window = -(-T_max.numerator * self.THL // T_max.denominator)
         # Policed image of the upward slot, in subticks from a round anchor:
         # the slot stretched by the drift bound and the round-start skew,
         # (vc_send[0] (1 - rho) T_H - eps_rnd) L rounded down and
@@ -519,9 +522,8 @@ class World:
         self.tracks[rank].record(now, new)
         if self._trace_core:
             n1 = self._n1
-            self.trace.add(True, ev="adjust", t=now,
-                           node=["mws", rank] if rank < n1 else ["mes", rank - n1],
-                           old=old, new=new)
+            self.trace.add(ev="adjust", t=now, old=old, new=new,
+                           node=["mws", rank] if rank < n1 else ["mes", rank - n1])
 
     # ---- plane (MWS) round machinery --------------------------------------
 
@@ -548,7 +550,7 @@ class World:
         h = clk.h_at(t)
         mws_on_sig(st, h, self.rp)
         if self._trace_core:
-            self.trace.add(True, ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
+            self.trace.add(ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
@@ -595,7 +597,7 @@ class World:
         mws_rearm(self.mws[p])
         now = self.engine.now
         if self._trace_core:
-            self.trace.add(True, ev="watchdog", t=now, plane=p)
+            self.trace.add(ev="watchdog", t=now, plane=p)
         self._schedule_sig(p, self.clocks[p].ticks_at(now))
 
     def _on_end_mc(self, p: int, rnd: _PlaneRound) -> None:
@@ -606,20 +608,17 @@ class World:
         rnd.c_new = summary.c_new
         self.toss_log.append((t, p, summary.b_coin, st.grand_life))
         if self._trace_core:
-            self.trace.add(True, ev="round", t=t, plane=p, b=summary.b_coin,
-                           gl=st.grand_life, stb=summary.stb, branch=summary.branch,
-                           c_new=summary.c_new)
+            self.trace.add(ev="round", t=t, plane=p, b=summary.b_coin, gl=st.grand_life,
+                           stb=summary.stb, branch=summary.branch, c_new=summary.c_new)
 
     def _on_begin_cs(self, p: int, rnd: _PlaneRound, t_end_cs: int) -> None:
-        # validate orders the slots, so end_mc has chosen c_new.  A value
-        # landing before t_end_cs lands in the round open now (module docstring).
+        # end_mc has chosen c_new (validate orders the slots); the store: module docstring.
         m = rnd.c_new
         t = self.engine.now
         for i in self.honest_mes:
             arrival = t + self._delay(p, p)
             if self._trace_full:
-                self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=m,
-                               arrival=arrival)
+                self.trace.add(ev="send_down", t=t, plane=p, to=i, m=m, arrival=arrival)
             dest = self.mes_round[i][p]
             if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
                 dest.buffer.append(m)
@@ -650,8 +649,8 @@ class World:
             return
         arrival = send_t + self._delay(self._n1 + i, p)
         if self._trace_full:
-            self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
-        # A relay the round keeps at its arrival is stored now (module docstring).
+            self.trace.add(ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+        # Stored now if the round keeps it at arrival (module docstring).
         rnd = self.plane_round[p]
         if rnd is not None and self._refusal_up(rnd, send_t, arrival) is None:
             rnd.relays.setdefault(i, msg)
@@ -674,17 +673,17 @@ class World:
         if why is None:
             rnd.relays.setdefault(i, msg)
         elif self._trace_full:
-            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why=why)
+            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i, why=why)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
-        """A clock value at its arrival instant, when it was not stored at
-        send time (see the module docstring)."""
+        """A clock value not stored at send time (module docstring), at its
+        arrival instant."""
         rnd = self.mes_round[i][p]
         now = self.engine.now
         fate = rnd.fate(now)
         if fate == DROP:
             if self._trace_full:
-                self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
+                self.trace.add(ev="drop_down", t=now, plane=p, mes=i, why="no round")
         elif fate == BUFFER:
             rnd.buffer.append(m)
         else:
@@ -694,7 +693,7 @@ class World:
         now = self.engine.now
         mes_on_clock_msg(self.mes[i], p, m, self.clocks[self._n1 + i].h_at(now), self.rp)
         if self._trace_full:
-            self.trace.add(False, ev="recv_down", t=now, mes=i, plane=p, m=m)
+            self.trace.add(ev="recv_down", t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         # Runs once, at b_recv: nothing is buffered after it (fate).
@@ -712,9 +711,6 @@ class World:
         self._record_adjust(self._n1 + i, old, st.clock_offset)
 
     # ---- adversary-facing hooks for faulty components ----------------------
-    # Each takes its instants and clock values through _integer, as the
-    # World takes every knob's count, so the engine's clock and every traced
-    # field stay Python ints (see Trace).
 
     def faulty_sig(self, p: int, t_sig: int) -> None:
         """A faulty plane starts a round: terminals get anchors as usual, but
@@ -723,7 +719,7 @@ class World:
             raise SimulationError("faulty_sig on a nonfaulty plane")
         t_sig = _integer("faulty_sig", "t_sig", t_sig)
         if self._trace_core:
-            self.trace.add(True, ev="sig", t=t_sig, plane=p, c=None)
+            self.trace.add(ev="sig", t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
@@ -843,22 +839,9 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     ceiling, so it adds one sample: side 0 of that sample reads the clocks
     just before the jump, one tick past the grid sample a step earlier on
     every clock, unless a jump or a slip lies between the two, and either
-    keeps that earlier sample.
-
-    The windows are a block, checked in one pass: each window's samples
-    are chosen alone and laid end to end (an edge shared by two windows is
-    a sample of both), and every reading depends only on its instant, so
-    each window gets the verdict it would get alone.  All clocks are
-    checked at once: row k of U holds clock k's hardware ticks plus its
-    signed cumulative shift at each sample, read on side 0 (just before any
-    jump there) and side 1 (just after), interleaved; V holds the ring
-    values (h0 + offset0 + U) mod tau.  Track k's jumps inside [t_0, t_B]
-    are keyed k*(t_B - t_0 + 1) later in one sorted array; a reading's
-    position among them, plus k, indexes every track's shifts laid end to
-    end, each led by the shift carried in.  Each window's precision maximum
-    is one segment of a reduceat.  All rate spans of the block are checked
-    together, each padded to the longest by repeating its last reading: a
-    repeated last value cannot raise max(e - cummin(e)).
+    keeps that earlier sample.  The windows of a block are checked in one
+    pass, each on the samples chosen for it alone, and a reading depends
+    only on its instant, so each window gets the verdict it would get alone.
 
     Returns one (verdict, max precision deviation seen in ticks) per window.
     """
@@ -869,10 +852,11 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     if not tracks:
         return [(True, 0)] * n_win
     tau = rp.tau_max
-    TH, Tm = rp.sys.T_H, rp.dv.T_max
-    THL = TH.numerator * L // TH.denominator
-    delta = -(-Tm.numerator * TH.numerator * L // (Tm.denominator * TH.denominator))
+    THL, delta = _lengths(rp, L)
     n, span = len(tracks), edges[-1] - edges[0] + 1
+    # keys: track k's jumps in the block, shifted k*span later, so that all
+    # tracks' keys form one sorted array.  cums: each track's shifts end to
+    # end, each led by the shift it carries in.
     jumps, keys, cums = [], [], []
     for k, tr in enumerate(tracks):
         jt, cum = tr.jump_times, tr.jump_cum
@@ -948,6 +932,8 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     if cols:
         pr, qr = rp.rho.numerator, rp.rho.denominator
         c = np.array(cols, dtype=np.int64)
+        # Each span padded to the longest by repeating its last reading,
+        # which cannot raise max(e - cummin(e)).
         x = U[:, np.minimum(c[:, :1] + np.arange(width), c[:, 1:])]
         x = x - x[:, :, :1]
         # Clock k's readings u_k and the instants s give the rate sequences

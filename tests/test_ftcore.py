@@ -6,13 +6,12 @@ entry-anchored window, which is the exact semantics of the checkers.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from planesync.errors import FaultBudgetError, UnsupportedConfigurationError
+from planesync.errors import FaultBudgetError
 from planesync.ftcore import (
     accuracy_check,
     check_stb,
@@ -27,7 +26,7 @@ from planesync.ftcore import (
     rft,
     update_acc_counter,
 )
-from planesync.params import Resolved, SystemParams, TTSchedule, resolve
+from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
@@ -203,13 +202,6 @@ class TestRft:
         n = 400_000
         taken = sum(1 for _ in range(n) if rft(C, 700, Fraction(4, 5), rng, rp) == avg)
         assert abs(taken / n - 0.8) <= 0.004
-
-    def test_n1_not_three_rejected(self):
-        # validate refuses n1=5, so build the bundle around a valid one.
-        base = make_rp()
-        rp = Resolved(sys=replace(base.sys, n1=5, f1=2), sched=base.sched, dv=base.dv)
-        with pytest.raises(UnsupportedConfigurationError):
-            rft([[None] * 4 for _ in range(5)], 0, Fraction(1, 2), random.Random(0), rp)
 
 
 class TestAccuracy:

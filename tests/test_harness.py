@@ -584,7 +584,19 @@ class TestValidateCli:
         # The benchmark's scenario too: a schema change that rejected it
         # would otherwise show up only in the benchmark.
         assert cli_main(["validate", "-c", path]) == 0
-        assert capsys.readouterr().out == "pass\n"
+        assert capsys.readouterr() == ("pass\n", "")
+
+    def test_derived_constant_warning_reported(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        with open("scenarios/reference.yaml") as f:
+            text = f.read()
+        assert "tau_max: 4096" in text
+        path.write_text(text.replace("tau_max: 4096", "tau_max: 4000"))
+        assert cli_main(["validate", "-c", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "pass\n"
+        assert err.startswith("warning: tau_max=4000 is not a multiple of T=128")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, why", [
         (("  trace: \"off\"", "  trace: \"off\"\n  bogus: 1"), "unknown run keys: ['bogus']"),
@@ -602,9 +614,10 @@ class TestValidateCli:
         (("adversary:\n  name: silent\n  params: {}", "adversary: max_skew"),
          "adversary section must be a mapping: 'max_skew'"),
         (("adversary:", "adversery:"), "unknown sections: ['adversery']"),
+        (("n1: 3", "n1: 5"), "n1 must be 3"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
-            "name_list", "adversary_string", "section_typo"])
+            "name_list", "adversary_string", "section_typo", "five_planes"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"
@@ -645,6 +658,15 @@ class TestReplayCli:
         assert "records match" in capsys.readouterr().out
         assert kept.read_bytes() == b"a user's own file\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("level", ["full", "core"])
+    def test_level_read_from_the_recording(self, tmp_path, capsys, level):
+        # Without --trace-level, replay runs at the level the file was made at.
+        args = ["--horizon", "3", "--seed", "4"]
+        assert cli_main(["run", "--out", str(tmp_path), *args, "--trace-level", level]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 0
+        assert "records match" in capsys.readouterr().out
 
     def test_other_seed_diverges(self, tmp_path, capsys):
         args = ["--horizon", "3", "--trace-level", "full"]

@@ -31,6 +31,7 @@ from planesync.simnet import (
     K_WATCHDOG,
     QUANT,
     ClockTrack,
+    FULL_ONLY,
     Engine,
     HardwareClock,
     Trace,
@@ -292,7 +293,7 @@ class _EventDelivery(World):
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
         arrival = send_t + self._delay(self.rp.n1 + i, p)
-        self.trace.add(False, ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+        self.trace.add(ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def _on_begin_cs(self, p, rnd, t_end_cs):
@@ -301,8 +302,7 @@ class _EventDelivery(World):
             if i in self.faulty_mes:
                 continue
             arrival = t + self._delay(p, p)
-            self.trace.add(False, ev="send_down", t=t, plane=p, to=i, m=rnd.c_new,
-                           arrival=arrival)
+            self.trace.add(ev="send_down", t=t, plane=p, to=i, m=rnd.c_new, arrival=arrival)
             self.engine.schedule(arrival, self.rp.n1 + i, K_DELIVER,
                                  self._deliver_down, p, i, rnd.c_new)
 
@@ -320,10 +320,10 @@ class _EventDelivery(World):
         if rnd is None:
             return
         if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
-            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i,
+            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i,
                            why="outside policed slot")
         elif getattr(rnd, "closed", False):
-            self.trace.add(False, ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
+            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
         else:
             rnd.relays.setdefault(i, msg)
 
@@ -331,7 +331,7 @@ class _EventDelivery(World):
         rnd = self.mes_round[i][p]
         now = self.engine.now
         if getattr(rnd, "closed", False) or now < rnd.anchor:
-            self.trace.add(False, ev="drop_down", t=now, plane=p, mes=i, why="no round")
+            self.trace.add(ev="drop_down", t=now, plane=p, mes=i, why="no round")
         elif now < rnd.b_recv:
             rnd.buffer.append(m)
         else:
@@ -551,6 +551,12 @@ class TestConstruction:
             assert adv.world is None
         finally:
             gc.enable()
+
+    def test_unknown_trace_level_refused_before_bind(self):
+        adv = make_adversary("silent")
+        with pytest.raises(ConfigurationError, match="unknown trace level 'verbose'"):
+            World(RP, adv, seed=1, trace_level="verbose")
+        assert adv.world is None
 
     @pytest.mark.parametrize("name", ["random_noise", "max_skew"])
     def test_skew_and_delay_hooks_see_every_draw(self, name):
@@ -887,17 +893,17 @@ class TestTraceExport:
            st.sampled_from(sorted(TRACE_STRINGS["why"])))
     def test_arbitrary_integers(self, v, stb, c_none, tag, branch, why):
         # Negative integers and integers past 2**63 export as json.dumps does.
-        trace = Trace("full")
-        trace.add(True, ev="adjust", t=v[0], node=[tag, v[1]], old=v[2], new=v[3])
-        trace.add(True, ev="sig", t=v[4], plane=v[5], c=None if c_none else v[6])
-        trace.add(True, ev="watchdog", t=v[7], plane=v[0])
-        trace.add(True, ev="round", t=v[1], plane=v[2], b=v[3], gl=v[4], stb=stb,
+        trace = Trace()
+        trace.add(ev="adjust", t=v[0], node=[tag, v[1]], old=v[2], new=v[3])
+        trace.add(ev="sig", t=v[4], plane=v[5], c=None if c_none else v[6])
+        trace.add(ev="watchdog", t=v[7], plane=v[0])
+        trace.add(ev="round", t=v[1], plane=v[2], b=v[3], gl=v[4], stb=stb,
                   branch=branch, c_new=v[5])
-        trace.add(False, ev="send_up", t=v[6], mes=v[7], plane=v[0], arrival=v[1])
-        trace.add(False, ev="send_down", t=v[2], plane=v[3], to=v[4], m=v[5], arrival=v[6])
-        trace.add(False, ev="recv_down", t=v[7], mes=v[0], plane=v[1], m=v[2])
-        trace.add(False, ev="drop_up", t=v[3], plane=v[4], mes=v[5], why=why)
-        trace.add(False, ev="drop_down", t=v[6], plane=v[7], mes=v[0], why=why)
+        trace.add(ev="send_up", t=v[6], mes=v[7], plane=v[0], arrival=v[1])
+        trace.add(ev="send_down", t=v[2], plane=v[3], to=v[4], m=v[5], arrival=v[6])
+        trace.add(ev="recv_down", t=v[7], mes=v[0], plane=v[1], m=v[2])
+        trace.add(ev="drop_up", t=v[3], plane=v[4], mes=v[5], why=why)
+        trace.add(ev="drop_down", t=v[6], plane=v[7], mes=v[0], why=why)
         assert {r["ev"] for r in trace.records} == set(simnet._LINES)
         assert trace.to_jsonl() == "".join(map(_dumps, trace.records))
 
@@ -909,9 +915,9 @@ class TestTraceExport:
         (dict(t=1, plane=0), "['plane', 't']"),
     ], ids=["extra", "missing", "extra-literal", "unknown-kind", "no-kind"])
     def test_record_off_schema_fails(self, rec, keys):
-        trace = Trace("full")
-        trace.add(True, ev="watchdog", t=0, plane=1)
-        trace.add(True, **rec)
+        trace = Trace()
+        trace.add(ev="watchdog", t=0, plane=1)
+        trace.add(**rec)
         with pytest.raises(SimulationError, match=re.escape(f"{rec.get('ev')!r} has keys {keys}")):
             trace.to_jsonl()
 
@@ -962,8 +968,14 @@ class TestTraceExport:
 
 class TestSplitBrain:
     def test_planes_disagree_on_stability(self):
-        # The two-faced plane must be able to make one honest plane judge
-        # the ensemble stable while the other does not, in the same cycle.
+        """The two-faced plane must be able to make one honest plane judge
+        the ensemble stable while the other does not, in the same cycle.
+
+        This passes on a rare event: split_brain splits about 1 cycle in
+        2,400 from random starts, and the first split in this search is at
+        seed 8, window 2.  A change that moves bytes can push it past the
+        100 seeds searched with no change to the adversary's power (ROADMAP
+        item 10: adversaries that reach the bounds)."""
         diverged = False
         for seed in range(100):
             w = World(RP, make_adversary("split_brain"), seed=seed,
@@ -980,7 +992,8 @@ class TestSplitBrain:
                    for d in by_win.values()):
                 diverged = True
                 break
-        assert diverged
+        assert diverged, ("no split in 100 seeds: split_brain splits about 1 cycle in 2,400 "
+                          "from random starts, so moved bytes can hide it (ROADMAP item 10)")
 
 
 def _const_track(tau, off, period=10):
@@ -1662,13 +1675,10 @@ def test_block_edges_must_be_in_order(edges):
 # ---- trace levels ---------------------------------------------------------------
 
 
-FULL_ONLY = {"send_up", "send_down", "recv_down", "drop_up", "drop_down"}
-
-
 @pytest.mark.parametrize("init", ["synchronized", "random"])
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_untraced_run_builds_no_record(name, init, monkeypatch):
-    def refuse(self, core, **rec):
+    def refuse(self, **rec):
         raise AssertionError(f"trace record built at level off: {rec}")
 
     monkeypatch.setattr(Trace, "add", refuse)
@@ -1677,12 +1687,13 @@ def test_untraced_run_builds_no_record(name, init, monkeypatch):
 
 
 def test_core_trace_builds_no_full_only_record(monkeypatch):
-    calls = []
+    # Every record a run asks for, by the level of the run that asked.
+    asked = {"core": set(), "full": set()}
     add = Trace.add
 
-    def spy(self, core, **rec):
-        calls.append((self.level, core))
-        add(self, core, **rec)
+    def spy(self, **rec):
+        asked[level].add(rec["ev"])
+        add(self, **rec)
 
     monkeypatch.setattr(Trace, "add", spy)
     seen = {"core": set(), "full": set()}
@@ -1694,4 +1705,4 @@ def test_core_trace_builds_no_full_only_record(monkeypatch):
         seen[level] |= {r["ev"] for r in w.trace.records}
     assert seen["core"] and seen["core"].isdisjoint(FULL_ONLY)
     assert seen["full"] == seen["core"] | FULL_ONLY     # each full-only kind occurs
-    assert all(core for level, core in calls if level == "core")
+    assert asked == seen
