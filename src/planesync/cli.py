@@ -125,27 +125,32 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+# A recording is full if it holds a record of a full-only kind, named "ev":"<kind>".
+_FULL_NEEDLES = tuple(f'"ev":"{ev}"' for ev in sorted(FULL_ONLY))
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as f:
-        want = f.read().splitlines()
-    if args.trace_level is None:    # the recording's own; a line names its kind "ev":"<kind>"
-        full = any(f'"ev":"{ev}"' in line for line in want for ev in FULL_ONLY)
+        want = f.read()
+    if args.trace_level is None:    # the recording's own
+        full = any(needle in want for needle in _FULL_NEEDLES)
         args.trace_level = "full" if full else "core"
     replayed = io.StringIO()
     run_once(_scenario(args), args.seed, trace_path=replayed)
-    got = replayed.getvalue().splitlines()
-    if want == got:
-        print(f"replay ok: {len(got)} records match")
-        return 0
-    n = min(len(want), len(got))
-    for i in range(n):
-        if want[i] != got[i]:
-            print(f"replay diverges at record {i + 1}:\n- {want[i]}\n+ {got[i]}",
-                  file=sys.stderr)
+    got = replayed.getvalue()
+    if want != got:     # split into lines only to name the first difference
+        want_lines, got_lines = want.splitlines(), got.splitlines()
+        for i, (a, b) in enumerate(zip(want_lines, got_lines)):
+            if a != b:
+                print(f"replay diverges at record {i + 1}:\n- {a}\n+ {b}", file=sys.stderr)
+                return 1
+        if len(want_lines) != len(got_lines):
+            print(f"replay diverges: {len(want_lines)} recorded vs {len(got_lines)} "
+                  "replayed records", file=sys.stderr)
             return 1
-    print(f"replay diverges: {len(want)} recorded vs {len(got)} replayed records",
-          file=sys.stderr)
-    return 1
+    n = got.count("\n")
+    print(f"replay ok: {n} records match")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -179,9 +179,9 @@ class ClockTrack:
 
 
 # The trace schema: each record kind's exported line, its keys in sorted
-# order.  `%(k)d` writes an integer field, `"%(k)s"` a fixed string;
-# `_VALUES` renders the rest: a node, written ["tag",index], a SIG's clock
-# value (null for a faulty plane's) and a stability verdict.
+# order.  `%(k)d` writes an integer field and `"%(k)s"` a fixed string; a
+# node is written ["tag",index], a SIG's clock value is null for a faulty
+# plane's, and a stability verdict is true or false.
 _LINES = {
     "adjust": '{"ev":"adjust","new":%(new)d,"node":["%(node)s",%(node)d],"old":%(old)d,'
               '"t":%(t)d}\n',
@@ -200,60 +200,61 @@ _LINES = {
 }
 # A full trace is the core trace, in its order, with records of these kinds added.
 FULL_ONLY = frozenset({"send_up", "send_down", "recv_down", "drop_up", "drop_down"})
-# A record's values in its template's order, where they are not its fields'.
-_VALUES = {
-    "adjust": lambda r: (r["new"], *r["node"], r["old"], r["t"]),
-    "sig": lambda r: ("null" if r["c"] is None else "%d" % r["c"], r["plane"], r["t"]),
-    "round": lambda r: (r["b"], r["branch"], r["c_new"], r["gl"], r["plane"],
-                        "true" if r["stb"] else "false", r["t"]),
-}
-
-
-def _compile(ev: str, line: str) -> tuple[str, frozenset, Callable[[dict], tuple]]:
-    """A kind's positional template, key set and value getter."""
-    names = re.findall(r"%\((\w+)\)", line)
-    return (re.sub(r"%\(\w+\)", "%", line), frozenset(names) | {"ev"},
-            _VALUES.get(ev, operator.itemgetter(*names)))
-
-
-_SCHEMA = {ev: _compile(ev, line) for ev, line in _LINES.items()}
+# Each template with positional placeholders, which take its values in its order.
+_FORMATS = {ev: re.sub(r"%\(\w+\)", "%", line) for ev, line in _LINES.items()}
 
 
 class Trace:
-    """Chronological event record, exported as one JSON object per line.
+    """Chronological event record: `records` holds each record's exported
+    line, and `to_jsonl` joins them.  Each kind in _LINES has a recorder of
+    its name, whose keyword parameters are the kind's keys but "ev": a
+    missing or extra field fails at the call.
 
-    `to_jsonl` writes each record from its kind's template in _LINES, and
-    writes the bytes json.dumps(r, sort_keys=True, separators=(",", ":"))
-    would: each template lists its keys in sorted order; `%d` on a Python
-    int is that int's JSON; every integer field is a Python int, since the
-    World computes in ints and its adversary hooks take each instant and
-    clock value through operator.index; and the fixed strings (`branch`,
-    `why`, the `node` tags) need no escaping.  A record whose keys differ
-    from its template's, or whose kind has none, fails the export, so no
-    field is silently left out.
+    Each line is the bytes json.dumps(r, sort_keys=True, separators=(",",
+    ":")) writes for the record r: each template lists its keys in sorted
+    order; `%d` on a Python int is that int's JSON; every integer field is a
+    Python int, since the World computes in ints and its adversary hooks
+    take each instant and clock value through operator.index; and the fixed
+    strings (`branch`, `why`, the `node` tags) need no escaping.
     """
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
+        self.records: list[str] = []
 
-    def add(self, **rec) -> None:
-        self.records.append(rec)
+    def add(self, line: str) -> None:
+        self.records.append(line)
 
     def to_jsonl(self) -> str:
-        lines = []
-        try:
-            for r in self.records:
-                line, keys, values = _SCHEMA[r["ev"]]
-                # values reads every template key, so equal sizes mean equal sets.
-                if len(r) != len(keys):
-                    raise KeyError
-                lines.append(line % values(r))
-        except KeyError:
-            want = _SCHEMA.get(r.get("ev"), (None, None))[1]
-            raise SimulationError(
-                f"trace record of kind {r.get('ev')!r} has keys {sorted(r)}; the trace schema "
-                f"has {'no such kind' if want is None else sorted(want)}") from None
-        return "".join(lines)
+        return "".join(self.records)
+
+    def adjust(self, *, new: int, node: tuple[str, int], old: int, t: int) -> None:
+        self.add(_FORMATS["adjust"] % (new, node[0], node[1], old, t))
+
+    def sig(self, *, c: Optional[int], plane: int, t: int) -> None:
+        self.add(_FORMATS["sig"] % ("null" if c is None else "%d" % c, plane, t))
+
+    def watchdog(self, *, plane: int, t: int) -> None:
+        self.add(_FORMATS["watchdog"] % (plane, t))
+
+    def round(self, *, b: int, branch: str, c_new: int, gl: int, plane: int, stb: bool,
+              t: int) -> None:
+        self.add(_FORMATS["round"] % (b, branch, c_new, gl, plane,
+                                      "true" if stb else "false", t))
+
+    def send_up(self, *, arrival: int, mes: int, plane: int, t: int) -> None:
+        self.add(_FORMATS["send_up"] % (arrival, mes, plane, t))
+
+    def send_down(self, *, arrival: int, m: int, plane: int, t: int, to: int) -> None:
+        self.add(_FORMATS["send_down"] % (arrival, m, plane, t, to))
+
+    def recv_down(self, *, m: int, mes: int, plane: int, t: int) -> None:
+        self.add(_FORMATS["recv_down"] % (m, mes, plane, t))
+
+    def drop_up(self, *, mes: int, plane: int, t: int, why: str) -> None:
+        self.add(_FORMATS["drop_up"] % (mes, plane, t, why))
+
+    def drop_down(self, *, mes: int, plane: int, t: int, why: str) -> None:
+        self.add(_FORMATS["drop_down"] % (mes, plane, t, why))
 
 
 def _integer(hook: str, name: str, value) -> int:
@@ -522,8 +523,8 @@ class World:
         self.tracks[rank].record(now, new)
         if self._trace_core:
             n1 = self._n1
-            self.trace.add(ev="adjust", t=now, old=old, new=new,
-                           node=["mws", rank] if rank < n1 else ["mes", rank - n1])
+            self.trace.adjust(t=now, old=old, new=new,
+                              node=("mws", rank) if rank < n1 else ("mes", rank - n1))
 
     # ---- plane (MWS) round machinery --------------------------------------
 
@@ -550,7 +551,7 @@ class World:
         h = clk.h_at(t)
         mws_on_sig(st, h, self.rp)
         if self._trace_core:
-            self.trace.add(ev="sig", t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
+            self.trace.sig(t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
@@ -597,7 +598,7 @@ class World:
         mws_rearm(self.mws[p])
         now = self.engine.now
         if self._trace_core:
-            self.trace.add(ev="watchdog", t=now, plane=p)
+            self.trace.watchdog(t=now, plane=p)
         self._schedule_sig(p, self.clocks[p].ticks_at(now))
 
     def _on_end_mc(self, p: int, rnd: _PlaneRound) -> None:
@@ -608,8 +609,8 @@ class World:
         rnd.c_new = summary.c_new
         self.toss_log.append((t, p, summary.b_coin, st.grand_life))
         if self._trace_core:
-            self.trace.add(ev="round", t=t, plane=p, b=summary.b_coin, gl=st.grand_life,
-                           stb=summary.stb, branch=summary.branch, c_new=summary.c_new)
+            self.trace.round(t=t, plane=p, b=summary.b_coin, gl=st.grand_life,
+                             stb=summary.stb, branch=summary.branch, c_new=summary.c_new)
 
     def _on_begin_cs(self, p: int, rnd: _PlaneRound, t_end_cs: int) -> None:
         # end_mc has chosen c_new (validate orders the slots); the store: module docstring.
@@ -618,7 +619,7 @@ class World:
         for i in self.honest_mes:
             arrival = t + self._delay(p, p)
             if self._trace_full:
-                self.trace.add(ev="send_down", t=t, plane=p, to=i, m=m, arrival=arrival)
+                self.trace.send_down(t=t, plane=p, to=i, m=m, arrival=arrival)
             dest = self.mes_round[i][p]
             if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
                 dest.buffer.append(m)
@@ -649,7 +650,7 @@ class World:
             return
         arrival = send_t + self._delay(self._n1 + i, p)
         if self._trace_full:
-            self.trace.add(ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+            self.trace.send_up(t=send_t, mes=i, plane=p, arrival=arrival)
         # Stored now if the round keeps it at arrival (module docstring).
         rnd = self.plane_round[p]
         if rnd is not None and self._refusal_up(rnd, send_t, arrival) is None:
@@ -673,7 +674,7 @@ class World:
         if why is None:
             rnd.relays.setdefault(i, msg)
         elif self._trace_full:
-            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i, why=why)
+            self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why=why)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
         """A clock value not stored at send time (module docstring), at its
@@ -683,7 +684,7 @@ class World:
         fate = rnd.fate(now)
         if fate == DROP:
             if self._trace_full:
-                self.trace.add(ev="drop_down", t=now, plane=p, mes=i, why="no round")
+                self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
         elif fate == BUFFER:
             rnd.buffer.append(m)
         else:
@@ -693,7 +694,7 @@ class World:
         now = self.engine.now
         mes_on_clock_msg(self.mes[i], p, m, self.clocks[self._n1 + i].h_at(now), self.rp)
         if self._trace_full:
-            self.trace.add(ev="recv_down", t=now, mes=i, plane=p, m=m)
+            self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         # Runs once, at b_recv: nothing is buffered after it (fate).
@@ -719,7 +720,7 @@ class World:
             raise SimulationError("faulty_sig on a nonfaulty plane")
         t_sig = _integer("faulty_sig", "t_sig", t_sig)
         if self._trace_core:
-            self.trace.add(ev="sig", t=t_sig, plane=p, c=None)
+            self.trace.sig(t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:

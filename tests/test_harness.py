@@ -197,8 +197,8 @@ class TestResyncPoints:
 
 class TestRunOnce:
     def test_trace_built_only_to_be_written(self, monkeypatch, tmp_path):
-        def refuse(self, core, **rec):
-            raise AssertionError(f"trace record built with no trace file: {rec}")
+        def refuse(self, line):
+            raise AssertionError(f"trace record built with no trace file: {line}")
 
         sc = scenario(trace_level="full", horizon=3)
         path = tmp_path / "trace.jsonl"
@@ -667,6 +667,22 @@ class TestReplayCli:
         trace = tmp_path / "trace_seed4.jsonl"
         assert cli_main(["replay", "--trace", str(trace), *args]) == 0
         assert "records match" in capsys.readouterr().out
+
+    def test_cut_recording_diverges_by_count(self, tmp_path, capsys):
+        # Every recorded line matches, but the re-run has more of them; a
+        # recording that only lacks its last newline still matches.
+        args = ["--horizon", "3", "--seed", "4", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        capsys.readouterr()
+        trace.write_text("".join(lines)[:-1])
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 0
+        assert capsys.readouterr().out == f"replay ok: {len(lines)} records match\n"
+        trace.write_text("".join(lines[:-2]))
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 1
+        assert capsys.readouterr().err == \
+            f"replay diverges: {len(lines) - 2} recorded vs {len(lines)} replayed records\n"
 
     def test_other_seed_diverges(self, tmp_path, capsys):
         args = ["--horizon", "3", "--trace-level", "full"]

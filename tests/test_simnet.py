@@ -4,6 +4,7 @@ message policing, and the synchronization verdict."""
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -54,6 +55,11 @@ def make_rp(**over):
 
 
 RP = make_rp()
+
+
+def _records(w):
+    """The records of w's trace, each line parsed."""
+    return [json.loads(line) for line in w.trace.records]
 
 
 class TestEngine:
@@ -212,7 +218,7 @@ class TestPolicing:
         w = World(RP, make_adversary("silent"), seed=3,
                   init_policy="synchronized", trace_level="full")
         w.run_until_window(3)
-        drops = [r for r in w.trace.records if r["ev"].startswith("drop")]
+        drops = [r for r in _records(w) if r["ev"].startswith("drop")]
         assert drops == []
 
     def test_out_of_slot_send_dropped(self):
@@ -220,7 +226,7 @@ class TestPolicing:
                     trace_level="full")
         w.run_until_window(3)
         faulty = next(iter(w.faulty_mes))
-        drops = [r for r in w.trace.records
+        drops = [r for r in _records(w)
                  if r["ev"] == "drop_up" and r["mes"] == faulty]
         assert drops and all(r["why"] == "outside policed slot" for r in drops)
         assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
@@ -232,7 +238,7 @@ class TestPolicing:
         w.run_until_window(3)
         faulty = next(iter(w.faulty_mes))
         assert not any(r["ev"] == "drop_up" and r["mes"] == faulty
-                       for r in w.trace.records)
+                       for r in _records(w))
         assert {p for p, _rnd in w.closed_rounds} == set(w.honest_planes)
         assert all(rnd.relays[faulty].c_vec[0] == 1 for _p, rnd in w.closed_rounds)
 
@@ -293,7 +299,7 @@ class _EventDelivery(World):
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
         arrival = send_t + self._delay(self.rp.n1 + i, p)
-        self.trace.add(ev="send_up", t=send_t, mes=i, plane=p, arrival=arrival)
+        self.trace.send_up(t=send_t, mes=i, plane=p, arrival=arrival)
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def _on_begin_cs(self, p, rnd, t_end_cs):
@@ -302,7 +308,7 @@ class _EventDelivery(World):
             if i in self.faulty_mes:
                 continue
             arrival = t + self._delay(p, p)
-            self.trace.add(ev="send_down", t=t, plane=p, to=i, m=rnd.c_new, arrival=arrival)
+            self.trace.send_down(t=t, plane=p, to=i, m=rnd.c_new, arrival=arrival)
             self.engine.schedule(arrival, self.rp.n1 + i, K_DELIVER,
                                  self._deliver_down, p, i, rnd.c_new)
 
@@ -320,10 +326,9 @@ class _EventDelivery(World):
         if rnd is None:
             return
         if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
-            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i,
-                           why="outside policed slot")
+            self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why="outside policed slot")
         elif getattr(rnd, "closed", False):
-            self.trace.add(ev="drop_up", t=self.engine.now, plane=p, mes=i, why="late")
+            self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why="late")
         else:
             rnd.relays.setdefault(i, msg)
 
@@ -331,7 +336,7 @@ class _EventDelivery(World):
         rnd = self.mes_round[i][p]
         now = self.engine.now
         if getattr(rnd, "closed", False) or now < rnd.anchor:
-            self.trace.add(ev="drop_down", t=now, plane=p, mes=i, why="no round")
+            self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
         elif now < rnd.b_recv:
             rnd.buffer.append(m)
         else:
@@ -340,14 +345,20 @@ class _EventDelivery(World):
 
 class TestSendTimeDelivery:
     def test_matches_event_delivery(self):
+        # Every built-in adversary, plus faulty terminals whose relays are
+        # refused for each upward reason: the same records, the refusals
+        # included, as the reference.
         events = ref_events = 0
-        for name, init, seed in itertools.product(BUILTINS, ("synchronized", "random"),
-                                                  (1, 2, 3)):
-            w, ref = (cls(RP, make_adversary(name), seed=seed, init_policy=init,
-                          trace_level="full") for cls in (World, _EventDelivery))
+        whys = set()
+        adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
+                       _LateSender, _LateRelay]
+        for adversary, init, seed in itertools.product(adversaries, ("synchronized", "random"),
+                                                       (1, 2, 3)):
+            w, ref = (cls(RP, adversary(), seed=seed, init_policy=init, trace_level="full")
+                      for cls in (World, _EventDelivery))
             w.run_until_window(100)
             ref.run_until_window(100)
-            case = (name, init, seed)
+            case = (w.adversary.name, init, seed)
             assert w.trace.records == ref.trace.records, case
             assert w.toss_log == ref.toss_log, case
             for k, (tr, other) in enumerate(zip(w.qap_tracks(), ref.qap_tracks())):
@@ -356,9 +367,12 @@ class TestSendTimeDelivery:
             assert w.mws == ref.mws, case
             assert {i: vars(st) for i, st in w.mes.items()} == \
                 {i: vars(st) for i, st in ref.mes.items()}, case
-            events += w.engine._seq
-            ref_events += ref.engine._seq
+            whys |= {r["why"] for r in _records(w) if r["ev"] == "drop_up"}
+            if w.adversary.name in BUILTINS:
+                events += w.engine._seq
+                ref_events += ref.engine._seq
         assert events <= 0.75 * ref_events
+        assert whys == TRACE_STRINGS["why"] - {"no round"}
 
     def test_value_inside_the_receive_slot_ingested_on_arrival(self):
         # Receive slots open as the plane's send slot ends, plane clocks run
@@ -398,7 +412,7 @@ class TestSendTimeDelivery:
 
         w = Probe(rp, LongDelay(), seed=3, init_policy="synchronized", trace_level="full")
         w.run_until_window(3)
-        records = w.trace.records
+        records = _records(w)
         arrivals = sorted((r["arrival"], r["to"], r["plane"])
                           for r in records if r["ev"] == "send_down")
         assert arrivals and not any(r["ev"] == "drop_down" for r in records)
@@ -414,7 +428,7 @@ class TestRounds:
         w = World(RP, make_adversary("silent"), seed=5,
                   init_policy="synchronized", trace_level="core")
         w.run_until_window(6)
-        sigs = [r for r in w.trace.records if r["ev"] == "sig" and r["c"] is not None]
+        sigs = [r for r in _records(w) if r["ev"] == "sig" and r["c"] is not None]
         assert all(r["c"] % RP.T == 0 for r in sigs)
         for p in w.honest_planes:
             ts = [r["t"] for r in sigs if r["plane"] == p]
@@ -430,8 +444,9 @@ class TestRounds:
                       init_policy="random", trace_level="core")
             w.run_until_window(20)
             bound = (RP.T + RP.sys.T0 + 1) * (1 + RP.rho) * RP.sys.T_H * w.L
+            records = _records(w)
             for p in w.honest_planes:
-                ts = [r["t"] for r in w.trace.records if r["ev"] == "sig" and r["plane"] == p]
+                ts = [r["t"] for r in records if r["ev"] == "sig" and r["plane"] == p]
                 assert ts and ts[0] <= bound
                 assert all(b - a <= bound for a, b in zip(ts, ts[1:]))
 
@@ -447,7 +462,7 @@ class TestRounds:
                       trace_level="core")
             stuck = {p for p in w.honest_planes if not w.mws[p].idle}
             w.run_until_window(10)
-            recs = [(r["ev"], r["plane"]) for r in w.trace.records
+            recs = [(r["ev"], r["plane"]) for r in _records(w)
                     if r["ev"] in ("watchdog", "sig")]
             watched = [p for ev, p in recs if ev == "watchdog"]
             assert set(watched) <= stuck, (name, init, seed)
@@ -496,8 +511,9 @@ class TestRounds:
             w = World(RP, make_adversary(name), seed=seed, init_policy=init,
                       trace_level="core")
             w.run_until_window(20)
+            records = _records(w)
             for p in w.honest_planes:
-                seq = "".join(letter[r["ev"]] for r in w.trace.records
+                seq = "".join(letter[r["ev"]] for r in records
                               if r.get("plane") == p or r.get("node") == ["mws", p])
                 assert re.fullmatch(r"w?(sra)*(s|sr)?", seq), (name, init, seed, p, seq)
                 cycles += seq.count("sra")
@@ -587,7 +603,7 @@ class TestConstruction:
             w.close()
             traces.append(w.trace.to_jsonl())
         assert traces[0] == traces[1] == traces[2]
-        sends = sum(r["ev"] in ("send_up", "send_down") for r in w.trace.records)
+        sends = sum(r["ev"] in ("send_up", "send_down") for r in _records(w))
         assert len(seen) == Counting.calls > sends > 0
 
     @pytest.mark.parametrize("init", ["synchronized", "random"])
@@ -853,11 +869,23 @@ NODE_TAGS = {"mws", "mes"}
 
 
 class TestTraceExport:
-    def test_export_matches_json_dumps(self):
+    def test_export_matches_json_dumps(self, monkeypatch):
         # Every built-in adversary x both inits x both levels, plus faulty
         # terminals whose relays are dropped for each upward reason: every
         # kind, every fixed string, a SIG with and without a clock value and
-        # both stability verdicts occur.
+        # both stability verdicts occur.  Each recorder is spied on: the line
+        # it adds equals json.dumps of the values the World passed it.
+        spied = []
+
+        def spy(kind, recorder):
+            def spying(self, **fields):
+                recorder(self, **fields)
+                assert self.records[-1] == _dumps({"ev": kind, **fields}), (kind, fields)
+                spied.append(kind)
+            return spying
+
+        for kind in simnet._LINES:
+            monkeypatch.setattr(Trace, kind, spy(kind, getattr(Trace, kind)))
         adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
                        _LateSender, _LateRelay]
         seen, strings, stb, sig_c = set(), {k: set() for k in TRACE_STRINGS}, set(), set()
@@ -867,9 +895,12 @@ class TestTraceExport:
                 w = World(RP, adversary(), seed=seed, init_policy=init, trace_level=level)
                 w.run_until_window(12)
                 w.close()
+                assert len(spied) == len(w.trace.records)
+                spied.clear()
                 got = w.trace.to_jsonl().splitlines(keepends=True)
-                assert got == [_dumps(r) for r in w.trace.records]
-                for r in w.trace.records:
+                records = _records(w)
+                assert got == [_dumps(r) for r in records]
+                for r in records:
                     seen.add(r["ev"])
                     for k in strings.keys() & r.keys():
                         strings[k].add(r[k])
@@ -892,34 +923,53 @@ class TestTraceExport:
            st.sampled_from(sorted(NODE_TAGS)), st.sampled_from(sorted(TRACE_STRINGS["branch"])),
            st.sampled_from(sorted(TRACE_STRINGS["why"])))
     def test_arbitrary_integers(self, v, stb, c_none, tag, branch, why):
-        # Negative integers and integers past 2**63 export as json.dumps does.
+        # Negative integers and integers past 2**63 record as json.dumps
+        # writes them, for every kind.
+        calls = [
+            ("adjust", dict(t=v[0], node=(tag, v[1]), old=v[2], new=v[3])),
+            ("sig", dict(t=v[4], plane=v[5], c=None if c_none else v[6])),
+            ("watchdog", dict(t=v[7], plane=v[0])),
+            ("round", dict(t=v[1], plane=v[2], b=v[3], gl=v[4], stb=stb, branch=branch,
+                           c_new=v[5])),
+            ("send_up", dict(t=v[6], mes=v[7], plane=v[0], arrival=v[1])),
+            ("send_down", dict(t=v[2], plane=v[3], to=v[4], m=v[5], arrival=v[6])),
+            ("recv_down", dict(t=v[7], mes=v[0], plane=v[1], m=v[2])),
+            ("drop_up", dict(t=v[3], plane=v[4], mes=v[5], why=why)),
+            ("drop_down", dict(t=v[6], plane=v[7], mes=v[0], why=why)),
+        ]
         trace = Trace()
-        trace.add(ev="adjust", t=v[0], node=[tag, v[1]], old=v[2], new=v[3])
-        trace.add(ev="sig", t=v[4], plane=v[5], c=None if c_none else v[6])
-        trace.add(ev="watchdog", t=v[7], plane=v[0])
-        trace.add(ev="round", t=v[1], plane=v[2], b=v[3], gl=v[4], stb=stb,
-                  branch=branch, c_new=v[5])
-        trace.add(ev="send_up", t=v[6], mes=v[7], plane=v[0], arrival=v[1])
-        trace.add(ev="send_down", t=v[2], plane=v[3], to=v[4], m=v[5], arrival=v[6])
-        trace.add(ev="recv_down", t=v[7], mes=v[0], plane=v[1], m=v[2])
-        trace.add(ev="drop_up", t=v[3], plane=v[4], mes=v[5], why=why)
-        trace.add(ev="drop_down", t=v[6], plane=v[7], mes=v[0], why=why)
-        assert {r["ev"] for r in trace.records} == set(simnet._LINES)
-        assert trace.to_jsonl() == "".join(map(_dumps, trace.records))
+        for kind, fields in calls:
+            getattr(trace, kind)(**fields)
+        assert [kind for kind, _fields in calls] == list(simnet._LINES)
+        assert trace.records == [_dumps({"ev": kind, **fields}) for kind, fields in calls]
+        assert trace.to_jsonl() == "".join(trace.records)
 
-    @pytest.mark.parametrize("rec, keys", [
-        (dict(ev="watchdog", t=1, plane=0, extra=2), "['ev', 'extra', 'plane', 't']"),
-        (dict(ev="watchdog", t=1), "['ev', 't']"),
-        (dict(ev="sig", t=1, plane=0, c=None, note=1), "['c', 'ev', 'note', 'plane', 't']"),
-        (dict(ev="teleport", t=1), "['ev', 't']"),
-        (dict(t=1, plane=0), "['plane', 't']"),
+    def test_recorders_are_the_schema(self):
+        # One recorder per kind, named after it, whose parameters are its
+        # template's placeholders, each keyword-only and without a default:
+        # a missing or extra field fails at the call.
+        assert {name for name in vars(Trace) if not name.startswith("_")} == \
+            set(simnet._LINES) | {"add", "to_jsonl"}
+        for kind, line in simnet._LINES.items():
+            params = list(inspect.signature(getattr(Trace, kind)).parameters.values())
+            assert params[0].name == "self", kind
+            assert all(p.kind == p.KEYWORD_ONLY and p.default is p.empty
+                       for p in params[1:]), kind
+            assert {p.name for p in params[1:]} == set(re.findall(r"%\((\w+)\)", line)), kind
+
+    @pytest.mark.parametrize("kind, fields, error, message", [
+        ("watchdog", dict(t=1, plane=0, extra=2), TypeError, "keyword argument 'extra'"),
+        ("watchdog", dict(t=1), TypeError, "required keyword-only argument: 'plane'"),
+        ("sig", dict(t=1, plane=0, c=None, note=1), TypeError, "keyword argument 'note'"),
+        ("teleport", dict(t=1), AttributeError, "no attribute 'teleport'"),
+        ("add", dict(t=1, plane=0), TypeError, "keyword argument 't'"),
     ], ids=["extra", "missing", "extra-literal", "unknown-kind", "no-kind"])
-    def test_record_off_schema_fails(self, rec, keys):
+    def test_record_off_schema_fails(self, kind, fields, error, message):
         trace = Trace()
-        trace.add(ev="watchdog", t=0, plane=1)
-        trace.add(**rec)
-        with pytest.raises(SimulationError, match=re.escape(f"{rec.get('ev')!r} has keys {keys}")):
-            trace.to_jsonl()
+        trace.watchdog(t=0, plane=1)
+        with pytest.raises(error, match=re.escape(message)):
+            getattr(trace, kind)(**fields)
+        assert trace.records == ['{"ev":"watchdog","plane":1,"t":0}\n']
 
     HOOKS = ["faulty_sig", "adv_deliver_down", "adv_send_up", "schedule_adv"]
 
@@ -982,7 +1032,7 @@ class TestSplitBrain:
                       init_policy="random", trace_level="core")
             w.run_until_window(40)
             by_win = {}
-            for r in w.trace.records:
+            for r in _records(w):
                 if r["ev"] == "round":
                     by_win.setdefault(r["t"] // w.window, {}).setdefault(
                         r["plane"], set()).add(r["stb"])
@@ -1678,8 +1728,8 @@ def test_block_edges_must_be_in_order(edges):
 @pytest.mark.parametrize("init", ["synchronized", "random"])
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_untraced_run_builds_no_record(name, init, monkeypatch):
-    def refuse(self, **rec):
-        raise AssertionError(f"trace record built at level off: {rec}")
+    def refuse(self, line):
+        raise AssertionError(f"trace record built at level off: {line}")
 
     monkeypatch.setattr(Trace, "add", refuse)
     sc = reference_scenario(adversary=name, init=init, horizon=20, stop_after_confirm=False)
@@ -1691,9 +1741,9 @@ def test_core_trace_builds_no_full_only_record(monkeypatch):
     asked = {"core": set(), "full": set()}
     add = Trace.add
 
-    def spy(self, **rec):
-        asked[level].add(rec["ev"])
-        add(self, **rec)
+    def spy(self, line):
+        asked[level].add(json.loads(line)["ev"])
+        add(self, line)
 
     monkeypatch.setattr(Trace, "add", spy)
     seen = {"core": set(), "full": set()}
@@ -1702,7 +1752,7 @@ def test_core_trace_builds_no_full_only_record(monkeypatch):
                                                     ("core", "full")):
         w = World(RP, adversary(), seed=2, init_policy=init, trace_level=level)
         w.run_until_window(20)
-        seen[level] |= {r["ev"] for r in w.trace.records}
+        seen[level] |= {r["ev"] for r in _records(w)}
     assert seen["core"] and seen["core"].isdisjoint(FULL_ONLY)
     assert seen["full"] == seen["core"] | FULL_ONLY     # each full-only kind occurs
     assert asked == seen
