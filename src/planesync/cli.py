@@ -23,9 +23,10 @@ from .harness import (
     reference_scenario,
     run_monte_carlo,
     run_once,
+    table,
 )
 from .params import SCENARIO_ENV_VAR
-from .simnet import FULL_ONLY, INIT_POLICIES, TRACE_LEVELS
+from .simnet import INIT_POLICIES, TRACE_LEVELS, recorded_level
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
@@ -44,9 +45,7 @@ def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "jsonl":
         out.write(json.dumps(record, sort_keys=True) + "\n")
     else:
-        width = max(len(k) for k in record)
-        for k in sorted(record):
-            out.write(f"{k:<{width}}  {record[k]}\n")
+        out.write(table(sorted(record.items())) + "\n")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -125,16 +124,11 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
-# A recording is full if it holds a record of a full-only kind, named "ev":"<kind>".
-_FULL_NEEDLES = tuple(f'"ev":"{ev}"' for ev in sorted(FULL_ONLY))
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as f:
         want = f.read()
     if args.trace_level is None:    # the recording's own
-        full = any(needle in want for needle in _FULL_NEEDLES)
-        args.trace_level = "full" if full else "core"
+        args.trace_level = recorded_level(want)
     replayed = io.StringIO()
     run_once(_scenario(args), args.seed, trace_path=replayed)
     got = replayed.getvalue()

@@ -45,6 +45,7 @@ __all__ = [
     "CoinModelSummary",
     "run_once",
     "run_monte_carlo",
+    "table",
     "lemma1_coin_model",
     "resync_points",
     "lower_confidence_bound",
@@ -437,13 +438,19 @@ class StatsSummary:
         ]
         rows += [(f"failed seed {s}", why)
                  for s, why in zip(self.failed_seeds, self.failure_reasons)]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+        return table(rows)
 
 
-def summarize(results: list[RunResult], rp: Resolved, incomplete: bool = False,
-              failed_seeds: tuple[int, ...] = (),
+def table(rows: list[tuple[str, object]]) -> str:
+    """Rows of `label  value`, each label padded to the longest, one per line."""
+    width = max(len(k) for k, _ in rows)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+
+
+def summarize(results: list[RunResult], rp: Resolved, failed_seeds: tuple[int, ...] = (),
               failure_reasons: tuple[str, ...] = ()) -> StatsSummary:
+    """The campaign summary; it is incomplete when any seed failed."""
+    incomplete = bool(failed_seeds)
     results = sorted(results, key=lambda r: r.seed)
     stabs = [r.stabilization_window for r in results if r.stabilization_window is not None]
     attempts = sum(r.attempts for r in results)
@@ -519,8 +526,7 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
                 results.append(run_once(sc, s))
             except Exception as e:
                 fail(s, e)
-    summary = summarize(results, rp, incomplete=bool(failed),
-                        failed_seeds=tuple(failed), failure_reasons=tuple(reasons))
+    summary = summarize(results, rp, failed_seeds=tuple(failed), failure_reasons=tuple(reasons))
     return summary, results
 
 
@@ -540,13 +546,13 @@ class CoinModelSummary:
         return asdict(self)
 
     def table(self) -> str:
-        return "\n".join([
-            f"windows                 {self.n_windows}",
-            f"windows with point      {self.windows_with_point}",
-            f"frequency               {self.freq:.4f}",
-            f"frequency lcb (a={ALPHA})  {self.freq_lcb:.4f}",
-            f"theoretical bound       {self.bound:.4f}",
-            f"bound satisfied         {self.ok}",
+        return table([
+            ("windows", self.n_windows),
+            ("windows with point", self.windows_with_point),
+            ("frequency", f"{self.freq:.4f}"),
+            (f"frequency lcb (a={ALPHA})", f"{self.freq_lcb:.4f}"),
+            ("theoretical bound", f"{self.bound:.4f}"),
+            ("bound satisfied", self.ok),
         ])
 
 

@@ -182,6 +182,9 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
     """Report-style check of every static invariant."""
     v: list[str] = []
     p = params
+    for name in ("f0", "f1"):
+        if getattr(p, name) < 0:
+            v.append(f"{name} must be >= 0: {getattr(p, name)}")
     if not p.n0 > 3 * p.f0:
         v.append(f"n0>3f0 violated: n0={p.n0}, f0={p.f0}")
     if not p.n1 > 2 * p.f1:
@@ -195,6 +198,8 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
         v.append(f"d_max must be positive: {p.d_max}")
     if p.T_H <= 0:
         v.append(f"T_H must be positive: {p.T_H}")
+    if p.eps_rnd is not None and p.eps_rnd < 0:
+        v.append(f"eps_rnd must be >= 0: {p.eps_rnd}")
     if p.a0 < 1:
         v.append(f"a0 must be >= 1: {p.a0}")
     if p.q0 is not None and not (0 <= p.q0 <= 1):
@@ -246,24 +251,19 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
     dmt, (eps0, eps1, eps2) = rep.d_max_ticks, rep.eps
     T = p.T0 + eps2
 
+    c0: int | None = None
+    k0 = 1
     if p.f0 == 0:
-        c0: int | None = None
-        k0 = 1
         warnings.append("f0=0: contraction base undefined, k0 fixed at 1")
     else:
+        # validate gives f0 >= 1 and n0 > 3 f0, hence c0 >= 2 (the loop ends), and
+        # eps2 >= eps0 > 0, hence ratio >= 2: k0 is the least k with c0^k >= ratio.
         c0 = (p.n0 - 2 * p.f0 - 1) // p.f0 + 1
-        if c0 < 2:
-            raise ConfigurationError(f"contraction base c0={c0} < 2: MSR cannot contract")
         ratio = Fraction(2 * eps2 + 8 * p.rho * (1 + p.rho) * T, eps0)
-        if ratio <= 1:
-            k0 = 1
-            warnings.append(f"eps0 >= 2*eps2 + 8*rho*(1+rho)*T (ratio {ratio} <= 1); k0 set to 1")
-        else:
-            k0 = 1
-            acc = Fraction(c0)
-            while acc < ratio:
-                acc *= c0
-                k0 += 1
+        acc = Fraction(c0)
+        while acc < ratio:
+            acc *= c0
+            k0 += 1
 
     if p.tau_max % T != 0:
         # One round per ring wrap is tau_max mod T ticks short, which upsets

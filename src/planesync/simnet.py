@@ -26,12 +26,12 @@ An honest message that will land in its round and simply be kept there is
 stored at send time, with no delivery event: an honest terminal's relay
 that reaches the plane's round before its receive slot ends, and an honest
 plane's clock value that reaches a terminal's round before its receive
-slot opens and before the plane's own end_cs.  One rule decides at send
-time and at arrival: `_Round.fate`, with the upward policing in
-`World._refusal_up`.  The store is exact: the round stays current until
-the arrival (only the plane's next SIG, after its end_cs, replaces a
-plane's round or a terminal's round for that plane), and it reads what it
-holds only at its slot boundaries, later still.  Every other message keeps
+slot opens and before the plane's own end_cs.  Two rules decide, each at
+send time and at arrival: `World._refusal_up` for a relay to a plane, and
+`_MesRound.fate` for a clock value to a terminal.  The store is exact: the
+round stays current until the arrival (only the plane's next SIG, after its
+end_cs, replaces a plane's round or a terminal's round for that plane), and
+it reads what it holds only at its slot boundaries, later still.  Every other message keeps
 its delivery event at its arrival instant: faulty traffic, a value that
 arrives inside a terminal's receive slot, and any message to drop.
 """
@@ -58,7 +58,8 @@ from .protocol import (MesState, MwsState, TTMessageUp, mes_on_begin_vc_send, me
 from .ring import wrap_add, wrap_sub
 
 __all__ = ["Engine", "HardwareClock", "ClockTrack", "World", "Trace", "sync_check",
-           "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS", "FULL_ONLY"]
+           "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS", "FULL_ONLY",
+           "recorded_level"]
 
 INIT_POLICIES = ("synchronized", "random")
 TRACE_LEVELS = ("off", "core", "full")
@@ -204,6 +205,12 @@ FULL_ONLY = frozenset({"send_up", "send_down", "recv_down", "drop_up", "drop_dow
 _FORMATS = {ev: re.sub(r"%\(\w+\)", "%", line) for ev, line in _LINES.items()}
 
 
+def recorded_level(jsonl: str) -> str:
+    """The level an exported trace was recorded at: "full" if it holds a
+    record of a FULL_ONLY kind, "core" otherwise."""
+    return "full" if any(f'"ev":"{ev}"' in jsonl for ev in FULL_ONLY) else "core"
+
+
 class Trace:
     """Chronological event record: `records` holds each record's exported
     line, and `to_jsonl` joins them.  Each kind in _LINES has a recorder of
@@ -269,48 +276,38 @@ def _integer(hook: str, name: str, value) -> int:
 DROP, BUFFER, INGEST = range(3)
 
 
-class _Round:
-    """One round of a plane, or of one terminal's interface to a plane: its
-    anchor and its receive slot [b_recv, e_recv).  Every event of a round
-    carries it, and a terminal's handlers return once another round has
-    taken its place (when that happens: the module docstring).  Each kind
-    of round sets its fields in its own __init__, so that a round is built
-    with one call."""
+class _PlaneRound:
+    """A plane's round from its SIG at `anchor`: the first relay from each
+    terminal until its collection ends at e_recv, and the value it then
+    chose (None until then).  Every event of the round carries it."""
 
-    anchor: int
-    b_recv: int
-    e_recv: int
-
-    def fate(self, t: int) -> int:
-        """DROP, BUFFER or INGEST for a message arriving at instant t.  The
-        slot handlers at e_recv run before any delivery at that instant, so
-        an arrival at e_recv is already too late."""
-        if not (self.anchor <= t < self.e_recv):
-            return DROP
-        return BUFFER if t < self.b_recv else INGEST
-
-
-class _PlaneRound(_Round):
-    """A plane's round: the first relay from each terminal, and the value it
-    chose (None until its collection ends)."""
-
-    def __init__(self, anchor: int, b_recv: int, e_recv: int) -> None:
+    def __init__(self, anchor: int, e_recv: int) -> None:
         self.anchor = anchor
-        self.b_recv = b_recv
         self.e_recv = e_recv
         self.relays: dict[int, TTMessageUp] = {}
         self.c_new: Optional[int] = None
 
 
-class _MesRound(_Round):
-    """A terminal's round for one plane: the clock values that arrive before
-    its receive slot opens, ingested when it does."""
+class _MesRound:
+    """A terminal's round for one plane: its anchor, its receive slot
+    [b_recv, e_recv), and the clock values that arrive before that slot
+    opens, ingested when it does.  Every event of the round carries it, and
+    its handlers return once another round has taken its place (when that
+    happens: the module docstring)."""
 
     def __init__(self, anchor: int, b_recv: int, e_recv: int) -> None:
         self.anchor = anchor
         self.b_recv = b_recv
         self.e_recv = e_recv
         self.buffer: list[int] = []
+
+    def fate(self, t: int) -> int:
+        """DROP, BUFFER or INGEST for a clock value arriving at instant t.
+        The slot handlers at e_recv run before any delivery at that instant,
+        so an arrival at e_recv is already too late."""
+        if not (self.anchor <= t < self.e_recv):
+            return DROP
+        return BUFFER if t < self.b_recv else INGEST
 
 
 class World:
@@ -555,8 +552,7 @@ class World:
 
         k = clk.ticks_at(t)
         sc = self.rp.sched
-        rnd = _PlaneRound(t, clk.time_of_tick(k + sc.mc_recv[0]),
-                          clk.time_of_tick(k + sc.mc_recv[1]))
+        rnd = _PlaneRound(t, clk.time_of_tick(k + sc.mc_recv[1]))
         self.plane_round[p] = rnd
         eng = self.engine
         t_end_cs = clk.time_of_tick(k + sc.c_send[1])
@@ -661,10 +657,12 @@ class World:
     def _refusal_up(self, rnd: _PlaneRound, send_t: int, arrival: int) -> Optional[str]:
         """Why plane round rnd refuses a relay sent at send_t that arrives at
         `arrival`; None when it keeps it.  TT isolation at the plane: the
-        send instant must lie in the policed image of the round's upward slot."""
+        send instant must lie in the policed image of the round's upward slot,
+        and it must arrive before e_recv, where collection ends (slot handlers
+        run before deliveries); one that comes before the slot opens is kept."""
         if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
             return "outside policed slot"
-        return "late" if rnd.fate(arrival) == DROP else None
+        return None if rnd.anchor <= arrival < rnd.e_recv else "late"
 
     def _deliver_up(self, p: int, send_t: int, i: int, msg: TTMessageUp) -> None:
         rnd = self.plane_round[p]
@@ -823,9 +821,12 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     sample (the T_H grid and each jump, read on both sides of a jump).
     Rate accuracy: per clock, elapsed ticks between two samples of a span
     deviate from elapsed time by at most rho*elapsed + eps0.  A window's
-    spans are T_max-aligned and half-shifted, so every pair within T_max/2
-    is covered and none beyond T_max is required; the last aligned span ends
-    at the window's end, and its half-shifted span, inside it, is skipped.
+    spans are T_max-aligned from its start and half-shifted, so within the
+    window every pair within T_max/2 is covered and none beyond T_max is
+    required; the last aligned span ends at the window's end, and its
+    half-shifted span, inside it, is skipped.  No span crosses an edge: a
+    window of run_once is exactly T_max long, so it is one span, and two
+    samples on either side of an edge are never compared.
 
     Only the samples that can decide are evaluated: each jump, the grid
     samples at the floor and ceiling of each jump and of the window's ends

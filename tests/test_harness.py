@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from planesync import adversaries, harness, params, simnet
+from planesync import adversaries, cli, harness, params, simnet
 from planesync.cli import main as cli_main
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import (
@@ -32,6 +32,9 @@ from planesync.params import resolve
 REF = reference_scenario()
 RP = REF.resolved
 G0 = RP.dv.g0
+# The repo's own files, found from this file, not from the working directory.
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_YAML = str(ROOT / "scenarios" / "reference.yaml")
 
 
 def scenario(**kw):
@@ -65,7 +68,7 @@ class TestScenario:
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(params, name, counted)
-        sc = Scenario.from_file("scenarios/reference.yaml")
+        sc = Scenario.from_file(REFERENCE_YAML)
         assert calls == {"validate": 1, "_resolve_eps": 1}
         assert sc.resolved == RP and sc.resolved is sc.resolved
         assert calls == {"validate": 1, "_resolve_eps": 1}
@@ -144,7 +147,7 @@ class TestScenario:
         assert Scenario.from_doc({**doc, "adversary": None, "run": None}) == REF
 
     def test_reference_file_matches_builtin(self):
-        sc = Scenario.from_file("scenarios/reference.yaml")
+        sc = Scenario.from_file(REFERENCE_YAML)
         assert sc == REF
 
     def test_from_file_parses_the_system_section_once(self, monkeypatch):
@@ -158,7 +161,7 @@ class TestScenario:
         # Both the loader's module and the harness's imported name.
         monkeypatch.setattr(params, "parse_system_section", counted)
         monkeypatch.setattr(harness, "parse_system_section", counted)
-        assert Scenario.from_file("scenarios/reference.yaml") == REF
+        assert Scenario.from_file(REFERENCE_YAML) == REF
         assert len(calls) == 1
 
 
@@ -485,7 +488,7 @@ class TestCampaign:
         written = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
-            assert cli_main(["campaign", "-c", "scenarios/reference.yaml", "--seeds", "4",
+            assert cli_main(["campaign", "-c", REFERENCE_YAML, "--seeds", "4",
                              "--horizon", "20", "--adversary", "random_noise",
                              "--jobs", str(jobs), "--out", str(out)]) == 0
             written.append([(out / name).read_bytes() for name in ("summary.json", "runs.jsonl")])
@@ -498,6 +501,16 @@ class TestCampaign:
         assert cli_main(["campaign", "--seeds", count]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a campaign needs at least one seed\n"
+
+    def test_seed_list_order_does_not_change_the_files(self, tmp_path, capsys):
+        written = []
+        for seeds in ("3,1,2", "1,2,3"):
+            out = tmp_path / seeds.replace(",", "_")
+            assert cli_main(["campaign", "--seed-list", seeds, "--horizon", "10",
+                             "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in ("summary.json", "runs.jsonl")])
+        assert written[0] == written[1]
+        assert written[0][1].count(b"\n") == 3
 
     def test_campaign_cli_names_a_bad_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -542,7 +555,7 @@ class TestCampaign:
         assert len(done.table().splitlines()) == len(lines) - 2
 
     def test_campaign_cli_prints_why_each_seed_failed(self, setup_fails, capsys):
-        rc = cli_main(["campaign", "-c", "scenarios/reference.yaml", "--seeds", "2",
+        rc = cli_main(["campaign", "-c", REFERENCE_YAML, "--seeds", "2",
                        "--horizon", "5"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -568,27 +581,28 @@ class TestMoreTerminals:
         assert summary.all_stabilized and not summary.incomplete
 
     def test_wide_scenario_file(self):
-        sc = Scenario.from_file("scenarios/wide.yaml")
+        sc = Scenario.from_file(str(ROOT / "scenarios" / "wide.yaml"))
         assert (sc.params.n0, sc.params.f0) == (10, 3)
         assert dataclasses.replace(sc, params=dataclasses.replace(sc.params, n0=4, f0=1)) == REF
 
 
 class TestValidateCli:
     def test_reference_passes(self, capsys):
-        assert cli_main(["validate", "-c", "scenarios/reference.yaml"]) == 0
+        assert cli_main(["validate", "-c", REFERENCE_YAML]) == 0
         assert capsys.readouterr().out == "pass\n"
 
-    @pytest.mark.parametrize("path", [*sorted(map(str, Path("scenarios").glob("*.yaml"))),
-                                      "bench/record_replay.yaml"])
+    @pytest.mark.parametrize("path", [
+        *sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "scenarios").glob("*.yaml")),
+        "bench/record_replay.yaml"])
     def test_committed_scenario_files_pass(self, path, capsys):
         # The benchmark's scenario too: a schema change that rejected it
         # would otherwise show up only in the benchmark.
-        assert cli_main(["validate", "-c", path]) == 0
+        assert cli_main(["validate", "-c", str(ROOT / path)]) == 0
         assert capsys.readouterr() == ("pass\n", "")
 
     def test_derived_constant_warning_reported(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
-        with open("scenarios/reference.yaml") as f:
+        with open(REFERENCE_YAML) as f:
             text = f.read()
         assert "tau_max: 4096" in text
         path.write_text(text.replace("tau_max: 4096", "tau_max: 4000"))
@@ -615,13 +629,17 @@ class TestValidateCli:
          "adversary section must be a mapping: 'max_skew'"),
         (("adversary:", "adversery:"), "unknown sections: ['adversery']"),
         (("n1: 3", "n1: 5"), "n1 must be 3"),
+        (("f0: 1", "f0: -1"), "f0 must be >= 0: -1"),
+        (("f1: 1", "f1: -1"), "f1 must be >= 0: -1"),
+        (("eps_rnd: 1/2", "eps_rnd: -1/2"), "eps_rnd must be >= 0: -1/2"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
-            "name_list", "adversary_string", "section_typo", "five_planes"])
+            "name_list", "adversary_string", "section_typo", "five_planes",
+            "f0_negative", "f1_negative", "eps_rnd_negative"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"
-        with open("scenarios/reference.yaml") as f:
+        with open(REFERENCE_YAML) as f:
             text = f.read()
         assert edit[0] in text
         path.write_text(text.replace(edit[0], edit[1]))
@@ -692,7 +710,89 @@ class TestReplayCli:
         assert "replay diverges at record" in capsys.readouterr().err
 
 
+class TestTables:
+    """The exact text of each `label  value` table, for fixed records."""
+
+    def test_campaign_summary(self):
+        s = harness.StatsSummary(
+            n_runs=3, n_stabilized=2, all_stabilized=False, stab_mean=4.5, stab_max=6,
+            stab_mean_bound=123.456, stab_mean_ok=True, attempts=7, successes=2,
+            attempt_freq=2 / 7, attempt_freq_lcb=0.0123456789, q1_bound=0.0011,
+            attempt_freq_ok=True, resync_windows=5, windows_total=90,
+            resync_window_freq=5 / 90, max_precision_after_stb=3, n_violations=4,
+            incomplete=True, failed_seeds=(8,), failure_reasons=("SimulationError: boom",))
+        assert s.table() == (
+            "runs                               3\n"
+            "stabilized                         2\n"
+            "all stabilized                     False\n"
+            "mean stabilization window          4.5\n"
+            "max stabilization window           6\n"
+            "mean bound (2/q1 + g0)             123.5\n"
+            "mean within bound                  True\n"
+            "resync attempts                    7\n"
+            "confirmed attempts                 2\n"
+            "attempt frequency                  0.2857142857142857\n"
+            "attempt frequency lcb (a=0.01)     0.012346\n"
+            "theoretical q1 bound               0.001100\n"
+            "attempt bound satisfied            True\n"
+            "windows with resync point          5/90\n"
+            "per-window resync frequency        0.0556\n"
+            "max precision after stabilization  3\n"
+            "violation windows                  4\n"
+            "incomplete                         True\n"
+            "failed seed 8                      SimulationError: boom")
+
+    def test_coin_model_summary(self):
+        s = CoinModelSummary(n_windows=2000, windows_with_point=321, freq=0.1605,
+                             freq_lcb=0.14012345, bound=0.0987654, ok=True)
+        assert s.table() == (
+            "windows                 2000\n"
+            "windows with point      321\n"
+            "frequency               0.1605\n"
+            "frequency lcb (a=0.01)  0.1401\n"
+            "theoretical bound       0.0988\n"
+            "bound satisfied         True")
+
+    def test_run_record(self, monkeypatch, capsys):
+        r = harness.RunResult(seed=4, stabilization_window=None, windows_run=3,
+                              max_precision=12, max_precision_after_stb=None, n_violations=3,
+                              first_violation=0, resync_point_count=1, attempts=1,
+                              successes=0, resync_windows=1)
+        monkeypatch.setattr(cli, "run_once", lambda sc, seed, trace_path=None: r)
+        assert cli_main(["run", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "attempts                 1\n"
+            "first_violation          0\n"
+            "max_precision            12\n"
+            "max_precision_after_stb  None\n"
+            "n_violations             3\n"
+            "resync_point_count       1\n"
+            "resync_windows           1\n"
+            "seed                     4\n"
+            "stabilization_window     None\n"
+            "successes                0\n"
+            "trace_path               None\n"
+            "windows_run              3\n")
+
+
 class TestCoinModel:
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_cli_prints_the_table_and_exits_on_ok(self, monkeypatch, capsys, ok):
+        # The real summary, and the same one with its verdict flipped, so
+        # that the exit code is seen to follow `ok` both ways.
+        real = lemma1_coin_model(RP, 2000, 0)
+        summary = real if real.ok == ok else dataclasses.replace(real, ok=ok)
+        calls = []
+
+        def model(rp, n_windows, seed):
+            calls.append((rp, n_windows, seed))
+            return summary
+
+        monkeypatch.setattr(cli, "lemma1_coin_model", model)
+        assert cli_main(["lemma1", "--windows", "2000"]) == (0 if ok else 1)
+        assert calls == [(RP, 2000, 0)]
+        assert capsys.readouterr().out == summary.table() + "\n"
+
     def test_bound_holds_at_moderate_size(self):
         s = lemma1_coin_model(RP, n_windows=4000, seed=0)
         assert isinstance(s, CoinModelSummary)
