@@ -41,9 +41,10 @@ class Adversary:
         self.world = world
         self.rp: Resolved = world.rp
         self.rng = world.adv_rng
-        # randrange(n) is _randbelow(n) and randrange(1, n + 1) is 1 +
+        # randrange(a, b) is a + _randbelow(b - a), and randrange(n) is
         # _randbelow(n), after argument checks that cost more than the draw;
         # tests/test_simnet.py pins the equality on the running interpreter.
+        # Every per-round draw goes through _below.
         self._below = world.adv_rng._randbelow
 
     def unbind(self) -> None:
@@ -103,17 +104,18 @@ class RandomNoise(Adversary):
     def _arm_faulty_plane(self, p: int) -> None:
         w = self.world
         T_ticks = self.rp.T
-        gap = w.THL * self.rng.randrange(T_ticks // 2, 3 * T_ticks // 2)
+        lo, hi = T_ticks // 2, 3 * T_ticks // 2
+        gap = w.THL * (lo + self._below(hi - lo))       # randrange(lo, hi)
         t_sig = w.engine.now + gap
 
         def fire(p=p):
             w.faulty_sig(p, w.engine.now)
             sc = self.rp.sched
             for i in sorted(w.honest_mes):
-                off = sc.c_send[0] * QUANT + self.rng.randrange(0, 4 * QUANT)
+                off = sc.c_send[0] * QUANT + self._below(4 * QUANT)
                 arrival = w.engine.now + off * (w.THL // QUANT) + \
-                    self.rng.randrange(1, QUANT + 1) * w.delay_quantum
-                w.adv_deliver_down(p, i, self.rng.randrange(self.rp.tau_max), arrival)
+                    (1 + self._below(QUANT)) * w.delay_quantum
+                w.adv_deliver_down(p, i, self._below(self.rp.tau_max), arrival)
             self._arm_faulty_plane(p)
 
         w.schedule_adv(t_sig, fire)
@@ -124,15 +126,15 @@ class RandomNoise(Adversary):
             return
         rp = self.rp
         sc = rp.sched
-        send_t = anchor + (sc.vc_send[0] * QUANT + self.rng.randrange(0, 4 * QUANT)) * \
+        send_t = anchor + (sc.vc_send[0] * QUANT + self._below(4 * QUANT)) * \
             (w.THL // QUANT)
 
         def blast(i=i, p=p, send_t=send_t):
             tau = rp.tau_max
-            pick = lambda: self.rng.randrange(tau) if self.rng.random() < 0.8 else None
+            pick = lambda: self._below(tau) if self.rng.random() < 0.8 else None
             msg = TTMessageUp(
                 c_vec=tuple(pick() for _ in range(rp.n1)),
-                a_vec=tuple(self.rng.randrange(rp.a0 + 1) for _ in range(rp.n1)),
+                a_vec=tuple(self._below(rp.a0 + 1) for _ in range(rp.n1)),
                 m_vec=tuple(pick() for _ in range(rp.n1)),
             )
             w.adv_send_up(i, p, msg, send_t)

@@ -77,11 +77,12 @@ def fta_values(values: list[int], f: int, tau_max: int) -> int:
     msr_reduce returns circ_sort order, and trimming both ends of a circular
     order leaves the circ_sort order of what is left: the gap the order
     skips only widens, and where it still ties an inner gap, the trimmed
-    values equal the ends that stay, so the same gap wins the tie.  A step
-    of 1 selects every value, so the mean needs no second sort then.
+    values equal the ends that stay, so the same gap wins the tie.  For
+    f <= 1 the select's step is 1 and keeps every value, so neither the
+    select nor a second sort is needed then.
     """
-    kept = msr_select(msr_reduce(values, f, tau_max), f)
-    return _arc_mean(kept, tau_max) if f <= 1 else circ_mean(kept, tau_max)
+    kept = msr_reduce(values, f, tau_max)
+    return _arc_mean(kept, tau_max) if f <= 1 else circ_mean(msr_select(kept, f), tau_max)
 
 
 def fta(C: Rows, rp: Resolved) -> Optional[int]:
@@ -172,7 +173,9 @@ def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int,
     full = [col for col in zip(*sub) if None not in col]
     if len(full) < min_cols:
         return
-    for v in sorted({v for row in sub for v in row if v is not None}):
+    anchors = set().union(*sub)
+    anchors.discard(None)
+    for v in sorted(anchors):
         hits = 0
         for col in full:
             for e in col:

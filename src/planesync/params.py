@@ -297,16 +297,6 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
     )
 
 
-def q1_closed_form_floor(g0: int) -> float:
-    """Closed-form floor of the per-attempt stabilization probability.
-
-    With q0 = 1/(2*g0+1) and p0 = 1 - 1/(g0+1), the exact product
-    q0*(1-q0)^(2g0)*p0^g0*(1-p0)/2 is bounded below by
-    1 / (2*e^2*(2*g0+1)*(g0+1)); for g0 = 4 this is 1/(90*e^2).
-    """
-    return 1.0 / (2.0 * math.e**2 * (2 * g0 + 1) * (g0 + 1))
-
-
 @dataclass(frozen=True)
 class Resolved:
     """SystemParams + TTSchedule + DerivedParams bundled for the hot paths."""

@@ -84,7 +84,7 @@ def circ_sort(values: Iterable[int], tau_max: int) -> list[int]:
     """
     vals = sorted(values)
     cut = _cut(vals, tau_max)
-    return vals[cut:] + vals[:cut]
+    return vals[cut:] + vals[:cut] if cut else vals
 
 
 def ring_med(values: Iterable[int], tau_max: int) -> int:
@@ -94,6 +94,12 @@ def ring_med(values: Iterable[int], tau_max: int) -> int:
     median are meaningful.
     """
     vals = sorted(values)
+    if vals:
+        # _cut's first answer, after its range and modulus checks: values
+        # that span at most half the ring leave the wrap gap widest, cut 0.
+        lo, hi = vals[0], vals[-1]
+        if 0 <= lo and hi < tau_max and 2 * (hi - lo) <= tau_max and tau_max > 1:
+            return vals[(len(vals) - 1) // 2]
     cut = _cut(vals, tau_max)
     return vals[(cut + (len(vals) - 1) // 2) % len(vals)]
 

@@ -34,6 +34,16 @@ end_cs, replaces a plane's round or a terminal's round for that plane), and
 it reads what it holds only at its slot boundaries, later still.  Every other message keeps
 its delivery event at its arrival instant: faulty traffic, a value that
 arrives inside a terminal's receive slot, and any message to drop.
+
+A round pushes its own slot steps onto the engine's heap, with no
+`schedule` call each: when it is created it reserves their sequence numbers
+(`Engine.reserve`), so each step's key is the one `schedule` would have
+given it then.  A terminal round's slot-begin step has work only when a
+clock value waits in its buffer, so the first value buffered pushes it
+(`World._buffer`), and a round that buffers none never pushes it.  The
+order is unchanged: the heap pops its entries in key order whatever order
+they were pushed in, and each step is pushed while an earlier event runs
+(a value is buffered only before its slot opens).
 """
 
 from __future__ import annotations
@@ -96,11 +106,14 @@ def derive_seed(master: int, tag: str) -> int:
 class Engine:
     """Min-heap event loop over integer subtick timestamps.
 
-    An event is a handler and its arguments; it runs as fn(*args).  Events
-    at one instant run by node rank, then kind rank.  Events that share the
-    instant, the node and the kind run in the order they were scheduled: one
-    terminal's slot steps for two planes' rounds can meet so, and then
-    insertion order decides which runs first.
+    An event is a heap entry (t, node rank, kind rank, sequence number, fn,
+    args); it runs as fn(*args).  Events at one instant run by node rank,
+    then kind rank, then sequence number: one terminal's slot steps for two
+    planes' rounds can share the first three, and then the lower number runs
+    first.  `schedule` numbers an event as it pushes it.  `reserve` hands out
+    numbers for entries pushed later, straight onto `_heap`: a round
+    reserves its slot steps' numbers when it is created (module docstring).
+    `_seq` counts the numbers given out.
     """
 
     def __init__(self) -> None:
@@ -115,21 +128,29 @@ class Engine:
         heapq.heappush(self._heap, (t, node_rank, kind, self._seq, fn, args))
         self._seq += 1
 
+    def reserve(self, n: int) -> int:
+        """The first of n consecutive sequence numbers, as n calls to
+        schedule would take them.  An entry pushed under one must sort after
+        the event running when it is pushed."""
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
 
     def run_until(self, t_stop: int) -> None:
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t_stop:
-            t, _rank, _kind, _seq, fn, args = heapq.heappop(heap)
+            t, _rank, _kind, _seq, fn, args = pop(heap)
             self.now = t
             fn(*args)
         if self.now < t_stop:
             self.now = t_stop
 
 
-@dataclass
+@dataclass(slots=True)
 class HardwareClock:
     """Constant-rate tick staircase: reading h0 at tick 0, tick k at
     t_ref + k*period (subticks)."""
@@ -153,7 +174,7 @@ class HardwareClock:
         return -((self.t_ref - t) // self.period)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClockTrack:
     """Sampling view of one node's adjusted clock: the hardware staircase
     plus the step function of applied offsets.  The offset after a jump is
@@ -170,13 +191,13 @@ class ClockTrack:
         leaves the offset unchanged is kept: its instant is a sample of
         sync_check, and off the grid two clocks can read further apart than
         at any grid sample."""
-        tau = self.clock.tau
-        prev = self.jump_cum[-1] if self.jump_cum else 0
+        tau, cum = self.clock.tau, self.jump_cum
+        prev = cum[-1] if cum else 0
         delta = (new - self.offset0 - prev) % tau
         if delta > tau // 2:
             delta -= tau
         self.jump_times.append(t)
-        self.jump_cum.append(prev + delta)
+        cum.append(prev + delta)
 
 
 # The trace schema: each record kind's exported line, its keys in sorted
@@ -291,14 +312,15 @@ class _PlaneRound:
 class _MesRound:
     """A terminal's round for one plane: its anchor, its receive slot
     [b_recv, e_recv), and the clock values that arrive before that slot
-    opens, ingested when it does.  Every event of the round carries it, and
-    its handlers return once another round has taken its place (when that
-    happens: the module docstring)."""
+    opens, ingested when it does (World._buffer).  Every event of the round
+    carries it, and its handlers return once another round has taken its
+    place (when that happens: the module docstring)."""
 
-    def __init__(self, anchor: int, b_recv: int, e_recv: int) -> None:
+    def __init__(self, anchor: int, b_recv: int, e_recv: int, seq_cr: int) -> None:
         self.anchor = anchor
         self.b_recv = b_recv
         self.e_recv = e_recv
+        self.seq_cr = seq_cr    # the sequence number of its slot-begin step
         self.buffer: list[int] = []
 
     def fate(self, t: int) -> int:
@@ -321,6 +343,7 @@ class World:
         self.rp = rp
         self.seed = seed
         self.engine = Engine()
+        self._heap = self.engine._heap      # for the slot steps' own pushes
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(f"unknown trace level {trace_level!r}")
         self.trace = Trace()
@@ -370,7 +393,7 @@ class World:
             self.mes: dict[int, MesState] = {}
             self.plane_round: list[Optional[_PlaneRound]] = [None] * n1
             self.mes_round = [None if i in self.faulty_mes else
-                              [_MesRound(-1, -1, -1) for _p in range(n1)] for i in range(n0)]
+                              [_MesRound(-1, -1, -1, -1) for _p in range(n1)] for i in range(n0)]
 
             # Coin tosses, for the harness's resynchronization points.
             self.toss_log: list[tuple[int, int, int, int]] = []   # (t, plane, b, gl_after)
@@ -511,7 +534,9 @@ class World:
 
     def _delay(self, sender: int, p: int) -> int:
         """Delay of a message from the node of rank `sender` over plane p: the
-        adversary's count of quanta, clamped to [1, QUANT]."""
+        adversary's count of quanta, clamped to [1, QUANT].  An honest
+        message's sender inlines it, with a fast path for a plain int that
+        needs no clamp."""
         count = _integer("choose_delay", "delay", self._choose_delay(sender, p))
         return min(max(count, 1), QUANT) * self.delay_quantum
 
@@ -550,16 +575,18 @@ class World:
         if self._trace_core:
             self.trace.sig(t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
 
-        k = clk.ticks_at(t)
-        sc = self.rp.sched
-        rnd = _PlaneRound(t, clk.time_of_tick(k + sc.mc_recv[1]))
+        # The slot steps, pushed directly (module docstring).  A SIG falls on
+        # a tick, so each slot boundary lies whole periods after it; validate
+        # keeps every slot bound >= 0, so none lies in the past.
+        sc, period = self.rp.sched, clk.period
+        rnd = _PlaneRound(t, t + sc.mc_recv[1] * period)
         self.plane_round[p] = rnd
-        eng = self.engine
-        t_end_cs = clk.time_of_tick(k + sc.c_send[1])
-        eng.schedule(rnd.e_recv, p, K_SLOT, self._on_end_mc, p, rnd)
-        eng.schedule(clk.time_of_tick(k + sc.c_send[0]), p, K_SLOT, self._on_begin_cs, p, rnd,
-                     t_end_cs)
-        eng.schedule(t_end_cs, p, K_SLOT, self._on_end_cs, p, rnd)
+        t_end_cs = t + sc.c_send[1] * period
+        seq, heap = self.engine.reserve(3), self._heap
+        heapq.heappush(heap, (rnd.e_recv, p, K_SLOT, seq, self._on_end_mc, (p, rnd)))
+        heapq.heappush(heap, (t + sc.c_send[0] * period, p, K_SLOT, seq + 1,
+                              self._on_begin_cs, (p, rnd, t_end_cs)))
+        heapq.heappush(heap, (t_end_cs, p, K_SLOT, seq + 2, self._on_end_cs, (p, rnd)))
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -567,26 +594,31 @@ class World:
     def _start_member_rounds(self, p: int, t_sig: int) -> None:
         """Give every terminal an anchor for plane p's new round, skewed by
         the adversary's count of quanta clamped to [0, QUANT]; with no skew
-        allowed, the adversary is not asked."""
+        allowed, the adversary is not asked.  Each honest terminal's round
+        reserves its three slot steps' numbers and pushes the first and last
+        (module docstring); t_sig is not in the past, so neither is any step."""
         sc, n1, quantum = self.rp.sched, self._n1, self.skew_quantum
         vc0, cr0, cr1 = sc.vc_send[0], sc.c_recv[0], sc.c_recv[1]
-        schedule, choose_skew, clocks = self.engine.schedule, self._choose_skew, self.clocks
+        reserve, heap, push = self.engine.reserve, self._heap, heapq.heappush
+        choose_skew, clocks = self._choose_skew, self.clocks
         faulty, mes_round = self.faulty_mes, self.mes_round
-        begin_vc, begin_cr, end_cr = self._on_begin_vc, self._on_begin_cr, self._on_end_cr
+        begin_vc, end_cr = self._on_begin_vc, self._on_end_cr
         for i in range(self.rp.n0):
             anchor = t_sig
             if quantum:
-                anchor += min(max(_integer("choose_skew", "skew", choose_skew(i, p)), 0),
-                              QUANT) * quantum
+                k = choose_skew(i, p)
+                if type(k) is not int or not 0 <= k <= QUANT:
+                    k = min(max(_integer("choose_skew", "skew", k), 0), QUANT)
+                anchor += k * quantum
             if i in faulty:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
             period, rank = clocks[n1 + i].period, n1 + i
-            rnd = _MesRound(anchor, anchor + cr0 * period, anchor + cr1 * period)
+            seq = reserve(3)
+            rnd = _MesRound(anchor, anchor + cr0 * period, anchor + cr1 * period, seq + 1)
             mes_round[i][p] = rnd
-            schedule(anchor + vc0 * period, rank, K_SLOT, begin_vc, i, p, rnd)
-            schedule(rnd.b_recv, rank, K_SLOT, begin_cr, i, p, rnd)
-            schedule(rnd.e_recv, rank, K_SLOT, end_cr, i, p, rnd)
+            push(heap, (anchor + vc0 * period, rank, K_SLOT, seq, begin_vc, (i, p, rnd)))
+            push(heap, (rnd.e_recv, rank, K_SLOT, seq + 2, end_cr, (i, p, rnd)))
 
     def _on_watchdog_fire(self, p: int) -> None:
         # Nothing else is scheduled for a plane that starts busy, so it is
@@ -612,13 +644,17 @@ class World:
         # end_mc has chosen c_new (validate orders the slots); the store: module docstring.
         m = rnd.c_new
         t = self.engine.now
+        choose_delay, quantum = self._choose_delay, self.delay_quantum
         for i in self.honest_mes:
-            arrival = t + self._delay(p, p)
+            k = choose_delay(p, p)
+            if type(k) is not int or not 1 <= k <= QUANT:     # _delay, inlined
+                k = min(max(_integer("choose_delay", "delay", k), 1), QUANT)
+            arrival = t + k * quantum
             if self._trace_full:
                 self.trace.send_down(t=t, plane=p, to=i, m=m, arrival=arrival)
             dest = self.mes_round[i][p]
             if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
-                dest.buffer.append(m)
+                self._buffer(i, p, dest, m)
             else:
                 self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
                                      self._deliver_down, p, i, m)
@@ -637,14 +673,18 @@ class World:
         if self.mes_round[i][p] is not rnd:
             return
         t = self.engine.now
-        msg = mes_on_begin_vc_send(self.mes[i], self.clocks[self._n1 + i].h_at(t), self.rp)
-        self.send_up(i, p, msg, t)
+        clk = self.clocks[self._n1 + i]
+        h = (clk.h0 + (t - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(t), inlined
+        self.send_up(i, p, mes_on_begin_vc_send(self.mes[i], h, self.rp), t)
 
     def send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         if p in self.faulty_planes:
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
-        arrival = send_t + self._delay(self._n1 + i, p)
+        k = self._choose_delay(self._n1 + i, p)
+        if type(k) is not int or not 1 <= k <= QUANT:     # _delay, inlined
+            k = min(max(_integer("choose_delay", "delay", k), 1), QUANT)
+        arrival = send_t + k * self.delay_quantum
         if self._trace_full:
             self.trace.send_up(t=send_t, mes=i, plane=p, arrival=arrival)
         # Stored now if the round keeps it at arrival (module docstring).
@@ -684,18 +724,30 @@ class World:
             if self._trace_full:
                 self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
         elif fate == BUFFER:
-            rnd.buffer.append(m)
+            self._buffer(i, p, rnd, m)
         else:
             self._ingest_down(i, p, m)
 
+    def _buffer(self, i: int, p: int, rnd: _MesRound, m: int) -> None:
+        """Hold clock value m, which reached terminal i's round rnd before its
+        receive slot opened, for that slot.  The first value pushes the
+        slot-begin step under the number rnd reserved (module docstring)."""
+        if not rnd.buffer:
+            heapq.heappush(self._heap, (rnd.b_recv, self._n1 + i, K_SLOT, rnd.seq_cr,
+                                        self._on_begin_cr, (i, p, rnd)))
+        rnd.buffer.append(m)
+
     def _ingest_down(self, i: int, p: int, m: int) -> None:
         now = self.engine.now
-        mes_on_clock_msg(self.mes[i], p, m, self.clocks[self._n1 + i].h_at(now), self.rp)
+        clk = self.clocks[self._n1 + i]
+        h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
+        mes_on_clock_msg(self.mes[i], p, m, h, self.rp)
         if self._trace_full:
             self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
-        # Runs once, at b_recv: nothing is buffered after it (fate).
+        # Pushed by the first value buffered; runs at b_recv, after which
+        # nothing is buffered (fate).
         if self.mes_round[i][p] is not rnd:
             return
         for m in rnd.buffer:
@@ -704,9 +756,10 @@ class World:
     def _on_end_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         if self.mes_round[i][p] is not rnd:
             return
-        st = self.mes[i]
+        st, now, clk = self.mes[i], self.engine.now, self.clocks[self._n1 + i]
         old = st.clock_offset
-        mes_on_end_c_recv(st, self.clocks[self._n1 + i].h_at(self.engine.now), self.rp)
+        h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
+        mes_on_end_c_recv(st, h, self.rp)
         self._record_adjust(self._n1 + i, old, st.clock_offset)
 
     # ---- adversary-facing hooks for faulty components ----------------------
@@ -717,6 +770,8 @@ class World:
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
         t_sig = _integer("faulty_sig", "t_sig", t_sig)
+        if t_sig < self.engine.now:
+            raise SimulationError(f"faulty_sig in the past: {t_sig} < {self.engine.now}")
         if self._trace_core:
             self.trace.sig(t=t_sig, plane=p, c=None)
         self._start_member_rounds(p, t_sig)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -26,6 +27,22 @@ def switch_tick_walk(state, c_now, h_now, rp):
 @pytest.fixture
 def tick_walk():
     return switch_tick_walk
+
+
+def q1_closed_form_floor(g0: int) -> float:
+    """Closed-form floor of the per-attempt stabilization probability.
+
+    The oracle for derive's exact q1_bound: with q0 = 1/(2*g0+1) and
+    p0 = 1 - 1/(g0+1), the exact product q0*(1-q0)^(2g0)*p0^g0*(1-p0)/2 is
+    bounded below by 1 / (2*e^2*(2*g0+1)*(g0+1)); for g0 = 4 this is
+    1/(90*e^2).
+    """
+    return 1.0 / (2.0 * math.e**2 * (2 * g0 + 1) * (g0 + 1))
+
+
+@pytest.fixture
+def q1_floor():
+    return q1_closed_form_floor
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

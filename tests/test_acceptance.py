@@ -26,7 +26,7 @@ from planesync.harness import (
     reference_scenario,
     run_monte_carlo,
 )
-from planesync.params import q1_closed_form_floor, resolve
+from planesync.params import resolve
 from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
 
 REF = reference_scenario()
@@ -260,7 +260,7 @@ def test_criterion_6_stabilization():
 
 
 @criterion(7, "closed-form derived constants")
-def test_criterion_7_derivation():
+def test_criterion_7_derivation(q1_floor):
     dv = RP.dv
     assert dv.q0 == Fraction(1, 2 * dv.g0 + 1)
     assert dv.p0 == 1 - Fraction(1, dv.g0 + 1)
@@ -272,7 +272,7 @@ def test_criterion_7_derivation():
     assert big.dv.k0 == 1
     assert big.dv.g0 == REF.params.a0 + 1 == 4
     assert big.dv.q0 == Fraction(1, 9) and big.dv.p0 == Fraction(4, 5)
-    floor = q1_closed_form_floor(big.dv.g0)
+    floor = q1_floor(big.dv.g0)
     assert floor == pytest.approx(1 / (90 * math.e ** 2), rel=1e-15)
     assert floor <= float(big.dv.q1_bound)
 

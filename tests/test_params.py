@@ -15,7 +15,6 @@ from planesync.params import (
     load_config_doc,
     parse_schedule_section,
     parse_system_section,
-    q1_closed_form_floor,
     resolve,
     validate,
 )
@@ -103,14 +102,14 @@ class TestDerive:
         dv = derive(make_params(), SCHED)
         assert dv.c0 == (4 - 2 - 1) // 1 + 1 == 2
 
-    def test_closed_forms_large_n0(self):
+    def test_closed_forms_large_n0(self, q1_floor):
         # n0 big enough that one contraction round suffices: g0 = a0 + 1.
         p = make_params(n0=40, tau_max=8192)
         dv = derive(p, SCHED)
         assert dv.k0 == 1 and dv.g0 == 4
         assert dv.q0 == Fraction(1, 9)
         assert dv.p0 == Fraction(4, 5)
-        floor = q1_closed_form_floor(dv.g0)
+        floor = q1_floor(dv.g0)
         assert floor == pytest.approx(1 / (90 * math.e**2), rel=1e-15)
         assert float(dv.q1_bound) >= floor
         assert dv.stb_exp_windows == 2 / dv.q1_bound + dv.g0
@@ -151,9 +150,9 @@ class TestDerive:
         with pytest.raises(ConfigurationError):
             derive(make_params(n0=3), SCHED)
 
-    def test_stabilization_tail_probability(self):
+    def test_stabilization_tail_probability(self, q1_floor):
         # With the closed-form floor, 10^4 failed attempts are vanishing.
-        q1 = q1_closed_form_floor(4)
+        q1 = q1_floor(4)
         assert (1 - q1) ** 10_000 < 3e-7
 
 

@@ -4,6 +4,7 @@ message policing, and the synchronization verdict."""
 import dataclasses
 import gc
 import hashlib
+import heapq
 import inspect
 import itertools
 import json
@@ -95,6 +96,30 @@ class TestEngine:
         eng.schedule(4, 0, 0, lambda: eng.schedule(3, 0, 0, lambda: None))
         with pytest.raises(SimulationError):
             eng.run_until(10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=12), st.data())
+    def test_reserved_numbers_keep_the_scheduled_order(self, events, data):
+        # The same events fire in the same order whether each is scheduled,
+        # or numbered by reserve and pushed later, at any instant before its
+        # own: the heap pops entries in key order, whatever order they came in.
+        ref, eng = Engine(), Engine()
+        want, got = [], []
+        for j, (t, rank, kind) in enumerate(events):
+            ref.schedule(t, rank, kind, want.append, j)
+        ref.run_until(10)
+        first = eng.reserve(len(events))
+        assert (first, eng._seq) == (0, ref._seq)
+        for j, (t, rank, kind) in enumerate(events):
+            entry = (t, rank, kind, first + j, got.append, (j,))
+            at = data.draw(st.integers(-1, t - 1))     # -1: before the run starts
+            if at < 0:
+                heapq.heappush(eng._heap, entry)
+            else:
+                eng.schedule(at, 9, 0, heapq.heappush, eng._heap, entry)
+        eng.run_until(10)
+        assert got == want
 
 
 class TestHardwareClock:
@@ -338,7 +363,7 @@ class _EventDelivery(World):
         if getattr(rnd, "closed", False) or now < rnd.anchor:
             self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
         elif now < rnd.b_recv:
-            rnd.buffer.append(m)
+            self._buffer(i, p, rnd, m)
         else:
             self._ingest_down(i, p, m)
 
@@ -373,6 +398,29 @@ class TestSendTimeDelivery:
                 ref_events += ref.engine._seq
         assert events <= 0.75 * ref_events
         assert whys == TRACE_STRINGS["why"] - {"no round"}
+
+    def test_every_slot_begin_step_finds_a_value(self):
+        # A terminal round pushes its slot-begin step with its first buffered
+        # value, so each one that runs has a value to ingest; the sequence
+        # numbers still count all three steps of every round.
+        class Probe(World):
+            def __init__(self, *args, **kwargs):
+                self.found = []
+                super().__init__(*args, **kwargs)
+
+            def _on_begin_cr(self, i, p, rnd):
+                self.found.append(len(rnd.buffer))
+                super()._on_begin_cr(i, p, rnd)
+
+        found, events = [], 0
+        for name, init, seed in itertools.product(BUILTINS, ("synchronized", "random"),
+                                                  (1, 2, 3)):
+            w = Probe(RP, make_adversary(name), seed=seed, init_policy=init)
+            w.run_until_window(100)
+            found += w.found
+            events += w.engine._seq
+        assert found and min(found) > 0
+        assert events == 161003
 
     def test_value_inside_the_receive_slot_ingested_on_arrival(self):
         # Receive slots open as the plane's send slot ends, plane clocks run
@@ -790,11 +838,16 @@ class TestDeterminism:
         assert h.hexdigest()[:16] == "a7958b87c7db65cb"
 
     def test_adversary_draws_are_randrange_draws(self):
-        """The base adversary draws skews and delays with Random._randbelow,
-        which is what randrange(QUANT + 1) and randrange(1, QUANT + 1) call
-        on the interpreters this suite has run on.  An interpreter whose
-        randrange does more fails here, by name, and not only through the
-        pinned hash."""
+        """The adversaries draw per round with Random._randbelow: randrange(a,
+        b) is a + _randbelow(b - a), and randrange(n) is _randbelow(n), on the
+        interpreters this suite has run on.  An interpreter whose randrange
+        does more fails here, by name, and not only through the pinned hash."""
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for a, b in [(0, 4 * QUANT), (1, QUANT + 1), (64, 192), (0, RP.tau_max)] * 50:
+                assert a + rng._randbelow(b - a) == ref.randrange(a, b)
+                assert rng._randbelow(b) == ref.randrange(b)
+            assert rng.getstate() == ref.getstate()
         for seed in range(20):
             adv = make_adversary("silent")
             adv.bind(SimpleNamespace(rp=RP, adv_rng=random.Random(seed)))
@@ -1014,6 +1067,40 @@ class TestTraceExport:
         with pytest.raises(SimulationError, match=rf"^{hook}: \w+ must be an integer"):
             w = World(RP, _Converting(hook, conv), seed=3, init_policy="synchronized")
             w.run_until_window(3)
+
+    @pytest.mark.parametrize("knob, lo", [("choose_skew", 0), ("choose_delay", 1)])
+    def test_counts_out_of_range_clamped(self, knob, lo):
+        # A skew or delay count past either end of its range acts as that end.
+        ends = []
+
+        def pushed(far):
+            adv = make_adversary("random_noise")
+            choose = getattr(adv, knob)
+
+            def hook(*key):
+                k = choose(*key)
+                if k in (lo, QUANT):
+                    ends.append(k)
+                    return lo - far if k == lo else QUANT + far
+                return k
+            setattr(adv, knob, hook)
+            return adv
+
+        traces = []
+        for far in (0, 1, 10**6):
+            w = World(RP, pushed(far), seed=3, init_policy="random", trace_level="full")
+            w.run_until_window(3)
+            w.close()
+            traces.append(w.trace.to_jsonl())
+        assert set(ends) == {lo, QUANT}
+        assert traces[1] == traces[0] and traces[2] == traces[0]
+
+    def test_faulty_sig_in_the_past_refused(self):
+        w = World(RP, make_adversary("random_noise"), seed=1, init_policy="synchronized")
+        w.run_until_window(1)
+        with pytest.raises(SimulationError, match="faulty_sig in the past"):
+            w.faulty_sig(max(w.faulty_planes), w.engine.now - 1)
+        w.close()
 
 
 class TestSplitBrain:
