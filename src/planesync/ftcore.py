@@ -5,12 +5,14 @@ variant that occasionally hops onto a single plane's clock, the accuracy
 and majority filters, and the two guarded conditions that decide whether a
 master switch treats the system as (possibly) synchronized.
 
-Matrix convention: rows[p][i] is the record about plane p relayed by
-terminal node i, as plain sequences (the switch builds tuples by one
-transpose of its relays); None marks a missing message.  Missing
-entries are skipped by medians and disqualify their column in window
-searches: absence is evidence of fault and must never help satisfy a
-condition.
+Relay convention: the decision functions take the relays' own vectors,
+one per relay received, in any order; vec[p] is the entry about plane p
+and None marks a missing one.  Missing entries are skipped by medians and
+disqualify their relay in window searches: absence is evidence of fault
+and must never help satisfy a condition.  fta, rft, filters, check_stb and
+check_weak each depend only on the multiset of vectors, and an all-None
+vector changes none of them, so neither the order relays arrive in nor a
+terminal that sent nothing can move a result.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "check_weak",
 ]
 
-Rows = Sequence[Sequence[Optional[int]]]
+Relays = Sequence[Sequence[Optional[int]]]
 
 
 def msr_reduce(values: list[int], f: int, tau_max: int) -> list[int]:
@@ -85,17 +87,17 @@ def fta_values(values: list[int], f: int, tau_max: int) -> int:
     return _arc_mean(kept, tau_max) if f <= 1 else circ_mean(msr_select(kept, f), tau_max)
 
 
-def fta(C: Rows, rp: Resolved) -> Optional[int]:
-    """Deterministic fault-tolerant average of a clock matrix.
+def fta(C: Relays, rp: Resolved) -> Optional[int]:
+    """Deterministic fault-tolerant average of the relayed clock estimates.
 
-    Column medians over present entries (a column needs at least n1-f1 of
-    them), then reduce/select/mean over the medians; None when fewer than
-    2f0+1 columns are usable.
+    The median of each relay's present entries (a relay needs at least
+    n1-f1 of them), then reduce/select/mean over the medians; None when
+    fewer than 2f0+1 relays are usable.
     """
     tau, need = rp.tau_max, rp.n1 - rp.f1
     medians = []
-    for col in zip(*C):
-        present = col if None not in col else [v for v in col if v is not None]
+    for vec in C:
+        present = vec if None not in vec else [v for v in vec if v is not None]
         if len(present) >= need:
             medians.append(ring_med(present, tau))
     if len(medians) < 2 * rp.f0 + 1:
@@ -103,11 +105,11 @@ def fta(C: Rows, rp: Resolved) -> Optional[int]:
     return fta_values(medians, rp.f0, tau)
 
 
-def rft(C: Rows, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> Optional[int]:
+def rft(C: Relays, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) -> Optional[int]:
     """Randomized choice between the averaging result and a single reference.
 
     With probability p0 the deterministic average (None when fta has too
-    few columns); otherwise a uniform pick among the three row medians
+    few relays); otherwise a uniform pick among the three plane medians
     (validate admits only n1 = 3) and the previous clock value.  Exactly one
     rng draw decides the branch and one more picks the reference.  p0 may be
     the exact cut DerivedParams.p0_cut, which decides every draw the same way.
@@ -115,9 +117,9 @@ def rft(C: Rows, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) ->
     if rng.random() < p0:
         return fta(C, rp)
     candidates = []
-    for row in C:
-        present = [v for v in row if v is not None]
-        # An empty row offers no reference; fall back to the previous clock.
+    for p in range(rp.n1):
+        present = [vec[p] for vec in C if vec[p] is not None]
+        # No entries about plane p, no reference: fall back to the previous clock.
         candidates.append(ring_med(present, rp.tau_max) if present else c_pre)
     candidates.append(c_pre)
     return candidates[rng.randrange(4)]
@@ -145,64 +147,65 @@ def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
     return min(counter + 1, a0) if ok else 0
 
 
-def filters(M: Rows, A: Rows, rp: Resolved) -> frozenset[int]:
+def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
     """The planes that pass both the accuracy filter (n0-f0 counters at a0)
-    and the majority filter (n0-f0 records equal to the row median)."""
+    and the majority filter (n0-f0 records equal to the plane's median)."""
     need, a0, tau = rp.n0 - rp.f0, rp.a0, rp.tau_max
     passed = []
     for p in range(rp.n1):
-        if A[p].count(a0) < need:
+        if [a[p] for a in A].count(a0) < need:
             continue
-        present = [v for v in M[p] if v is not None]
-        if present and M[p].count(ring_med(present, tau)) >= need:
+        present = [m[p] for m in M if m[p] is not None]
+        if present and present.count(ring_med(present, tau)) >= need:
             passed.append(p)
     return frozenset(passed)
 
 
-def _window_hit(C: Rows, rows: tuple[int, ...], width: int, min_cols: int,
+def _window_hit(C: Relays, planes: tuple[int, ...], width: int, min_relays: int,
                 tau: int) -> Iterator[int]:
-    """Anchors v, ascending, for which >= min_cols columns have all their
-    `rows` entries present and inside the arc [v, v + width]; lazily, so a
+    """Anchors v, ascending, for which >= min_relays relays have all their
+    `planes` entries present and inside the arc [v, v + width]; lazily, so a
     caller that needs one hit stops at it.
 
     Any maximal qualifying window can be shifted until its start coincides
-    with an attained entry, so anchoring at entries is lossless.  An entry e
+    with an attained entry, so anchoring at entries is lossless; the anchors
+    come from the `planes` entries of every relay, full or not.  An entry e
     lies in the arc iff (e - v) mod tau <= width (ring.wrap_sub, inlined).
     """
-    sub = [C[p] for p in rows]
-    full = [col for col in zip(*sub) if None not in col]
-    if len(full) < min_cols:
+    sub = [[vec[p] for p in planes] for vec in C]
+    full = [entries for entries in sub if None not in entries]
+    if len(full) < min_relays:
         return
     anchors = set().union(*sub)
     anchors.discard(None)
     for v in sorted(anchors):
         hits = 0
-        for col in full:
-            for e in col:
+        for entries in full:
+            for e in entries:
                 if (e - v) % tau > width:
                     break
             else:
                 hits += 1
-        if hits >= min_cols:
+        if hits >= min_relays:
             yield v
 
 
-def check_stb(C: Rows, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
-    """Stability condition: some n1-f1 filtered rows and n0-f0 columns whose
-    entries all fit in one arc of length eps1."""
+def check_stb(C: Relays, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
+    """Stability condition: some n1-f1 filtered planes and n0-f0 relays whose
+    entries about them all fit in one arc of length eps1."""
     k = rp.n1 - rp.f1
     if len(p_acma) < k:
         return False
-    width, min_cols, tau = rp.eps1, rp.n0 - rp.f0, rp.tau_max
-    for rows in combinations(sorted(p_acma), k):
-        for _v in _window_hit(C, rows, width, min_cols, tau):
+    width, min_relays, tau = rp.eps1, rp.n0 - rp.f0, rp.tau_max
+    for planes in combinations(sorted(p_acma), k):
+        for _v in _window_hit(C, planes, width, min_relays, tau):
             return True
     return False
 
 
-def check_weak(C: Rows, rp: Resolved) -> Optional[int]:
-    """Weak reference: a center within eps2/2 of entries from n1-f1 rows
-    (unfiltered) and n0-2f0 columns; None when no window qualifies.
+def check_weak(C: Relays, rp: Resolved) -> Optional[int]:
+    """Weak reference: a center within eps2/2 of the entries about n1-f1
+    planes (unfiltered) from n0-2f0 relays; None when no window qualifies.
 
     Centers are integers, so the effective half-width is floor(eps2/2).
     The returned center comes from the qualifying window whose start is
@@ -211,8 +214,8 @@ def check_weak(C: Rows, rp: Resolved) -> Optional[int]:
     k, tau = rp.n1 - rp.f1, rp.tau_max
     half = rp.eps2 // 2
     starts: set[int] = set()
-    for rows in combinations(range(rp.n1), k):
-        starts.update(_window_hit(C, rows, 2 * half, rp.n0 - 2 * rp.f0, tau))
+    for planes in combinations(range(rp.n1), k):
+        starts.update(_window_hit(C, planes, 2 * half, rp.n0 - 2 * rp.f0, tau))
     if not starts:
         return None
     return (circ_sort(starts, tau)[0] + half) % tau

@@ -39,7 +39,8 @@ SCENARIO_ENV_VAR = "PLANESYNC_CONFIG"
 
 
 def as_fraction(x: Any) -> Fraction:
-    """Exact rational from int, Fraction, decimal string, 'p/q' string, or float.
+    """Exact rational from int, Fraction, decimal string, 'p/q' string, or
+    finite float.
 
     Floats go through their shortest decimal repr, so 0.01 becomes 1/100.
     """
@@ -48,8 +49,9 @@ def as_fraction(x: Any) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, str):
+        if math.isfinite(x):
+            return Fraction(str(x))
+    elif isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -388,7 +390,10 @@ def load_config_doc(path: str | None = None) -> dict:
     if path is None:
         raise ConfigurationError(f"no config path given and {SCENARIO_ENV_VAR} unset")
     with open(path) as f:
-        doc = yaml.safe_load(f)
+        try:
+            doc = yaml.safe_load(f)
+        except yaml.YAMLError as e:
+            raise ConfigurationError(f"{path} is not valid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config root must be a mapping: {path}")
     if "system" not in doc or "schedule" not in doc:

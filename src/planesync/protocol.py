@@ -188,22 +188,18 @@ def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: i
     """Coin toss, grandmaster bookkeeping, and the new clock value choice,
     over the round's relays keyed by the terminal that delivered them.
 
-    Column i of C, A and M holds terminal i's relay; a terminal that sent
-    none leaves its column missing.  Each matrix is one transpose of the
-    relays' vectors, in terminal order, so its rows are tuples.  When the
-    chosen branch has too few columns to work with, the switch keeps its
-    own clock."""
+    ftcore reads the relays' own vectors in arrival order; its docstring
+    says why neither that order nor a terminal that sent nothing can change
+    the decision.  When the chosen branch has too few relays to work with,
+    the switch keeps its own clock."""
     tau = rp.tau_max
     held = state.grand_life
     b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
     grand = b_coin == 1 or held > 0
 
-    gap = (None,) * rp.n1
-    ups = [relays.get(i) for i in range(rp.n0)]
-    C = list(zip(*[gap if u is None else u.c_vec for u in ups]))
-    A = list(zip(*[gap if u is None else u.a_vec for u in ups]))
-    M = list(zip(*[gap if u is None else u.m_vec for u in ups]))
-    stb = check_stb(C, filters(M, A, rp), rp)
+    ups = relays.values()
+    C = [u.c_vec for u in ups]
+    stb = check_stb(C, filters([u.m_vec for u in ups], [u.a_vec for u in ups], rp), rp)
     if stb or (grand and b_coin == 0):
         branch, c_new = "avg", fta(C, rp)
     elif grand:

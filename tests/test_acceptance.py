@@ -219,8 +219,8 @@ def test_criterion_3_checker_oracles():
                         row.append(rng.randrange(tau))
                 C.append(row)
             p_acma = frozenset(p for p in range(3) if rng.random() < 0.8)
-            assert check_stb(C, p_acma, cfg) == brute_stb(C, p_acma, cfg)
-            assert check_weak(C, cfg) == brute_weak(C, cfg)
+            assert check_stb(list(zip(*C)), p_acma, cfg) == brute_stb(C, p_acma, cfg)
+            assert check_weak(list(zip(*C)), cfg) == brute_weak(C, cfg)
 
 
 @pytest.mark.slow

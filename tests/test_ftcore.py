@@ -1,7 +1,9 @@
 """Fault-tolerant core tests: MSR pipeline, filters, guarded conditions.
 
-The window-condition oracles enumerate every row subset and every
-entry-anchored window, which is the exact semantics of the checkers.
+Test matrices are written as rows, rows[p][i] about plane p from terminal
+i; by_relay turns them into the relay vectors ftcore reads.  The
+window-condition oracles read the rows and enumerate every row subset and
+every entry-anchored window, which is the exact semantics of the checkers.
 """
 
 import math
@@ -10,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesync.errors import FaultBudgetError
 from planesync.ftcore import (
@@ -42,8 +46,10 @@ def make_rp(**over):
     return resolve(SystemParams(**base), SCHED)
 
 
-def mat(rows):
-    return [list(r) for r in rows]
+def by_relay(rows):
+    """The relay vectors of a matrix written as rows: terminal i's vector
+    holds rows[p][i] for each plane p."""
+    return [list(vec) for vec in zip(*rows)]
 
 
 class TestMsr:
@@ -69,12 +75,12 @@ class TestMsr:
 class TestFta:
     def test_constant_matrix(self):
         rp = make_rp()
-        assert fta(mat([[7] * 4] * 3), rp) == 7
+        assert fta(by_relay([[7] * 4] * 3), rp) == 7
 
     def test_column_median_pipeline(self):
         rp = make_rp(tau_max=4096)
         # Columns engineered to yield medians [10, 10, 10, 100].
-        C = mat([
+        C = by_relay([
             [10, 10, 10, 100],
             [10, 10, 10, 100],
             [500, 600, 700, 800],
@@ -83,7 +89,7 @@ class TestFta:
 
     def test_wraparound_mean(self):
         rp = make_rp(tau_max=1000, T0=60, eps1=30, eps2=60)
-        C = mat([
+        C = by_relay([
             [995, 999, 3, 7],
             [995, 999, 3, 7],
             [995, 999, 3, 7],
@@ -92,7 +98,7 @@ class TestFta:
 
     def test_column_exclusion_and_insufficient_data(self):
         rp = make_rp()
-        C = mat([
+        C = by_relay([
             [10, None, None, None],
             [10, None, None, None],
             [10, None, None, None],
@@ -115,7 +121,7 @@ class TestFta:
             for p in range(3):
                 C[p][bad_col] = rng.randrange(1024)
             meds = [ring_med([C[p][i] for p in range(3)], 1024) for i in good_cols]
-            out = fta(C, rp)
+            out = fta(by_relay(C), rp)
             arc = circ_sort(meds, 1024)
             span = wrap_sub(arc[-1], arc[0], 1024)
             assert wrap_sub(out, arc[0], 1024) <= span
@@ -164,20 +170,20 @@ class TestRft:
     def test_degenerate_branch(self):
         rp = make_rp()
         rng = random.Random(1)
-        C = mat([[7] * 4] * 3)
+        C = by_relay([[7] * 4] * 3)
         for _ in range(50):
             assert rft(C, 123, Fraction(1), rng, rp) == 7
 
     def test_all_candidates_equal(self):
         rp = make_rp()
         rng = random.Random(2)
-        C = mat([[9] * 4] * 3)
+        C = by_relay([[9] * 4] * 3)
         assert rft(C, 9, Fraction(0), rng, rp) == 9
 
     def test_uniform_candidate_frequencies(self):
         rp = make_rp(tau_max=4096)
         rng = random.Random(3)
-        C = mat([[10] * 4, [20] * 4, [30] * 4])
+        C = by_relay([[10] * 4, [20] * 4, [30] * 4])
         n = 100_000
         counts = {10: 0, 20: 0, 30: 0, 40: 0}
         for _ in range(n):
@@ -192,7 +198,7 @@ class TestRft:
         rng = random.Random(4)
         # Averaged output is 303, distinct from every candidate
         # (row medians 102, 302, 502 and previous value 700).
-        C = mat([
+        C = by_relay([
             [100, 102, 104, 106],
             [300, 302, 304, 306],
             [500, 502, 504, 506],
@@ -252,14 +258,14 @@ class TestAccuracy:
 class TestFilters:
     def test_accuracy_filter_rows(self):
         rp = make_rp()
-        A = mat([[3, 3, 3, 0], [3, 3, 0, 0], [0, 0, 0, 0]])
-        M = mat([[50, 50, 50, 51]] * 3)
+        A = by_relay([[3, 3, 3, 0], [3, 3, 0, 0], [0, 0, 0, 0]])
+        M = by_relay([[50, 50, 50, 51]] * 3)
         assert filters(M, A, rp) == {0}
 
     def test_majority_filter_rows(self):
         rp = make_rp()
-        A = mat([[3] * 4] * 3)
-        M = mat([
+        A = by_relay([[3] * 4] * 3)
+        M = by_relay([
             [50, 50, 50, 51],
             [50, 50, 51, 51],
             [None, None, None, None],
@@ -308,12 +314,12 @@ def brute_weak(C, rp):
 class TestConditions:
     def test_stb_all_equal(self):
         rp = make_rp()
-        C = mat([[7] * 4] * 3)
+        C = by_relay([[7] * 4] * 3)
         assert check_stb(C, {0, 1, 2}, rp)
 
     def test_stb_two_rows_cluster(self):
         rp = make_rp(eps1=20, eps2=40)
-        C = mat([
+        C = by_relay([
             [100, 105, 95, None],
             [102, 98, 103, None],
             [900, 900, 900, 900],
@@ -322,7 +328,7 @@ class TestConditions:
 
     def test_stb_rows_too_far(self):
         rp = make_rp(eps1=20, eps2=40)
-        C = mat([
+        C = by_relay([
             [100, 100, 100, 100],
             [150, 150, 150, 150],
             [900, 900, 900, 900],
@@ -331,13 +337,13 @@ class TestConditions:
 
     def test_weak_all_equal(self):
         rp = make_rp()
-        C = mat([[7] * 4] * 3)
+        C = by_relay([[7] * 4] * 3)
         assert check_weak(C, rp) is not None
         assert ring_dist(check_weak(C, rp), 7, rp.tau_max) <= rp.eps2 // 2
 
     def test_weak_two_by_two_cluster(self):
         rp = make_rp(eps1=20, eps2=40, tau_max=4096)
-        C = mat([
+        C = by_relay([
             [100, 100, 300, 500],
             [100, 100, 700, 900],
             [1300, 1500, 1700, 1900],
@@ -348,7 +354,7 @@ class TestConditions:
 
     def test_weak_all_scattered(self):
         rp = make_rp(eps1=20, eps2=40, tau_max=4096)
-        C = mat([
+        C = by_relay([
             [0, 500, 1000, 1500],
             [2000, 2500, 3000, 3500],
             [250, 750, 1250, 1750],
@@ -360,8 +366,8 @@ class TestConditions:
         for _ in range(300):
             rp_small = make_rp(eps1=15, eps2=60, tau_max=4096)
             rp_big = make_rp(eps1=45, eps2=90, tau_max=4096)
-            C = [[rng.randrange(200) if rng.random() < 0.9 else None
-                 for _ in range(4)] for _ in range(3)]
+            C = by_relay([[rng.randrange(200) if rng.random() < 0.9 else None
+                           for _ in range(4)] for _ in range(3)])
             small_rows = {0, 1}
             if check_stb(C, small_rows, rp_small):
                 assert check_stb(C, small_rows, rp_big)
@@ -371,8 +377,8 @@ class TestConditions:
         rng = random.Random(22)
         rp = make_rp(eps1=20, eps2=40, tau_max=4096)
         for _ in range(300):
-            C = [[rng.randrange(150) if rng.random() < 0.9 else None
-                 for _ in range(4)] for _ in range(3)]
+            C = by_relay([[rng.randrange(150) if rng.random() < 0.9 else None
+                           for _ in range(4)] for _ in range(3)])
             if check_stb(C, {0, 1, 2}, rp):
                 assert check_weak(C, rp) is not None
 
@@ -384,5 +390,52 @@ class TestConditions:
             C = [[rng.randrange(120) if rng.random() < 0.85 else None
                  for _ in range(n0)] for _ in range(3)]
             acma = frozenset(p for p in range(3) if rng.random() < 0.7)
-            assert check_stb(C, acma, rp) == brute_stb(C, acma, rp)
-            assert check_weak(C, rp) == brute_weak(C, rp)
+            assert check_stb(by_relay(C), acma, rp) == brute_stb(C, acma, rp)
+            assert check_weak(by_relay(C), rp) == brute_weak(C, rp)
+
+
+@st.composite
+def _round_relays(draw):
+    """A round's relays as (c_vec, a_vec, m_vec) triples, at most one per
+    terminal: estimates clustered about a center that may sit at the ring
+    wrap, counters mostly at a0 and records mostly on the center, with about
+    one entry in five missing or faulty."""
+    n0 = draw(st.sampled_from([4, 7]))
+    rp = make_rp(n0=n0, eps1=25, eps2=50, tau_max=4096)
+    tau = rp.tau_max
+    center = draw(st.sampled_from([0, 2, tau - 3]) | st.integers(0, tau - 1))
+    spread = draw(st.sampled_from([2, rp.eps1 // 2, rp.eps1 + 5]))
+    odd = st.none() | st.integers(0, tau - 1)
+
+    def mostly(typical, odd=odd):   # four entries in five typical
+        vec = st.integers(0, 4).flatmap(lambda k: typical if k else odd)
+        return st.tuples(vec, vec, vec)
+
+    estimate = st.integers(-spread, spread).map(lambda d: (center + d) % tau)
+    triple = st.tuples(mostly(estimate), mostly(st.just(rp.a0), st.integers(0, rp.a0 - 1)),
+                       mostly(st.sampled_from([center, (center + 1) % tau])))
+    return rp, draw(st.lists(triple, max_size=n0))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_round_relays(), st.data())
+def test_relay_order_does_not_matter(drawn, data):
+    """Each decision function reads a multiset of relay vectors: permuting
+    the relays, or adding all-None vectors for terminals that sent nothing,
+    changes no result and, for rft, not the rng state either."""
+    rp, relays = drawn
+    shuffled = data.draw(st.permutations(relays))
+    for _ in range(rp.n0 - len(relays)):
+        at = data.draw(st.integers(0, len(shuffled)))
+        shuffled.insert(at, ((None,) * 3,) * 3)
+    p_acma = data.draw(st.frozensets(st.integers(0, 2)))
+    c_pre, seed = data.draw(st.integers(0, rp.tau_max - 1)), data.draw(st.integers(0, 2**32))
+    p0 = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+
+    def decide(triples):
+        C, A, M = ([t[k] for t in triples] for k in range(3))
+        rng = random.Random(seed)
+        return (fta(C, rp), filters(M, A, rp), check_stb(C, p_acma, rp), check_weak(C, rp),
+                rft(C, c_pre, p0, rng, rp), rng.getstate())
+
+    assert decide(shuffled) == decide(relays)

@@ -632,10 +632,12 @@ class TestValidateCli:
         (("f0: 1", "f0: -1"), "f0 must be >= 0: -1"),
         (("f1: 1", "f1: -1"), "f1 must be >= 0: -1"),
         (("eps_rnd: 1/2", "eps_rnd: -1/2"), "eps_rnd must be >= 0: -1/2"),
+        (("n0: 4", "n0: [4"), "scenario.yaml is not valid YAML"),
+        (("rho: 1/1000", "rho: .nan"), "system key rho: cannot interpret nan"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
             "name_list", "adversary_string", "section_typo", "five_planes",
-            "f0_negative", "f1_negative", "eps_rnd_negative"])
+            "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"

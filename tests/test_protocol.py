@@ -52,11 +52,6 @@ def full_relays(rp, C_rows, acc=None):
     return {i: TTMessageUp(c_vec=col, a_vec=a_vec, m_vec=col) for i in range(rp.n0)}
 
 
-def row_mat(rp, C_rows):
-    """The matrix C that full_relays gives."""
-    return [[v] * rp.n0 for v in C_rows]
-
-
 class TestMes:
     def test_clock_msg_records(self):
         rp = make_rp()
@@ -201,8 +196,9 @@ class TestMwsRound:
     def test_stable_branch_uses_average(self):
         rp = make_rp()
         st = MwsState(tau_max=rp.tau_max)
-        s = mws_on_end_mc_recv(st, full_relays(rp, [700, 702, 704]), 50, random.Random(0), rp)
-        assert s.c_new == fta(row_mat(rp, [700, 702, 704]), rp)
+        relays = full_relays(rp, [700, 702, 704])
+        s = mws_on_end_mc_recv(st, relays, 50, random.Random(0), rp)
+        assert s.c_new == fta([u.c_vec for u in relays.values()], rp)
 
     def test_unstable_nongrandmaster_randomizes(self):
         rp = make_rp()
@@ -214,7 +210,7 @@ class TestMwsRound:
             s = mws_on_end_mc_recv(st, full_relays(rp, rows, acc=0), 0, random.Random(seed), rp)
             seen.add(s.c_new)
         assert {100, 1100, 2100, 3100} <= seen  # all four references reachable
-        assert fta(row_mat(rp, rows), rp) in seen
+        assert fta([u.c_vec for u in full_relays(rp, rows).values()], rp) in seen
 
     def test_grandmaster_head_toss_sets_lifetime(self):
         rp = make_rp()
@@ -448,8 +444,10 @@ def test_terminal_matches_dict_reference(data):
 # The switch's round decision as it stood when the matrices were built entry by
 # entry as lists, the window search called wrap_sub for each entry, every ring
 # step went through the ring module, and the mean re-sorted what reduce had
-# sorted.  The decision the switch makes now must match it: the same summary,
-# the same lifetime and the same rng state afterwards.
+# sorted.  It reads row matrices in terminal order, padded for terminals that
+# sent nothing, while the switch now passes the relays' vectors in arrival
+# order.  The decision the switch makes must match it: the same summary, the
+# same lifetime and the same rng state afterwards.
 
 
 def _ref_window_hit(C, rows, width, min_cols, tau):
