@@ -76,7 +76,9 @@ class Adversary:
         pass
 
     def on_up_to_faulty(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
-        pass
+        """Honest terminal i's relay to faulty plane p, sent at send_t.  While
+        this hook is this base no-op, a World pushes no relay step toward a
+        faulty plane: nothing would read the relay."""
 
 
 class Silent(Adversary):
@@ -130,14 +132,11 @@ class RandomNoise(Adversary):
             (w.THL // QUANT)
 
         def blast(i=i, p=p, send_t=send_t):
-            tau = rp.tau_max
-            pick = lambda: self._below(tau) if self.rng.random() < 0.8 else None
-            msg = TTMessageUp(
-                c_vec=tuple(pick() for _ in range(rp.n1)),
-                a_vec=tuple(self._below(rp.a0 + 1) for _ in range(rp.n1)),
-                m_vec=tuple(pick() for _ in range(rp.n1)),
-            )
-            w.adv_send_up(i, p, msg, send_t)
+            tau, below, random, planes = rp.tau_max, self._below, self.rng.random, range(rp.n1)
+            c_vec = tuple([below(tau) if random() < 0.8 else None for _ in planes])
+            a_vec = tuple([below(rp.a0 + 1) for _ in planes])
+            m_vec = tuple([below(tau) if random() < 0.8 else None for _ in planes])
+            w.adv_send_up(i, p, TTMessageUp(c_vec, a_vec, m_vec), send_t)
 
         w.schedule_adv(send_t, blast)
 

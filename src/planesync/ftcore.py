@@ -127,7 +127,9 @@ def rft(C: Relays, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) 
 
 def hw_accuracy_threshold(rp: Resolved) -> int:
     """Hardware-clock deviation bound of the accuracy condition, in ticks;
-    resolved once by params.derive."""
+    resolved once by params.derive.  No code in src/ calls it:
+    accuracy_check reads the bound itself.  It stays because
+    bench/tracer.py looks it up by name."""
     return rp.dv.hw_acc_bound
 
 
@@ -140,7 +142,7 @@ def accuracy_check(m_curr: int, m_pre: int, h_curr: int, h_pre: int, rp: Resolve
     if min(d, tau - d) > 2 * rp.eps0:
         return False
     d = (h_curr - h_pre - T) % tau
-    return min(d, tau - d) <= hw_accuracy_threshold(rp)
+    return min(d, tau - d) <= rp.dv.hw_acc_bound
 
 
 def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
@@ -153,7 +155,11 @@ def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
     need, a0, tau = rp.n0 - rp.f0, rp.a0, rp.tau_max
     passed = []
     for p in range(rp.n1):
-        if [a[p] for a in A].count(a0) < need:
+        at_a0 = 0
+        for a in A:
+            if a[p] == a0:
+                at_a0 += 1
+        if at_a0 < need:
             continue
         present = [m[p] for m in M if m[p] is not None]
         if present and present.count(ring_med(present, tau)) >= need:
@@ -172,11 +178,14 @@ def _window_hit(C: Relays, planes: tuple[int, ...], width: int, min_relays: int,
     come from the `planes` entries of every relay, full or not.  An entry e
     lies in the arc iff (e - v) mod tau <= width (ring.wrap_sub, inlined).
     """
-    sub = [[vec[p] for p in planes] for vec in C]
-    full = [entries for entries in sub if None not in entries]
+    full, anchors = [], set()
+    for vec in C:
+        entries = [vec[p] for p in planes]
+        anchors.update(entries)
+        if None not in entries:
+            full.append(entries)
     if len(full) < min_relays:
         return
-    anchors = set().union(*sub)
     anchors.discard(None)
     for v in sorted(anchors):
         hits = 0

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, field
 from fractions import Fraction
 from random import Random
@@ -513,6 +512,8 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
         reasons.append(f"{type(e).__name__}: {e}")
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor     # a serial run never loads it
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [(s, ex.submit(run_once, sc, s)) for s in seeds]
             for s, fut in futs:

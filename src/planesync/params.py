@@ -14,8 +14,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Iterable
 
-import yaml
-
 from .errors import ConfigurationError
 from .ring import wrap_sub
 
@@ -383,8 +381,11 @@ def load_config_doc(path: str | None = None) -> dict:
     """Read a YAML config once; path may come from the environment override.
 
     Returns the raw document, checked to be a mapping that holds the
-    `system` and `schedule` sections; callers parse what they read.
+    `system` and `schedule` sections; callers parse what they read.  yaml is
+    imported here, so a run that reads no file does not load it.
     """
+    import yaml
+
     if path is None:
         path = os.environ.get(SCENARIO_ENV_VAR)
     if path is None:

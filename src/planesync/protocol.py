@@ -48,8 +48,7 @@ __all__ = [
 class TTMessageUp:
     """Terminal-to-plane relay: clock estimates, accuracy counters, raw records.
     It names no sender: the plane keys it by the terminal that delivered it.
-    One relay goes to every plane, so it is never changed once built
-    (dataclasses.replace makes an altered copy)."""
+    One relay goes to every plane, so it is never changed once built."""
 
     c_vec: tuple[Optional[int], ...]
     a_vec: tuple[int, ...]
@@ -197,9 +196,12 @@ def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: i
     b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
     grand = b_coin == 1 or held > 0
 
-    ups = relays.values()
-    C = [u.c_vec for u in ups]
-    stb = check_stb(C, filters([u.m_vec for u in ups], [u.a_vec for u in ups], rp), rp)
+    C, M, A = [], [], []
+    for u in relays.values():
+        C.append(u.c_vec)
+        M.append(u.m_vec)
+        A.append(u.a_vec)
+    stb = check_stb(C, filters(M, A, rp), rp)
     if stb or (grand and b_coin == 0):
         branch, c_new = "avg", fta(C, rp)
     elif grand:

@@ -38,12 +38,20 @@ arrives inside a terminal's receive slot, and any message to drop.
 A round pushes its own slot steps onto the engine's heap, with no
 `schedule` call each: when it is created it reserves their sequence numbers
 (`Engine.reserve`), so each step's key is the one `schedule` would have
-given it then.  A terminal round's slot-begin step has work only when a
-clock value waits in its buffer, so the first value buffered pushes it
-(`World._buffer`), and a round that buffers none never pushes it.  The
-order is unchanged: the heap pops its entries in key order whatever order
-they were pushed in, and each step is pushed while an earlier event runs
-(a value is buffered only before its slot opens).
+given it then.  A SIG's member rounds take one reservation for every honest
+terminal's three steps: faulty terminals are the last indices, so each
+honest one keeps the numbers it would take alone, and a number only breaks
+ties within one (instant, rank, kind), which no other event of the SIG
+shares with a terminal's slot steps.  A step that would do nothing is not
+pushed, though its number stays reserved.  A terminal round's slot-begin
+step has work only when a clock value waits in its buffer, so the first
+value buffered pushes it (`World._buffer`), and a round that buffers none
+never pushes it.  A faulty plane's round reads no relay: the relay step
+only hands the relay to the adversary's `on_up_to_faulty`, so while that
+hook is the base no-op (`World._relay_to_faulty`) the step is not pushed.
+The order is unchanged: the heap pops its entries in key order whatever
+order they were pushed in, and each step is pushed while an earlier event
+runs (a value is buffered only before its slot opens).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import math
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from random import Random
 from typing import Callable, Iterable, Optional
@@ -285,6 +293,17 @@ class Trace:
         self.add(_FORMATS["drop_down"] % (mes, plane, t, why))
 
 
+def _reads_relays(hook) -> bool:
+    """Whether an adversary's bound `on_up_to_faulty` does anything: False
+    for the base no-op, and for a wrapper that names it as `__wrapped__`
+    (functools.wraps), which stands for the function it wraps."""
+    from .adversaries import Adversary
+
+    while hasattr(hook, "__wrapped__"):
+        hook = hook.__wrapped__
+    return getattr(hook, "__func__", None) is not Adversary.on_up_to_faulty
+
+
 def _integer(hook: str, name: str, value) -> int:
     """An adversary hook's count, instant or clock value as a Python int."""
     try:
@@ -374,6 +393,7 @@ class World:
             # bind, overridden or wrapped, and every skew and delay calls them.
             self._choose_skew = adversary.choose_skew
             self._choose_delay = adversary.choose_delay
+            self._relay_to_faulty = _reads_relays(adversary.on_up_to_faulty)
             steps, phases = [], []
             for rank in range(n1 + n0):
                 k = _integer("choose_period", "rate", adversary.choose_period(rank))
@@ -388,6 +408,17 @@ class World:
                                          h0=self.init_rng.randrange(tau), tau=tau)
                            for t_ref, period in self._clock_grid(grid, steps, phases)]
             self.tracks: list[Optional[ClockTrack]] = [None] * (n1 + n0)
+            # Each slot step's offset from a round anchor, in subticks: a
+            # clock's period is fixed for the run.  A plane's: end_mc,
+            # begin_cs, end_cs.  A terminal's (None when faulty): its rank,
+            # then begin_vc, b_recv, e_recv.
+            sc = rp.sched
+            self._plane_slots = [(sc.mc_recv[1] * clk.period, sc.c_send[0] * clk.period,
+                                  sc.c_send[1] * clk.period) for clk in self.clocks[:n1]]
+            self._mes_slots = [None if i in self.faulty_mes else
+                               (n1 + i, sc.vc_send[0] * clk.period, sc.c_recv[0] * clk.period,
+                                sc.c_recv[1] * clk.period)
+                               for i, clk in enumerate(self.clocks[n1:])]
 
             self.mws: dict[int, MwsState] = {}
             self.mes: dict[int, MesState] = {}
@@ -578,13 +609,13 @@ class World:
         # The slot steps, pushed directly (module docstring).  A SIG falls on
         # a tick, so each slot boundary lies whole periods after it; validate
         # keeps every slot bound >= 0, so none lies in the past.
-        sc, period = self.rp.sched, clk.period
-        rnd = _PlaneRound(t, t + sc.mc_recv[1] * period)
+        end_mc, begin_cs, end_cs = self._plane_slots[p]
+        rnd = _PlaneRound(t, t + end_mc)
         self.plane_round[p] = rnd
-        t_end_cs = t + sc.c_send[1] * period
+        t_end_cs = t + end_cs
         seq, heap = self.engine.reserve(3), self._heap
         heapq.heappush(heap, (rnd.e_recv, p, K_SLOT, seq, self._on_end_mc, (p, rnd)))
-        heapq.heappush(heap, (t + sc.c_send[0] * period, p, K_SLOT, seq + 1,
+        heapq.heappush(heap, (t + begin_cs, p, K_SLOT, seq + 1,
                               self._on_begin_cs, (p, rnd, t_end_cs)))
         heapq.heappush(heap, (t_end_cs, p, K_SLOT, seq + 2, self._on_end_cs, (p, rnd)))
 
@@ -595,30 +626,31 @@ class World:
         """Give every terminal an anchor for plane p's new round, skewed by
         the adversary's count of quanta clamped to [0, QUANT]; with no skew
         allowed, the adversary is not asked.  Each honest terminal's round
-        reserves its three slot steps' numbers and pushes the first and last
+        takes three slot steps' numbers from one reservation and pushes its
+        relay step, unless nothing reads that relay, and its last step
         (module docstring); t_sig is not in the past, so neither is any step."""
-        sc, n1, quantum = self.rp.sched, self._n1, self.skew_quantum
-        vc0, cr0, cr1 = sc.vc_send[0], sc.c_recv[0], sc.c_recv[1]
-        reserve, heap, push = self.engine.reserve, self._heap, heapq.heappush
-        choose_skew, clocks = self._choose_skew, self.clocks
-        faulty, mes_round = self.faulty_mes, self.mes_round
-        begin_vc, end_cr = self._on_begin_vc, self._on_end_cr
-        for i in range(self.rp.n0):
+        quantum, heap, push = self.skew_quantum, self._heap, heapq.heappush
+        choose_skew, mes_round, end_cr = self._choose_skew, self.mes_round, self._on_end_cr
+        begin_vc = (self._on_begin_vc if self._relay_to_faulty or p not in self.faulty_planes
+                    else None)
+        seq = self.engine.reserve(3 * len(self.honest_mes))
+        for i, slots in enumerate(self._mes_slots):
             anchor = t_sig
             if quantum:
                 k = choose_skew(i, p)
                 if type(k) is not int or not 0 <= k <= QUANT:
                     k = min(max(_integer("choose_skew", "skew", k), 0), QUANT)
                 anchor += k * quantum
-            if i in faulty:
+            if slots is None:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
-            period, rank = clocks[n1 + i].period, n1 + i
-            seq = reserve(3)
-            rnd = _MesRound(anchor, anchor + cr0 * period, anchor + cr1 * period, seq + 1)
+            rank, vc, cr0, cr1 = slots
+            rnd = _MesRound(anchor, anchor + cr0, anchor + cr1, seq + 1)
             mes_round[i][p] = rnd
-            push(heap, (anchor + vc0 * period, rank, K_SLOT, seq, begin_vc, (i, p, rnd)))
+            if begin_vc is not None:
+                push(heap, (anchor + vc, rank, K_SLOT, seq, begin_vc, (i, p, rnd)))
             push(heap, (rnd.e_recv, rank, K_SLOT, seq + 2, end_cr, (i, p, rnd)))
+            seq += 3
 
     def _on_watchdog_fire(self, p: int) -> None:
         # Nothing else is scheduled for a plane that starts busy, so it is
@@ -675,24 +707,22 @@ class World:
         t = self.engine.now
         clk = self.clocks[self._n1 + i]
         h = (clk.h0 + (t - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(t), inlined
-        self.send_up(i, p, mes_on_begin_vc_send(self.mes[i], h, self.rp), t)
-
-    def send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
+        msg = mes_on_begin_vc_send(self.mes[i], h, self.rp)
         if p in self.faulty_planes:
-            self.adversary.on_up_to_faulty(i, p, msg, send_t)
+            self.adversary.on_up_to_faulty(i, p, msg, t)
             return
         k = self._choose_delay(self._n1 + i, p)
         if type(k) is not int or not 1 <= k <= QUANT:     # _delay, inlined
             k = min(max(_integer("choose_delay", "delay", k), 1), QUANT)
-        arrival = send_t + k * self.delay_quantum
+        arrival = t + k * self.delay_quantum
         if self._trace_full:
-            self.trace.send_up(t=send_t, mes=i, plane=p, arrival=arrival)
+            self.trace.send_up(t=t, mes=i, plane=p, arrival=arrival)
         # Stored now if the round keeps it at arrival (module docstring).
-        rnd = self.plane_round[p]
-        if rnd is not None and self._refusal_up(rnd, send_t, arrival) is None:
-            rnd.relays.setdefault(i, msg)
+        dest = self.plane_round[p]
+        if dest is not None and self._refusal_up(dest, t, arrival) is None:
+            dest.relays.setdefault(i, msg)
         else:
-            self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
+            self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, t, i, msg)
 
     def _refusal_up(self, rnd: _PlaneRound, send_t: int, arrival: int) -> Optional[str]:
         """Why plane round rnd refuses a relay sent at send_t that arrives at
@@ -726,7 +756,7 @@ class World:
         elif fate == BUFFER:
             self._buffer(i, p, rnd, m)
         else:
-            self._ingest_down(i, p, m)
+            self._ingest_down(i, p, (m,))
 
     def _buffer(self, i: int, p: int, rnd: _MesRound, m: int) -> None:
         """Hold clock value m, which reached terminal i's round rnd before its
@@ -737,21 +767,22 @@ class World:
                                         self._on_begin_cr, (i, p, rnd)))
         rnd.buffer.append(m)
 
-    def _ingest_down(self, i: int, p: int, m: int) -> None:
-        now = self.engine.now
+    def _ingest_down(self, i: int, p: int, values: Iterable[int]) -> None:
+        """Terminal i takes plane p's clock values, in order, at the
+        hardware reading of this instant."""
+        now, st, rp = self.engine.now, self.mes[i], self.rp
         clk = self.clocks[self._n1 + i]
         h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
-        mes_on_clock_msg(self.mes[i], p, m, h, self.rp)
-        if self._trace_full:
-            self.trace.recv_down(t=now, mes=i, plane=p, m=m)
+        for m in values:
+            mes_on_clock_msg(st, p, m, h, rp)
+            if self._trace_full:
+                self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         # Pushed by the first value buffered; runs at b_recv, after which
         # nothing is buffered (fate).
-        if self.mes_round[i][p] is not rnd:
-            return
-        for m in rnd.buffer:
-            self._ingest_down(i, p, m)
+        if self.mes_round[i][p] is rnd:
+            self._ingest_down(i, p, rnd.buffer)
 
     def _on_end_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         if self.mes_round[i][p] is not rnd:
@@ -788,20 +819,24 @@ class World:
 
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         """A faulty terminal's upload, put in wire form: each vector has n1
-        entries, and every clock value is reduced onto the ring."""
+        entries, each an integer or None, and every clock value is reduced
+        onto the ring."""
         if i not in self.faulty_mes:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
         send_t = _integer("adv_send_up", "send_t", send_t)
         n1, tau = self.rp.n1, self.rp.tau_max
+        vecs = []
         for name in ("c_vec", "a_vec", "m_vec"):
-            n = len(getattr(msg, name))
-            if n != n1:
-                raise SimulationError(
-                    f"terminal {i} sent plane {p} a {name} of {n} entries, not n1 = {n1}")
+            vec = getattr(msg, name)
+            if len(vec) != n1:
+                raise SimulationError(f"terminal {i} sent plane {p} a {name} of {len(vec)} "
+                                      f"entries, not n1 = {n1}")
+            vecs.append([None if v is None else _integer("adv_send_up", name, v) for v in vec])
         if p in self.faulty_planes:
             return
-        msg = replace(msg, c_vec=tuple(None if v is None else v % tau for v in msg.c_vec),
-                      m_vec=tuple(None if v is None else v % tau for v in msg.m_vec))
+        c_vec, a_vec, m_vec = vecs
+        msg = TTMessageUp(tuple([None if v is None else v % tau for v in c_vec]), tuple(a_vec),
+                          tuple([None if v is None else v % tau for v in m_vec]))
         arrival = max(send_t, self.engine.now) + self._delay(n1 + i, p)
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 

@@ -3,6 +3,7 @@ campaign reduction, and the coin-model bound checker."""
 
 import dataclasses
 import gc
+import json
 import math
 import os
 import subprocess
@@ -433,13 +434,27 @@ class TestConfidenceBound:
         assert lower_confidence_bound(k, n) == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_cli_import_leaves_scipy_out(self):
-        code = "import sys, planesync.cli; sys.exit('scipy' in sys.modules)"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(harness.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr or "importing planesync.cli loaded scipy"
+        assert _loaded_by_cli_import(["scipy"]) == []
+
+
+def _loaded_by_cli_import(modules: list[str]) -> list[str]:
+    """Those of `modules` that a fresh interpreter holds after importing
+    planesync.cli."""
+    code = ("import json, sys, planesync.cli; "
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_yaml_and_worker_pool_out():
+    # yaml loads only to read a file, and the process pool only for a
+    # campaign with more than one job.
+    assert _loaded_by_cli_import(["yaml", "concurrent.futures.process"]) == []
 
 
 class TestCampaign:

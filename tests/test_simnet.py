@@ -2,6 +2,7 @@
 message policing, and the synchronization verdict."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import heapq
@@ -13,6 +14,7 @@ import random
 import re
 import weakref
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,12 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planesync import simnet
+from planesync import ftcore, protocol, ring, simnet
 from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import reference_scenario, run_once
 from planesync.params import SystemParams, TTSchedule, resolve
-from planesync.protocol import MwsState, TTMessageUp, next_sig_tick
+from planesync.protocol import MwsState, TTMessageUp, mes_on_begin_vc_send, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
     K_DELIVER,
@@ -191,13 +193,13 @@ class _SlotSender(_LateSender):
 
     name = "slot_sender"
 
-    def __init__(self, c_vec=(1, 2, 3), m_vec=(1, 2, 3)):
+    def __init__(self, c_vec=(1, 2, 3), m_vec=(1, 2, 3), a_vec=(3, 3, 3)):
         super().__init__()
-        self.c_vec, self.m_vec = c_vec, m_vec
+        self.c_vec, self.m_vec, self.a_vec = c_vec, m_vec, a_vec
 
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(c_vec=self.c_vec, a_vec=(3, 3, 3), m_vec=self.m_vec)
+        junk = TTMessageUp(c_vec=self.c_vec, a_vec=self.a_vec, m_vec=self.m_vec)
         send_t = anchor + 7 * w.THL
         w.schedule_adv(send_t,
                        lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
@@ -319,7 +321,12 @@ class _EventDelivery(World):
             for rnd in rounds or ():
                 rnd.closed = True
 
-    def send_up(self, i, p, msg, send_t):
+    def _on_begin_vc(self, i, p, rnd):
+        if self.mes_round[i][p] is not rnd:
+            return
+        send_t = self.engine.now
+        msg = mes_on_begin_vc_send(self.mes[i], self.clocks[self.rp.n1 + i].h_at(send_t),
+                                   self.rp)
         if p in self.faulty_planes:
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
@@ -365,7 +372,7 @@ class _EventDelivery(World):
         elif now < rnd.b_recv:
             self._buffer(i, p, rnd, m)
         else:
-            self._ingest_down(i, p, m)
+            self._ingest_down(i, p, (m,))
 
 
 class TestSendTimeDelivery:
@@ -452,8 +459,8 @@ class TestSendTimeDelivery:
                     self.delivered.append((self.engine.now, i, p))
                 super()._deliver_down(p, i, m)
 
-            def _ingest_down(self, i, p, m):
-                super()._ingest_down(i, p, m)
+            def _ingest_down(self, i, p, values):
+                super()._ingest_down(i, p, values)
                 if p in self.honest_planes:
                     self.ingested.append((self.engine.now, i, p, self.mes[i].h_rec[p],
                                           self.mes_round[i][p].b_recv))
@@ -469,6 +476,108 @@ class TestSendTimeDelivery:
         for t, i, p, h_rec, b_recv in w.ingested:
             assert b_recv < t
             assert h_rec == (w.clocks[rp.n1 + i].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
+
+
+def _count_calls(monkeypatch, funcs):
+    """Count the calls of each function in funcs by name, wherever a
+    planesync module looks it up."""
+    counts = Counter()
+    for fn in funcs:
+        def counted(*args, fn=fn):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        for mod in (simnet, protocol, ftcore, ring):
+            if vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    return counts
+
+
+class TestWorkCounts:
+    """The work of 16 runs, counted: a change that adds or drops a step or a
+    call on the per-round path moves one of these sums."""
+
+    def test_work_is_pinned(self, monkeypatch):
+        class Probe(World):
+            def __init__(self, *args, **kwargs):
+                self.honest_rounds = []     # (i, round) of each honest plane's round
+                super().__init__(*args, **kwargs)
+
+            def _start_member_rounds(self, p, t_sig):
+                super()._start_member_rounds(p, t_sig)
+                if p in self.honest_planes:
+                    self.honest_rounds += [(i, self.mes_round[i][p]) for i in self.honest_mes]
+
+        counts = _count_calls(monkeypatch, (ring.ring_med, ftcore.fta, ftcore.filters,
+                                            ftcore.check_stb, protocol.mws_on_end_mc_recv,
+                                            protocol.mes_on_begin_vc_send))
+        events, vc0 = 0, RP.sched.vc_send[0]
+        for name, init, seed in itertools.product(BUILTINS, ("synchronized", "random"), (1, 2)):
+            relays = counts["mes_on_begin_vc_send"]
+            w = Probe(RP, make_adversary(name), seed=seed, init_policy=init)
+            w.run_until_window(100)
+            w.close()
+            events += w.engine._seq
+            # One relay per honest terminal round of an honest plane whose
+            # relay instant the run reached, and none toward a faulty plane.
+            due = sum(rnd.anchor + vc0 * w.clocks[RP.n1 + i].period <= w.engine.now
+                      for i, rnd in w.honest_rounds)
+            assert counts["mes_on_begin_vc_send"] - relays == due, (name, init, seed)
+        del counts["mes_on_begin_vc_send"]
+        assert (events, dict(counts)) == (107228, {
+            "ring_med": 60264, "fta": 6384, "filters": 6400, "check_stb": 6400,
+            "mws_on_end_mc_recv": 6400})
+
+
+class TestRelayToFaultyPlane:
+    """A World pushes no relay step toward a faulty plane while the
+    adversary's on_up_to_faulty is the base no-op."""
+
+    @staticmethod
+    def _logged(name, log):
+        class Logged(BUILTINS[name]):
+            def on_up_to_faulty(self, i, p, msg, send_t):
+                log.append((i, p, send_t, msg.c_vec, msg.a_vec, msg.m_vec))
+        return Logged()
+
+    def test_a_reading_hook_gets_every_relay(self):
+        # Each built-in's behaviour, with a hook that logs: the same calls as
+        # a World that pushed every relay step (the pinned digest), and the
+        # built-in's own bytes.
+        h, calls = hashlib.sha256(), {}
+        for name, init in itertools.product(BUILTINS, ("synchronized", "random")):
+            log = []
+            traces = []
+            for adv in (make_adversary(name), self._logged(name, log)):
+                w = World(RP, adv, seed=3, init_policy=init, trace_level="full")
+                w.run_until_window(100)
+                w.close()
+                traces.append(w.trace.to_jsonl())
+            assert traces[0] == traces[1], (name, init)
+            calls[name, init] = len(log)
+            h.update(repr(log).encode())
+        assert all(calls[name, init] > 0 for name in ("random_noise", "split_brain")
+                   for init in ("synchronized", "random"))
+        assert (sum(calls.values()), h.hexdigest()[:16]) == (2415, "6eb9f50908459ca7")
+
+    def test_a_wrapper_stands_for_what_it_wraps(self):
+        # A functools.wraps wrapper, as the benchmark's tracer sets on every
+        # hook, of the base no-op is skipped with it; one of a hook that
+        # reads is called.
+        for log_inside in (False, True):
+            log, seen = [], []
+            adv = self._logged("random_noise", log) if log_inside else \
+                make_adversary("random_noise")
+            inner = adv.on_up_to_faulty
+
+            @functools.wraps(inner)
+            def wrapper(*args, inner=inner):
+                seen.append(args)
+                return inner(*args)
+            adv.on_up_to_faulty = wrapper
+            w = World(RP, adv, seed=3, init_policy="synchronized")
+            w.run_until_window(20)
+            w.close()
+            assert len(seen) == len(log) and bool(seen) == log_inside
 
 
 class TestRounds:
@@ -1067,6 +1176,31 @@ class TestTraceExport:
         with pytest.raises(SimulationError, match=rf"^{hook}: \w+ must be an integer"):
             w = World(RP, _Converting(hook, conv), seed=3, init_policy="synchronized")
             w.run_until_window(3)
+
+    @pytest.mark.parametrize("vec", ["c_vec", "a_vec", "m_vec"])
+    def test_upload_entries_are_integers(self, vec):
+        # Every entry of a faulty terminal's upload passes through the
+        # integer check, None kept: a numpy entry reaches the plane as a
+        # plain int, and a float (a c_vec of 100.5s would be averaged into a
+        # clock value of 100.5) is refused by name.
+        def sender(conv):
+            vecs = {"c_vec": (1, None, 3), "a_vec": (3, None, 3), "m_vec": (1, 2, None)}
+            vecs[vec] = tuple(None if v is None else conv(v) for v in vecs[vec])
+            return _SlotSender(**vecs)
+
+        stored = []
+        for conv in (int, np.int64):
+            w = _Closed(RP, sender(conv), seed=3, init_policy="synchronized")
+            w.run_until_window(3)
+            w.close()
+            faulty = next(iter(w.faulty_mes))
+            assert w.closed_rounds
+            stored.append([getattr(rnd.relays[faulty], vec) for _p, rnd in w.closed_rounds])
+        assert stored[0] == stored[1]
+        assert {type(v) for relay in stored[1] for v in relay} == {int, type(None)}
+        with pytest.raises(SimulationError, match=rf"^adv_send_up: {vec} must be an integer, "
+                                                  r"not 100\.5"):
+            World(RP, sender(lambda v: 100.5), seed=3).run_until_window(3)
 
     @pytest.mark.parametrize("knob, lo", [("choose_skew", 0), ("choose_delay", 1)])
     def test_counts_out_of_range_clamped(self, knob, lo):
