@@ -81,6 +81,8 @@ class Scenario:
             raise ConfigurationError(f"horizon must be >= 1: {self.horizon}")
         if self.confirm is not None and self.confirm < 1:
             raise ConfigurationError(f"confirm must be >= 1: {self.confirm}")
+        if self.eps0_check is not None and self.eps0_check < 0:
+            raise ConfigurationError(f"eps0_check must be >= 0: {self.eps0_check}")
         if self.adversary not in BUILTINS:
             raise ConfigurationError(
                 f"unknown adversary {self.adversary!r}; built-ins: {sorted(BUILTINS)}")

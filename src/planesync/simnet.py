@@ -312,6 +312,12 @@ def _integer(hook: str, name: str, value) -> int:
         raise SimulationError(f"{hook}: {name} must be an integer, not {value!r}") from None
 
 
+def _count(hook: str, name: str, value, lo: int) -> int:
+    """An adversary hook's count of quanta, clamped to [lo, QUANT]; honest
+    senders call it only for a count that is not a plain int in range."""
+    return min(max(_integer(hook, name, value), lo), QUANT)
+
+
 # What a terminal's round does with a clock value arriving at an instant.
 DROP, BUFFER, INGEST = range(3)
 
@@ -563,14 +569,6 @@ class World:
         clk = self.clocks[p]
         return (clk.h_at(t) + self.mws[p].clock_offset) % clk.tau
 
-    def _delay(self, sender: int, p: int) -> int:
-        """Delay of a message from the node of rank `sender` over plane p: the
-        adversary's count of quanta, clamped to [1, QUANT].  An honest
-        message's sender inlines it, with a fast path for a plain int that
-        needs no clamp."""
-        count = _integer("choose_delay", "delay", self._choose_delay(sender, p))
-        return min(max(count, 1), QUANT) * self.delay_quantum
-
     def _record_adjust(self, rank: int, old: int, new: int) -> None:
         now = self.engine.now
         self.tracks[rank].record(now, new)
@@ -639,7 +637,7 @@ class World:
             if quantum:
                 k = choose_skew(i, p)
                 if type(k) is not int or not 0 <= k <= QUANT:
-                    k = min(max(_integer("choose_skew", "skew", k), 0), QUANT)
+                    k = _count("choose_skew", "skew", k, 0)
                 anchor += k * quantum
             if slots is None:
                 self.adversary.faulty_mes_round(i, p, anchor)
@@ -679,8 +677,8 @@ class World:
         choose_delay, quantum = self._choose_delay, self.delay_quantum
         for i in self.honest_mes:
             k = choose_delay(p, p)
-            if type(k) is not int or not 1 <= k <= QUANT:     # _delay, inlined
-                k = min(max(_integer("choose_delay", "delay", k), 1), QUANT)
+            if type(k) is not int or not 1 <= k <= QUANT:
+                k = _count("choose_delay", "delay", k, 1)
             arrival = t + k * quantum
             if self._trace_full:
                 self.trace.send_down(t=t, plane=p, to=i, m=m, arrival=arrival)
@@ -712,8 +710,8 @@ class World:
             self.adversary.on_up_to_faulty(i, p, msg, t)
             return
         k = self._choose_delay(self._n1 + i, p)
-        if type(k) is not int or not 1 <= k <= QUANT:     # _delay, inlined
-            k = min(max(_integer("choose_delay", "delay", k), 1), QUANT)
+        if type(k) is not int or not 1 <= k <= QUANT:
+            k = _count("choose_delay", "delay", k, 1)
         arrival = t + k * self.delay_quantum
         if self._trace_full:
             self.trace.send_up(t=t, mes=i, plane=p, arrival=arrival)
@@ -837,7 +835,8 @@ class World:
         c_vec, a_vec, m_vec = vecs
         msg = TTMessageUp(tuple([None if v is None else v % tau for v in c_vec]), tuple(a_vec),
                           tuple([None if v is None else v % tau for v in m_vec]))
-        arrival = max(send_t, self.engine.now) + self._delay(n1 + i, p)
+        k = _count("choose_delay", "delay", self._choose_delay(n1 + i, p), 1)
+        arrival = max(send_t, self.engine.now) + k * self.delay_quantum
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
@@ -878,7 +877,8 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t2: int,
                       THL: int, ends: list[int]) -> list[int]:
     """The instants in [t1, t2] that can decide sync_check (see there), sorted;
-    `jumps` holds the jumps inside [t1, t2], `ends` the rate spans' ends."""
+    `jumps` holds the jumps inside [t1, t2], and `ends` a block's window edges
+    and the two ends of each of its rate spans."""
     keep = set(jumps)
     marks = [t1, t2, *ends, *keep]
     keep.update([t // THL * THL for t in marks])
@@ -931,9 +931,13 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     ceiling, so it adds one sample: side 0 of that sample reads the clocks
     just before the jump, one tick past the grid sample a step earlier on
     every clock, unless a jump or a slip lies between the two, and either
-    keeps that earlier sample.  The windows of a block are checked in one
-    pass, each on the samples chosen for it alone, and a reading depends
-    only on its instant, so each window gets the verdict it would get alone.
+    keeps that earlier sample.  A block's samples are picked once, over
+    [t_0, t_B], and those in [t_j, t_j+1] are exactly window j's own pick:
+    each block mark is a mark of the window that holds it, a floor or
+    ceiling of it outside that window is also one of the window's edge,
+    which the neighbour picks too, and a slip across an edge lands on that
+    edge's floor and ceiling.  A reading depends only on its instant, so
+    each window gets the verdict it would get alone.
 
     Returns one (verdict, max precision deviation seen in ticks) per window.
     """
@@ -958,33 +962,16 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
         cums += cum[lo:hi]
         jumps += inside
         keys += [t + shift for t in inside]
-    jumps.sort()
 
-    # The block's samples, window j's at cut[j]:cut[j+1], and each rate span
-    # that holds two samples or more: its first and last column of
-    # interleaved readings, and its window.
-    samples: list[int] = []
-    cut = [0]
-    cols: list[tuple[int, int]] = []
-    owner: list[int] = []
-    width = 0
+    # Each window's rate spans, as (first instant, last instant, window), and
+    # the block's samples.
+    spans = []
     for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
         starts = list(range(t1, t2, delta))
         starts += [s + delta // 2 for s in starts[:-1]]
-        stops = [min(s + delta, t2) for s in starts]
-        inside = jumps[bisect_left(jumps, t1):bisect_right(jumps, t2)]
-        win = _decisive_samples(tracks, inside, t1, t2, THL, starts + stops)
-        first = len(samples)
-        for s0, stop in zip(starts, stops):
-            lo, hi = bisect_left(win, s0), bisect_right(win, stop)
-            if hi - lo >= 2:
-                cols.append((2 * (first + lo), 2 * (first + hi) - 1))
-                owner.append(j)
-                width = max(width, 2 * (hi - lo))
-        samples += win
-        cut.append(len(samples))
-    if not samples:
-        return [(True, 0)] * n_win
+        spans += [(s, min(s + delta, t2), j) for s in starts]
+    samples = _decisive_samples(tracks, jumps, edges[0], edges[-1], THL,
+                                [*edges, *(t for s, stop, _j in spans for t in (s, stop))])
     ts = np.array(samples, dtype=np.int64)
 
     # U holds one row per track, with the readings at each sample
@@ -999,28 +986,34 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     idx = np.searchsorted(np.array(keys, dtype=np.int64), q) + np.arange(n + 1)[:, None]
     U = (np.repeat(ts, 2) - t_ref) // period + np.array(cums + [0])[idx]
 
-    # A window without samples passes with deviation 0; the others' first
-    # indices rise strictly, so reduceat's segments are their samples.
+    # A window without samples passes with deviation 0.
     devs = [0] * n_win
     ok = [True] * n_win
     if n > 1:
-        held = [j for j in range(n_win) if cut[j] < cut[j + 1]]
         V = (base[:n] + U[:n]) % tau
         a, b = _pairs(n)
         d = np.abs(V[a] - V[b])
-        worst = np.minimum(d, tau - d).max(axis=0)
-        seg = np.maximum.reduceat(worst, [2 * cut[j] for j in held]).tolist()
-        for j, dev in zip(held, seg):
-            devs[j] = dev
-            ok[j] = dev <= eps0
+        worst = np.minimum(d, tau - d).max(axis=0).tolist()
+        for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
+            seg = worst[2 * bisect_left(samples, t1):2 * bisect_right(samples, t2)]
+            if seg:
+                devs[j] = max(seg)
+                ok[j] = devs[j] <= eps0
 
     # Rate condition, exact integer arithmetic: scale by T_H*L and by the
     # denominator of rho so both sides are integers.  Pre/post readings at
     # each instant interleave, pre first; rebasing each span on its first
     # reading bounds the int64 magnitudes by the span, not the run, and
     # shifts each sequence by a constant, which leaves its rises unchanged.
-    if not all(ok):     # a window that failed precision needs no rate check
-        cols, owner = [c for c, j in zip(cols, owner) if ok[j]], [j for j in owner if ok[j]]
+    # Each span that holds two samples or more: its first and last column
+    # of readings, and its window.
+    cols, owner, width = [], [], 0
+    for s0, stop, j in spans:
+        lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
+        if hi - lo >= 2:
+            cols.append((2 * lo, 2 * hi - 1))
+            owner.append(j)
+            width = max(width, 2 * (hi - lo))
     if cols:
         pr, qr = rp.rho.numerator, rp.rho.denominator
         c = np.array(cols, dtype=np.int64)

@@ -649,10 +649,13 @@ class TestValidateCli:
         (("eps_rnd: 1/2", "eps_rnd: -1/2"), "eps_rnd must be >= 0: -1/2"),
         (("n0: 4", "n0: [4"), "scenario.yaml is not valid YAML"),
         (("rho: 1/1000", "rho: .nan"), "system key rho: cannot interpret nan"),
+        (("  trace: \"off\"", "  trace: \"off\"\n  eps0_check: -1"),
+         "eps0_check must be >= 0: -1"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
             "name_list", "adversary_string", "section_typo", "five_planes",
-            "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan"])
+            "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan",
+            "eps0_check_negative"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"

@@ -330,7 +330,8 @@ class _EventDelivery(World):
         if p in self.faulty_planes:
             self.adversary.on_up_to_faulty(i, p, msg, send_t)
             return
-        arrival = send_t + self._delay(self.rp.n1 + i, p)
+        k = simnet._count("choose_delay", "delay", self._choose_delay(self.rp.n1 + i, p), 1)
+        arrival = send_t + k * self.delay_quantum
         self.trace.send_up(t=send_t, mes=i, plane=p, arrival=arrival)
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
@@ -339,7 +340,8 @@ class _EventDelivery(World):
         for i in range(self.rp.n0):
             if i in self.faulty_mes:
                 continue
-            arrival = t + self._delay(p, p)
+            k = simnet._count("choose_delay", "delay", self._choose_delay(p, p), 1)
+            arrival = t + k * self.delay_quantum
             self.trace.send_down(t=t, plane=p, to=i, m=rnd.c_new, arrival=arrival)
             self.engine.schedule(arrival, self.rp.n1 + i, K_DELIVER,
                                  self._deliver_down, p, i, rnd.c_new)
@@ -1935,6 +1937,75 @@ def test_slip_across_a_shared_edge():
     assert got == _each_window([a, b], edges, SMALL_RP, SMALL_L) == want
     assert want == [oracle_sync_check([a, b], t1, t2, SMALL_RP, SMALL_L)
                     for t1, t2 in zip(edges, edges[1:])]
+
+
+def _block_samples(tracks, edges, rp, L, eps0=None):
+    """The samples that one sync_check call over `edges` evaluates: what its
+    one _decisive_samples call returns."""
+    picks = []
+    decisive = simnet._decisive_samples
+
+    def recorded(*args):
+        picks.append(decisive(*args))
+        return picks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_decisive_samples", recorded)
+        sync_check(tracks, edges, rp, L, eps0=eps0)
+    assert len(picks) == 1
+    return picks[0]
+
+
+def _shared_edge_samples(tracks, edges, rp, L, eps0=None):
+    """Check that each window's slice of the block's samples is the set it
+    picks alone; return how many inner edges are samples of both windows."""
+    block = _block_samples(tracks, edges, rp, L, eps0)
+    for t1, t2 in zip(edges, edges[1:]):
+        alone = _block_samples(tracks, [t1, t2], rp, L, eps0)
+        assert block[bisect_left(block, t1):bisect_right(block, t2)] == alone, (t1, t2)
+    return len(set(block).intersection(edges[1:-1]))
+
+
+def test_each_window_reads_its_slice_of_the_block():
+    shared = 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(window_blocks())
+    def check(case):
+        nonlocal shared
+        tracks, edges, eps0 = case
+        if tracks:      # with no clock, sync_check picks no samples at all
+            shared += _shared_edge_samples(tracks, edges, SMALL_RP, SMALL_L, eps0)
+
+    check()
+    # The harness's own input: the recorded runs of
+    # test_recorded_windows_evaluate_few_samples, in blocks of 40 and of 7.
+    for name in ("silent", "random_noise", "max_skew", "split_brain"):
+        for init in ("synchronized", "random"):
+            w = World(RP, make_adversary(name), seed=4, init_policy=init, trace_level="off")
+            w.run_until_window(40)
+            edges = [k * w.window for k in range(41)]
+            shared += _shared_edge_samples(w.qap_tracks(), edges, RP, w.L)
+            for lo in range(0, 40, 7):
+                shared += _shared_edge_samples(w.qap_tracks(), edges[lo:lo + 8], RP, w.L)
+            w.close()
+    assert shared > 0    # not vacuous: neighbouring windows share edge samples
+
+
+def test_one_pick_per_block(monkeypatch):
+    calls = []
+    decisive = simnet._decisive_samples
+
+    def counted(*args):
+        calls.append(args)
+        return decisive(*args)
+
+    monkeypatch.setattr(simnet, "_decisive_samples", counted)
+    w = World(RP, make_adversary("max_skew"), seed=4, trace_level="off")
+    w.run_until_window(32)
+    assert len(sync_check(w.qap_tracks(), [k * w.window for k in range(33)], RP, w.L)) == 32
+    w.close()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("edges", [[], [5], [5, 3], (5, 3), [0, 10, 9, 20]])
