@@ -7,6 +7,7 @@ faulty components.  Every knob is an integer count, which the World checks
 and clamps: a rate in drift steps (World.drift_steps is rho), a tick phase,
 skew or delay in QUANT-ths of its span.
 A node is named by its engine rank: plane p is p, terminal i is n1 + i.
+Faulty nodes take the last indices: World's honest_* and faulty_* are ranges.
 
 Faulty planes act through three World hooks: faulty_sig starts a round at
 the terminals, adv_deliver_down injects arbitrary per-recipient clock
@@ -100,7 +101,7 @@ class RandomNoise(Adversary):
         return self._rates[rank]
 
     def setup(self) -> None:
-        for p in sorted(self.world.faulty_planes):
+        for p in self.world.faulty_planes:
             self._arm_faulty_plane(p)
 
     def _arm_faulty_plane(self, p: int) -> None:
@@ -113,7 +114,7 @@ class RandomNoise(Adversary):
         def fire(p=p):
             w.faulty_sig(p, w.engine.now)
             sc = self.rp.sched
-            for i in sorted(w.honest_mes):
+            for i in w.honest_mes:
                 off = sc.c_send[0] * QUANT + self._below(4 * QUANT)
                 arrival = w.engine.now + off * (w.THL // QUANT) + \
                     (1 + self._below(QUANT)) * w.delay_quantum
@@ -184,7 +185,7 @@ class SplitBrain(Adversary):
         self.bias_lo = (3 * rp.eps1) // 4
         self.bias_hi = min(self.bias_lo + 2 * rp.eps0 - 4, rp.eps1 + 3 * rp.eps0)
         self._hi = False
-        self.tracked = min(world.honest_planes)
+        self.tracked = world.honest_planes[0]
         self._last: tuple[int, int] | None = None  # first SIG of the pair
         # Shadow-round anchor offset: the terminals' receive slot must be
         # open around the next cycle's relay instants (anchor + vc_send).
@@ -203,7 +204,7 @@ class SplitBrain(Adversary):
             t1, _p1 = self._last
             self._last = None
             self._inject_between(t1, t)
-            for pf in sorted(w.faulty_planes):
+            for pf in w.faulty_planes:
                 w.schedule_adv(t1 + self._anchor_off * w.THL,
                                lambda pf=pf: w.faulty_sig(pf, w.engine.now))
         else:
@@ -214,8 +215,8 @@ class SplitBrain(Adversary):
         rp = self.rp
         self._hi = not self._hi
         bias = self.bias_hi if self._hi else self.bias_lo
-        for pf in sorted(w.faulty_planes):
-            for i in sorted(w.honest_mes):
+        for pf in w.faulty_planes:
+            for i in w.honest_mes:
                 period = w.clocks[rp.n1 + i].period
                 r1 = t1 + rp.sched.vc_send[0] * period
                 r2 = t2 + rp.sched.vc_send[0] * period

@@ -73,7 +73,7 @@ from .params import Resolved
 from .protocol import (MesState, MwsState, TTMessageUp, mes_on_begin_vc_send, mes_on_clock_msg,
                        mes_on_end_c_recv, mws_on_end_c_send, mws_on_end_mc_recv, mws_on_sig,
                        mws_rearm, mws_watchdog_ticks, next_sig_tick)
-from .ring import wrap_add, wrap_sub
+from .ring import wrap_sub
 
 __all__ = ["Engine", "HardwareClock", "ClockTrack", "World", "Trace", "sync_check",
            "derive_seed", "DRIFT_DENOM", "QUANT", "INIT_POLICIES", "TRACE_LEVELS", "FULL_ONLY",
@@ -312,10 +312,11 @@ def _integer(hook: str, name: str, value) -> int:
         raise SimulationError(f"{hook}: {name} must be an integer, not {value!r}") from None
 
 
-def _count(hook: str, name: str, value, lo: int) -> int:
-    """An adversary hook's count of quanta, clamped to [lo, QUANT]; honest
-    senders call it only for a count that is not a plain int in range."""
-    return min(max(_integer(hook, name, value), lo), QUANT)
+def _count(hook: str, name: str, value, lo: int, hi: int = QUANT) -> int:
+    """An adversary hook's count clamped to [lo, hi]: a rate in drift steps,
+    a skew or a delay in quanta.  The per-message paths test for a plain int
+    in range inline and pass any other count here."""
+    return min(max(_integer(hook, name, value), lo), hi)
 
 
 # What a terminal's round does with a clock value arriving at an instant.
@@ -379,10 +380,8 @@ class World:
 
         n0, n1 = rp.n0, rp.n1
         self._n1 = n1
-        self.faulty_planes = set(range(n1 - rp.f1, n1))
-        self.faulty_mes = set(range(n0 - rp.f0, n0))
-        self.honest_planes = [p for p in range(n1) if p not in self.faulty_planes]
-        self.honest_mes = [i for i in range(n0) if i not in self.faulty_mes]
+        self.honest_planes, self.faulty_planes = range(n1 - rp.f1), range(n1 - rp.f1, n1)
+        self.honest_mes, self.faulty_mes = range(n0 - rp.f0), range(n0 - rp.f0, n0)
 
         self.init_rng = Random(derive_seed(seed, "init"))
         self.adv_rng = Random(derive_seed(seed, "adversary"))
@@ -390,7 +389,6 @@ class World:
 
         # Adversary-chosen rates (see drift_steps) and tick phases, then the
         # subtick scale, all in integers (see _clock_grid).
-        self.warnings: list[str] = []  # clamped rates
         grid = math.lcm(DRIFT_DENOM, rp.rho.denominator)
         self._drift_steps = bound = rp.rho.numerator * (grid // rp.rho.denominator)
         adversary.bind(self)
@@ -402,11 +400,8 @@ class World:
             self._relay_to_faulty = _reads_relays(adversary.on_up_to_faulty)
             steps, phases = [], []
             for rank in range(n1 + n0):
-                k = _integer("choose_period", "rate", adversary.choose_period(rank))
-                if abs(k) > bound:
-                    self.warnings.append(f"rank {rank}: rate of {k} drift steps clamped "
-                                         f"to the bound {bound}")
-                steps.append(grid + min(max(k, -bound), bound))
+                steps.append(grid + _count("choose_period", "rate", adversary.choose_period(rank),
+                                           -bound, bound))
                 phases.append(_integer("choose_phase", "phase", adversary.choose_phase(rank))
                               % QUANT)
             tau = rp.tau_max
@@ -501,28 +496,23 @@ class World:
             # aftermath of a completed previous round: the last distributed
             # value was one cycle behind the upcoming one, received at the
             # usual point of the slot schedule.
-            T = rp.T % tau
-            c_init = (rp.T * rng.randrange(tau // rp.T)) % tau
+            T = rp.T       # validate keeps tau_max >= 4T and c_send within [0, T0]
+            c_init = T * rng.randrange(tau // T)
             # A plane's first SIG may anchor one or more cycles past c_init
             # depending on its tick phase; records must sit exactly one cycle
-            # behind that anchor or the first accuracy check fails.
-            anchor_c = [(c_init + next_sig_tick(c_init, self.clocks[p].first_tick(0), tau, T))
-                        % tau for p in range(n1)]
+            # behind that anchor, at its send slot's end, or the first
+            # accuracy check fails.
+            m_rec = [(c_init + next_sig_tick(c_init, self.clocks[q].first_tick(0), tau, T) - T
+                      + rp.sched.c_send[1]) % tau for q in range(n1)]
             for p in self.honest_planes:
                 off = wrap_sub(c_init, self.clocks[p].h0, tau)
                 self.mws[p] = MwsState(tau_max=tau, clock_offset=off, c_tilde_old=off)
             for i in self.honest_mes:
-                clk = self.clocks[n1 + i]
-                off = wrap_sub(c_init, clk.h0, tau)
-                st = MesState(n1=n1, clock_offset=off)
-                for q in range(n1):
-                    rec_lag = wrap_sub(
-                        wrap_add(wrap_sub(anchor_c[q], T, tau), rp.sched.c_send[1] % tau, tau),
-                        c_init, tau)
-                    st.m_rec[q] = wrap_add(c_init, rec_lag, tau)
-                    st.h_rec[q] = wrap_add(clk.h0, rec_lag, tau)
-                    st.acc[q] = rp.a0
-                self.mes[i] = st
+                h0 = self.clocks[n1 + i].h0
+                st = self.mes[i] = MesState(n1=n1, clock_offset=wrap_sub(c_init, h0, tau))
+                st.m_rec = m_rec[:]
+                st.h_rec = [(h0 + m - c_init) % tau for m in m_rec]
+                st.acc = [rp.a0] * n1
         elif policy == "random":
             for p in self.honest_planes:
                 tau_idl = tau if rng.random() < 0.5 else rng.randrange(tau)
@@ -583,7 +573,7 @@ class World:
         st = self.mws[p]
         clk = self.clocks[p]
         base = (clk.h0 + st.clock_offset) % clk.tau
-        k = next_sig_tick(base, k_min, clk.tau, self.rp.T % clk.tau)
+        k = next_sig_tick(base, k_min, clk.tau, self.rp.T)
         self.engine.schedule(clk.time_of_tick(k), p, K_SIG, self._on_sig, p)
 
     def _schedule_watchdog_fire(self, p: int, k: int) -> None:
@@ -810,6 +800,9 @@ class World:
             raise SimulationError("adversarial delivery from a nonfaulty plane")
         m = _integer("adv_deliver_down", "m", m)
         arrival = _integer("adv_deliver_down", "arrival", arrival)
+        i = _integer("adv_deliver_down", "i", i)
+        if i not in range(self.rp.n0):
+            raise SimulationError(f"adv_deliver_down: no terminal {i} among n0 = {self.rp.n0}")
         if i in self.faulty_mes:
             return
         self.engine.schedule(max(arrival, self.engine.now), self._n1 + i, K_DELIVER,
@@ -823,6 +816,9 @@ class World:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
         send_t = _integer("adv_send_up", "send_t", send_t)
         n1, tau = self.rp.n1, self.rp.tau_max
+        p = _integer("adv_send_up", "p", p)
+        if p not in range(n1):
+            raise SimulationError(f"adv_send_up: no plane {p} among n1 = {n1}")
         vecs = []
         for name in ("c_vec", "a_vec", "m_vec"):
             vec = getattr(msg, name)

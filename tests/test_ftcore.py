@@ -417,6 +417,7 @@ def _round_relays(draw):
     return rp, draw(st.lists(triple, max_size=n0))
 
 
+@pytest.mark.same_bytes
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_round_relays(), st.data())
 def test_relay_order_does_not_matter(drawn, data):

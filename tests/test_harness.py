@@ -651,11 +651,32 @@ class TestValidateCli:
         (("rho: 1/1000", "rho: .nan"), "system key rho: cannot interpret nan"),
         (("  trace: \"off\"", "  trace: \"off\"\n  eps0_check: -1"),
          "eps0_check must be >= 0: -1"),
+        (("d_max: 2", "d_max: 0"), "d_max must be positive: 0"),
+        (("a0: 3", "a0: 0"), "a0 must be >= 1: 0"),
+        (("a0: 3", "a0: 3\n  q0: 2"), "q0 outside [0,1]: 2"),
+        (("a0: 3", "a0: 3\n  p0: -1/2"), "p0 outside [0,1]: -1/2"),
+        (("c_recv: [38, 48]", "c_recv: [38, 75]"),
+         "schedule must lie within [0, T0=74]: [6, 10, 14, 24, 30, 34, 38, 75]"),
+        (("a0: 3", "a0: 3\n  eps2: 1"), "eps2 >= eps1 >= eps0 > 0 violated: 10, 27, 1"),
+        (("rho: 1/1000", "rho: 1/8"), "default eps1 needs rho < 1/8; set eps1/eps2 explicitly"),
+        (("vc_send: [6, 10]\n  mc_recv: [14, 24]", "vc_send: [12, 13]\n  mc_recv: [14, 15]"),
+         "vc_send->mc_recv gap must exceed d_max ticks (3): (12, 13) -> (14, 15)"),
+        (("c_send: [30, 34]\n  c_recv: [38, 48]", "c_send: [40, 41]\n  c_recv: [42, 43]"),
+         "c_send->c_recv gap must exceed d_max ticks (3): (40, 41) -> (42, 43)"),
+        (("  c_recv: [38, 48]\n", ""), "missing schedule keys: ['c_recv']"),
+        (("vc_send: [6, 10]", "vc_send: [6, 10, 12]"),
+         "schedule slot vc_send must be [begin, end]: [6, 10, 12]"),
+        (("  T0: 74\n", ""), "bad system section: "),
+        # Every line commented out: an empty document.
+        (("\n", "\n#"), "config root must be a mapping: "),
+        (("schedule:\n", "slots:\n"), "config must contain 'system' and 'schedule' sections"),
     ], ids=["run_key", "adversary", "init", "adversary_params", "invariant",
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
             "name_list", "adversary_string", "section_typo", "five_planes",
             "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan",
-            "eps0_check_negative"])
+            "eps0_check_negative", "d_max_zero", "a0_zero", "q0_outside", "p0_outside",
+            "slot_past_T0", "eps_order", "rho_eighth", "upward_gap", "downward_gap",
+            "slot_missing", "slot_triple", "T0_missing", "empty_document", "no_schedule"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.
         path = tmp_path / "scenario.yaml"
