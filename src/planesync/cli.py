@@ -10,11 +10,11 @@ same invocation always produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Optional, TextIO
 
 from .errors import ConfigurationError, PlanesyncError
 from .harness import (
@@ -124,26 +124,56 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
     return 0 if summary.ok else 1
 
 
+class _Comparison:
+    """A trace sink that compares each block of lines a re-run writes with
+    the recording's next lines, and keeps the first difference.  A
+    recording's last line may lack its newline."""
+
+    def __init__(self, recorded: TextIO) -> None:
+        self.recorded = recorded
+        self.read = 0           # lines read from the recording
+        self.replayed = 0       # lines written
+        self.diff: Optional[str] = None
+
+    def write(self, text: str) -> None:
+        n = text.count("\n")
+        if self.diff is None and self.read == self.replayed:     # every line so far matched
+            want = "".join(islice(self.recorded, n))
+            if want == text:
+                self.read += n
+            else:       # split into lines only to name the first difference
+                want_lines = want.splitlines()
+                self.read += len(want_lines)
+                for k, (a, b) in enumerate(zip(want_lines, text.splitlines())):
+                    if a != b:
+                        self.diff = (f"replay diverges at record {self.replayed + k + 1}:"
+                                     f"\n- {a}\n+ {b}")
+                        break
+        self.replayed += n
+
+    def verdict(self) -> Optional[str]:
+        """None when the recording matched line for line; else the first
+        differing record, or else the two counts."""
+        if self.diff is not None:
+            return self.diff
+        recorded = self.read + sum(1 for _ in self.recorded)
+        if recorded != self.replayed:
+            return f"replay diverges: {recorded} recorded vs {self.replayed} replayed records"
+        return None
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as f:
-        want = f.read()
-    if args.trace_level is None:    # the recording's own
-        args.trace_level = recorded_level(want)
-    replayed = io.StringIO()
-    run_once(_scenario(args), args.seed, trace_path=replayed)
-    got = replayed.getvalue()
-    if want != got:     # split into lines only to name the first difference
-        want_lines, got_lines = want.splitlines(), got.splitlines()
-        for i, (a, b) in enumerate(zip(want_lines, got_lines)):
-            if a != b:
-                print(f"replay diverges at record {i + 1}:\n- {a}\n+ {b}", file=sys.stderr)
-                return 1
-        if len(want_lines) != len(got_lines):
-            print(f"replay diverges: {len(want_lines)} recorded vs {len(got_lines)} "
-                  "replayed records", file=sys.stderr)
-            return 1
-    n = got.count("\n")
-    print(f"replay ok: {n} records match")
+        if args.trace_level is None:    # the recording's own
+            args.trace_level = recorded_level(f)
+            f.seek(0)
+        replayed = _Comparison(f)
+        run_once(_scenario(args), args.seed, trace_path=replayed)
+        why = replayed.verdict()
+    if why is not None:
+        print(why, file=sys.stderr)
+        return 1
+    print(f"replay ok: {replayed.replayed} records match")
     return 0
 
 

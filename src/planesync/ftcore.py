@@ -151,8 +151,15 @@ def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
 
 def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
     """The planes that pass both the accuracy filter (n0-f0 counters at a0)
-    and the majority filter (n0-f0 records equal to the plane's median)."""
-    need, a0, tau = rp.n0 - rp.f0, rp.a0, rp.tau_max
+    and the majority filter (n0-f0 records equal to the plane's median).
+
+    No median is taken: validate's n0 > 3 f0 makes n0-f0 more than half of
+    a plane's at most n0 records.  A value that n0-f0 of them hold fills
+    more than half of their circular order in one run (the ring is cut
+    only between unequal values), so it holds the middle place and is the
+    ring median; and a median held n0-f0 times is such a value.
+    """
+    need, a0 = rp.n0 - rp.f0, rp.a0
     passed = []
     for p in range(rp.n1):
         at_a0 = 0
@@ -162,8 +169,10 @@ def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
         if at_a0 < need:
             continue
         present = [m[p] for m in M if m[p] is not None]
-        if present and present.count(ring_med(present, tau)) >= need:
-            passed.append(p)
+        for v in present:
+            if present.count(v) >= need:
+                passed.append(p)
+                break
     return frozenset(passed)
 
 

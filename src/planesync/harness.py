@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from fractions import Fraction
 from random import Random
 from typing import Optional, TextIO, Union
@@ -221,10 +221,27 @@ def run_once(sc: Scenario, seed: int,
              trace_path: Union[str, TextIO, None] = None) -> RunResult:
     """Simulate one seed; see RunResult for the verdict semantics.  With
     trace_path, the run's trace is written to that file, or to that open
-    text stream (replay compares a re-run's trace in memory)."""
+    text stream (replay compares a re-run's trace as it comes), one check
+    block at a time; a run that raises leaves no file."""
+    if trace_path is None or hasattr(trace_path, "write"):
+        return _run(sc, seed, trace_path)
+    sink = open(trace_path, "w")     # outside the try: a file not opened is not removed
+    try:
+        with sink:
+            result = _run(sc, seed, sink)
+    except BaseException:
+        os.remove(trace_path)
+        raise
+    return replace(result, trace_path=os.path.basename(trace_path))
+
+
+def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
+    """run_once with its trace, if any, written to the open stream `sink`.
+    The run holds no more than one block: each block's trace records are
+    written and dropped, and the tracks forget the jumps before its end."""
     rp = sc.resolved
     # A trace is built only to be written, at level core or finer.
-    level = "off" if trace_path is None else \
+    level = "off" if sink is None else \
         (sc.trace_level if sc.trace_level != "off" else "core")
     world = World(rp, make_adversary(sc.adversary), seed=seed, init_policy=sc.init,
                   trace_level=level)
@@ -233,13 +250,13 @@ def run_once(sc: Scenario, seed: int,
     g0 = rp.dv.g0
 
     run_len = 0
+    run_max = 0         # worst deviation over the current run of good windows
     stab: Optional[int] = None
     max_dev = 0
     max_dev_stb: Optional[int] = None
     n_viol = 0
     first_viol: Optional[int] = None
     windows_run = 0
-    devs: list[int] = []
 
     tracks = world.qap_tracks()
     # Closing breaks the world's reference cycles, so it is freed as soon
@@ -256,25 +273,30 @@ def run_once(sc: Scenario, seed: int,
             block = range(windows_run, windows_run + size)
             for k in block:
                 world.run_until_window(k + 1)
+            if sink is not None:
+                sink.write(world.trace.to_jsonl())
+                world.trace.records.clear()
             edges = [w * world.window for w in range(block[0], block[-1] + 2)]
             for k, (ok, dev) in zip(block, sync_check(tracks, edges, rp, world.L,
                                                       eps0=sc.eps0_check)):
                 windows_run = k + 1
-                devs.append(dev)
                 max_dev = max(max_dev, dev)
+                if stab is not None:
+                    max_dev_stb = max(max_dev_stb, dev)
                 if ok:
                     run_len += 1
+                    run_max = max(run_max, dev)
                     if stab is None and run_len == confirm:
-                        stab = k - confirm + 1
+                        stab, max_dev_stb = k - confirm + 1, run_max
                 else:
-                    run_len = 0
+                    run_len = run_max = 0
                     n_viol += 1
                     if first_viol is None:
                         first_viol = k
+            for tr in tracks:
+                tr.forget_before(edges[-1])
     finally:
         world.close()
-    if stab is not None:
-        max_dev_stb = max(devs[stab:])
 
     points = resync_points(world.toss_log, world.honest_planes, initial_gl)
     attempts = successes = 0
@@ -286,13 +308,6 @@ def run_once(sc: Scenario, seed: int,
         if stab is not None and stab <= w + g0 + 1:
             successes += 1
     resync_windows = len({t // world.window for t, _p in points})
-
-    to_stream = hasattr(trace_path, "write")
-    if to_stream:
-        trace_path.write(world.trace.to_jsonl())
-    elif trace_path is not None:
-        with open(trace_path, "w") as f:
-            f.write(world.trace.to_jsonl())
 
     return RunResult(
         seed=seed,
@@ -306,7 +321,6 @@ def run_once(sc: Scenario, seed: int,
         attempts=attempts,
         successes=successes,
         resync_windows=resync_windows,
-        trace_path=None if trace_path is None or to_stream else os.path.basename(trace_path),
     )
 
 

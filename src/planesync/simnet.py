@@ -207,6 +207,19 @@ class ClockTrack:
         self.jump_times.append(t)
         cum.append(prev + delta)
 
+    def forget_before(self, t: int) -> None:
+        """Drop the jumps before instant t, folding their shift into offset0.
+        Every reading at t or later, on either side of a jump, is unchanged:
+        a reading is (h0 + offset0 + ticks + cum) mod tau, and the kept
+        jumps' cum values fall by the shift offset0 gains, so each sum keeps
+        its residue and two readings keep their difference."""
+        k = bisect_left(self.jump_times, t)
+        if k:
+            shift = self.jump_cum[k - 1]
+            self.offset0 = (self.offset0 + shift) % self.clock.tau
+            del self.jump_times[:k]
+            self.jump_cum = [c - shift for c in self.jump_cum[k:]]
+
 
 # The trace schema: each record kind's exported line, its keys in sorted
 # order.  `%(k)d` writes an integer field and `"%(k)s"` a fixed string; a
@@ -234,15 +247,20 @@ FULL_ONLY = frozenset({"send_up", "send_down", "recv_down", "drop_up", "drop_dow
 _FORMATS = {ev: re.sub(r"%\(\w+\)", "%", line) for ev, line in _LINES.items()}
 
 
-def recorded_level(jsonl: str) -> str:
-    """The level an exported trace was recorded at: "full" if it holds a
-    record of a FULL_ONLY kind, "core" otherwise."""
-    return "full" if any(f'"ev":"{ev}"' in jsonl for ev in FULL_ONLY) else "core"
+def recorded_level(lines: Iterable[str]) -> str:
+    """The level an exported trace was recorded at, from its lines (a list,
+    or an open file, read up to the first record of a FULL_ONLY kind):
+    "full" if it holds such a record, "core" otherwise."""
+    if isinstance(lines, str):      # iterating it would read one character at a time
+        raise TypeError("recorded_level takes a trace's lines or an open file, not a str")
+    marks = [f'"ev":"{ev}"' for ev in FULL_ONLY]
+    return "full" if any(m in line for line in lines for m in marks) else "core"
 
 
 class Trace:
     """Chronological event record: `records` holds each record's exported
-    line, and `to_jsonl` joins them.  Each kind in _LINES has a recorder of
+    line, and `to_jsonl` joins them (harness.run_once writes and empties
+    them a check block at a time).  Each kind in _LINES has a recorder of
     its name, whose keyword parameters are the kind's keys but "ev": a
     missing or extra field fails at the call.
 
@@ -786,6 +804,7 @@ class World:
     def faulty_sig(self, p: int, t_sig: int) -> None:
         """A faulty plane starts a round: terminals get anchors as usual, but
         the plane side is entirely adversary-driven."""
+        p = _integer("faulty_sig", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
         t_sig = _integer("faulty_sig", "t_sig", t_sig)
@@ -796,6 +815,7 @@ class World:
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
+        p = _integer("adv_deliver_down", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("adversarial delivery from a nonfaulty plane")
         m = _integer("adv_deliver_down", "m", m)
@@ -812,6 +832,7 @@ class World:
         """A faulty terminal's upload, put in wire form: each vector has n1
         entries, each an integer or None, and every clock value is reduced
         onto the ring."""
+        i = _integer("adv_send_up", "i", i)
         if i not in self.faulty_mes:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
         send_t = _integer("adv_send_up", "send_t", send_t)

@@ -440,3 +440,51 @@ def test_relay_order_does_not_matter(drawn, data):
                 rft(C, c_pre, p0, rng, rp), rng.getstate())
 
     assert decide(shuffled) == decide(relays)
+
+
+def _median_filters(M, A, rp):
+    """filters as first written: the majority filter counts the records
+    equal to the plane's ring median."""
+    need, passed = rp.n0 - rp.f0, set()
+    for p in range(rp.n1):
+        present = [m[p] for m in M if m[p] is not None]
+        if sum(a[p] == rp.a0 for a in A) >= need and present \
+                and present.count(ring_med(present, rp.tau_max)) >= need:
+            passed.add(p)
+    return frozenset(passed)
+
+
+@st.composite
+def _record_relays(draw):
+    """A round's (a_vec, m_vec) pairs, at most one per terminal, for each
+    resilience n0 > 3 f0 up to n0 = 10: each plane's records mostly one
+    value and else another or none, both drawn from values at and across
+    the ring's wrap, so that majorities, near-majorities and even splits all
+    occur; counters mostly at a0."""
+    n0, f0 = draw(st.sampled_from([(4, 1), (5, 1), (7, 2), (8, 2), (10, 3)]))
+    rp = make_rp(n0=n0, f0=f0)
+    tau = rp.tau_max
+    value = st.sampled_from([0, 1, 7, tau // 2, tau - 1])
+    records = [st.sampled_from([v, v, v, w, None]) for v, w in
+               draw(st.lists(st.tuples(value, value), min_size=3, max_size=3))]
+    counter = st.sampled_from([rp.a0, rp.a0, rp.a0, 0])
+    pair = st.tuples(st.tuples(counter, counter, counter), st.tuples(*records))
+    return rp, draw(st.lists(pair, max_size=n0))
+
+
+def test_majority_filter_needs_no_median():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_record_relays())
+    def check(drawn):
+        rp, pairs = drawn
+        A, M = [a for a, _m in pairs], [m for _a, m in pairs]
+        passed = filters(M, A, rp)
+        assert passed == _median_filters(M, A, rp)
+        # Planes whose counters pass, by whether their records pass too.
+        seen.update(p in passed for p in range(rp.n1)
+                    if sum(a[p] == rp.a0 for a in A) >= rp.n0 - rp.f0)
+
+    check()
+    assert seen == {False, True}    # not vacuous

@@ -1,13 +1,16 @@
 """Experiment-runner tests: scenario parsing, single-run verdicts,
 campaign reduction, and the coin-model bound checker."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -373,6 +376,111 @@ class TestBlockRun:
                 r = run_once(scenario(adversary=adv, init=init, horizon=200), seed)
                 assert r.stabilization_window is not None
                 assert calls == list(range(1, r.windows_run + 1))
+
+
+class _Sink:
+    """A trace stream that keeps each write."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
+class TestStreamedRun:
+    """run_once writes its trace a check block at a time and then drops it,
+    and its tracks forget each checked block's jumps."""
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("adv", sorted(adversaries.BUILTINS))
+    def test_file_is_the_whole_trace(self, adv, init, tmp_path, monkeypatch):
+        # 70 windows are three blocks; a run that stops at confirmation ends
+        # inside its first block.  The file holds an unstreamed World's bytes.
+        worlds = []
+
+        class Kept(harness.World):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                worlds.append(self)
+
+        monkeypatch.setattr(harness, "World", Kept)
+        for horizon, stop in ((70, False), (200, True)):
+            sc = scenario(adversary=adv, init=init, horizon=horizon, stop_after_confirm=stop,
+                          trace_level="full")
+            path = tmp_path / f"trace_{stop}.jsonl"
+            r = run_once(sc, 3, trace_path=str(path))
+            if stop:
+                assert 0 < r.windows_run < harness.CHECK_BLOCK
+            else:
+                assert r.windows_run == 70
+            whole = simnet.World(RP, adversaries.make_adversary(adv), seed=3, init_policy=init,
+                                 trace_level="full")
+            whole.run_until_window(r.windows_run)
+            whole.close()
+            assert path.read_bytes() == whole.trace.to_jsonl().encode()
+            sink = _Sink()
+            assert run_once(sc, 3, trace_path=sink) == dataclasses.replace(r, trace_path=None)
+            assert "".join(sink.parts) == path.read_text()
+            if not stop:
+                assert len(sink.parts) == 3 and all(sink.parts)     # one write per block
+            # Nothing of an earlier block is left.
+            w = worlds[-1]
+            assert w.trace.records == []
+            assert all(t >= r.windows_run * w.window for tr in w.qap_tracks()
+                       for t in tr.jump_times)
+
+    def test_run_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        # The second block's check fails after the first block's trace is written.
+        check, calls = harness.sync_check, []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SimulationError("checker failed")
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sync_check", failing)
+        sc = scenario(horizon=70, stop_after_confirm=False, trace_level="full")
+        with pytest.raises(SimulationError, match="checker failed"):
+            run_once(sc, 1, trace_path=str(tmp_path / "trace.jsonl"))
+        assert len(calls) == 2 and list(tmp_path.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # The tracemalloc peak of a run, of its replay and of an untraced run
+        # grows by at most a few hundred KB from 150 to 600 windows: the
+        # trace, the tracks and the deviations are held a block at a time.
+        # What still grows is the coin-toss log, about 0.5 KB a window.
+        rr = str(ROOT / "bench" / "record_replay.yaml")
+
+        def traced(h):
+            sc = Scenario.from_file(rr, adversary="random_noise", horizon=h, trace_level="full")
+            run_once(sc, 11, trace_path=str(tmp_path / f"trace{h}.jsonl"))
+
+        def replayed(h):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(["replay", "-c", rr, "--seed", "11", "--adversary",
+                                 "random_noise", "--horizon", str(h),
+                                 "--trace", str(tmp_path / f"trace{h}.jsonl")]) == 0
+
+        def untraced(h):
+            run_once(Scenario.from_file(rr, adversary="random_noise", horizon=h), 11)
+
+        def peak(run, h):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(h)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            untraced(20)    # warm: lazy imports and caches
+            growth = {run.__name__: peak(run, 600) - peak(run, 150)
+                      for run in (traced, replayed, untraced)}
+        finally:
+            tracemalloc.stop()
+        assert growth["traced"] <= 500_000 and growth["replayed"] <= 500_000, growth
+        assert growth["untraced"] <= 400_000, growth
 
 
 class TestConfidenceBound:
@@ -742,6 +850,21 @@ class TestReplayCli:
         assert cli_main(["replay", "--trace", str(trace), *args]) == 1
         assert capsys.readouterr().err == \
             f"replay diverges: {len(lines) - 2} recorded vs {len(lines)} replayed records\n"
+
+    def test_edited_record_is_named(self, tmp_path, capsys):
+        # The comparison runs across the re-run's blocks: an edited record in
+        # the second block of 40 windows is named by its number.
+        args = ["--horizon", "40", "--seed", "4", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        k = len(lines) - 5
+        edited = lines[k].replace('"t":', '"t":1')
+        trace.write_text("".join(lines[:k] + [edited] + lines[k + 1:]))
+        capsys.readouterr()
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 1
+        assert capsys.readouterr().err == \
+            f"replay diverges at record {k + 1}:\n- {edited[:-1]}\n+ {lines[k][:-1]}\n"
 
     def test_other_seed_diverges(self, tmp_path, capsys):
         args = ["--horizon", "3", "--trace-level", "full"]

@@ -557,7 +557,7 @@ class TestWorkCounts:
             assert counts["mes_on_begin_vc_send"] - relays == due, (name, init, seed)
         del counts["mes_on_begin_vc_send"]
         assert (events, dict(counts)) == (107228, {
-            "ring_med": 60264, "fta": 6384, "filters": 6400, "check_stb": 6400,
+            "ring_med": 44508, "fta": 6384, "filters": 6400, "check_stb": 6400,
             "mws_on_end_mc_recv": 6400})
 
 
@@ -1221,12 +1221,27 @@ class TestTraceExport:
          "adversarial delivery from a nonfaulty plane"),
         (lambda w: w.adv_send_up(0, 2, JUNK, w.engine.now),
          "adversarial upward send from a nonfaulty terminal"),
+        (lambda w: w.faulty_sig(2.0, w.engine.now), "faulty_sig: p must be an integer, not 2.0"),
+        (lambda w: w.faulty_sig(Fraction(2), w.engine.now),
+         "faulty_sig: p must be an integer, not Fraction(2, 1)"),
+        (lambda w: w.adv_deliver_down(2.0, 0, 5, w.engine.now),
+         "adv_deliver_down: p must be an integer, not 2.0"),
+        (lambda w: w.adv_deliver_down(Fraction(2), 0, 5, w.engine.now),
+         "adv_deliver_down: p must be an integer, not Fraction(2, 1)"),
+        (lambda w: w.adv_send_up(3.0, 2, JUNK, w.engine.now),
+         "adv_send_up: i must be an integer, not 3.0"),
+        (lambda w: w.adv_send_up(Fraction(3), 2, JUNK, w.engine.now),
+         "adv_send_up: i must be an integer, not Fraction(3, 1)"),
     ], ids=["plane_below", "plane_above", "terminal_above", "sig_from_honest_plane",
-            "delivery_from_honest_plane", "send_from_honest_terminal"])
+            "delivery_from_honest_plane", "send_from_honest_terminal", "sig_float",
+            "sig_Fraction", "delivery_float", "delivery_Fraction", "send_float",
+            "send_Fraction"])
     def test_node_a_hook_cannot_name_refused(self, call, message):
         # The faulty terminal is 3 and the faulty plane 2.  A plane index of
         # -2 would reach plane 1's round, and a terminal of 7 would fail at
-        # the delivery instant, naming no hook.
+        # the delivery instant, naming no hook.  A faulty node named 2.0 or
+        # Fraction(2) passes a membership test and would fail later with a
+        # bare TypeError, or key a relay by a float.
         w = World(RP, make_adversary("silent"), seed=1, init_policy="synchronized")
         w.run_until_window(1)
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
@@ -2067,6 +2082,41 @@ def test_one_pick_per_block(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.same_bytes
+def test_forgetting_keeps_every_later_reading():
+    dropped = 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(drifting_clocks(), st.data())
+    def check(case, data):
+        # A track that forgets the jumps before t reads the same from t on,
+        # on both sides of each jump and after one more jump, up to a
+        # constant multiple of tau per track; so a block from t on gets the
+        # same verdicts.
+        nonlocal dropped
+        tracks, t1, t2, _eps0 = case
+        t = data.draw(st.integers(t1, t2))
+        trimmed = [dataclasses.replace(tr, jump_times=tr.jump_times[:],
+                                       jump_cum=tr.jump_cum[:]) for tr in tracks]
+        new_offset = data.draw(st.integers(0, SMALL_RP.tau_max - 1))
+        for old, tr in zip(tracks, trimmed):
+            tr.forget_before(t)
+            assert all(s >= t for s in tr.jump_times)
+            dropped += len(old.jump_times) - len(tr.jump_times)
+            for track in (old, tr):
+                track.record(t=t2 + 1, new=new_offset)
+            shifts = {old.offset0 + _cum_at(old, s, side) - tr.offset0 - _cum_at(tr, s, side)
+                      for s in [t, *old.jump_times, t2 + 2] if s >= t
+                      for side in ("left", "right")}
+            assert len(shifts) == 1 and shifts.pop() % SMALL_RP.tau_max == 0
+        edges = [t, (t + t2) // 2, t2 + 2]
+        assert sync_check(trimmed, edges, SMALL_RP, SMALL_L) == \
+            sync_check(tracks, edges, SMALL_RP, SMALL_L)
+
+    check()
+    assert dropped > 100    # not vacuous
+
+
 @pytest.mark.parametrize("edges", [[], [5], [5, 3], (5, 3), [0, 10, 9, 20]])
 def test_block_edges_must_be_in_order(edges):
     with pytest.raises(ConfigurationError, match="window edges"):
@@ -2107,3 +2157,23 @@ def test_core_trace_builds_no_full_only_record(monkeypatch):
     assert seen["core"] and seen["core"].isdisjoint(FULL_ONLY)
     assert seen["full"] == seen["core"] | FULL_ONLY     # each full-only kind occurs
     assert asked == seen
+
+
+def test_recorded_level_reads_lines(tmp_path):
+    # The level comes from the lines, a list or an open file, and reading
+    # stops at the first full-only record; a bare str would be read one
+    # character at a time, so it is refused.
+    w = World(RP, make_adversary("random_noise"), seed=2, trace_level="full")
+    w.run_until_window(3)
+    w.close()
+    lines = w.trace.records
+    core = [line for line in lines if json.loads(line)["ev"] not in FULL_ONLY]
+    assert (simnet.recorded_level(lines), simnet.recorded_level(core)) == ("full", "core")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines))
+    with open(path) as f:
+        assert simnet.recorded_level(f) == "full"
+        first = next(k for k, line in enumerate(lines) if json.loads(line)["ev"] in FULL_ONLY)
+        assert f.readline() == lines[first + 1]
+    with pytest.raises(TypeError, match="not a str"):
+        simnet.recorded_level(w.trace.to_jsonl())
