@@ -12,13 +12,15 @@ protocol dynamics.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
-from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, asdict, field, replace
 from fractions import Fraction
+from itertools import repeat
 from random import Random
-from typing import Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .adversaries import BUILTINS, make_adversary
 from .errors import ConfigurationError
@@ -47,6 +49,7 @@ __all__ = [
     "table",
     "lemma1_coin_model",
     "resync_points",
+    "ResyncScan",
     "lower_confidence_bound",
 ]
 
@@ -178,7 +181,68 @@ class RunResult:
         return asdict(self)
 
 
-def resync_points(toss_log: list[tuple[int, int, int, int]],
+class ResyncScan:
+    """The rule of resync_points, applied one coin toss at a time, in log
+    order, as the tosses are fed.
+
+    A head waits for the next toss of each of its witnesses, the other
+    nodes that held lifetime 0 going into it: it is a point once one of
+    them tosses a tail, and it is not once all of them have tossed a head.
+    `points` collects the points in log order as they are decided; a caller
+    may read and empty it.  end() closes the log: a head still waiting then
+    is not a point.
+    """
+
+    def __init__(self, nodes: list[int], initial_gl: dict[int, int]) -> None:
+        self._life = {q: initial_gl[q] for q in nodes}    # after q's last toss
+        self._into = dict(self._life)       # going into the instant of q's last toss
+        self._at: dict[int, Optional[int]] = dict.fromkeys(nodes)   # that instant
+        self._waits: dict[int, list[list]] = {q: [] for q in nodes}
+        # Heads not yet passed to `points`, in log order: [t, node,
+        # witnesses still to toss, verdict or None].
+        self._heads: deque[list] = deque()
+        self.points: list[tuple[int, int]] = []
+
+    def feed(self, tosses: Iterable[tuple[int, int, int, int]]) -> None:
+        """Scan tosses, each (t, node, coin, lifetime after), in log order."""
+        life, into, at, waits, heads = self._life, self._into, self._at, self._waits, self._heads
+        for t, node, coin, gl in tosses:
+            if node not in life:
+                continue
+            waiting = waits[node]
+            if waiting:
+                waits[node] = [head for head in waiting if head[0] == t]
+                for head in waiting:
+                    if head[0] < t and head[3] is None:     # its first toss after the head
+                        if coin == 0:
+                            head[3] = True
+                        else:
+                            head[2] -= 1
+                            head[3] = False if head[2] == 0 else None
+                while heads and heads[0][3] is not None:
+                    head = heads.popleft()
+                    if head[3]:
+                        self.points.append((head[0], head[1]))
+            if at[node] != t:
+                into[node], at[node] = life[node], t
+            life[node] = gl
+            if coin == 1:
+                witnesses = [q for q, a in at.items()
+                             if q != node and (into[q] if a == t else life[q]) == 0]
+                if witnesses:
+                    head = [t, node, len(witnesses), None]
+                    heads.append(head)
+                    for q in witnesses:
+                        waits[q].append(head)
+
+    def end(self) -> None:
+        """The log ends: pass the heads already confirmed to `points` and
+        drop those still waiting."""
+        self.points += [(head[0], head[1]) for head in self._heads if head[3]]
+        self._heads.clear()
+
+
+def resync_points(toss_log: Iterable[tuple[int, int, int, int]],
                   nodes: list[int],
                   initial_gl: dict[int, int]) -> list[tuple[int, int]]:
     """Extract resynchronization points from a coin-toss log.
@@ -190,28 +254,10 @@ def resync_points(toss_log: list[tuple[int, int, int, int]],
     Head tosses whose witness cannot be confirmed inside the log (no later
     toss) are not counted.
     """
-    times: dict[int, list[int]] = {q: [] for q in nodes}
-    coins: dict[int, list[int]] = {q: [] for q in nodes}
-    lifes: dict[int, list[int]] = {q: [] for q in nodes}
-    for t, q, b, gl in toss_log:
-        if q in times:
-            times[q].append(t)
-            coins[q].append(b)
-            lifes[q].append(gl)
-    points: list[tuple[int, int]] = []
-    for t, p, b, _gl in toss_log:
-        if b != 1 or p not in times:
-            continue
-        for q in nodes:
-            if q == p:
-                continue
-            i = bisect_left(times[q], t)
-            prev_gl = lifes[q][i - 1] if i > 0 else initial_gl[q]
-            j = bisect_right(times[q], t)
-            if prev_gl == 0 and j < len(times[q]) and coins[q][j] == 0:
-                points.append((t, p))
-                break
-    return points
+    scan = ResyncScan(nodes, initial_gl)
+    scan.feed(toss_log)
+    scan.end()
+    return scan.points
 
 
 CHECK_BLOCK = 32   # most windows one sync_check call checks
@@ -238,7 +284,8 @@ def run_once(sc: Scenario, seed: int,
 def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
     """run_once with its trace, if any, written to the open stream `sink`.
     The run holds no more than one block: each block's trace records are
-    written and dropped, and the tracks forget the jumps before its end."""
+    written and dropped, its coin tosses scanned and dropped, and the
+    tracks forget the jumps before its end."""
     rp = sc.resolved
     # A trace is built only to be written, at level core or finer.
     level = "off" if sink is None else \
@@ -259,6 +306,10 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
     windows_run = 0
 
     tracks = world.qap_tracks()
+    # Each block's coin tosses are scanned for resynchronization points and
+    # dropped; the run keeps each point's window.
+    scan = ResyncScan(world.honest_planes, initial_gl)
+    point_windows: list[int] = []
     # Closing breaks the world's reference cycles, so it is freed as soon
     # as this call returns; its logs and trace stay readable.
     try:
@@ -276,6 +327,10 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
             if sink is not None:
                 sink.write(world.trace.to_jsonl())
                 world.trace.records.clear()
+            scan.feed(world.toss_log)
+            world.toss_log.clear()
+            point_windows += [t // world.window for t, _p in scan.points]
+            scan.points.clear()
             edges = [w * world.window for w in range(block[0], block[-1] + 2)]
             for k, (ok, dev) in zip(block, sync_check(tracks, edges, rp, world.L,
                                                       eps0=sc.eps0_check)):
@@ -297,17 +352,16 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
                 tr.forget_before(edges[-1])
     finally:
         world.close()
+    scan.end()
+    point_windows += [t // world.window for t, _p in scan.points]
 
-    points = resync_points(world.toss_log, world.honest_planes, initial_gl)
     attempts = successes = 0
-    for t, _p in points:
-        w = t // world.window
+    for w in point_windows:
         if stab is not None and w >= stab:
             continue
         attempts += 1
         if stab is not None and stab <= w + g0 + 1:
             successes += 1
-    resync_windows = len({t // world.window for t, _p in points})
 
     return RunResult(
         seed=seed,
@@ -317,10 +371,10 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
         max_precision_after_stb=max_dev_stb,
         n_violations=n_viol,
         first_violation=first_viol,
-        resync_point_count=len(points),
+        resync_point_count=len(point_windows),
         attempts=attempts,
         successes=successes,
-        resync_windows=resync_windows,
+        resync_windows=len(set(point_windows)),
     )
 
 
@@ -573,6 +627,27 @@ class CoinModelSummary:
         ])
 
 
+class _CoinTosses:
+    """The coin model's toss log, (t, node, coin, lifetime_after), drawn
+    afresh from the seed on each pass, so that it is never held whole."""
+
+    def __init__(self, rp: Resolved, n_windows: int, seed: int) -> None:
+        self.rp, self.seed = rp, seed
+        self.horizon = math.ceil(rp.dv.T_max * n_windows)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        rp, T = self.rp, self.rp.T
+        rng = Random(derive_seed(self.seed, "coin-model"))
+        phases = [rng.randrange(T) for _node in range(rp.n1 - rp.f1)]
+        # Each node's toss instants, merged in (t, node) order.
+        merged = heapq.merge(*(zip(range(phase, self.horizon, T), repeat(node))
+                               for node, phase in enumerate(phases)))
+        gl = [0] * len(phases)
+        for t, node in merged:
+            b, gl[node] = grandmaster_toss(gl[node], rng, rp)
+            yield t, node, b, gl[node]
+
+
 def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSummary:
     """Coin tosses and lifetime bookkeeping only, no network, by the
     switch's own rule (protocol.grandmaster_toss).
@@ -580,30 +655,22 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSumma
     Each of the nonfaulty coin holders tosses once per cycle of T ticks at
     a random phase; a window is T_max ticks.  The per-window frequency of
     resynchronization points is compared against its theoretical floor.
+    The tosses are drawn as they are scanned, never held whole, and the
+    points come in time order, so each window is counted at its first.
     """
     if n_windows < 1:
         raise ConfigurationError(f"need at least one window: {n_windows}")
     n = rp.n1 - rp.f1  # 2 or 3: resolve validates n1 == 3 > 2*f1
-    g0, q0, T = rp.dv.g0, rp.dv.q0, rp.T
+    g0, q0 = rp.dv.g0, rp.dv.q0
     t_max = rp.dv.T_max  # ticks, Fraction
-    horizon = math.ceil(t_max * n_windows)
 
-    rng = Random(derive_seed(seed, "coin-model"))
-    toss_log: list[tuple[int, int, int, int]] = []
-    events: list[tuple[int, int]] = []
-    for node in range(n):
-        phase = rng.randrange(T)
-        events.extend((t, node) for t in range(phase, horizon, T))
-    events.sort()
-    gl = {node: 0 for node in range(n)}
-    for t, node in events:
-        b, gl[node] = grandmaster_toss(gl[node], rng, rp)
-        toss_log.append((t, node, b, gl[node]))
-
-    points = resync_points(toss_log, list(range(n)), {q: 0 for q in range(n)})
-    hit = {int(Fraction(t) / t_max) for t, _ in points}
-    hit = {w for w in hit if w < n_windows}
-    k = len(hit)
+    points = resync_points(_CoinTosses(rp, n_windows, seed), list(range(n)),
+                           {q: 0 for q in range(n)})
+    k, last = 0, -1
+    for t, _p in points:
+        w = t * t_max.denominator // t_max.numerator
+        if last < w < n_windows:
+            k, last = k + 1, w
     bound = float(2 * q0 * (1 - q0) ** g0)
     lcb = lower_confidence_bound(k, n_windows)
     return CoinModelSummary(

@@ -198,14 +198,19 @@ class ClockTrack:
         """A jump at instant t from the offset in force to `new`.  A jump that
         leaves the offset unchanged is kept: its instant is a sample of
         sync_check, and off the grid two clocks can read further apart than
-        at any grid sample."""
+        at any grid sample.  A second jump at the same instant adds its
+        shift to the first's, so the jump instants stay distinct: a reading
+        at an instant is taken before all of its jumps or after all."""
         tau, cum = self.clock.tau, self.jump_cum
         prev = cum[-1] if cum else 0
         delta = (new - self.offset0 - prev) % tau
         if delta > tau // 2:
             delta -= tau
-        self.jump_times.append(t)
-        cum.append(prev + delta)
+        if self.jump_times and self.jump_times[-1] == t:
+            cum[-1] = prev + delta
+        else:
+            self.jump_times.append(t)
+            cum.append(prev + delta)
 
     def forget_before(self, t: int) -> None:
         """Drop the jumps before instant t, folding their shift into offset0.
@@ -881,9 +886,6 @@ class World:
 # ---- synchronization verdicts ----------------------------------------------
 
 
-_SIDES = np.array([0, 1])
-
-
 @cache
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays naming each unordered pair of n clocks once; kept, since
@@ -919,6 +921,72 @@ def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t
     return out[bisect_left(out, t1):bisect_right(out, t2)]
 
 
+def _readings(tracks: list[ClockTrack], ts: np.ndarray, base: list[int], jumps: list[int],
+              steps: list[int], counts: list[int]) -> np.ndarray:
+    """Each clock's readings at the samples ts, less a multiple of tau: an
+    (n, 2S) array holding the two sides of each sample side by side, side 0
+    first.  Track k's readings add base[k] to its ticks and to the shift of
+    its jumps inside the block, which `jumps` holds track after track,
+    `counts` how many each track has, and `steps` the change each makes."""
+    n, S = len(tracks), len(ts)
+    clk = np.array([(tr.clock.t_ref - b * tr.clock.period, tr.clock.period)
+                    for tr, b in zip(tracks, base)], dtype=np.int64)
+    R = np.empty((n, S, 2), dtype=np.int64)
+    np.floor_divide(ts - clk[:, :1], clk[:, 1:], out=R[:, :, 1])
+    D = np.zeros((n, S), dtype=np.int64)
+    at = np.searchsorted(ts, jumps)
+    at += np.repeat(np.arange(0, n * S, S), counts)
+    D.reshape(-1)[at] = steps       # no position twice: see sync_check
+    np.cumsum(D, axis=1, out=R[:, :, 0])
+    R[:, :, 1] += R[:, :, 0]
+    np.subtract(R[:, :, 1], D, out=R[:, :, 0])
+    return R.reshape(n, 2 * S)
+
+
+def _ring_spread(R: np.ndarray, tau: int) -> list[int]:
+    """The largest ring distance between two clocks at each column of R."""
+    O = R - (R[0] - (tau - 1) // 2)
+    O %= tau                        # offsets from the first clock, plus (tau-1)//2
+    spread = O.max(axis=0)
+    spread -= O.min(axis=0)         # row 0 is the first clock itself: 0 is included
+    if spread.max() > tau // 2:
+        wide = np.flatnonzero(spread > tau // 2)
+        a, b = _pairs(len(R))
+        W = O[:, wide]
+        d = np.abs(W[a] - W[b])
+        spread[wide] = np.minimum(d, tau - d).max(axis=0)
+    return spread.tolist()
+
+
+RATE_SPANS = 8      # rate spans evaluated together, which bounds their padded arrays
+
+
+def _rate_rises(R: np.ndarray, ts: np.ndarray, cols: list[tuple[int, int]], THL: int,
+                rho) -> list[int]:
+    """Per rate span, given by its first and last column of R, the largest
+    rise of its rate sequences over all clocks: of e_k = THL*qr*u_k -
+    (qr+pr)*s and f_k = (qr-pr)*s - THL*qr*u_k, for clock k's readings u_k
+    and the instants s, with rho = pr/qr.  Each span is padded to the
+    longest by repeating its last reading, which cannot raise
+    max(e - cummin(e))."""
+    pr, qr = rho.numerator, rho.denominator
+    c = np.array(cols, dtype=np.int64)
+    C = np.minimum(c[:, :1] + np.arange(max(b - a for a, b in cols) + 1), c[:, 1:])
+    x = np.take(R, C, axis=1)
+    x -= x[:, :, :1]
+    s = ts[C >> 1]
+    s -= s[:, :1]
+    x *= THL * qr
+    x -= (qr + pr) * s              # e, in place
+    acc = np.minimum.accumulate(x, axis=2)
+    np.subtract(x, acc, out=acc)
+    rise = acc.max(axis=(0, 2))
+    x += 2 * pr * s                 # -f, in place: a rise of f is a fall of -f
+    np.maximum.accumulate(x, axis=2, out=acc)
+    acc -= x
+    return np.maximum(rise, acc.max(axis=(0, 2))).tolist()
+
+
 def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
                eps0: Optional[int] = None) -> list[tuple[bool, int]]:
     """Verdicts of the two synchronization conditions over each window
@@ -942,7 +1010,7 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     m, so bisection finds each): about 29 of 271 samples on a reference
     window.  Between two kept samples no clock jumps and
     each reads m plus a constant, so every pair's ring distance stays that
-    of the first; and each rate sequence below (e, f) falls by
+    of the first; and each rate sequence (e, f; see _rate_rises) falls by
     T_H*L*rho_num per sample, so a run's first sample bounds its rises and
     its last its running minimum.  A jump on the grid is its own floor and
     ceiling, so it adds one sample: side 0 of that sample reads the clocks
@@ -956,29 +1024,52 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     edge's floor and ceiling.  A reading depends only on its instant, so
     each window gets the verdict it would get alone.
 
+    Three arguments keep the evaluation exact and its arrays clocks x
+    samples in size:
+    - Jumps by position.  Every jump inside the block is one of its
+      samples, so searching the samples for it finds the sample it falls
+      on, and no two jumps of a track share one (ClockTrack.record).  Side
+      1 of a sample reads a track's shift after each of its jumps up to
+      that instant: the shift carried into the block plus the running sum,
+      along the samples, of the changes its jumps make; side 0 reads that
+      less the change at the sample itself.
+    - The spread rule.  Each clock's offset from the first clock, taken in
+      (-tau/2, tau/2], differs from its reading by a multiple of tau, so
+      two clocks' ring distance is their offsets' distance taken the
+      shorter way round.  When the offsets' spread, 0 included, is at most
+      tau // 2, every pair is at most that far apart the direct way, which
+      is then the shorter way, and the two ends are exactly that far: the
+      spread is the largest ring distance.  Only wider columns compare
+      every pair.
+    - Rebasing.  Each rate span's readings and instants are taken less its
+      first ones, which shifts each rate sequence by a constant and so
+      leaves its rises unchanged, and bounds the int64 magnitudes by the
+      span, not the run.
+
     Returns one (verdict, max precision deviation seen in ticks) per window.
     """
     if len(edges) < 2 or sorted(edges) != list(edges):
         raise ConfigurationError(f"window edges must be at least two, in order: {edges}")
     eps0 = rp.eps0 if eps0 is None else eps0
-    n_win = len(edges) - 1
+    # A window without samples passes with deviation 0.
+    devs = [0] * (len(edges) - 1)
+    ok = [True] * (len(edges) - 1)
     if not tracks:
-        return [(True, 0)] * n_win
+        return list(zip(ok, devs))
     tau = rp.tau_max
     THL, delta = _lengths(rp, L)
-    n, span = len(tracks), edges[-1] - edges[0] + 1
-    # keys: track k's jumps in the block, shifted k*span later, so that all
-    # tracks' keys form one sorted array.  cums: each track's shifts end to
-    # end, each led by the shift it carries in.
-    jumps, keys, cums = [], [], []
-    for k, tr in enumerate(tracks):
+    # Each track's jumps in the block, track after track, and the change each
+    # makes to its shift; base: what its readings add to its ticks and to
+    # those changes, h0, offset0 and the shift it carries in, mod tau.
+    jumps, steps, counts, base = [], [], [], []
+    for tr in tracks:
         jt, cum = tr.jump_times, tr.jump_cum
         lo, hi = bisect_left(jt, edges[0]), bisect_right(jt, edges[-1])
-        inside, shift = jt[lo:hi], k * span
-        cums.append(cum[lo - 1] if lo else 0)
-        cums += cum[lo:hi]
-        jumps += inside
-        keys += [t + shift for t in inside]
+        carry, inside = (cum[lo - 1] if lo else 0), cum[lo:hi]
+        jumps += jt[lo:hi]
+        steps += map(operator.sub, inside, [carry, *inside[:-1]])
+        counts.append(hi - lo)
+        base.append((tr.clock.h0 + tr.offset0 + carry) % tau)
 
     # Each window's rate spans, as (first instant, last instant, window), and
     # the block's samples.
@@ -989,61 +1080,33 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
         spans += [(s, min(s + delta, t2), j) for s in starts]
     samples = _decisive_samples(tracks, jumps, edges[0], edges[-1], THL,
                                 [*edges, *(t for s, stop, _j in spans for t in (s, stop))])
+    if not samples:
+        return list(zip(ok, devs))
     ts = np.array(samples, dtype=np.int64)
+    R = _readings(tracks, ts, base, jumps, steps, counts)
 
-    # U holds one row per track, with the readings at each sample
-    # interleaved, side 0 first; its row n is the instant itself, read as a
-    # clock of period 1 that never jumps.
-    clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0 + tr.offset0)
-                       for tr in tracks] + [(0, 1, 0)], dtype=np.int64)
-    t_ref, period, base = clocks.T[:, :, None]
-    # Side 0 counts a track's jumps before each sample, side 1 those at or
-    # before it: on integers, searching q + 1 is searching q to the right.
-    q = (ts[:, None] + _SIDES).ravel() + np.arange(0, (n + 1) * span, span)[:, None]
-    idx = np.searchsorted(np.array(keys, dtype=np.int64), q) + np.arange(n + 1)[:, None]
-    U = (np.repeat(ts, 2) - t_ref) // period + np.array(cums + [0])[idx]
-
-    # A window without samples passes with deviation 0.
-    devs = [0] * n_win
-    ok = [True] * n_win
-    if n > 1:
-        V = (base[:n] + U[:n]) % tau
-        a, b = _pairs(n)
-        d = np.abs(V[a] - V[b])
-        worst = np.minimum(d, tau - d).max(axis=0).tolist()
+    if len(tracks) > 1:
+        worst = _ring_spread(R, tau)
         for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
             seg = worst[2 * bisect_left(samples, t1):2 * bisect_right(samples, t2)]
             if seg:
                 devs[j] = max(seg)
                 ok[j] = devs[j] <= eps0
 
-    # Rate condition, exact integer arithmetic: scale by T_H*L and by the
-    # denominator of rho so both sides are integers.  Pre/post readings at
-    # each instant interleave, pre first; rebasing each span on its first
-    # reading bounds the int64 magnitudes by the span, not the run, and
-    # shifts each sequence by a constant, which leaves its rises unchanged.
-    # Each span that holds two samples or more: its first and last column
-    # of readings, and its window.
-    cols, owner, width = [], [], 0
+    # Rate condition, exact integer arithmetic: scaled by T_H*L and by the
+    # denominator of rho so both sides are integers.  Each span that holds
+    # two samples or more: its first and last column of readings, and its
+    # window.
+    cols, owner = [], []
     for s0, stop, j in spans:
         lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
         if hi - lo >= 2:
             cols.append((2 * lo, 2 * hi - 1))
             owner.append(j)
-            width = max(width, 2 * (hi - lo))
-    if cols:
-        pr, qr = rp.rho.numerator, rp.rho.denominator
-        c = np.array(cols, dtype=np.int64)
-        # Each span padded to the longest by repeating its last reading,
-        # which cannot raise max(e - cummin(e)).
-        x = U[:, np.minimum(c[:, :1] + np.arange(width), c[:, 1:])]
-        x = x - x[:, :, :1]
-        # Clock k's readings u_k and the instants s give the rate sequences
-        # e_k = THL*qr*u_k - (qr+pr)*s and f_k = (qr-pr)*s - THL*qr*u_k.
-        su, s = THL * qr * x[:n], x[n]
-        ef = np.concatenate((su - (qr + pr) * s, (qr - pr) * s - su))
-        rise = (ef - np.minimum.accumulate(ef, axis=2)).max(axis=(0, 2))
-        for j, r in zip(owner, rise.tolist()):
-            if r > eps0 * THL * qr:
+    bound = eps0 * THL * rp.rho.denominator
+    for k in range(0, len(cols), RATE_SPANS):
+        rises = _rate_rises(R, ts, cols[k:k + RATE_SPANS], THL, rp.rho)
+        for j, r in zip(owner[k:k + RATE_SPANS], rises):
+            if r > bound:
                 ok[j] = False
     return list(zip(ok, devs))

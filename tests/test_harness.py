@@ -12,16 +12,20 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planesync import adversaries, cli, harness, params, simnet
 from planesync.cli import main as cli_main
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import (
     CoinModelSummary,
+    ResyncScan,
     Scenario,
     lemma1_coin_model,
     lower_confidence_bound,
@@ -200,6 +204,144 @@ class TestResyncPoints:
         # node 2 witnesses both heads; node 1's own head cannot witness
         pts = resync_points(log, [0, 1, 2], {0: 0, 1: 0, 2: 0})
         assert pts == [(10, 0), (12, 1)]
+
+
+def reference_resync_points(toss_log: list[tuple[int, int, int, int]],
+                            nodes: list[int],
+                            initial_gl: dict[int, int]) -> list[tuple[int, int]]:
+    """resync_points as it was before ResyncScan, verbatim but for its name
+    and this paragraph: every node's tosses listed, then each head checked
+    by bisection against the other nodes' lists.  The oracle of the
+    streamed scan.
+
+    A log entry is (time, node, coin, lifetime_after).  Time t is a point
+    iff some node tosses a head at t while some other node held lifetime 0
+    going into t and its first toss strictly after t is a tail (so its
+    lifetime stays 0 through the exchanging window containing that toss).
+    Head tosses whose witness cannot be confirmed inside the log (no later
+    toss) are not counted.
+    """
+    times: dict[int, list[int]] = {q: [] for q in nodes}
+    coins: dict[int, list[int]] = {q: [] for q in nodes}
+    lifes: dict[int, list[int]] = {q: [] for q in nodes}
+    for t, q, b, gl in toss_log:
+        if q in times:
+            times[q].append(t)
+            coins[q].append(b)
+            lifes[q].append(gl)
+    points: list[tuple[int, int]] = []
+    for t, p, b, _gl in toss_log:
+        if b != 1 or p not in times:
+            continue
+        for q in nodes:
+            if q == p:
+                continue
+            i = bisect_left(times[q], t)
+            prev_gl = lifes[q][i - 1] if i > 0 else initial_gl[q]
+            j = bisect_right(times[q], t)
+            if prev_gl == 0 and j < len(times[q]) and coins[q][j] == 0:
+                points.append((t, p))
+                break
+    return points
+
+
+def _scanned(log, nodes, initial_gl, cuts):
+    """The points of a ResyncScan fed `log` in pieces, cut before each index
+    in `cuts`, its points read and emptied after each piece, as run_once
+    does after each block."""
+    scan, points = ResyncScan(nodes, initial_gl), []
+    for lo, hi in zip([0, *cuts], [*cuts, len(log)]):
+        scan.feed(log[lo:hi])
+        points += scan.points
+        scan.points.clear()
+    scan.end()
+    return points + scan.points
+
+
+@st.composite
+def toss_logs(draw):
+    """A toss log in time order by nodes 0 to 3, of which `nodes` count:
+    several tosses at one instant, heads that no witness toss follows, and
+    lifetimes from 0 to 2, the initial ones too; and cuts into pieces."""
+    nodes = draw(st.sampled_from([[0, 1], [0, 1, 2], [1, 2, 3], [0, 2]]))
+    initial_gl = {q: draw(st.integers(0, 2)) for q in nodes}
+    t, log = 0, []
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.sampled_from([0, 0, 1, 5]))
+        log.append((t, draw(st.integers(0, 3)), draw(st.integers(0, 1)),
+                    draw(st.integers(0, 2))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(log)), max_size=4)))
+    return log, nodes, initial_gl, cuts
+
+
+class TestResyncScan:
+    """The streamed scan finds the points the whole-log rule finds, in the
+    same order, however the log is cut."""
+
+    def test_matches_the_whole_log_rule(self):
+        found = shared = unconfirmed = 0
+
+        @settings(derandomize=True, max_examples=400, deadline=None)
+        @given(toss_logs())
+        def check(case):
+            nonlocal found, shared, unconfirmed
+            log, nodes, initial_gl, cuts = case
+            want = reference_resync_points(log, nodes, initial_gl)
+            assert resync_points(log, nodes, initial_gl) == want
+            assert _scanned(log, nodes, initial_gl, cuts) == want
+            found += len(want)
+            shared += any(a[0] == b[0] and a[1] != b[1] and a[2] == 1
+                          for a, b in zip(log, log[1:]))
+            if log:     # a tail by every node after the log would confirm more
+                tails = [(log[-1][0] + 1, q, 0, 0) for q in nodes]
+                unconfirmed += len(reference_resync_points(log + tails, nodes,
+                                                           initial_gl)) > len(want)
+
+        check()
+        # Not vacuous: points, heads sharing their instant with another
+        # node's toss, and heads a later tail would have confirmed.
+        assert found > 100 and shared > 50 and unconfirmed > 20
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("adv", sorted(adversaries.BUILTINS))
+    def test_recorded_logs(self, adv, init):
+        # A run's whole log, cut at its check blocks and at every window.
+        w = simnet.World(RP, adversaries.make_adversary(adv), seed=3, init_policy=init,
+                         trace_level="off")
+        initial_gl = {p: w.mws[p].grand_life for p in w.honest_planes}
+        w.run_until_window(80)
+        w.close()
+        log, nodes = w.toss_log, w.honest_planes
+        want = reference_resync_points(log, nodes, initial_gl)
+        assert want and resync_points(log, nodes, initial_gl) == want
+        for block in (harness.CHECK_BLOCK, 1):
+            cuts = [next((i for i, toss in enumerate(log) if toss[0] >= k * w.window), len(log))
+                    for k in range(block, 80, block)]
+            assert _scanned(log, nodes, initial_gl, cuts) == want
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("adv", sorted(adversaries.BUILTINS))
+    def test_run_counts_the_points_of_its_log(self, adv, init):
+        # run_once keeps only the points' windows.  A run that stops at
+        # confirmation ends inside a block, and one with no stop after two
+        # full blocks and a short one.
+        for horizon, stop in ((70, False), (200, True)):
+            sc = scenario(adversary=adv, init=init, horizon=horizon, stop_after_confirm=stop)
+            for seed in (0, 1):
+                r = run_once(sc, seed)
+                assert r.windows_run % harness.CHECK_BLOCK != 0
+                w = simnet.World(RP, adversaries.make_adversary(adv), seed=seed,
+                                 init_policy=init, trace_level="off")
+                initial_gl = {p: w.mws[p].grand_life for p in w.honest_planes}
+                w.run_until_window(r.windows_run)
+                w.close()
+                windows = [t // w.window for t, _p in
+                           reference_resync_points(w.toss_log, w.honest_planes, initial_gl)]
+                stab = r.stabilization_window
+                before = [v for v in windows if stab is None or v < stab]
+                assert (r.resync_point_count, r.resync_windows, r.attempts, r.successes) == (
+                    len(windows), len(set(windows)), len(before),
+                    sum(stab is not None and stab <= v + G0 + 1 for v in before))
 
 
 class TestRunOnce:
@@ -449,8 +591,8 @@ class TestStreamedRun:
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # The tracemalloc peak of a run, of its replay and of an untraced run
         # grows by at most a few hundred KB from 150 to 600 windows: the
-        # trace, the tracks and the deviations are held a block at a time.
-        # What still grows is the coin-toss log, about 0.5 KB a window.
+        # trace, the tracks, the deviations and the coin tosses are held a
+        # block at a time.
         rr = str(ROOT / "bench" / "record_replay.yaml")
 
         def traced(h):
@@ -480,7 +622,7 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert growth["traced"] <= 500_000 and growth["replayed"] <= 500_000, growth
-        assert growth["untraced"] <= 400_000, growth
+        assert growth["untraced"] <= 100_000, growth
 
 
 class TestConfidenceBound:
@@ -971,6 +1113,20 @@ class TestCoinModel:
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
             lemma1_coin_model(RP, n_windows=0, seed=0)
+
+    def test_tosses_are_not_held(self):
+        # The tosses are drawn as they are scanned: at the CLI's default
+        # 100,000 windows the peak is the points found, not the 400,000
+        # tosses (77 MB when they were held).
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = lemma1_coin_model(RP, 100_000, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert s.windows_with_point == 16_021
+        assert peak <= 2_000_000, peak
 
     def test_lifetime_is_logged_as_the_switch_leaves_it(self, monkeypatch):
         # The switch's rule (TestMwsRound asserts g0 - 1 after a head): a

@@ -12,11 +12,13 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import weakref
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from planesync import ftcore, protocol, ring, simnet
 from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import reference_scenario, run_once
-from planesync.params import SystemParams, TTSchedule, resolve
+from planesync.params import Resolved, SystemParams, TTSchedule, resolve
 from planesync.protocol import MwsState, TTMessageUp, mes_on_begin_vc_send, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
@@ -2115,6 +2117,256 @@ def test_forgetting_keeps_every_later_reading():
 
     check()
     assert dropped > 100    # not vacuous
+
+
+# ---- differential reference: the stacked block checker ----------------------
+#
+# The block checker as it was before its kernel was reworked, verbatim but
+# for its name: every reading found by searching each track's shifted jump
+# keys, precision over every pair of clocks at every column, and one
+# concatenated array of every clock's rate sequences.  The kernel must give
+# the same verdicts and deviations on every block.
+
+_SIDES = np.array([0, 1])
+_decisive_samples, _lengths, _pairs = \
+    simnet._decisive_samples, simnet._lengths, simnet._pairs
+
+
+def stacked_sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
+               eps0: Optional[int] = None) -> list[tuple[bool, int]]:
+    """Verdicts of the two synchronization conditions over each window
+    [t_j, t_j+1] of the edges [t_0, t_1, ..., t_B], in subticks.
+
+    Precision: every pair of clocks stays within eps0 ring distance at every
+    sample (the T_H grid and each jump, read on both sides of a jump).
+    Rate accuracy: per clock, elapsed ticks between two samples of a span
+    deviate from elapsed time by at most rho*elapsed + eps0.  A window's
+    spans are T_max-aligned from its start and half-shifted, so within the
+    window every pair within T_max/2 is covered and none beyond T_max is
+    required; the last aligned span ends at the window's end, and its
+    half-shifted span, inside it, is skipped.  No span crosses an edge: a
+    window of run_once is exactly T_max long, so it is one span, and two
+    samples on either side of an edge are never compared.
+
+    Only the samples that can decide are evaluated: each jump, the grid
+    samples at the floor and ceiling of each jump and of the window's ends
+    and of each span, and those on both sides of each clock's slip
+    (a grid step m to m+1 over which its ticks minus m change; monotone in
+    m, so bisection finds each): about 29 of 271 samples on a reference
+    window.  Between two kept samples no clock jumps and
+    each reads m plus a constant, so every pair's ring distance stays that
+    of the first; and each rate sequence below (e, f) falls by
+    T_H*L*rho_num per sample, so a run's first sample bounds its rises and
+    its last its running minimum.  A jump on the grid is its own floor and
+    ceiling, so it adds one sample: side 0 of that sample reads the clocks
+    just before the jump, one tick past the grid sample a step earlier on
+    every clock, unless a jump or a slip lies between the two, and either
+    keeps that earlier sample.  A block's samples are picked once, over
+    [t_0, t_B], and those in [t_j, t_j+1] are exactly window j's own pick:
+    each block mark is a mark of the window that holds it, a floor or
+    ceiling of it outside that window is also one of the window's edge,
+    which the neighbour picks too, and a slip across an edge lands on that
+    edge's floor and ceiling.  A reading depends only on its instant, so
+    each window gets the verdict it would get alone.
+
+    Returns one (verdict, max precision deviation seen in ticks) per window.
+    """
+    if len(edges) < 2 or sorted(edges) != list(edges):
+        raise ConfigurationError(f"window edges must be at least two, in order: {edges}")
+    eps0 = rp.eps0 if eps0 is None else eps0
+    n_win = len(edges) - 1
+    if not tracks:
+        return [(True, 0)] * n_win
+    tau = rp.tau_max
+    THL, delta = _lengths(rp, L)
+    n, span = len(tracks), edges[-1] - edges[0] + 1
+    # keys: track k's jumps in the block, shifted k*span later, so that all
+    # tracks' keys form one sorted array.  cums: each track's shifts end to
+    # end, each led by the shift it carries in.
+    jumps, keys, cums = [], [], []
+    for k, tr in enumerate(tracks):
+        jt, cum = tr.jump_times, tr.jump_cum
+        lo, hi = bisect_left(jt, edges[0]), bisect_right(jt, edges[-1])
+        inside, shift = jt[lo:hi], k * span
+        cums.append(cum[lo - 1] if lo else 0)
+        cums += cum[lo:hi]
+        jumps += inside
+        keys += [t + shift for t in inside]
+
+    # Each window's rate spans, as (first instant, last instant, window), and
+    # the block's samples.
+    spans = []
+    for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
+        starts = list(range(t1, t2, delta))
+        starts += [s + delta // 2 for s in starts[:-1]]
+        spans += [(s, min(s + delta, t2), j) for s in starts]
+    samples = _decisive_samples(tracks, jumps, edges[0], edges[-1], THL,
+                                [*edges, *(t for s, stop, _j in spans for t in (s, stop))])
+    ts = np.array(samples, dtype=np.int64)
+
+    # U holds one row per track, with the readings at each sample
+    # interleaved, side 0 first; its row n is the instant itself, read as a
+    # clock of period 1 that never jumps.
+    clocks = np.array([(tr.clock.t_ref, tr.clock.period, tr.clock.h0 + tr.offset0)
+                       for tr in tracks] + [(0, 1, 0)], dtype=np.int64)
+    t_ref, period, base = clocks.T[:, :, None]
+    # Side 0 counts a track's jumps before each sample, side 1 those at or
+    # before it: on integers, searching q + 1 is searching q to the right.
+    q = (ts[:, None] + _SIDES).ravel() + np.arange(0, (n + 1) * span, span)[:, None]
+    idx = np.searchsorted(np.array(keys, dtype=np.int64), q) + np.arange(n + 1)[:, None]
+    U = (np.repeat(ts, 2) - t_ref) // period + np.array(cums + [0])[idx]
+
+    # A window without samples passes with deviation 0.
+    devs = [0] * n_win
+    ok = [True] * n_win
+    if n > 1:
+        V = (base[:n] + U[:n]) % tau
+        a, b = _pairs(n)
+        d = np.abs(V[a] - V[b])
+        worst = np.minimum(d, tau - d).max(axis=0).tolist()
+        for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
+            seg = worst[2 * bisect_left(samples, t1):2 * bisect_right(samples, t2)]
+            if seg:
+                devs[j] = max(seg)
+                ok[j] = devs[j] <= eps0
+
+    # Rate condition, exact integer arithmetic: scale by T_H*L and by the
+    # denominator of rho so both sides are integers.  Pre/post readings at
+    # each instant interleave, pre first; rebasing each span on its first
+    # reading bounds the int64 magnitudes by the span, not the run, and
+    # shifts each sequence by a constant, which leaves its rises unchanged.
+    # Each span that holds two samples or more: its first and last column
+    # of readings, and its window.
+    cols, owner, width = [], [], 0
+    for s0, stop, j in spans:
+        lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
+        if hi - lo >= 2:
+            cols.append((2 * lo, 2 * hi - 1))
+            owner.append(j)
+            width = max(width, 2 * (hi - lo))
+    if cols:
+        pr, qr = rp.rho.numerator, rp.rho.denominator
+        c = np.array(cols, dtype=np.int64)
+        # Each span padded to the longest by repeating its last reading,
+        # which cannot raise max(e - cummin(e)).
+        x = U[:, np.minimum(c[:, :1] + np.arange(width), c[:, 1:])]
+        x = x - x[:, :, :1]
+        # Clock k's readings u_k and the instants s give the rate sequences
+        # e_k = THL*qr*u_k - (qr+pr)*s and f_k = (qr-pr)*s - THL*qr*u_k.
+        su, s = THL * qr * x[:n], x[n]
+        ef = np.concatenate((su - (qr + pr) * s, (qr - pr) * s - su))
+        rise = (ef - np.minimum.accumulate(ef, axis=2)).max(axis=(0, 2))
+        for j, r in zip(owner, rise.tolist()):
+            if r > eps0 * THL * qr:
+                ok[j] = False
+    return list(zip(ok, devs))
+
+
+def _against_stacked(tracks, edges, rp, L, eps0=None):
+    got = sync_check(tracks, edges, rp, L, eps0=eps0)
+    assert got == stacked_sync_check(tracks, edges, rp, L, eps0=eps0)
+    return got
+
+
+@pytest.mark.same_bytes
+def test_kernel_matches_the_stacked_checker_on_block_cases():
+    verdicts = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(window_blocks())
+    def check(case):
+        tracks, edges, eps0 = case
+        verdicts.update(ok for ok, _dev in _against_stacked(tracks, edges, SMALL_RP, SMALL_L,
+                                                            eps0))
+
+    check()
+    assert verdicts == {False, True}
+
+
+@pytest.mark.same_bytes
+@pytest.mark.parametrize("init", ["synchronized", "random"])
+@pytest.mark.parametrize("name", ["silent", "random_noise", "max_skew", "split_brain"])
+def test_kernel_matches_the_stacked_checker_on_recorded_runs(name, init):
+    # The recorded runs of test_recorded_windows_evaluate_few_samples, in
+    # blocks of 1, 7, 32 and 40 windows; then windows 1.5 T_max long, each
+    # two aligned rate spans and a half-shifted one.
+    w = World(RP, make_adversary(name), seed=4, init_policy=init, trace_level="off")
+    w.run_until_window(40)
+    tracks, edges = w.qap_tracks(), [k * w.window for k in range(41)]
+    for size in (1, 7, 32, 40):
+        for lo in range(0, 40, size):
+            _against_stacked(tracks, edges[lo:lo + size + 1], RP, w.L)
+    long = [k * (3 * w.window // 2) for k in range(27)]
+    got = _against_stacked(tracks, long, RP, w.L)
+    w.close()
+    assert len(got) == 26
+    if init == "random":
+        assert {ok for ok, _dev in got} == {False, True}
+
+
+@pytest.mark.same_bytes
+def test_kernel_compares_every_pair_past_half_the_ring():
+    # Three clocks a third of the ring apart: their offsets from the first
+    # spread over 2731 ticks, more than half the ring, yet no two are more
+    # than 1366 apart.  Halfway through the block the third clock comes
+    # back beside the first, which breaks the rate condition in its window,
+    # and the spread is the largest distance again.
+    tau, L = RP.tau_max, 10
+    a, b, c = (_const_track(tau, off, period=L) for off in (0, 1365, 2730))
+    c.record(t=5000, new=2)
+    edges = [0, 2000, 4000, 6000, 8000]
+    assert _against_stacked([a, b, c], edges, RP, L) == \
+        [(False, 1366), (False, 1366), (False, 1366), (False, 1365)]
+    assert _against_stacked([a, b, c], edges, RP, L, eps0=1366) == \
+        [(True, 1366), (True, 1366), (False, 1366), (True, 1365)]
+
+
+@pytest.mark.same_bytes
+def test_jumps_at_one_instant_are_one():
+    # Two adjustments of b at one instant, each the short way round the
+    # ring: the track keeps one jump there, whose shift is their sum, the
+    # long way round.  The stacked checker, reading the two jumps apart,
+    # gives the same verdicts: b's 4094 ticks in no time break the rate
+    # condition, though b reads 2 ticks behind a after the instant.
+    a, b = _const_track(4096, 0), _const_track(4096, 0)
+    b.record(t=2500, new=2047)
+    b.record(t=2500, new=4094)
+    assert b.jump_times == [2500] and b.jump_cum == [4094]
+    apart = ClockTrack(b.clock, 0, [2500, 2500], [2047, 4094])
+    edges = [0, 2000, 4000, 6000]
+    assert sync_check([a, b], edges, RP, 10) == stacked_sync_check([a, apart], edges, RP, 10) \
+        == [(True, 0), (False, 2), (True, 2)]
+
+
+def _transient(fn, *args):
+    """fn(*args)'s tracemalloc peak above what was in use before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_check_in_bounded_memory():
+    # A recorded 32-window block of closure's shape (synchronized start, no
+    # early stop), its tracks cut at the block's start as run_once leaves
+    # them: the check's arrays are clocks x samples in size, and its peak
+    # stays under 0.6 MB on every built-in, a third or less of the stacked
+    # checker's.
+    for name in ("silent", "random_noise", "max_skew", "split_brain"):
+        w = World(RP, make_adversary(name), seed=5, init_policy="synchronized",
+                  trace_level="off")
+        w.run_until_window(64)
+        w.close()
+        tracks, edges = w.qap_tracks(), [k * w.window for k in range(32, 65)]
+        for tr in tracks:
+            tr.forget_before(edges[0])
+        sync_check(tracks, edges, RP, w.L)         # warm: caches and lazy imports
+        peak = _transient(sync_check, tracks, edges, RP, w.L)
+        assert peak <= 600_000, (name, peak)
+        assert 3 * peak <= _transient(stacked_sync_check, tracks, edges, RP, w.L), name
 
 
 @pytest.mark.parametrize("edges", [[], [5], [5, 3], (5, 3), [0, 10, 9, 20]])
