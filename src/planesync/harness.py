@@ -18,7 +18,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, asdict, field, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from random import Random
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
@@ -188,57 +188,49 @@ class ResyncScan:
     A head waits for the next toss of each of its witnesses, the other
     nodes that held lifetime 0 going into it: it is a point once one of
     them tosses a tail, and it is not once all of them have tossed a head.
-    `points` collects the points in log order as they are decided; a caller
-    may read and empty it.  end() closes the log: a head still waiting then
-    is not a point.
     """
 
     def __init__(self, nodes: list[int], initial_gl: dict[int, int]) -> None:
         self._life = {q: initial_gl[q] for q in nodes}    # after q's last toss
-        self._into = dict(self._life)       # going into the instant of q's last toss
-        self._at: dict[int, Optional[int]] = dict.fromkeys(nodes)   # that instant
-        self._waits: dict[int, list[list]] = {q: [] for q in nodes}
-        # Heads not yet passed to `points`, in log order: [t, node,
-        # witnesses still to toss, verdict or None].
+        self._t: Optional[int] = None                     # the current instant
+        self._into = dict(self._life)                     # going into it
+        # Heads in log order: [t, node, witnesses yet to toss, confirmed].
         self._heads: deque[list] = deque()
-        self.points: list[tuple[int, int]] = []
 
-    def feed(self, tosses: Iterable[tuple[int, int, int, int]]) -> None:
-        """Scan tosses, each (t, node, coin, lifetime after), in log order."""
-        life, into, at, waits, heads = self._life, self._into, self._at, self._waits, self._heads
+    def feed(self, tosses: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int]]:
+        """Scan tosses, each (t, node, coin, lifetime after), in log order,
+        and yield each point (t, node) as it is decided, in log order.  The
+        scan runs only as its points are drawn: a caller draws them all
+        before it feeds more or ends the log."""
+        life, heads = self._life, self._heads
         for t, node, coin, gl in tosses:
             if node not in life:
                 continue
-            waiting = waits[node]
-            if waiting:
-                waits[node] = [head for head in waiting if head[0] == t]
-                for head in waiting:
-                    if head[0] < t and head[3] is None:     # its first toss after the head
-                        if coin == 0:
-                            head[3] = True
-                        else:
-                            head[2] -= 1
-                            head[3] = False if head[2] == 0 else None
-                while heads and heads[0][3] is not None:
-                    head = heads.popleft()
-                    if head[3]:
-                        self.points.append((head[0], head[1]))
-            if at[node] != t:
-                into[node], at[node] = life[node], t
+            if t != self._t:
+                self._t, self._into = t, dict(life)
+            for head in heads:
+                if head[0] == t:        # the heads from here on share this instant
+                    break
+                if node in head[2]:     # its first toss after the head
+                    if coin == 0:
+                        head[2].clear()
+                        head[3] = True
+                    else:
+                        head[2].discard(node)
+            while heads and not heads[0][2]:
+                head = heads.popleft()
+                if head[3]:
+                    yield head[0], head[1]
             life[node] = gl
             if coin == 1:
-                witnesses = [q for q, a in at.items()
-                             if q != node and (into[q] if a == t else life[q]) == 0]
+                witnesses = {q for q, g in self._into.items() if q != node and g == 0}
                 if witnesses:
-                    head = [t, node, len(witnesses), None]
-                    heads.append(head)
-                    for q in witnesses:
-                        waits[q].append(head)
+                    heads.append([t, node, witnesses, False])
 
-    def end(self) -> None:
-        """The log ends: pass the heads already confirmed to `points` and
-        drop those still waiting."""
-        self.points += [(head[0], head[1]) for head in self._heads if head[3]]
+    def end(self) -> Iterator[tuple[int, int]]:
+        """The log ends: yield the heads already confirmed, and drop those
+        still waiting."""
+        yield from ((head[0], head[1]) for head in self._heads if head[3])
         self._heads.clear()
 
 
@@ -255,9 +247,7 @@ def resync_points(toss_log: Iterable[tuple[int, int, int, int]],
     toss) are not counted.
     """
     scan = ResyncScan(nodes, initial_gl)
-    scan.feed(toss_log)
-    scan.end()
-    return scan.points
+    return [*scan.feed(toss_log), *scan.end()]
 
 
 CHECK_BLOCK = 32   # most windows one sync_check call checks
@@ -327,10 +317,8 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
             if sink is not None:
                 sink.write(world.trace.to_jsonl())
                 world.trace.records.clear()
-            scan.feed(world.toss_log)
+            point_windows += [t // world.window for t, _p in scan.feed(world.toss_log)]
             world.toss_log.clear()
-            point_windows += [t // world.window for t, _p in scan.points]
-            scan.points.clear()
             edges = [w * world.window for w in range(block[0], block[-1] + 2)]
             for k, (ok, dev) in zip(block, sync_check(tracks, edges, rp, world.L,
                                                       eps0=sc.eps0_check)):
@@ -352,16 +340,10 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
                 tr.forget_before(edges[-1])
     finally:
         world.close()
-    scan.end()
-    point_windows += [t // world.window for t, _p in scan.points]
+    point_windows += [t // world.window for t, _p in scan.end()]
 
-    attempts = successes = 0
-    for w in point_windows:
-        if stab is not None and w >= stab:
-            continue
-        attempts += 1
-        if stab is not None and stab <= w + g0 + 1:
-            successes += 1
+    attempts = [w for w in point_windows if stab is None or w < stab]
+    successes = sum(stab is not None and stab <= w + g0 + 1 for w in attempts)
 
     return RunResult(
         seed=seed,
@@ -372,7 +354,7 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
         n_violations=n_viol,
         first_violation=first_viol,
         resync_point_count=len(point_windows),
-        attempts=attempts,
+        attempts=len(attempts),
         successes=successes,
         resync_windows=len(set(point_windows)),
     )
@@ -627,25 +609,20 @@ class CoinModelSummary:
         ])
 
 
-class _CoinTosses:
+def _coin_tosses(rp: Resolved, n_windows: int,
+                 seed: int) -> Iterator[tuple[int, int, int, int]]:
     """The coin model's toss log, (t, node, coin, lifetime_after), drawn
-    afresh from the seed on each pass, so that it is never held whole."""
-
-    def __init__(self, rp: Resolved, n_windows: int, seed: int) -> None:
-        self.rp, self.seed = rp, seed
-        self.horizon = math.ceil(rp.dv.T_max * n_windows)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        rp, T = self.rp, self.rp.T
-        rng = Random(derive_seed(self.seed, "coin-model"))
-        phases = [rng.randrange(T) for _node in range(rp.n1 - rp.f1)]
-        # Each node's toss instants, merged in (t, node) order.
-        merged = heapq.merge(*(zip(range(phase, self.horizon, T), repeat(node))
-                               for node, phase in enumerate(phases)))
-        gl = [0] * len(phases)
-        for t, node in merged:
-            b, gl[node] = grandmaster_toss(gl[node], rng, rp)
-            yield t, node, b, gl[node]
+    from the seed as it is read, so that it is never held whole."""
+    T, horizon = rp.T, math.ceil(rp.dv.T_max * n_windows)
+    rng = Random(derive_seed(seed, "coin-model"))
+    phases = [rng.randrange(T) for _node in range(rp.n1 - rp.f1)]
+    # Each node's toss instants, merged in (t, node) order.
+    merged = heapq.merge(*(zip(range(phase, horizon, T), repeat(node))
+                           for node, phase in enumerate(phases)))
+    gl = [0] * len(phases)
+    for t, node in merged:
+        b, gl[node] = grandmaster_toss(gl[node], rng, rp)
+        yield t, node, b, gl[node]
 
 
 def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSummary:
@@ -655,8 +632,8 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSumma
     Each of the nonfaulty coin holders tosses once per cycle of T ticks at
     a random phase; a window is T_max ticks.  The per-window frequency of
     resynchronization points is compared against its theoretical floor.
-    The tosses are drawn as they are scanned, never held whole, and the
-    points come in time order, so each window is counted at its first.
+    The tosses are drawn and the points counted as they come, neither held;
+    the points come in time order, so each window is counted at its first.
     """
     if n_windows < 1:
         raise ConfigurationError(f"need at least one window: {n_windows}")
@@ -664,10 +641,9 @@ def lemma1_coin_model(rp: Resolved, n_windows: int, seed: int) -> CoinModelSumma
     g0, q0 = rp.dv.g0, rp.dv.q0
     t_max = rp.dv.T_max  # ticks, Fraction
 
-    points = resync_points(_CoinTosses(rp, n_windows, seed), list(range(n)),
-                           {q: 0 for q in range(n)})
+    scan = ResyncScan(list(range(n)), dict.fromkeys(range(n), 0))
     k, last = 0, -1
-    for t, _p in points:
+    for t, _p in chain(scan.feed(_coin_tosses(rp, n_windows, seed)), scan.end()):
         w = t * t_max.denominator // t_max.numerator
         if last < w < n_windows:
             k, last = k + 1, w

@@ -905,18 +905,19 @@ def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t
     m_lo, m_hi = -(-t1 // THL), t2 // THL        # grid indices inside [t1, t2]
     for tr in tracks:
         t_ref, period = tr.clock.t_ref, tr.clock.period
-        # A clock's ticks minus m, at grid index m, is monotone in m.
-        lo, g_hi = m_lo, (m_hi * THL - t_ref) // period - m_hi
-        while lo < m_hi and (g_lo := (lo * THL - t_ref) // period - lo) != g_hi:
-            a, b = lo, m_hi              # find the first index past a slip
-            while b - a > 1:
-                mid = (a + b) // 2
-                if (mid * THL - t_ref) // period - mid == g_lo:
-                    a = mid
-                else:
-                    b = mid
-            keep.update((a * THL, b * THL))
-            lo = b
+        gap = THL - period
+        # At grid index m a clock's ticks minus m are floor((m gap - t_ref) /
+        # period), at least u exactly when m gap >= t_ref + u period.  They
+        # are monotone in m, so the index b at which they first reach (a
+        # faster clock) or first fall below (a slower one) each value u
+        # between their ends solves that inequality: a slip lies between
+        # b - 1 and b.
+        g_lo, g_hi = (m_lo * gap - t_ref) // period, (m_hi * gap - t_ref) // period
+        if gap > 0:
+            slips = {-(-(t_ref + u * period) // gap) for u in range(g_lo + 1, g_hi + 1)}
+        else:
+            slips = {(t_ref + u * period) // gap + 1 for u in range(g_hi + 1, g_lo + 1)}
+        keep.update(t for b in slips for t in ((b - 1) * THL, b * THL))
     out = sorted(keep)
     return out[bisect_left(out, t1):bisect_right(out, t2)]
 
@@ -1006,10 +1007,10 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
     Only the samples that can decide are evaluated: each jump, the grid
     samples at the floor and ceiling of each jump and of the window's ends
     and of each span, and those on both sides of each clock's slip
-    (a grid step m to m+1 over which its ticks minus m change; monotone in
-    m, so bisection finds each): about 29 of 271 samples on a reference
-    window.  Between two kept samples no clock jumps and
-    each reads m plus a constant, so every pair's ring distance stays that
+    (a grid step m to m+1 over which its ticks minus m change): about 29
+    of 271 samples on a reference window.  Between two kept samples no
+    clock jumps and each reads m plus a constant, so every pair's ring
+    distance stays that
     of the first; and each rate sequence (e, f; see _rate_rises) falls by
     T_H*L*rho_num per sample, so a run's first sample bounds its rises and
     its last its running minimum.  A jump on the grid is its own floor and

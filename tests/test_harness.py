@@ -247,15 +247,12 @@ def reference_resync_points(toss_log: list[tuple[int, int, int, int]],
 
 def _scanned(log, nodes, initial_gl, cuts):
     """The points of a ResyncScan fed `log` in pieces, cut before each index
-    in `cuts`, its points read and emptied after each piece, as run_once
-    does after each block."""
+    in `cuts`, the points each piece yields collected before the next is
+    fed, as run_once does after each block."""
     scan, points = ResyncScan(nodes, initial_gl), []
     for lo, hi in zip([0, *cuts], [*cuts, len(log)]):
-        scan.feed(log[lo:hi])
-        points += scan.points
-        scan.points.clear()
-    scan.end()
-    return points + scan.points
+        points += scan.feed(log[lo:hi])
+    return points + list(scan.end())
 
 
 @st.composite
@@ -1115,9 +1112,10 @@ class TestCoinModel:
             lemma1_coin_model(RP, n_windows=0, seed=0)
 
     def test_tosses_are_not_held(self):
-        # The tosses are drawn as they are scanned: at the CLI's default
-        # 100,000 windows the peak is the points found, not the 400,000
-        # tosses (77 MB when they were held).
+        # The tosses are drawn as they are scanned and the points counted as
+        # they are decided: at the CLI's default 100,000 windows neither the
+        # 400,000 tosses (77 MB when they were held) nor the 16,553 points
+        # (1.5 MB) are held.
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1126,15 +1124,17 @@ class TestCoinModel:
         finally:
             tracemalloc.stop()
         assert s.windows_with_point == 16_021
-        assert peak <= 2_000_000, peak
+        assert peak <= 100_000, peak
 
     def test_lifetime_is_logged_as_the_switch_leaves_it(self, monkeypatch):
         # The switch's rule (TestMwsRound asserts g0 - 1 after a head): a
         # head grants g0 rounds, and every round that holds any spends one.
-        logs = []
-        real = harness.resync_points
-        monkeypatch.setattr(harness, "resync_points",
-                            lambda log, *args: logs.append(log) or real(log, *args))
+        logs, real = [], harness._coin_tosses
+
+        def logged(*args):
+            logs.append(list(real(*args)))
+            return iter(logs[-1])
+        monkeypatch.setattr(harness, "_coin_tosses", logged)
         lemma1_coin_model(RP, n_windows=300, seed=0)
         (log,) = logs
         held = {}
@@ -1142,6 +1142,21 @@ class TestCoinModel:
             assert gl == (G0 - 1 if b else max(held.get(node, 0) - 1, 0))
             held[node] = gl
         assert any(b for _, _, b, _ in log)
+
+    @pytest.mark.parametrize("n_windows", [1, 7, 40, 150])
+    def test_counts_the_windows_of_the_whole_log_rule(self, n_windows):
+        # The windows below n_windows that hold a point of the whole drawn
+        # log, by the rule before ResyncScan.
+        t_max, n = RP.dv.T_max, RP.n1 - RP.f1
+        found = 0
+        for seed in range(60):
+            points = reference_resync_points(list(harness._coin_tosses(RP, n_windows, seed)),
+                                             list(range(n)), dict.fromkeys(range(n), 0))
+            windows = {t * t_max.denominator // t_max.numerator for t, _p in points}
+            want = len({w for w in windows if w < n_windows})
+            assert lemma1_coin_model(RP, n_windows, seed).windows_with_point == want
+            found += want
+        assert found > 0
 
     def test_deterministic_in_seed(self):
         a = lemma1_coin_model(RP, n_windows=300, seed=5)

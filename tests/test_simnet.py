@@ -1842,6 +1842,44 @@ def test_decisive_samples_of_a_jump():
     assert simnet._decisive_samples([], {53}, 3, 97, 10, []) == [10, 50, 53, 60, 90]
 
 
+@pytest.mark.same_bytes
+def test_slips_match_a_walk_over_every_grid_index():
+    # Each clock's slips, found in closed form, against a walk over every
+    # grid index of [t1, t2]: up to half a grid step off nominal, and at
+    # drift bounds of 1/10 and 1/1000 exactly.
+    most = at_bound = 0
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        nonlocal most, at_bound
+        THL = data.draw(st.sampled_from([SMALL_L, 1000, 4000]))
+        bounds = [THL + sign * THL // q for q in (10, 1000) for sign in (-1, 1)]
+        t1 = data.draw(st.integers(-3 * THL, 3 * THL))
+        t2 = t1 + data.draw(st.sampled_from([0, THL // 2, THL, 7 * THL, 60 * THL + 1]))
+        want = {t // THL * THL for t in (t1, t2)} | {-(-t // THL) * THL for t in (t1, t2)}
+        ms = range(-(-t1 // THL), t2 // THL + 1)      # grid indices inside [t1, t2]
+        tracks = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            period = data.draw(st.integers(THL - THL // 2, THL + THL // 2)
+                               | st.sampled_from(bounds))
+            clk = HardwareClock(t_ref=data.draw(st.integers(-2000 * THL, 2000 * THL)),
+                                period=period, h0=0, tau=SMALL_RP.tau_max)
+            tracks.append(ClockTrack(clk, 0))
+            g = [(m * THL - clk.t_ref) // period - m for m in ms]
+            slips = [m for m, a, b in zip(ms, g, g[1:]) if a != b]
+            want.update(t for m in slips for t in (m * THL, (m + 1) * THL))
+            most = max(most, len(slips))
+            at_bound += period in bounds and bool(slips)
+        assert simnet._decisive_samples(tracks, [], t1, t2, THL, []) == \
+            sorted(t for t in want if t1 <= t <= t2)
+
+    check()
+    # Not vacuous: clocks that slip many times in a block, and clocks at a
+    # drift bound that slip.
+    assert most >= 20 and at_bound >= 20
+
+
 @pytest.mark.parametrize("init", ["synchronized", "random"])
 @pytest.mark.parametrize("name", ["silent", "random_noise", "max_skew", "split_brain"])
 def test_recorded_windows_evaluate_few_samples(name, init, monkeypatch):
