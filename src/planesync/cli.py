@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 from typing import Optional, TextIO
 
 from .errors import ConfigurationError, PlanesyncError
@@ -125,41 +124,38 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 class _Comparison:
-    """A trace sink that compares each block of lines a re-run writes with
-    the recording's next lines, and keeps the first difference.  A
+    """A trace sink that compares each block a re-run writes with as many of
+    the recording's next characters, and keeps the first difference.  A
     recording's last line may lack its newline."""
 
     def __init__(self, recorded: TextIO) -> None:
         self.recorded = recorded
-        self.read = 0           # lines read from the recording
         self.replayed = 0       # lines written
+        self.read: Optional[int] = None     # lines read, once a block did not match
         self.diff: Optional[str] = None
 
     def write(self, text: str) -> None:
-        n = text.count("\n")
-        if self.diff is None and self.read == self.replayed:     # every line so far matched
-            want = "".join(islice(self.recorded, n))
-            if want == text:
-                self.read += n
-            else:       # split into lines only to name the first difference
-                want_lines = want.splitlines()
-                self.read += len(want_lines)
+        if self.read is None:
+            want = self.recorded.read(len(text))
+            if want != text:    # split into lines only to name the first difference
+                want_lines = (want + self.recorded.readline()).splitlines()   # its last line whole
+                self.read = self.replayed + len(want_lines)
                 for k, (a, b) in enumerate(zip(want_lines, text.splitlines())):
                     if a != b:
                         self.diff = (f"replay diverges at record {self.replayed + k + 1}:"
                                      f"\n- {a}\n+ {b}")
                         break
-        self.replayed += n
+        self.replayed += text.count("\n")
 
     def verdict(self) -> Optional[str]:
         """None when the recording matched line for line; else the first
         differing record, or else the two counts."""
-        if self.diff is not None:
-            return self.diff
-        recorded = self.read + sum(1 for _ in self.recorded)
-        if recorded != self.replayed:
-            return f"replay diverges: {recorded} recorded vs {self.replayed} replayed records"
-        return None
+        if self.diff is None:
+            recorded = sum(1 for _ in self.recorded)
+            recorded += self.replayed if self.read is None else self.read
+            if recorded != self.replayed:
+                return f"replay diverges: {recorded} recorded vs {self.replayed} replayed records"
+        return self.diff
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

@@ -250,6 +250,32 @@ def resync_points(toss_log: Iterable[tuple[int, int, int, int]],
     return [*scan.feed(toss_log), *scan.end()]
 
 
+class _PointTally:
+    """The resynchronization point fields of a RunResult, from the points'
+    windows, which `waiting` takes in log order.  A point waits only until
+    it is known whether it is an attempt (before stabilization) and a
+    success (also at most g0 + 1 windows before it)."""
+
+    def __init__(self, g0: int) -> None:
+        self.g0 = g0
+        self.points = self.windows = self.attempts = self.successes = 0
+        self.last = -1                          # the last counted point's window
+        self.waiting: deque[int] = deque()
+
+    def settle(self, stab: Optional[int], earliest: float) -> None:
+        """Count the waiting points that can be: each, once stab is known;
+        before, those too early to succeed, given the earliest stab can be."""
+        waiting, cut = self.waiting, earliest - self.g0 - 1
+        while waiting and (stab is not None or waiting[0] < cut):
+            w = waiting.popleft()
+            self.points += 1
+            self.windows += w != self.last
+            self.last = w
+            if stab is None or w < stab:
+                self.attempts += 1
+                self.successes += stab is not None and w >= stab - self.g0 - 1
+
+
 CHECK_BLOCK = 32   # most windows one sync_check call checks
 
 
@@ -274,8 +300,9 @@ def run_once(sc: Scenario, seed: int,
 def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
     """run_once with its trace, if any, written to the open stream `sink`.
     The run holds no more than one block: each block's trace records are
-    written and dropped, its coin tosses scanned and dropped, and the
-    tracks forget the jumps before its end."""
+    written and dropped, its coin tosses scanned and dropped, the tracks
+    forget the jumps before its end, and only the points of its last
+    confirm + g0 + 1 windows wait to be classified."""
     rp = sc.resolved
     # A trace is built only to be written, at level core or finer.
     level = "off" if sink is None else \
@@ -284,7 +311,6 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
                   trace_level=level)
     initial_gl = {p: world.mws[p].grand_life for p in world.honest_planes}
     confirm = sc.confirm_windows(rp)
-    g0 = rp.dv.g0
 
     run_len = 0
     run_max = 0         # worst deviation over the current run of good windows
@@ -297,9 +323,9 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
 
     tracks = world.qap_tracks()
     # Each block's coin tosses are scanned for resynchronization points and
-    # dropped; the run keeps each point's window.
+    # dropped, and the points are counted.
     scan = ResyncScan(world.honest_planes, initial_gl)
-    point_windows: list[int] = []
+    tally = _PointTally(rp.dv.g0)
     # Closing breaks the world's reference cycles, so it is freed as soon
     # as this call returns; its logs and trace stay readable.
     try:
@@ -317,7 +343,7 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
             if sink is not None:
                 sink.write(world.trace.to_jsonl())
                 world.trace.records.clear()
-            point_windows += [t // world.window for t, _p in scan.feed(world.toss_log)]
+            tally.waiting += [t // world.window for t, _p in scan.feed(world.toss_log)]
             world.toss_log.clear()
             edges = [w * world.window for w in range(block[0], block[-1] + 2)]
             for k, (ok, dev) in zip(block, sync_check(tracks, edges, rp, world.L,
@@ -338,12 +364,11 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
                         first_viol = k
             for tr in tracks:
                 tr.forget_before(edges[-1])
+            tally.settle(stab, windows_run - run_len)   # at the earliest, the good run's start
     finally:
         world.close()
-    point_windows += [t // world.window for t, _p in scan.end()]
-
-    attempts = [w for w in point_windows if stab is None or w < stab]
-    successes = sum(stab is not None and stab <= w + g0 + 1 for w in attempts)
+    tally.waiting += [t // world.window for t, _p in scan.end()]
+    tally.settle(stab, math.inf)
 
     return RunResult(
         seed=seed,
@@ -353,10 +378,10 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
         max_precision_after_stb=max_dev_stb,
         n_violations=n_viol,
         first_violation=first_viol,
-        resync_point_count=len(point_windows),
-        attempts=len(attempts),
-        successes=successes,
-        resync_windows=len(set(point_windows)),
+        resync_point_count=tally.points,
+        attempts=tally.attempts,
+        successes=tally.successes,
+        resync_windows=tally.windows,
     )
 
 

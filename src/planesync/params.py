@@ -382,7 +382,9 @@ def load_config_doc(path: str | None = None) -> dict:
 
     Returns the raw document, checked to be a mapping that holds the
     `system` and `schedule` sections; callers parse what they read.  yaml is
-    imported here, so a run that reads no file does not load it.
+    imported here, so a run that reads no file does not load it.  libyaml's
+    CSafeLoader parses when PyYAML was built with it: it shares SafeLoader's
+    resolver and constructor, so the document is the same, only faster.
     """
     import yaml
 
@@ -392,7 +394,7 @@ def load_config_doc(path: str | None = None) -> dict:
         raise ConfigurationError(f"no config path given and {SCENARIO_ENV_VAR} unset")
     with open(path) as f:
         try:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as e:
             raise ConfigurationError(f"{path} is not valid YAML: {e}") from None
     if not isinstance(doc, dict):

@@ -59,7 +59,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
@@ -226,30 +225,8 @@ class ClockTrack:
             self.jump_cum = [c - shift for c in self.jump_cum[k:]]
 
 
-# The trace schema: each record kind's exported line, its keys in sorted
-# order.  `%(k)d` writes an integer field and `"%(k)s"` a fixed string; a
-# node is written ["tag",index], a SIG's clock value is null for a faulty
-# plane's, and a stability verdict is true or false.
-_LINES = {
-    "adjust": '{"ev":"adjust","new":%(new)d,"node":["%(node)s",%(node)d],"old":%(old)d,'
-              '"t":%(t)d}\n',
-    "sig": '{"c":%(c)s,"ev":"sig","plane":%(plane)d,"t":%(t)d}\n',
-    "watchdog": '{"ev":"watchdog","plane":%(plane)d,"t":%(t)d}\n',
-    "round": '{"b":%(b)d,"branch":"%(branch)s","c_new":%(c_new)d,"ev":"round",'
-             '"gl":%(gl)d,"plane":%(plane)d,"stb":%(stb)s,"t":%(t)d}\n',
-    "send_up": '{"arrival":%(arrival)d,"ev":"send_up","mes":%(mes)d,"plane":%(plane)d,'
-               '"t":%(t)d}\n',
-    "send_down": '{"arrival":%(arrival)d,"ev":"send_down","m":%(m)d,"plane":%(plane)d,'
-                 '"t":%(t)d,"to":%(to)d}\n',
-    "recv_down": '{"ev":"recv_down","m":%(m)d,"mes":%(mes)d,"plane":%(plane)d,"t":%(t)d}\n',
-    "drop_up": '{"ev":"drop_up","mes":%(mes)d,"plane":%(plane)d,"t":%(t)d,"why":"%(why)s"}\n',
-    "drop_down": '{"ev":"drop_down","mes":%(mes)d,"plane":%(plane)d,"t":%(t)d,'
-                 '"why":"%(why)s"}\n',
-}
 # A full trace is the core trace, in its order, with records of these kinds added.
 FULL_ONLY = frozenset({"send_up", "send_down", "recv_down", "drop_up", "drop_down"})
-# Each template with positional placeholders, which take its values in its order.
-_FORMATS = {ev: re.sub(r"%\(\w+\)", "%", line) for ev, line in _LINES.items()}
 
 
 def recorded_level(lines: Iterable[str]) -> str:
@@ -265,16 +242,20 @@ def recorded_level(lines: Iterable[str]) -> str:
 class Trace:
     """Chronological event record: `records` holds each record's exported
     line, and `to_jsonl` joins them (harness.run_once writes and empties
-    them a check block at a time).  Each kind in _LINES has a recorder of
-    its name, whose keyword parameters are the kind's keys but "ev": a
-    missing or extra field fails at the call.
+    them a check block at a time).  Each record kind has a recorder of its
+    name, whose keyword parameters are the kind's keys but "ev": a missing
+    or extra field fails at the call.  A node is written ["tag",index], a
+    SIG's clock value is null for a faulty plane's, and a stability verdict
+    is true or false.
 
-    Each line is the bytes json.dumps(r, sort_keys=True, separators=(",",
-    ":")) writes for the record r: each template lists its keys in sorted
-    order; `%d` on a Python int is that int's JSON; every integer field is a
-    Python int, since the World computes in ints and its adversary hooks
-    take each instant and clock value through operator.index; and the fixed
-    strings (`branch`, `why`, the `node` tags) need no escaping.
+    Each recorder's f-string writes the bytes json.dumps(r, sort_keys=True,
+    separators=(",", ":")) writes for the record r: it lists the keys in
+    sorted order; an f-string writes a Python int as its JSON; every
+    integer field is an exact int, since the World computes in ints and
+    its adversary hooks take each instant and clock value through
+    operator.index, which returns one; a verdict is spelled out, as an
+    f-string would write a bool True; and the fixed strings (`branch`,
+    `why`, the `node` tags) need no escaping.
     """
 
     def __init__(self) -> None:
@@ -287,33 +268,36 @@ class Trace:
         return "".join(self.records)
 
     def adjust(self, *, new: int, node: tuple[str, int], old: int, t: int) -> None:
-        self.add(_FORMATS["adjust"] % (new, node[0], node[1], old, t))
+        self.add(f'{{"ev":"adjust","new":{new},"node":["{node[0]}",{node[1]}],"old":{old},'
+                 f'"t":{t}}}\n')
 
     def sig(self, *, c: Optional[int], plane: int, t: int) -> None:
-        self.add(_FORMATS["sig"] % ("null" if c is None else "%d" % c, plane, t))
+        self.add(f'{{"c":{"null" if c is None else c},"ev":"sig","plane":{plane},"t":{t}}}\n')
 
     def watchdog(self, *, plane: int, t: int) -> None:
-        self.add(_FORMATS["watchdog"] % (plane, t))
+        self.add(f'{{"ev":"watchdog","plane":{plane},"t":{t}}}\n')
 
     def round(self, *, b: int, branch: str, c_new: int, gl: int, plane: int, stb: bool,
               t: int) -> None:
-        self.add(_FORMATS["round"] % (b, branch, c_new, gl, plane,
-                                      "true" if stb else "false", t))
+        self.add(f'{{"b":{b},"branch":"{branch}","c_new":{c_new},"ev":"round","gl":{gl},'
+                 f'"plane":{plane},"stb":{"true" if stb else "false"},"t":{t}}}\n')
 
     def send_up(self, *, arrival: int, mes: int, plane: int, t: int) -> None:
-        self.add(_FORMATS["send_up"] % (arrival, mes, plane, t))
+        self.add(f'{{"arrival":{arrival},"ev":"send_up","mes":{mes},"plane":{plane},'
+                 f'"t":{t}}}\n')
 
     def send_down(self, *, arrival: int, m: int, plane: int, t: int, to: int) -> None:
-        self.add(_FORMATS["send_down"] % (arrival, m, plane, t, to))
+        self.add(f'{{"arrival":{arrival},"ev":"send_down","m":{m},"plane":{plane},"t":{t},'
+                 f'"to":{to}}}\n')
 
     def recv_down(self, *, m: int, mes: int, plane: int, t: int) -> None:
-        self.add(_FORMATS["recv_down"] % (m, mes, plane, t))
+        self.add(f'{{"ev":"recv_down","m":{m},"mes":{mes},"plane":{plane},"t":{t}}}\n')
 
     def drop_up(self, *, mes: int, plane: int, t: int, why: str) -> None:
-        self.add(_FORMATS["drop_up"] % (mes, plane, t, why))
+        self.add(f'{{"ev":"drop_up","mes":{mes},"plane":{plane},"t":{t},"why":"{why}"}}\n')
 
     def drop_down(self, *, mes: int, plane: int, t: int, why: str) -> None:
-        self.add(_FORMATS["drop_down"] % (mes, plane, t, why))
+        self.add(f'{{"ev":"drop_down","mes":{mes},"plane":{plane},"t":{t},"why":"{why}"}}\n')
 
 
 def _reads_relays(hook) -> bool:
@@ -896,8 +880,8 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _decisive_samples(tracks: list[ClockTrack], jumps: Iterable[int], t1: int, t2: int,
                       THL: int, ends: list[int]) -> list[int]:
     """The instants in [t1, t2] that can decide sync_check (see there), sorted;
-    `jumps` holds the jumps inside [t1, t2], and `ends` a block's window edges
-    and the two ends of each of its rate spans."""
+    `jumps` holds the jumps inside [t1, t2], and `ends` the block's other
+    window edges and rate span ends, each once."""
     keep = set(jumps)
     marks = [t1, t2, *ends, *keep]
     keep.update([t // THL * THL for t in marks])
@@ -1073,14 +1057,19 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
         base.append((tr.clock.h0 + tr.offset0 + carry) % tau)
 
     # Each window's rate spans, as (first instant, last instant, window), and
-    # the block's samples.
-    spans = []
+    # the block's samples.  Each instant is marked once: a span stops where
+    # another starts, or at its window's end, which is the next window's
+    # start or the block's end, but for a last half-shifted span that stops
+    # inside its window; the block's ends are t1 and t2 of the pick.
+    spans, ends = [], []
     for j, (t1, t2) in enumerate(zip(edges, edges[1:])):
         starts = list(range(t1, t2, delta))
         starts += [s + delta // 2 for s in starts[:-1]]
         spans += [(s, min(s + delta, t2), j) for s in starts]
-    samples = _decisive_samples(tracks, jumps, edges[0], edges[-1], THL,
-                                [*edges, *(t for s, stop, _j in spans for t in (s, stop))])
+        ends += starts
+        if len(starts) > 1 and starts[-1] + delta < t2:
+            ends.append(starts[-1] + delta)
+    samples = _decisive_samples(tracks, jumps, edges[0], edges[-1], THL, ends[1:])
     if not samples:
         return list(zip(ok, devs))
     ts = np.array(samples, dtype=np.int64)

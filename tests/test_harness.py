@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -339,6 +340,56 @@ class TestResyncScan:
                 assert (r.resync_point_count, r.resync_windows, r.attempts, r.successes) == (
                     len(windows), len(set(windows)), len(before),
                     sum(stab is not None and stab <= v + G0 + 1 for v in before))
+
+
+    def test_run_tallies_the_points_it_draws(self, monkeypatch):
+        # run_once counts the points as the scan yields them and holds only
+        # those not yet classified: its four fields equal the formula over
+        # the list of every yielded point's window.  A tight precision bound
+        # makes runs that stabilize late or never.
+        points, windows = [], []
+
+        class Recording(ResyncScan):
+            def feed(self, tosses):
+                for point in super().feed(tosses):
+                    points.append(point)
+                    yield point
+
+            def end(self):
+                for point in super().end():
+                    points.append(point)
+                    yield point
+
+        class Spy(harness.World):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                windows.append(self.window)
+
+        monkeypatch.setattr(harness, "ResyncScan", Recording)
+        monkeypatch.setattr(harness, "World", Spy)
+        never = late = after = 0
+        for adv, init, stop, eps0 in itertools.product(
+                sorted(adversaries.BUILTINS), ("synchronized", "random"), (True, False),
+                (None, 1)):
+            sc = scenario(adversary=adv, init=init, horizon=40, stop_after_confirm=stop,
+                          eps0_check=eps0)
+            for seed in range(30):
+                points.clear()
+                windows.clear()
+                r = run_once(sc, seed)
+                [window] = windows
+                point_windows = [t // window for t, _p in points]
+                stab = r.stabilization_window
+                attempts = [w for w in point_windows if stab is None or w < stab]
+                assert (r.resync_point_count, r.resync_windows, r.attempts, r.successes) == (
+                    len(point_windows), len(set(point_windows)), len(attempts),
+                    sum(stab is not None and stab <= w + G0 + 1 for w in attempts))
+                never += stab is None and bool(attempts)
+                late += len(attempts) - r.successes if stab is not None else 0
+                after += len(point_windows) - len(attempts)
+        # Not vacuous: runs that never stabilize, attempts too early to
+        # succeed before a late stabilization, and points after it.
+        assert never and late and after
 
 
 class TestRunOnce:
@@ -989,6 +1040,18 @@ class TestReplayCli:
         assert cli_main(["replay", "--trace", str(trace), *args]) == 1
         assert capsys.readouterr().err == \
             f"replay diverges: {len(lines) - 2} recorded vs {len(lines)} replayed records\n"
+
+    def test_doubled_last_line_diverges_by_count(self, tmp_path, capsys):
+        # Every replayed line matches, but the recording has one more.
+        args = ["--horizon", "3", "--seed", "4", "--trace-level", "full"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = tmp_path / "trace_seed4.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines + lines[-1:]))
+        capsys.readouterr()
+        assert cli_main(["replay", "--trace", str(trace), *args]) == 1
+        assert capsys.readouterr().err == \
+            f"replay diverges: {len(lines) + 1} recorded vs {len(lines)} replayed records\n"
 
     def test_edited_record_is_named(self, tmp_path, capsys):
         # The comparison runs across the re-run's blocks: an edited record in

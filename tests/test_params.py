@@ -3,8 +3,10 @@
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
 from planesync.errors import ConfigurationError
 from planesync.params import (
@@ -20,6 +22,8 @@ from planesync.params import (
 )
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = [*sorted((ROOT / "scenarios").glob("*.yaml")), ROOT / "bench" / "record_replay.yaml"]
 
 
 def make_params(**over):
@@ -206,3 +210,26 @@ schedule:
         doc = load_config_doc(str(path))
         with pytest.raises(ConfigurationError, match="bogus"):
             parse_system_section(doc["system"])
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.relative_to(ROOT).as_posix())
+    def test_same_document_as_the_pure_python_parser(self, path, libyaml, monkeypatch):
+        # load_config_doc parses with libyaml's CSafeLoader when PyYAML has
+        # it, and with SafeLoader when it has not (CSafeLoader taken away
+        # here): each committed file gives the document SafeLoader builds.
+        with open(path) as f:
+            want = yaml.load(f, Loader=yaml.SafeLoader)
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config_doc(str(path)) == want
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_invalid_yaml_named(self, tmp_path, monkeypatch, libyaml):
+        # Either parser's error becomes the same ConfigurationError; only its
+        # text after the colon differs.
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(self.CONFIG.replace("n0: 4", "n0: [4"))
+        with pytest.raises(ConfigurationError, match="scenario.yaml is not valid YAML: "):
+            load_config_doc(str(path))

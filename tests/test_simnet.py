@@ -1061,6 +1061,10 @@ def _dumps(r):
 TRACE_STRINGS = {"branch": {"avg", "weak", "own", "rft"},
                  "why": {"outside policed slot", "late", "no round"}}
 NODE_TAGS = {"mws", "mes"}
+# The record kinds, in the order Trace defines their recorders: each public
+# name of Trace but its two methods.
+KINDS = [name for name in vars(Trace)
+         if not name.startswith("_") and name not in ("add", "to_jsonl")]
 
 
 @pytest.mark.same_bytes
@@ -1080,7 +1084,7 @@ class TestTraceExport:
                 spied.append(kind)
             return spying
 
-        for kind in simnet._LINES:
+        for kind in KINDS:
             monkeypatch.setattr(Trace, kind, spy(kind, getattr(Trace, kind)))
         adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
                        _LateSender, _LateRelay]
@@ -1106,7 +1110,7 @@ class TestTraceExport:
                         sig_c.add(r["c"] is None)
                     elif r["ev"] == "adjust":
                         assert r["node"][0] in NODE_TAGS
-        assert seen == set(simnet._LINES)
+        assert seen == set(KINDS)
         assert strings == TRACE_STRINGS
         assert stb == {True, False} and sig_c == {True, False}
 
@@ -1136,22 +1140,32 @@ class TestTraceExport:
         trace = Trace()
         for kind, fields in calls:
             getattr(trace, kind)(**fields)
-        assert [kind for kind, _fields in calls] == list(simnet._LINES)
+        assert [kind for kind, _fields in calls] == KINDS
         assert trace.records == [_dumps({"ev": kind, **fields}) for kind, fields in calls]
         assert trace.to_jsonl() == "".join(trace.records)
 
     def test_recorders_are_the_schema(self):
-        # One recorder per kind, named after it, whose parameters are its
-        # template's placeholders, each keyword-only and without a default:
-        # a missing or extra field fails at the call.
-        assert {name for name in vars(Trace) if not name.startswith("_")} == \
-            set(simnet._LINES) | {"add", "to_jsonl"}
-        for kind, line in simnet._LINES.items():
+        # One recorder per kind, named after it, whose parameters are the
+        # keys but "ev" of the line it writes, each keyword-only and without
+        # a default: a missing or extra field fails at the call.  Each field
+        # gets its own sentinel, so an integer written under another key
+        # shows.
+        for kind in KINDS:
             params = list(inspect.signature(getattr(Trace, kind)).parameters.values())
             assert params[0].name == "self", kind
             assert all(p.kind == p.KEYWORD_ONLY and p.default is p.empty
                        for p in params[1:]), kind
-            assert {p.name for p in params[1:]} == set(re.findall(r"%\((\w+)\)", line)), kind
+            sentinels = {p.name: 1000 + k for k, p in enumerate(params[1:])}
+            trace = Trace()
+            getattr(trace, kind)(**{name: ("mes", v) if name == "node" else v
+                                    for name, v in sentinels.items()})
+            [line] = trace.records
+            record = json.loads(line)
+            assert record.pop("ev") == kind
+            assert record.keys() == sentinels.keys(), kind
+            for name, value in record.items():
+                if type(value) is int:
+                    assert value == sentinels[name], (kind, name)
 
     @pytest.mark.parametrize("kind, fields, error, message", [
         ("watchdog", dict(t=1, plane=0, extra=2), TypeError, "keyword argument 'extra'"),
