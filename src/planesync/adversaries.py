@@ -17,7 +17,10 @@ terminals inject upward messages through adv_send_up.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import ConfigurationError
+from .ftcore import below
 from .params import Resolved
 from .protocol import TTMessageUp
 from .ring import wrap_add
@@ -25,6 +28,10 @@ from .simnet import QUANT, World
 
 __all__ = ["Adversary", "Silent", "RandomNoise", "MaxSkew", "SplitBrain", "BUILTINS",
            "make_adversary"]
+
+# Bits of one draw of a skew in [0, QUANT] and of a delay in [1, QUANT]:
+# below's width for QUANT + 1 and for QUANT values.
+_SKEW_BITS, _DELAY_BITS = (QUANT + 1).bit_length(), QUANT.bit_length()
 
 
 class Adversary:
@@ -42,11 +49,11 @@ class Adversary:
         self.world = world
         self.rp: Resolved = world.rp
         self.rng = world.adv_rng
-        # randrange(a, b) is a + _randbelow(b - a), and randrange(n) is
-        # _randbelow(n), after argument checks that cost more than the draw;
-        # tests/test_simnet.py pins the equality on the running interpreter.
-        # Every per-round draw goes through _below.
-        self._below = world.adv_rng._randbelow
+        # Every integer draw is ftcore.below on the public getrandbits.  The
+        # skew and delay hooks, about 40 draws a window, run its loop in
+        # place; the other draws go through _below.
+        self._bits = world.adv_rng.getrandbits
+        self._below = partial(below, world.adv_rng)
 
     def unbind(self) -> None:
         self.world = None
@@ -60,13 +67,19 @@ class Adversary:
         return 0
 
     def choose_phase(self, rank: int) -> int:
-        return self.rng.randrange(QUANT)
+        return self._below(QUANT)
 
     def choose_skew(self, i: int, p: int) -> int:
-        return self._below(QUANT + 1)          # randrange(QUANT + 1)
+        k = self._bits(_SKEW_BITS)              # below(rng, QUANT + 1), in place
+        while k > QUANT:
+            k = self._bits(_SKEW_BITS)
+        return k
 
     def choose_delay(self, sender: int, p: int) -> int:
-        return 1 + self._below(QUANT)          # randrange(1, QUANT + 1)
+        k = self._bits(_DELAY_BITS)             # 1 + below(rng, QUANT), in place
+        while k >= QUANT:
+            k = self._bits(_DELAY_BITS)
+        return 1 + k
 
     # -- faulty-component behavior -------------------------------------------
 
@@ -95,7 +108,7 @@ class RandomNoise(Adversary):
     def bind(self, world: World) -> None:
         super().bind(world)
         span = world.drift_steps
-        self._rates = [self.rng.randint(-span, span) for _rank in range(self.rp.n1 + self.rp.n0)]
+        self._rates = [self._below(2 * span + 1) - span for _rank in range(self.rp.n1 + self.rp.n0)]
 
     def choose_period(self, rank: int) -> int:
         return self._rates[rank]
@@ -108,7 +121,7 @@ class RandomNoise(Adversary):
         w = self.world
         T_ticks = self.rp.T
         lo, hi = T_ticks // 2, 3 * T_ticks // 2
-        gap = w.THL * (lo + self._below(hi - lo))       # randrange(lo, hi)
+        gap = w.THL * (lo + self._below(hi - lo))
         t_sig = w.engine.now + gap
 
         def fire(p=p):

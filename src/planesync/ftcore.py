@@ -27,6 +27,7 @@ from .params import Resolved
 from .ring import circ_sort, ring_med, unwrap
 
 __all__ = [
+    "below",
     "msr_reduce",
     "msr_select",
     "circ_mean",
@@ -42,6 +43,21 @@ __all__ = [
 ]
 
 Relays = Sequence[Sequence[Optional[int]]]
+
+
+def below(rng: Random, n: int) -> int:
+    """A uniform integer in [0, n), n >= 1: draws of n.bit_length() bits
+    until one is below n.  It rests only on the public getrandbits, and it
+    is the rule behind CPython's randrange(n), which tests/test_simnet.py
+    pins on the running interpreter.  An n below 1 rejects every draw and
+    raises."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"below needs n >= 1, not {n}")
+        r = rng.getrandbits(k)
+    return r
 
 
 def msr_reduce(values: list[int], f: int, tau_max: int) -> list[int]:
@@ -122,7 +138,7 @@ def rft(C: Relays, c_pre: int, p0: Fraction | float, rng: Random, rp: Resolved) 
         # No entries about plane p, no reference: fall back to the previous clock.
         candidates.append(ring_med(present, rp.tau_max) if present else c_pre)
     candidates.append(c_pre)
-    return candidates[rng.randrange(4)]
+    return candidates[below(rng, 4)]
 
 
 def hw_accuracy_threshold(rp: Resolved) -> int:

@@ -35,6 +35,7 @@ from .params import (
     parse_system_section,
     resolve,
 )
+from .ftcore import below
 from .protocol import grandmaster_toss
 from .simnet import INIT_POLICIES, TRACE_LEVELS, World, derive_seed, sync_check
 
@@ -565,13 +566,34 @@ def summarize(results: list[RunResult], rp: Resolved, failed_seeds: tuple[int, .
     )
 
 
+def _run_seed(sc: Scenario, seed: int) -> Union[RunResult, str]:
+    """A campaign's run of one seed: its result, or why it failed."""
+    try:
+        return run_once(sc, seed)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+_worker_scenario: Optional[Scenario] = None     # a campaign worker's scenario
+
+
+def _init_worker(sc: Scenario) -> None:
+    global _worker_scenario
+    _worker_scenario = sc
+
+
+def _run_chunk(seeds: list[int]) -> list[Union[RunResult, str]]:
+    return [_run_seed(_worker_scenario, s) for s in seeds]
+
+
 def run_monte_carlo(sc: Scenario, seeds: list[int],
                     jobs: int = 1) -> tuple[StatsSummary, list[RunResult]]:
     """Independent runs, one per seed, joined in seed order.
 
     A run that raises is recorded in failed_seeds, with its exception in
     failure_reasons, and marks the campaign incomplete rather than aborting
-    the others.
+    the others.  With jobs > 1, each worker process gets the scenario once,
+    when it starts, and the seeds in chunks, about four per worker.
     """
     if not seeds:
         raise ConfigurationError("a campaign needs at least one seed")
@@ -579,32 +601,33 @@ def run_monte_carlo(sc: Scenario, seeds: list[int],
         raise ConfigurationError(f"a campaign needs at least one worker process: {jobs}")
     if len(seeds) != len(set(seeds)):
         raise ConfigurationError("duplicate seeds in campaign")
-    rp = sc.resolved
-    results: list[RunResult] = []
-    failed: list[int] = []
-    reasons: list[str] = []
-
-    def fail(s: int, e: Exception) -> None:
-        failed.append(s)
-        reasons.append(f"{type(e).__name__}: {e}")
-
+    outs: list[Union[RunResult, str]] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor     # a serial run never loads it
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futs = [(s, ex.submit(run_once, sc, s)) for s in seeds]
-            for s, fut in futs:
+        size = -(-len(seeds) // (4 * jobs))
+        chunks = [seeds[k:k + size] for k in range(0, len(seeds), size)]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(sc,)) as ex:
+            futs = [(chunk, ex.submit(_run_chunk, chunk)) for chunk in chunks]
+            for chunk, fut in futs:
                 try:
-                    results.append(fut.result())
-                except Exception as e:
-                    fail(s, e)
+                    outs += fut.result()
+                except Exception as e:      # the worker itself failed
+                    outs += [f"{type(e).__name__}: {e}"] * len(chunk)
     else:
-        for s in seeds:
-            try:
-                results.append(run_once(sc, s))
-            except Exception as e:
-                fail(s, e)
-    summary = summarize(results, rp, failed_seeds=tuple(failed), failure_reasons=tuple(reasons))
+        outs = [_run_seed(sc, s) for s in seeds]
+    results: list[RunResult] = []
+    failed: list[int] = []
+    reasons: list[str] = []
+    for s, out in zip(seeds, outs):
+        if isinstance(out, str):
+            failed.append(s)
+            reasons.append(out)
+        else:
+            results.append(out)
+    summary = summarize(results, sc.resolved, failed_seeds=tuple(failed),
+                        failure_reasons=tuple(reasons))
     return summary, results
 
 
@@ -640,7 +663,7 @@ def _coin_tosses(rp: Resolved, n_windows: int,
     from the seed as it is read, so that it is never held whole."""
     T, horizon = rp.T, math.ceil(rp.dv.T_max * n_windows)
     rng = Random(derive_seed(seed, "coin-model"))
-    phases = [rng.randrange(T) for _node in range(rp.n1 - rp.f1)]
+    phases = [below(rng, T) for _node in range(rp.n1 - rp.f1)]
     # Each node's toss instants, merged in (t, node) order.
     merged = heapq.merge(*(zip(range(phase, horizon, T), repeat(node))
                            for node, phase in enumerate(phases)))

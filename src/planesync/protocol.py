@@ -11,16 +11,16 @@ All state is single-owner (mutated only by the simulation event loop); the
 functions here mutate in place and lean on the pure core in ftcore.
 
 The per-round steps write ring arithmetic as `% tau` (ring.py says why
-that is exact).  Relays and round summaries are slotted, unfrozen
-dataclasses: a frozen dataclass's __init__ costs about twice as much, and
-nothing changes either once it is built.
+that is exact).  Relays are slotted, unfrozen dataclasses, and round
+summaries slotted classes: a frozen dataclass's __init__ costs about twice
+as much, and nothing changes either once it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .ftcore import check_stb, check_weak, filters, fta, rft, accuracy_check, update_acc_counter
 from .params import Resolved
@@ -161,15 +161,41 @@ def mws_rearm(state: MwsState) -> None:
     state.tau_idl = state.tau_max
 
 
-@dataclass(slots=True)
 class RoundSummary:
     """What the end-of-collection step decided: the coin, the stability
-    verdict, the branch taken and the new clock value."""
+    verdict, the branch taken and the new clock value.
 
-    b_coin: int
-    stb: bool
-    branch: str  # "avg", "weak", "own", "rft"
-    c_new: int
+    `stb` may be given as a function of no arguments that decides the
+    verdict; it runs on the first read of `stb`, and its value replaces
+    it.  Two summaries are equal when their four values are."""
+
+    __slots__ = ("b_coin", "_stb", "branch", "c_new")
+
+    def __init__(self, b_coin: int, stb: Union[bool, Callable[[], bool]], branch: str,
+                 c_new: int) -> None:
+        self.b_coin = b_coin
+        self._stb = stb
+        self.branch = branch  # "avg", "weak", "own", "rft"
+        self.c_new = c_new
+
+    @property
+    def stb(self) -> bool:
+        stb = self._stb
+        if callable(stb):
+            stb = self._stb = stb()
+        return stb
+
+    def _values(self) -> tuple[int, bool, str, int]:
+        return self.b_coin, self.stb, self.branch, self.c_new
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundSummary):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "RoundSummary(b_coin={!r}, stb={!r}, branch={!r}, c_new={!r})".format(
+            *self._values())
 
 
 def grandmaster_toss(life: int, rng: Random, rp: Resolved) -> tuple[int, int]:
@@ -190,25 +216,34 @@ def mws_on_end_mc_recv(state: MwsState, relays: dict[int, TTMessageUp], h_now: i
     ftcore reads the relays' own vectors in arrival order; its docstring
     says why neither that order nor a terminal that sent nothing can change
     the decision.  When the chosen branch has too few relays to work with,
-    the switch keeps its own clock."""
+    the switch keeps its own clock.
+
+    The stability verdict is decided here only where it picks the branch.
+    A switch that holds grandmaster lifetime and tosses a tail averages
+    whatever the verdict: its summary then decides the verdict on the first
+    read of `stb`, which no untraced run makes."""
     tau = rp.tau_max
     held = state.grand_life
     b_coin, state.grand_life = grandmaster_toss(held, rng, rp)
-    grand = b_coin == 1 or held > 0
 
     C, M, A = [], [], []
     for u in relays.values():
         C.append(u.c_vec)
         M.append(u.m_vec)
         A.append(u.a_vec)
-    stb = check_stb(C, filters(M, A, rp), rp)
-    if stb or (grand and b_coin == 0):
+    if held > 0 and b_coin == 0:
+        stb = lambda: check_stb(C, filters(M, A, rp), rp)
         branch, c_new = "avg", fta(C, rp)
-    elif grand:
-        branch, c_new = "weak", check_weak(C, rp)
     else:
-        c_pre = (h_now + rp.dv.delta_tt3 + state.c_tilde_old) % tau
-        branch, c_new = "rft", rft(C, c_pre, rp.dv.p0_cut, rng, rp)
+        # Here the switch is grandmaster exactly when the coin shows a head.
+        stb = check_stb(C, filters(M, A, rp), rp)
+        if stb:
+            branch, c_new = "avg", fta(C, rp)
+        elif b_coin == 1:
+            branch, c_new = "weak", check_weak(C, rp)
+        else:
+            c_pre = (h_now + rp.dv.delta_tt3 + state.c_tilde_old) % tau
+            branch, c_new = "rft", rft(C, c_pre, rp.dv.p0_cut, rng, rp)
     if c_new is None:
         # During chaos a node must still output something: its own clock.
         branch = "own"

@@ -68,6 +68,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SimulationError
+from .ftcore import below
 from .params import Resolved
 from .protocol import (MesState, MwsState, TTMessageUp, mes_on_begin_vc_send, mes_on_clock_msg,
                        mes_on_end_c_recv, mws_on_end_c_send, mws_on_end_mc_recv, mws_on_sig,
@@ -413,7 +414,7 @@ class World:
                               % QUANT)
             tau = rp.tau_max
             self.clocks = [HardwareClock(t_ref=t_ref, period=period,
-                                         h0=self.init_rng.randrange(tau), tau=tau)
+                                         h0=below(self.init_rng, tau), tau=tau)
                            for t_ref, period in self._clock_grid(grid, steps, phases)]
             self.tracks: list[Optional[ClockTrack]] = [None] * (n1 + n0)
             # Each slot step's offset from a round anchor, in subticks: a
@@ -504,7 +505,7 @@ class World:
             # value was one cycle behind the upcoming one, received at the
             # usual point of the slot schedule.
             T = rp.T       # validate keeps tau_max >= 4T and c_send within [0, T0]
-            c_init = T * rng.randrange(tau // T)
+            c_init = T * below(rng, tau // T)
             # A plane's first SIG may anchor one or more cycles past c_init
             # depending on its tick phase; records must sit exactly one cycle
             # behind that anchor, at its send slot's end, or the first
@@ -522,24 +523,24 @@ class World:
                 st.acc = [rp.a0] * n1
         elif policy == "random":
             for p in self.honest_planes:
-                tau_idl = tau if rng.random() < 0.5 else rng.randrange(tau)
-                clock_offset = rng.randrange(tau)
-                grand_life = rng.randrange(rp.dv.g0 + 1)
-                rng.randrange(2)  # unread draw (a last coin); it keeps each seed's bytes
+                tau_idl = tau if rng.random() < 0.5 else below(rng, tau)
+                clock_offset = below(rng, tau)
+                grand_life = below(rng, rp.dv.g0 + 1)
+                below(rng, 2)  # unread draw (a last coin); it keeps each seed's bytes
                 self.mws[p] = MwsState(tau_max=tau, clock_offset=clock_offset,
                                        grand_life=grand_life, tau_idl=tau_idl,
-                                       c_tilde_old=rng.randrange(tau))
+                                       c_tilde_old=below(rng, tau))
             for i in self.honest_mes:
-                st = MesState(n1=n1, clock_offset=rng.randrange(tau))
+                st = MesState(n1=n1, clock_offset=below(rng, tau))
                 for q in range(n1):
                     if rng.random() < 0.5:
-                        st.m_rec[q] = rng.randrange(tau)
-                        st.h_rec[q] = rng.randrange(tau)
-                        st.acc[q] = rng.randrange(rp.a0 + 1)
+                        st.m_rec[q] = below(rng, tau)
+                        st.h_rec[q] = below(rng, tau)
+                        st.acc[q] = below(rng, rp.a0 + 1)
                         # Unread draws (an older record); they keep each seed's bytes.
                         if rng.random() < 0.5:
-                            rng.randrange(tau)
-                            rng.randrange(tau)
+                            below(rng, tau)
+                            below(rng, tau)
                 self.mes[i] = st
         else:
             raise ConfigurationError(f"unknown initial-state policy {policy!r}")
@@ -1085,10 +1086,13 @@ def sync_check(tracks: list[ClockTrack], edges: list[int], rp: Resolved, L: int,
 
     # Rate condition, exact integer arithmetic: scaled by T_H*L and by the
     # denominator of rho so both sides are integers.  Each span that holds
-    # two samples or more: its first and last column of readings, and its
+    # two samples or more, in a window whose precision held (one that failed
+    # it fails either way): its first and last column of readings, and its
     # window.
     cols, owner = [], []
     for s0, stop, j in spans:
+        if not ok[j]:
+            continue
         lo, hi = bisect_left(samples, s0), bisect_right(samples, stop)
         if hi - lo >= 2:
             cols.append((2 * lo, 2 * hi - 1))

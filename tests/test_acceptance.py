@@ -10,6 +10,7 @@ run determinism.
 
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +33,9 @@ from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
 REF = reference_scenario()
 RP = REF.resolved
 ADVERSARIES = ("silent", "random_noise", "max_skew", "split_brain")
+# Worker processes of the campaign criteria; a campaign's results do not
+# depend on how many there are.
+JOBS = min(4, os.cpu_count() or 1)
 
 
 def criterion(n, desc):
@@ -232,7 +236,7 @@ def test_criterion_4_closure():
     for adv in ADVERSARIES:
         sc = replace(REF, adversary=adv, init="synchronized", horizon=1000,
                      stop_after_confirm=False, eps0_check=bound)
-        summary, results = run_monte_carlo(sc, list(range(20)))
+        summary, results = run_monte_carlo(sc, list(range(20)), jobs=JOBS)
         assert not summary.incomplete, adv
         assert summary.n_violations == 0, adv
         assert all(r.windows_run == 1000 for r in results), adv
@@ -253,7 +257,7 @@ def test_criterion_5_coin_model():
 def test_criterion_6_stabilization():
     for adv in ADVERSARIES:
         sc = replace(REF, adversary=adv, init="random", horizon=10_000)
-        summary, _results = run_monte_carlo(sc, list(range(500)))
+        summary, _results = run_monte_carlo(sc, list(range(500)), jobs=JOBS)
         assert summary.all_stabilized, adv
         assert summary.attempts > 0 and summary.attempt_freq_ok, adv
         assert summary.stab_mean_ok, adv

@@ -601,6 +601,21 @@ def test_round_decision_matches_reference(rp):
     assert 300 <= stable <= 2700, stable
 
 
+def test_summary_decides_its_verdict_on_first_read():
+    calls = []
+
+    def decide():
+        calls.append(1)
+        return True
+
+    got = RoundSummary(b_coin=0, stb=decide, branch="avg", c_new=5)
+    assert calls == []
+    assert got.stb is True and got.stb is True and calls == [1]
+    assert got == RoundSummary(b_coin=0, stb=True, branch="avg", c_new=5)
+    assert got != RoundSummary(b_coin=0, stb=False, branch="avg", c_new=5)
+    assert repr(got) == "RoundSummary(b_coin=0, stb=True, branch='avg', c_new=5)"
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(st.lists(st.integers(0, 99), min_size=1, max_size=9), st.integers(0, 3),
        st.sampled_from([4, 7, 100]))

@@ -1,6 +1,7 @@
 """Simulator tests: event engine, clock staircases, round machinery,
 message policing, and the synchronization verdict."""
 
+import ast
 import dataclasses
 import functools
 import gc
@@ -17,6 +18,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -563,6 +565,38 @@ class TestWorkCounts:
             "mws_on_end_mc_recv": 6400})
 
 
+class TestVerdictOnRead:
+    """A switch that holds grandmaster lifetime and tosses a tail averages
+    whatever the stability verdict says, so an untraced run decides the
+    verdict only in the other rounds."""
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_untraced_run_decides_only_the_verdicts_it_reads(self, name, init, monkeypatch):
+        counts = _count_calls(monkeypatch, (ftcore.filters, ftcore.check_stb))
+        w = World(RP, make_adversary(name), seed=3, init_policy=init, trace_level="off")
+        life = {p: w.mws[p].grand_life for p in w.honest_planes}
+        w.run_until_window(60)
+        w.close()
+        reads = skips = 0
+        for _t, p, b, gl in w.toss_log:
+            if life[p] > 0 and b == 0:
+                skips += 1
+            else:
+                reads += 1
+            life[p] = gl
+        assert skips > 0 and reads > 0
+        assert counts == {"filters": reads, "check_stb": reads}
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_untraced_and_traced_runs_agree(self, name, init):
+        sc = reference_scenario(adversary=name, init=init, horizon=60, stop_after_confirm=False)
+        runs = [run_once(dataclasses.replace(sc, trace_level=level), 3)
+                for level in ("off", "core")]
+        assert runs[0] == runs[1]
+
+
 class TestRelayToFaultyPlane:
     """A World pushes no relay step toward a faulty plane while the
     adversary's on_up_to_faulty is the base no-op."""
@@ -976,29 +1010,59 @@ class TestDeterminism:
                     h.update(path.read_bytes())
         assert h.hexdigest()[:16] == "a7958b87c7db65cb"
 
-    def test_adversary_draws_are_randrange_draws(self):
-        """The adversaries draw per round with Random._randbelow: randrange(a,
-        b) is a + _randbelow(b - a), and randrange(n) is _randbelow(n), on the
-        interpreters this suite has run on.  An interpreter whose randrange
-        does more fails here, by name, and not only through the pinned hash."""
-        for seed in range(20):
-            rng, ref = random.Random(seed), random.Random(seed)
-            for a, b in [(0, 4 * QUANT), (1, QUANT + 1), (64, 192), (0, RP.tau_max)] * 50:
-                assert a + rng._randbelow(b - a) == ref.randrange(a, b)
-                assert rng._randbelow(b) == ref.randrange(b)
-            assert rng.getstate() == ref.getstate()
+    def test_below_draws_are_randrange_draws(self):
+        """Every integer draw in src/ is ftcore.below on getrandbits, and
+        the skew and delay hooks run its loop in place.  On the interpreters
+        this suite has run on, each equals randrange on a twin generator,
+        value by value and state by state, for every n that src/ draws, so
+        the bytes did not move when the draws left randrange.  An
+        interpreter whose randrange draws otherwise fails here, by name,
+        and not only through the pinned hash."""
+        for rp in (RP, reference_scenario().resolved):
+            tau, T = rp.tau_max, rp.T
+            w = World(rp, make_adversary("silent"), seed=0)
+            span = w.drift_steps
+            w.close()
+            sizes = {tau, tau // T, T, 3 * T // 2 - T // 2, rp.a0 + 1, rp.dv.g0 + 1, 2, 4,
+                     QUANT, QUANT + 1, 4 * QUANT, 2 * span + 1, 1, 3, 2**40 + 3}
+            for seed in range(10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for n in sorted(sizes) * 100:
+                    assert ftcore.below(rng, n) == ref.randrange(n), n
+                assert ftcore.below(rng, 2 * span + 1) - span == ref.randint(-span, span)
+                assert rng.getstate() == ref.getstate()
         for seed in range(20):
             adv = make_adversary("silent")
             adv.bind(SimpleNamespace(rp=RP, adv_rng=random.Random(seed)))
             ref = random.Random(seed)
             picks = random.Random(1000 + seed)
-            for _ in range(500):
+            for _ in range(2000):
                 if picks.random() < 0.5:
                     assert adv.choose_skew(1, 0) == ref.randrange(QUANT + 1)
                 else:
                     assert adv.choose_delay(3, 0) == ref.randrange(1, QUANT + 1)
+            assert adv.choose_phase(0) == ref.randrange(QUANT)
             assert adv.rng.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("n", [0, -1, -7])
+    def test_below_refuses_an_empty_range(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ftcore.below(random.Random(0), n)
+
+
+def test_src_draws_only_through_below():
+    """src/ names none of randrange, randint, choice and shuffle, whose
+    sequences the random module says may change, nor the private
+    _randbelow: not as a method, a function or an import."""
+    banned = {"randrange", "randint", "_randbelow", "choice", "shuffle"}
+    found = []
+    for path in sorted(Path(simnet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else None)
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [name]
+            found += [(path.name, node.lineno, n) for n in names if n in banned]
+    assert found == []
 
 
 class _LateRelay(_LateSender):
