@@ -90,9 +90,10 @@ class Adversary:
         pass
 
     def on_up_to_faulty(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
-        """Honest terminal i's relay to faulty plane p, sent at send_t.  While
-        this hook is this base no-op, a World pushes no relay step toward a
-        faulty plane: nothing would read the relay."""
+        """Never called: a World relays only toward honest planes.  An
+        adversary that wants honest terminal i's records reads the world
+        (world.mes[i]), as SplitBrain reads clocks.  It stays, a no-op,
+        because bench/tracer.py wraps every hook by name."""
 
 
 class Silent(Adversary):

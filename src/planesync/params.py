@@ -149,6 +149,11 @@ def _d_max_ticks(p: SystemParams) -> int:
     return math.ceil(Fraction(p.d_max) / ((1 - p.rho) * p.T_H))
 
 
+def _eps_rnd(p: SystemParams) -> Fraction:
+    """The round-start skew bound; unset, it is d_max."""
+    return p.eps_rnd if p.eps_rnd is not None else Fraction(p.d_max)
+
+
 def _resolve_eps(p: SystemParams, dmt: int) -> tuple[int, int, int]:
     """Defaults: eps0 from the precision claim, eps1/eps2 from their orders.
 
@@ -234,6 +239,22 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
             "c_send->c_recv gap must exceed "
             f"d_max ticks ({dmt}): {sched.c_send} -> {sched.c_recv}"
         )
+    # The same windows in time, on the worst clocks.  An honest relay, sent at
+    # vc_send[0] on a slow terminal clock from an anchor eps_rnd late, arrives
+    # by d_max later, before collection ends at mc_recv[1] on a fast plane
+    # clock; an honest clock value, sent at c_send[0] on a slow plane clock,
+    # arrives before the receive slot ends at c_recv[1] on a fast terminal
+    # clock.  The first also keeps every terminal anchor before c_send[0] on
+    # a fast plane clock, so no honest value arrives before its round.
+    slow, fast = p.T_H * (1 + p.rho), p.T_H * (1 - p.rho)
+    late, end = _eps_rnd(p) + sched.vc_send[0] * slow + p.d_max, sched.mc_recv[1] * fast
+    if not late < end:
+        v.append("an honest relay can miss collection: eps_rnd + vc_send[0]*T_H*(1+rho) + d_max "
+                 f"< mc_recv[1]*T_H*(1-rho) violated: {late} >= {end}")
+    late, end = sched.c_send[0] * slow + p.d_max, sched.c_recv[1] * fast
+    if not late < end:
+        v.append("an honest clock value can miss its receive slot: c_send[0]*T_H*(1+rho) + d_max "
+                 f"< c_recv[1]*T_H*(1-rho) violated: {late} >= {end}")
     return ValidationReport(ok=not v, violations=tuple(v), d_max_ticks=dmt, eps=eps)
 
 
@@ -285,15 +306,13 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
     t_max = 2 * T * (1 + p.rho)
     hw_acc_bound = math.ceil(Fraction(2 * eps0 + 2 * p.rho * T + dmt) / (1 - p.rho) ** 2)
     stb_exp = 2 / q1_bound + g0 if q1_bound > 0 else None
-    eps_rnd = p.eps_rnd if p.eps_rnd is not None else Fraction(p.d_max)
-
     return DerivedParams(
         c0=c0, k0=k0, g0=g0, q0=q0, p0=p0, T=T,
         q0_cut=_draw_cut(q0), p0_cut=_draw_cut(p0),
         delta_tt0=d0, delta_tt1=d1, delta_tt2=d2, delta_tt3=d3,
         q1_bound=q1_bound, T_max=t_max, stb_exp_windows=stb_exp,
         eps0=eps0, eps1=eps1, eps2=eps2, d_max_ticks=dmt, hw_acc_bound=hw_acc_bound,
-        eps_rnd=eps_rnd, warnings=tuple(warnings),
+        eps_rnd=_eps_rnd(p), warnings=tuple(warnings),
     )
 
 

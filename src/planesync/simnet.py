@@ -22,18 +22,17 @@ terminal until its receive slot ends; a terminal buffers a clock value that
 arrives before its receive slot opens and processes it at slot begin.
 Arrivals after slot end are dropped.
 
-An honest message that will land in its round and simply be kept there is
-stored at send time, with no delivery event: an honest terminal's relay
-that reaches the plane's round before its receive slot ends, and an honest
-plane's clock value that reaches a terminal's round before its receive
-slot opens and before the plane's own end_cs.  Two rules decide, each at
-send time and at arrival: `World._refusal_up` for a relay to a plane, and
-`_MesRound.fate` for a clock value to a terminal.  The store is exact: the
-round stays current until the arrival (only the plane's next SIG, after its
-end_cs, replaces a plane's round or a terminal's round for that plane), and
-it reads what it holds only at its slot boundaries, later still.  Every other message keeps
-its delivery event at its arrival instant: faulty traffic, a value that
-arrives inside a terminal's receive slot, and any message to drop.
+An honest terminal's relay is stored at send time, with no delivery event:
+by validate's upward rule it reaches its plane's round inside the policed
+slot, before collection ends.  So is an honest plane's clock value that
+reaches a terminal's round before its receive slot opens and before the
+plane's own end_cs (`_MesRound.fate`).  The store is exact: the round stays
+current until the arrival (only the plane's next SIG, after its end_cs,
+replaces a plane's round or a terminal's round for that plane), and it
+reads what it holds only at its slot boundaries, later still.  Every other
+message keeps its delivery event at its arrival instant: faulty traffic, a
+value that arrives inside a terminal's receive slot, and any message to
+drop.
 
 A round pushes its own slot steps onto the engine's heap, with no
 `schedule` call each: when it is created it reserves their sequence numbers
@@ -46,12 +45,10 @@ shares with a terminal's slot steps.  A step that would do nothing is not
 pushed, though its number stays reserved.  A terminal round's slot-begin
 step has work only when a clock value waits in its buffer, so the first
 value buffered pushes it (`World._buffer`), and a round that buffers none
-never pushes it.  A faulty plane's round reads no relay: the relay step
-only hands the relay to the adversary's `on_up_to_faulty`, so while that
-hook is the base no-op (`World._relay_to_faulty`) the step is not pushed.
-The order is unchanged: the heap pops its entries in key order whatever
-order they were pushed in, and each step is pushed while an earlier event
-runs (a value is buffered only before its slot opens).
+never pushes it.  A faulty plane's round reads no relay, so no relay step
+is pushed toward one.  The order is unchanged: the heap pops its entries in
+key order whatever order they were pushed in, and each step is pushed while
+an earlier event runs (a value is buffered only before its slot opens).
 """
 
 from __future__ import annotations
@@ -301,17 +298,6 @@ class Trace:
         self.add(f'{{"ev":"drop_down","mes":{mes},"plane":{plane},"t":{t},"why":"{why}"}}\n')
 
 
-def _reads_relays(hook) -> bool:
-    """Whether an adversary's bound `on_up_to_faulty` does anything: False
-    for the base no-op, and for a wrapper that names it as `__wrapped__`
-    (functools.wraps), which stands for the function it wraps."""
-    from .adversaries import Adversary
-
-    while hasattr(hook, "__wrapped__"):
-        hook = hook.__wrapped__
-    return getattr(hook, "__func__", None) is not Adversary.on_up_to_faulty
-
-
 def _integer(hook: str, name: str, value) -> int:
     """An adversary hook's count, instant or clock value as a Python int."""
     try:
@@ -347,8 +333,9 @@ class _MesRound:
     """A terminal's round for one plane: its anchor, its receive slot
     [b_recv, e_recv), and the clock values that arrive before that slot
     opens, ingested when it does (World._buffer).  Every event of the round
-    carries it, and its handlers return once another round has taken its
-    place (when that happens: the module docstring)."""
+    carries it, and its receive-slot handlers return once another round has
+    taken its place (when that happens: the module docstring), which by
+    validate's upward rule comes after its relay step."""
 
     def __init__(self, anchor: int, b_recv: int, e_recv: int, seq_cr: int) -> None:
         self.anchor = anchor
@@ -405,7 +392,6 @@ class World:
             # bind, overridden or wrapped, and every skew and delay calls them.
             self._choose_skew = adversary.choose_skew
             self._choose_delay = adversary.choose_delay
-            self._relay_to_faulty = _reads_relays(adversary.on_up_to_faulty)
             steps, phases = [], []
             for rank in range(n1 + n0):
                 steps.append(grid + _count("choose_period", "rate", adversary.choose_period(rank),
@@ -623,12 +609,11 @@ class World:
         the adversary's count of quanta clamped to [0, QUANT]; with no skew
         allowed, the adversary is not asked.  Each honest terminal's round
         takes three slot steps' numbers from one reservation and pushes its
-        relay step, unless nothing reads that relay, and its last step
-        (module docstring); t_sig is not in the past, so neither is any step."""
+        relay step, toward an honest plane only, and its last step (module
+        docstring); t_sig is not in the past, so neither is any step."""
         quantum, heap, push = self.skew_quantum, self._heap, heapq.heappush
         choose_skew, mes_round, end_cr = self._choose_skew, self.mes_round, self._on_end_cr
-        begin_vc = (self._on_begin_vc if self._relay_to_faulty or p not in self.faulty_planes
-                    else None)
+        begin_vc = self._on_begin_vc if p not in self.faulty_planes else None
         seq = self.engine.reserve(3 * len(self.honest_mes))
         for i, slots in enumerate(self._mes_slots):
             anchor = t_sig
@@ -697,47 +682,38 @@ class World:
 
     # ---- terminal (MES) round machinery ------------------------------------
 
-    def _on_begin_vc(self, i: int, p: int, rnd: _MesRound) -> None:
-        if self.mes_round[i][p] is not rnd:
-            return
+    def _on_begin_vc(self, i: int, p: int, _rnd: _MesRound) -> None:
+        """Honest terminal i relays to honest plane p, whose round is current
+        and keeps the relay (module docstring): it is stored now.  The delay
+        is drawn all the same, for the trace and the adversary's stream."""
         t = self.engine.now
         clk = self.clocks[self._n1 + i]
         h = (clk.h0 + (t - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(t), inlined
         msg = mes_on_begin_vc_send(self.mes[i], h, self.rp)
-        if p in self.faulty_planes:
-            self.adversary.on_up_to_faulty(i, p, msg, t)
-            return
         k = self._choose_delay(self._n1 + i, p)
         if type(k) is not int or not 1 <= k <= QUANT:
             k = _count("choose_delay", "delay", k, 1)
-        arrival = t + k * self.delay_quantum
         if self._trace_full:
-            self.trace.send_up(t=t, mes=i, plane=p, arrival=arrival)
-        # Stored now if the round keeps it at arrival (module docstring).
-        dest = self.plane_round[p]
-        if dest is not None and self._refusal_up(dest, t, arrival) is None:
-            dest.relays.setdefault(i, msg)
-        else:
-            self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, t, i, msg)
-
-    def _refusal_up(self, rnd: _PlaneRound, send_t: int, arrival: int) -> Optional[str]:
-        """Why plane round rnd refuses a relay sent at send_t that arrives at
-        `arrival`; None when it keeps it.  TT isolation at the plane: the
-        send instant must lie in the policed image of the round's upward slot,
-        and it must arrive before e_recv, where collection ends (slot handlers
-        run before deliveries); one that comes before the slot opens is kept."""
-        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
-            return "outside policed slot"
-        return None if rnd.anchor <= arrival < rnd.e_recv else "late"
+            self.trace.send_up(t=t, mes=i, plane=p, arrival=t + k * self.delay_quantum)
+        self.plane_round[p].relays[i] = msg
 
     def _deliver_up(self, p: int, send_t: int, i: int, msg: TTMessageUp) -> None:
+        """A faulty terminal's upload, at its arrival instant.  TT isolation
+        at the plane: the round keeps it if it was sent within the policed
+        image of the round's upward slot and arrives before e_recv, where
+        collection ends (slot handlers run before deliveries); one that
+        comes before the slot opens is kept."""
         rnd = self.plane_round[p]
         if rnd is None:
             return
-        why = self._refusal_up(rnd, send_t, self.engine.now)
-        if why is None:
+        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
+            why = "outside policed slot"
+        elif self.engine.now >= rnd.e_recv:
+            why = "late"
+        else:
             rnd.relays.setdefault(i, msg)
-        elif self._trace_full:
+            return
+        if self._trace_full:
             self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why=why)
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:

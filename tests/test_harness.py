@@ -961,6 +961,12 @@ class TestValidateCli:
          "vc_send->mc_recv gap must exceed d_max ticks (3): (12, 13) -> (14, 15)"),
         (("c_send: [30, 34]\n  c_recv: [38, 48]", "c_send: [40, 41]\n  c_recv: [42, 43]"),
          "c_send->c_recv gap must exceed d_max ticks (3): (40, 41) -> (42, 43)"),
+        (("eps_rnd: 1/2", "eps_rnd: 16"),
+         "an honest relay can miss collection: eps_rnd + vc_send[0]*T_H*(1+rho) + d_max "
+         "< mc_recv[1]*T_H*(1-rho) violated: 12003/500 >= 2997/125"),
+        (("rho: 1/1000", "rho: 1/4\n  eps1: 30\n  eps2: 60"),
+         "an honest clock value can miss its receive slot: c_send[0]*T_H*(1+rho) + d_max "
+         "< c_recv[1]*T_H*(1-rho) violated: 79/2 >= 36"),
         (("  c_recv: [38, 48]\n", ""), "missing schedule keys: ['c_recv']"),
         (("vc_send: [6, 10]", "vc_send: [6, 10, 12]"),
          "schedule slot vc_send must be [begin, end]: [6, 10, 12]"),
@@ -974,6 +980,7 @@ class TestValidateCli:
             "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan",
             "eps0_check_negative", "d_max_zero", "a0_zero", "q0_outside", "p0_outside",
             "slot_past_T0", "eps_order", "rho_eighth", "upward_gap", "downward_gap",
+            "upward_timing", "downward_timing",
             "slot_missing", "slot_triple", "T0_missing", "empty_document", "no_schedule"])
     def test_rejects_what_a_run_rejects(self, tmp_path, capsys, edit, why):
         # Everything `run` and `campaign` would reject, validate rejects too.

@@ -3,7 +3,6 @@ message policing, and the synchronization verdict."""
 
 import ast
 import dataclasses
-import functools
 import gc
 import hashlib
 import heapq
@@ -24,14 +23,14 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planesync import ftcore, protocol, ring, simnet
 from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
 from planesync.harness import reference_scenario, run_once
-from planesync.params import Resolved, SystemParams, TTSchedule, resolve
+from planesync.params import Resolved, SystemParams, TTSchedule, resolve, validate
 from planesync.protocol import MwsState, TTMessageUp, mes_on_begin_vc_send, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
@@ -418,30 +417,6 @@ class TestSendTimeDelivery:
         assert events <= 0.75 * ref_events
         assert whys == TRACE_STRINGS["why"] - {"no round"}
 
-    def test_late_honest_relays_match_event_delivery(self):
-        # Round-start skews of 20 and 30 ticks, which validate accepts: some
-        # terminals relay after their plane's collection has ended, so an
-        # honest relay takes the delivery event, not the store.  The same
-        # records, refusals included, as the reference.
-        class Counted(World):
-            def __init__(self, *args, **kwargs):
-                self.late = 0       # honest relays not stored at send time
-                super().__init__(*args, **kwargs)
-
-            def _deliver_up(self, p, send_t, i, msg):
-                self.late += i in self.honest_mes
-                super()._deliver_up(p, send_t, i, msg)
-
-        late = Counter()
-        for eps_rnd, name, init, seed in itertools.product(
-                (20, 30), BUILTINS, ("synchronized", "random"), (1, 2)):
-            rp = make_rp(eps_rnd=Fraction(eps_rnd))
-            w, ref = (cls(rp, make_adversary(name), seed=seed, init_policy=init,
-                          trace_level="full") for cls in (Counted, _EventDelivery))
-            _assert_same_run(w, ref, 60, (eps_rnd, name, init, seed))
-            late[eps_rnd] += w.late
-        assert late[20] > 0 and late[30] > 0
-
     def test_every_slot_begin_step_finds_a_value(self):
         # A terminal round pushes its slot-begin step with its first buffered
         # value, so each one that runs has a value to ingest; the sequence
@@ -512,6 +487,116 @@ class TestSendTimeDelivery:
         for t, i, p, h_rec, b_recv in w.ingested:
             assert b_recv < t
             assert h_rec == (w.clocks[rp.n1 + i].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
+
+
+class _WorstTiming(Adversary):
+    """The latest honest arrival, upward or downward.  Upward: planes fast,
+    terminals slow, the largest skew.  Downward: planes slow, terminals
+    fast, no skew.  The longest delay either way; faulty nodes are silent."""
+
+    name = "worst_timing"
+
+    def __init__(self, up):
+        super().__init__()
+        self.up = up
+
+    def choose_period(self, rank):
+        plane_fast = (rank < self.rp.n1) == self.up
+        return -self.world.drift_steps if plane_fast else self.world.drift_steps
+
+    def choose_skew(self, i, p):
+        return QUANT if self.up else 0
+
+    def choose_delay(self, sender, p):
+        return QUANT
+
+
+def _honest_drops(w, ev):
+    """w's drop records of kind ev ("drop_up" or "drop_down") for a message
+    an honest node sent."""
+    key, senders = ("mes", w.honest_mes) if ev == "drop_up" else ("plane", w.honest_planes)
+    return [r for r in _records(w) if r["ev"] == ev and r[key] in senders]
+
+
+UPWARD = "an honest relay can miss collection"
+DOWNWARD = "an honest clock value can miss its receive slot"
+
+
+class TestTimingRules:
+    """validate's upward and downward timing rules are exact.  At a rule's
+    boundary, the event-delivery reference drops an honest message under the
+    worst timing.  1/16 below it, validate accepts, no honest message is
+    dropped, and the World, which stores every honest relay at send time,
+    runs exactly as the reference."""
+
+    @staticmethod
+    def _runs(rp, up, boundary):
+        for init in ("synchronized", "random"):
+            ref = _EventDelivery(rp, _WorstTiming(up), seed=1, init_policy=init,
+                                 trace_level="full")
+            if boundary:
+                ref.run_until_window(30)
+            else:
+                w = World(rp, _WorstTiming(up), seed=1, init_policy=init, trace_level="full")
+                _assert_same_run(w, ref, 30, init)
+            yield ref
+
+    def test_upward_boundary(self):
+        # The reference schedule's eps_rnd boundary: 24 (1 - rho) - 6 (1 + rho) - 2.
+        sys, sched = RP.sys, RP.sched
+        eps = Fraction(1597, 100)
+        assert validate(dataclasses.replace(sys, eps_rnd=eps - Fraction(1, 16)), sched).ok
+        refused = validate(dataclasses.replace(sys, eps_rnd=eps), sched).violations
+        assert len(refused) == 1 and refused[0].startswith(UPWARD)
+        for at, boundary in ((eps, True), (eps - Fraction(1, 16), False)):
+            rp = dataclasses.replace(RP, dv=dataclasses.replace(RP.dv, eps_rnd=at))
+            for w in self._runs(rp, True, boundary):
+                drops = _honest_drops(w, "drop_up")
+                if boundary:
+                    assert drops and {r["why"] for r in drops} == {"late"}
+                else:
+                    assert drops == []
+
+    def test_downward_boundary(self):
+        # The d_max boundary of c_send (60, 62) -> c_recv (62, 64) at rho
+        # 1/100: 64 (1 - rho) - 60 (1 + rho).  Both sides have 3 d_max ticks,
+        # so the tick rule passes both.
+        sched = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(60, 62), c_recv=(62, 64))
+        d_max = Fraction(69, 25)
+        below = resolve(dataclasses.replace(RP.sys, rho=Fraction(1, 100),
+                                            d_max=d_max - Fraction(1, 16)), sched)
+        refused = validate(dataclasses.replace(below.sys, d_max=d_max), sched).violations
+        assert len(refused) == 1 and refused[0].startswith(DOWNWARD)
+        for at, boundary in ((d_max, True), (d_max - Fraction(1, 16), False)):
+            rp = dataclasses.replace(below, sys=dataclasses.replace(below.sys, d_max=at))
+            for w in self._runs(rp, False, boundary):
+                drops = _honest_drops(w, "drop_down")
+                assert bool(drops) == boundary
+                assert all(r["why"] == "no round" for r in drops)
+
+    @settings(max_examples=25, deadline=None)
+    @example(6, 24, Fraction(1, 1000), 8, 0)        # the reference, at the boundary
+    @example(6, 24, Fraction(1, 1000), 8, -1)
+    @given(st.integers(0, 8), st.integers(16, 26),
+           st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 200), Fraction(1, 100)]),
+           st.integers(4, 12), st.integers(-16, 2))
+    def test_accepted_scenarios_store_honest_relays_on_time(self, vc0, mc1, rho, d4, k):
+        # eps_rnd k/16 off the upward boundary: validate accepts exactly
+        # below it (no other rule binds in this range), and an accepted
+        # scenario runs under the worst upward timing as the reference does,
+        # with no message dropped.
+        sched = TTSchedule(vc_send=(vc0, vc0 + 4), mc_recv=(14, mc1), c_send=(30, 34),
+                           c_recv=(38, 48))
+        d_max = Fraction(d4, 4)
+        eps = mc1 * (1 - rho) - vc0 * (1 + rho) - d_max + Fraction(k, 16)
+        params = dataclasses.replace(RP.sys, rho=rho, d_max=d_max, eps_rnd=eps)
+        assert validate(params, sched).ok == (k < 0)
+        if k < 0:
+            rp = resolve(params, sched)
+            w, ref = (cls(rp, _WorstTiming(True), seed=1, init_policy="synchronized",
+                          trace_level="full") for cls in (World, _EventDelivery))
+            _assert_same_run(w, ref, 8, (vc0, mc1, rho, d_max, k))
+            assert not any(r["ev"].startswith("drop") for r in _records(w))
 
 
 def _count_calls(monkeypatch, funcs):
@@ -595,58 +680,6 @@ class TestVerdictOnRead:
         runs = [run_once(dataclasses.replace(sc, trace_level=level), 3)
                 for level in ("off", "core")]
         assert runs[0] == runs[1]
-
-
-class TestRelayToFaultyPlane:
-    """A World pushes no relay step toward a faulty plane while the
-    adversary's on_up_to_faulty is the base no-op."""
-
-    @staticmethod
-    def _logged(name, log):
-        class Logged(BUILTINS[name]):
-            def on_up_to_faulty(self, i, p, msg, send_t):
-                log.append((i, p, send_t, msg.c_vec, msg.a_vec, msg.m_vec))
-        return Logged()
-
-    def test_a_reading_hook_gets_every_relay(self):
-        # Each built-in's behaviour, with a hook that logs: the same calls as
-        # a World that pushed every relay step (the pinned digest), and the
-        # built-in's own bytes.
-        h, calls = hashlib.sha256(), {}
-        for name, init in itertools.product(BUILTINS, ("synchronized", "random")):
-            log = []
-            traces = []
-            for adv in (make_adversary(name), self._logged(name, log)):
-                w = World(RP, adv, seed=3, init_policy=init, trace_level="full")
-                w.run_until_window(100)
-                w.close()
-                traces.append(w.trace.to_jsonl())
-            assert traces[0] == traces[1], (name, init)
-            calls[name, init] = len(log)
-            h.update(repr(log).encode())
-        assert all(calls[name, init] > 0 for name in ("random_noise", "split_brain")
-                   for init in ("synchronized", "random"))
-        assert (sum(calls.values()), h.hexdigest()[:16]) == (2415, "6eb9f50908459ca7")
-
-    def test_a_wrapper_stands_for_what_it_wraps(self):
-        # A functools.wraps wrapper, as the benchmark's tracer sets on every
-        # hook, of the base no-op is skipped with it; one of a hook that
-        # reads is called.
-        for log_inside in (False, True):
-            log, seen = [], []
-            adv = self._logged("random_noise", log) if log_inside else \
-                make_adversary("random_noise")
-            inner = adv.on_up_to_faulty
-
-            @functools.wraps(inner)
-            def wrapper(*args, inner=inner):
-                seen.append(args)
-                return inner(*args)
-            adv.on_up_to_faulty = wrapper
-            w = World(RP, adv, seed=3, init_policy="synchronized")
-            w.run_until_window(20)
-            w.close()
-            assert len(seen) == len(log) and bool(seen) == log_inside
 
 
 class TestRounds:
