@@ -38,13 +38,13 @@ SCENARIO_ENV_VAR = "PLANESYNC_CONFIG"
 
 def as_fraction(x: Any) -> Fraction:
     """Exact rational from int, Fraction, decimal string, 'p/q' string, or
-    finite float.
+    finite float; a bool, which YAML reads from `yes` or `true`, is refused.
 
     Floats go through their shortest decimal repr, so 0.01 becomes 1/100.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         if math.isfinite(x):

@@ -34,21 +34,20 @@ message keeps its delivery event at its arrival instant: faulty traffic, a
 value that arrives inside a terminal's receive slot, and any message to
 drop.
 
-A round pushes its own slot steps onto the engine's heap, with no
-`schedule` call each: when it is created it reserves their sequence numbers
-(`Engine.reserve`), so each step's key is the one `schedule` would have
-given it then.  A SIG's member rounds take one reservation for every honest
-terminal's three steps: faulty terminals are the last indices, so each
-honest one keeps the numbers it would take alone, and a number only breaks
-ties within one (instant, rank, kind), which no other event of the SIG
-shares with a terminal's slot steps.  A step that would do nothing is not
-pushed, though its number stays reserved.  A terminal round's slot-begin
-step has work only when a clock value waits in its buffer, so the first
-value buffered pushes it (`World._buffer`), and a round that buffers none
-never pushes it.  A faulty plane's round reads no relay, so no relay step
-is pushed toward one.  The order is unchanged: the heap pops its entries in
-key order whatever order they were pushed in, and each step is pushed while
-an earlier event runs (a value is buffered only before its slot opens).
+Slot steps run by their round.  A round pushes its own slot steps onto the
+engine's heap, with no `schedule` call each, keyed (instant, node rank,
+K_SLOT, 3*serial + step): serial counts SIGs as they start, honest and
+faulty alike, and step is the step's place in its round, 0 for the relay or
+end_mc, 1 for slot-begin or begin_cs, 2 for end_cr or end_cs.  Only slot
+steps are of kind K_SLOT, so two at one node and instant run in the order
+their rounds began, then in slot order, whenever each was pushed (the one
+step pushed after its round begins, slot-begin, is pushed before its
+instant: a value is buffered only before its slot opens).  A step that
+would do nothing is not pushed.  A terminal round's slot-begin step has
+work only when a clock value waits in its buffer, so the first value
+buffered pushes it (`World._buffer`), and a round that buffers none never
+pushes it.  A faulty plane's round reads no relay, so no relay step is
+pushed toward one.
 """
 
 from __future__ import annotations
@@ -111,14 +110,12 @@ def derive_seed(master: int, tag: str) -> int:
 class Engine:
     """Min-heap event loop over integer subtick timestamps.
 
-    An event is a heap entry (t, node rank, kind rank, sequence number, fn,
-    args); it runs as fn(*args).  Events at one instant run by node rank,
-    then kind rank, then sequence number: one terminal's slot steps for two
-    planes' rounds can share the first three, and then the lower number runs
-    first.  `schedule` numbers an event as it pushes it.  `reserve` hands out
-    numbers for entries pushed later, straight onto `_heap`: a round
-    reserves its slot steps' numbers when it is created (module docstring).
-    `_seq` counts the numbers given out.
+    An event is a heap entry (t, node rank, kind rank, key, fn, args); it
+    runs as fn(*args).  Events at one instant run by node rank, then kind
+    rank, then key.  `schedule` keys an event by insertion order, which
+    decides the ties left: deliveries, and adversary events, at one
+    (instant, rank, kind); `_seq` counts the entries it has pushed.  Slot
+    steps go straight onto `_heap`, keyed by their round (module docstring).
     """
 
     def __init__(self) -> None:
@@ -133,14 +130,6 @@ class Engine:
         heapq.heappush(self._heap, (t, node_rank, kind, self._seq, fn, args))
         self._seq += 1
 
-    def reserve(self, n: int) -> int:
-        """The first of n consecutive sequence numbers, as n calls to
-        schedule would take them.  An entry pushed under one must sort after
-        the event running when it is pushed."""
-        seq = self._seq
-        self._seq = seq + n
-        return seq
-
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
@@ -148,7 +137,7 @@ class Engine:
     def run_until(self, t_stop: int) -> None:
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= t_stop:
-            t, _rank, _kind, _seq, fn, args = pop(heap)
+            t, _rank, _kind, _key, fn, args = pop(heap)
             self.now = t
             fn(*args)
         if self.now < t_stop:
@@ -341,7 +330,7 @@ class _MesRound:
         self.anchor = anchor
         self.b_recv = b_recv
         self.e_recv = e_recv
-        self.seq_cr = seq_cr    # the sequence number of its slot-begin step
+        self.seq_cr = seq_cr    # its slot-begin step's key
         self.buffer: list[int] = []
 
     def fate(self, t: int) -> int:
@@ -365,6 +354,7 @@ class World:
         self.seed = seed
         self.engine = Engine()
         self._heap = self.engine._heap      # for the slot steps' own pushes
+        self._sigs = 0                      # SIGs started: the slot steps' serial
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(f"unknown trace level {trace_level!r}")
         self.trace = Trace()
@@ -595,11 +585,11 @@ class World:
         rnd = _PlaneRound(t, t + end_mc)
         self.plane_round[p] = rnd
         t_end_cs = t + end_cs
-        seq, heap = self.engine.reserve(3), self._heap
-        heapq.heappush(heap, (rnd.e_recv, p, K_SLOT, seq, self._on_end_mc, (p, rnd)))
-        heapq.heappush(heap, (t + begin_cs, p, K_SLOT, seq + 1,
+        key, heap = 3 * self._sigs, self._heap     # the serial _start_member_rounds takes
+        heapq.heappush(heap, (rnd.e_recv, p, K_SLOT, key, self._on_end_mc, (p, rnd)))
+        heapq.heappush(heap, (t + begin_cs, p, K_SLOT, key + 1,
                               self._on_begin_cs, (p, rnd, t_end_cs)))
-        heapq.heappush(heap, (t_end_cs, p, K_SLOT, seq + 2, self._on_end_cs, (p, rnd)))
+        heapq.heappush(heap, (t_end_cs, p, K_SLOT, key + 2, self._on_end_cs, (p, rnd)))
 
         self._start_member_rounds(p, t)
         self.adversary.on_sig(p, t)
@@ -607,14 +597,15 @@ class World:
     def _start_member_rounds(self, p: int, t_sig: int) -> None:
         """Give every terminal an anchor for plane p's new round, skewed by
         the adversary's count of quanta clamped to [0, QUANT]; with no skew
-        allowed, the adversary is not asked.  Each honest terminal's round
-        takes three slot steps' numbers from one reservation and pushes its
-        relay step, toward an honest plane only, and its last step (module
-        docstring); t_sig is not in the past, so neither is any step."""
+        allowed, the adversary is not asked.  The SIG takes the next serial;
+        each honest terminal's round pushes its relay step, toward an honest
+        plane only, and its last step under it (module docstring); t_sig is
+        not in the past, so neither is any step."""
         quantum, heap, push = self.skew_quantum, self._heap, heapq.heappush
         choose_skew, mes_round, end_cr = self._choose_skew, self.mes_round, self._on_end_cr
         begin_vc = self._on_begin_vc if p not in self.faulty_planes else None
-        seq = self.engine.reserve(3 * len(self.honest_mes))
+        key = 3 * self._sigs
+        self._sigs += 1
         for i, slots in enumerate(self._mes_slots):
             anchor = t_sig
             if quantum:
@@ -626,12 +617,11 @@ class World:
                 self.adversary.faulty_mes_round(i, p, anchor)
                 continue
             rank, vc, cr0, cr1 = slots
-            rnd = _MesRound(anchor, anchor + cr0, anchor + cr1, seq + 1)
+            rnd = _MesRound(anchor, anchor + cr0, anchor + cr1, key + 1)
             mes_round[i][p] = rnd
             if begin_vc is not None:
-                push(heap, (anchor + vc, rank, K_SLOT, seq, begin_vc, (i, p, rnd)))
-            push(heap, (rnd.e_recv, rank, K_SLOT, seq + 2, end_cr, (i, p, rnd)))
-            seq += 3
+                push(heap, (anchor + vc, rank, K_SLOT, key, begin_vc, (i, p, rnd)))
+            push(heap, (rnd.e_recv, rank, K_SLOT, key + 2, end_cr, (i, p, rnd)))
 
     def _on_watchdog_fire(self, p: int) -> None:
         # Nothing else is scheduled for a plane that starts busy, so it is
@@ -733,7 +723,7 @@ class World:
     def _buffer(self, i: int, p: int, rnd: _MesRound, m: int) -> None:
         """Hold clock value m, which reached terminal i's round rnd before its
         receive slot opened, for that slot.  The first value pushes the
-        slot-begin step under the number rnd reserved (module docstring)."""
+        slot-begin step under rnd's key (module docstring)."""
         if not rnd.buffer:
             heapq.heappush(self._heap, (rnd.b_recv, self._n1 + i, K_SLOT, rnd.seq_cr,
                                         self._on_begin_cr, (i, p, rnd)))

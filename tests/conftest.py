@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from planesync.protocol import TTMessageUp
 from planesync.ring import wrap_add, wrap_sub
 
 
@@ -27,6 +28,58 @@ def switch_tick_walk(state, c_now, h_now, rp):
 @pytest.fixture
 def tick_walk():
     return switch_tick_walk
+
+
+def corrupt(world, rng):
+    """A transient fault at the world's current instant: overwrite, with
+    draws from rng, every honest value the protocol holds mid-round.
+
+    Each honest plane gets a new offset, grandmaster lifetime and previous
+    offset, and the relays its current round holds are replaced by random
+    ones.  Each honest terminal gets a new offset, new records (about one in
+    three cleared) and new buffered values.  Every offset change is recorded
+    on the node's track at this instant, so the checker sees it.
+
+    Two states the World cannot represent are left alone.  A terminal
+    round's buffer is overwritten only where it already holds a value: the
+    World pushes the round's slot-begin step with the first value, so a
+    value put in an empty buffer would never be read.  And the pending SIG
+    and watchdog entries, with each plane's busy marker, stay as they were:
+    the World computes them from that marker and the plane's offset when
+    it schedules them, so they are a cache of a state, not a state.
+    """
+    rp = world.rp
+    tau, n1 = rp.tau_max, rp.n1
+
+    def value():
+        return None if rng.random() < 0.3 else rng.randrange(tau)
+
+    for p in world.honest_planes:
+        st = world.mws[p]
+        old, st.clock_offset = st.clock_offset, rng.randrange(tau)
+        world._record_adjust(p, old, st.clock_offset)
+        st.grand_life = rng.randrange(rp.dv.g0 + 1)
+        st.c_tilde_old = rng.randrange(tau)
+        rnd = world.plane_round[p]
+        for i in rnd.relays if rnd is not None else ():
+            rnd.relays[i] = TTMessageUp(tuple(value() for _q in range(n1)),
+                                        tuple(rng.randrange(rp.a0 + 1) for _q in range(n1)),
+                                        tuple(value() for _q in range(n1)))
+    for i in world.honest_mes:
+        st = world.mes[i]
+        old, st.clock_offset = st.clock_offset, rng.randrange(tau)
+        world._record_adjust(n1 + i, old, st.clock_offset)
+        for q in range(n1):
+            st.m_rec[q] = value()
+            st.h_rec[q] = None if st.m_rec[q] is None else rng.randrange(tau)
+            st.acc[q] = 0 if st.m_rec[q] is None else rng.randrange(rp.a0 + 1)
+        for rnd in world.mes_round[i]:
+            rnd.buffer[:] = [rng.randrange(tau) for _m in rnd.buffer]
+
+
+@pytest.fixture(name="corrupt")
+def corrupt_fixture():
+    return corrupt
 
 
 def q1_closed_form_floor(g0: int) -> float:

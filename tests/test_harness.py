@@ -947,6 +947,8 @@ class TestValidateCli:
         (("eps_rnd: 1/2", "eps_rnd: -1/2"), "eps_rnd must be >= 0: -1/2"),
         (("n0: 4", "n0: [4"), "scenario.yaml is not valid YAML"),
         (("rho: 1/1000", "rho: .nan"), "system key rho: cannot interpret nan"),
+        (("T_H: 1", "T_H: yes"), "system key T_H: cannot interpret True"),
+        (("d_max: 2", "d_max: true"), "system key d_max: cannot interpret True"),
         (("  trace: \"off\"", "  trace: \"off\"\n  eps0_check: -1"),
          "eps0_check must be >= 0: -1"),
         (("d_max: 2", "d_max: 0"), "d_max must be positive: 0"),
@@ -978,7 +980,7 @@ class TestValidateCli:
             "horizon_text", "slot_text", "n0_string", "stop_string", "rho_text",
             "name_list", "adversary_string", "section_typo", "five_planes",
             "f0_negative", "f1_negative", "eps_rnd_negative", "yaml_syntax", "rho_nan",
-            "eps0_check_negative", "d_max_zero", "a0_zero", "q0_outside", "p0_outside",
+            "T_H_yes", "d_max_true", "eps0_check_negative", "d_max_zero", "a0_zero", "q0_outside", "p0_outside",
             "slot_past_T0", "eps_order", "rho_eighth", "upward_gap", "downward_gap",
             "upward_timing", "downward_timing",
             "slot_missing", "slot_triple", "T0_missing", "empty_document", "no_schedule"])

@@ -165,7 +165,7 @@ class TestFractions:
         assert as_fraction(0.01) == Fraction(1, 100)
         assert as_fraction("1/3") == Fraction(1, 3)
         assert as_fraction(5) == Fraction(5)
-        for bad in (object(), float("nan"), float("inf"), float("-inf")):
+        for bad in (object(), float("nan"), float("inf"), float("-inf"), True, False):
             with pytest.raises(ConfigurationError):
                 as_fraction(bad)
 

@@ -34,7 +34,9 @@ from planesync.params import Resolved, SystemParams, TTSchedule, resolve, valida
 from planesync.protocol import MwsState, TTMessageUp, mes_on_begin_vc_send, next_sig_tick
 from planesync.ring import ring_dist
 from planesync.simnet import (
+    K_ADV,
     K_DELIVER,
+    K_SLOT,
     K_WATCHDOG,
     QUANT,
     ClockTrack,
@@ -104,28 +106,50 @@ class TestEngine:
             eng.run_until(10)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2)),
-                    min_size=1, max_size=12), st.data())
-    def test_reserved_numbers_keep_the_scheduled_order(self, events, data):
-        # The same events fire in the same order whether each is scheduled,
-        # or numbered by reserve and pushed later, at any instant before its
-        # own: the heap pops entries in key order, whatever order they came in.
-        ref, eng = Engine(), Engine()
-        want, got = [], []
-        for j, (t, rank, kind) in enumerate(events):
-            ref.schedule(t, rank, kind, want.append, j)
-        ref.run_until(10)
-        first = eng.reserve(len(events))
-        assert (first, eng._seq) == (0, ref._seq)
-        for j, (t, rank, kind) in enumerate(events):
-            entry = (t, rank, kind, first + j, got.append, (j,))
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 3),
+                              st.integers(0, 2)),
+                    min_size=1, max_size=12, unique_by=lambda step: step[1:]),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
+                              st.integers(K_WATCHDOG, K_ADV)), max_size=8),
+           st.data())
+    def test_slot_steps_run_by_their_round(self, steps, others, data):
+        # Slot steps (t, rank, serial, step), pushed straight onto the heap
+        # in any order, each at any instant before its own, among scheduled
+        # events of the other kinds: all run in (t, rank, kind, serial, step)
+        # order, the scheduled ones by insertion order on a full tie.
+        eng, got = Engine(), []
+        for j, (t, rank, kind) in enumerate(others):
+            eng.schedule(t, rank, kind, got.append, ("other", j))
+        for t, rank, serial, step in data.draw(st.permutations(steps)):
+            entry = (t, rank, K_SLOT, 3 * serial + step, got.append,
+                     (("slot", rank, serial, step),))
             at = data.draw(st.integers(-1, t - 1))     # -1: before the run starts
             if at < 0:
                 heapq.heappush(eng._heap, entry)
             else:
-                eng.schedule(at, 9, 0, heapq.heappush, eng._heap, entry)
+                eng.schedule(at, 9, K_ADV, heapq.heappush, eng._heap, entry)
         eng.run_until(10)
-        assert got == want
+        want = sorted([((t, rank, kind, j), ("other", j))
+                       for j, (t, rank, kind) in enumerate(others)] +
+                      [((t, rank, K_SLOT, serial, step), ("slot", rank, serial, step))
+                       for t, rank, serial, step in steps])
+        assert got == [name for _order, name in want]
+
+    def test_slot_step_ties_run_by_round(self, monkeypatch):
+        # A silent run has slot steps of two rounds at one node and instant;
+        # they run in the order the rounds began, then in slot order.
+        popped = []
+
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            popped.append(entry[:4])
+            return entry
+        monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                             heappop=heappop))
+        World(RP, make_adversary("silent"), seed=1).run_until_window(100)
+        ties = [(divmod(a[3], 3), divmod(b[3], 3)) for a, b in zip(popped, popped[1:])
+                if a[:3] == b[:3] and a[2] == K_SLOT]
+        assert ties and all(first < second for first, second in ties)
 
 
 class TestHardwareClock:
@@ -691,6 +715,33 @@ class TestVerdictOnRead:
         runs = [run_once(dataclasses.replace(sc, trace_level=level), 3)
                 for level in ("off", "core")]
         assert runs[0] == runs[1]
+
+
+class TestMidRoundCorruption:
+    """Stabilization from a mid-round state: a synchronized run, its honest
+    values all overwritten (conftest.corrupt) at a random instant inside
+    window 20, confirms stability within the 40 windows from there."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_stabilizes_after_a_transient_fault(self, name, corrupt):
+        sc = reference_scenario(init="synchronized")
+        rp = sc.resolved
+        confirm = sc.confirm_windows(rp)
+        for seed in range(20):
+            w = World(rp, make_adversary(name), seed=seed, init_policy="synchronized",
+                      trace_level="off")
+            rng = random.Random(seed)
+            w.engine.run_until(20 * w.window + rng.randrange(w.window))
+            corrupt(w, rng)
+            w.run_until_window(60)
+            w.close()
+            run = 0
+            for ok, _dev in sync_check(w.qap_tracks(), [k * w.window for k in range(20, 61)],
+                                       rp, w.L):
+                run = run + 1 if ok else 0
+                if run == confirm:
+                    break
+            assert run == confirm, (name, seed)
 
 
 class TestRounds:
