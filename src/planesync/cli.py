@@ -42,7 +42,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
 
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "jsonl":
-        out.write(json.dumps(record, sort_keys=True) + "\n")
+        out.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     else:
         out.write(table(sorted(record.items())) + "\n")
 
@@ -70,7 +70,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _emit(result.to_record(), args.format, sys.stdout)
     if args.out:
         with open(os.path.join(args.out, f"result_seed{args.seed}.json"), "w") as f:
-            json.dump(result.to_record(), f, sort_keys=True, indent=2)
+            json.dump(result.to_record(), f, sort_keys=True, indent=2, allow_nan=False)
             f.write("\n")
     return 0
 
@@ -97,11 +97,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "summary.json"), "w") as f:
-            json.dump(summary.to_record(), f, sort_keys=True, indent=2)
+            json.dump(summary.to_record(), f, sort_keys=True, indent=2, allow_nan=False)
             f.write("\n")
         with open(os.path.join(args.out, "runs.jsonl"), "w") as f:
             for r in sorted(results, key=lambda r: r.seed):
-                f.write(json.dumps(r.to_record(), sort_keys=True) + "\n")
+                f.write(json.dumps(r.to_record(), sort_keys=True, allow_nan=False) + "\n")
         with open(os.path.join(args.out, "summary.txt"), "w") as f:
             f.write(summary.table() + "\n")
     if summary.incomplete:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import FaultBudgetError
 from .params import Resolved
@@ -192,36 +193,49 @@ def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
     return frozenset(passed)
 
 
-def _window_hit(C: Relays, planes: tuple[int, ...], width: int, min_relays: int,
-                tau: int) -> Iterator[int]:
-    """Anchors v, ascending, for which >= min_relays relays have all their
-    `planes` entries present and inside the arc [v, v + width]; lazily, so a
-    caller that needs one hit stops at it.
-
-    Any maximal qualifying window can be shifted until its start coincides
-    with an attained entry, so anchoring at entries is lossless; the anchors
-    come from the `planes` entries of every relay, full or not.  An entry e
+def _window_starts(C: Relays, combos: Iterable[tuple[int, ...]], width: int,
+                   min_relays: int, tau: int, any_one: bool) -> set[int]:
+    """The window count rule: for each tuple of planes in `combos`, the
+    anchors v for which >= min_relays relays have all their entries about
+    those planes present and inside the arc [v, v + width].  An entry e
     lies in the arc iff (e - v) mod tau <= width (ring.wrap_sub, inlined).
+
+    Any qualifying window can be shifted right until its start meets an
+    entry, so anchoring at entries is lossless, and the starts come from
+    the planes' entries of every relay, full or not: check_weak returns
+    the first start in circular order.  With any_one (check_stb) the
+    search only decides whether some window qualifies: it returns at the
+    first, and it anchors at the entries of full relays only.  That loses
+    no window either: a qualifying window slides right to the first entry
+    of the full relays it holds, and still holds each of them.
     """
-    full, anchors = [], set()
-    for vec in C:
-        entries = [vec[p] for p in planes]
-        anchors.update(entries)
-        if None not in entries:
-            full.append(entries)
-    if len(full) < min_relays:
-        return
-    anchors.discard(None)
-    for v in sorted(anchors):
-        hits = 0
-        for entries in full:
-            for e in entries:
-                if (e - v) % tau > width:
-                    break
-            else:
-                hits += 1
-        if hits >= min_relays:
-            yield v
+    starts: set[int] = set()
+    for planes in combos:
+        full, anchors = [], set()
+        entries_of = itemgetter(*planes)    # a tuple: n1 - f1 >= 2 planes
+        for vec in C:
+            entries = entries_of(vec)
+            if None not in entries:
+                full.append(entries)
+                anchors.update(entries)
+            elif not any_one:
+                anchors.update(entries)
+        if len(full) < min_relays:
+            continue
+        anchors.discard(None)
+        for v in anchors:
+            hits = 0
+            for entries in full:
+                for e in entries:
+                    if (e - v) % tau > width:
+                        break
+                else:
+                    hits += 1
+            if hits >= min_relays:
+                if any_one:
+                    return {v}
+                starts.add(v)
+    return starts
 
 
 def check_stb(C: Relays, p_acma: frozenset[int] | set[int], rp: Resolved) -> bool:
@@ -230,11 +244,8 @@ def check_stb(C: Relays, p_acma: frozenset[int] | set[int], rp: Resolved) -> boo
     k = rp.n1 - rp.f1
     if len(p_acma) < k:
         return False
-    width, min_relays, tau = rp.eps1, rp.n0 - rp.f0, rp.tau_max
-    for planes in combinations(sorted(p_acma), k):
-        for _v in _window_hit(C, planes, width, min_relays, tau):
-            return True
-    return False
+    return bool(_window_starts(C, combinations(sorted(p_acma), k), rp.eps1, rp.n0 - rp.f0,
+                               rp.tau_max, any_one=True))
 
 
 def check_weak(C: Relays, rp: Resolved) -> Optional[int]:
@@ -247,9 +258,8 @@ def check_weak(C: Relays, rp: Resolved) -> Optional[int]:
     """
     k, tau = rp.n1 - rp.f1, rp.tau_max
     half = rp.eps2 // 2
-    starts: set[int] = set()
-    for planes in combinations(range(rp.n1), k):
-        starts.update(_window_hit(C, planes, 2 * half, rp.n0 - 2 * rp.f0, tau))
+    starts = _window_starts(C, combinations(range(rp.n1), k), 2 * half, rp.n0 - 2 * rp.f0, tau,
+                            any_one=False)
     if not starts:
         return None
     return (circ_sort(starts, tau)[0] + half) % tau

@@ -490,7 +490,13 @@ class StatsSummary:
     failure_reasons: tuple[str, ...] = ()   # "<ExcType>: <message>", per failed seed
 
     def to_record(self) -> dict:
-        return asdict(self)
+        """The summary's fields; a mean bound that is not finite (a scenario
+        whose coin or branch probability leaves no derived bound) is None,
+        which JSON writes as null."""
+        rec = asdict(self)
+        if not math.isfinite(self.stab_mean_bound):
+            rec["stab_mean_bound"] = None
+        return rec
 
     def table(self) -> str:
         rows = [

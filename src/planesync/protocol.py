@@ -11,9 +11,12 @@ All state is single-owner (mutated only by the simulation event loop); the
 functions here mutate in place and lean on the pure core in ftcore.
 
 The per-round steps write ring arithmetic as `% tau` (ring.py says why
-that is exact).  Relays are slotted, unfrozen dataclasses, and round
-summaries slotted classes: a frozen dataclass's __init__ costs about twice
-as much, and nothing changes either once it is built.
+that is exact), and the terminal's relay and clock-setting steps build
+their per-plane lists in plain loops: before Python 3.12 a comprehension
+runs as a call of its own.
+Relays are slotted, unfrozen dataclasses, and round summaries slotted
+classes: a frozen dataclass's __init__ costs about twice as much, and
+nothing changes either once it is built.
 """
 
 from __future__ import annotations
@@ -108,9 +111,10 @@ def mes_on_begin_vc_send(state: MesState, h_now: int, rp: Resolved) -> TTMessage
     tau = rp.tau_max
     shift = h_now + rp.dv.delta_tt1
     m_vec = tuple(state.m_rec)
-    c_vec = tuple([None if m is None else (m - h + shift) % tau
-                   for m, h in zip(m_vec, state.h_rec)])
-    return TTMessageUp(c_vec, tuple(state.acc), m_vec)
+    c_vec = []
+    for m, h in zip(m_vec, state.h_rec):
+        c_vec.append(None if m is None else (m - h + shift) % tau)
+    return TTMessageUp(tuple(c_vec), tuple(state.acc), m_vec)
 
 
 def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
@@ -122,7 +126,10 @@ def mes_on_end_c_recv(state: MesState, h_now: int, rp: Resolved) -> None:
     """
     tau, d2 = rp.tau_max, rp.dv.delta_tt2
     h_ref = h_now - d2
-    proj = [(m - h + h_ref) % tau for m, h in zip(state.m_rec, state.h_rec) if m is not None]
+    proj = []
+    for m, h in zip(state.m_rec, state.h_rec):
+        if m is not None:
+            proj.append((m - h + h_ref) % tau)
     if not proj:
         return
     # The median shifted forward by delta_tt2 is the target reading; the

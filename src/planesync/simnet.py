@@ -26,7 +26,7 @@ An honest terminal's relay is stored at send time, with no delivery event:
 by validate's upward rule it reaches its plane's round inside the policed
 slot, before collection ends.  So is an honest plane's clock value that
 reaches a terminal's round before its receive slot opens and before the
-plane's own end_cs (`_MesRound.fate`).  The store is exact: the round stays
+plane's own end_cs (`_MesRound`).  The store is exact: the round stays
 current until the arrival (only the plane's next SIG, after its end_cs,
 replaces a plane's round or a terminal's round for that plane), and it
 reads what it holds only at its slot boundaries, later still.  Every other
@@ -45,9 +45,8 @@ step pushed after its round begins, slot-begin, is pushed before its
 instant: a value is buffered only before its slot opens).  A step that
 would do nothing is not pushed.  A terminal round's slot-begin step has
 work only when a clock value waits in its buffer, so the first value
-buffered pushes it (`World._buffer`), and a round that buffers none never
-pushes it.  A faulty plane's round reads no relay, so no relay step is
-pushed toward one.
+buffered pushes it, and a round that buffers none never pushes it.  A
+faulty plane's round reads no relay, so no relay step is pushed toward one.
 """
 
 from __future__ import annotations
@@ -295,15 +294,15 @@ def _integer(hook: str, name: str, value) -> int:
         raise SimulationError(f"{hook}: {name} must be an integer, not {value!r}") from None
 
 
+# The types of an upload's entries that need no conversion.
+_WIRE_TYPES = frozenset({int, type(None)})
+
+
 def _count(hook: str, name: str, value, lo: int, hi: int = QUANT) -> int:
     """An adversary hook's count clamped to [lo, hi]: a rate in drift steps,
     a skew or a delay in quanta.  The per-message paths test for a plain int
     in range inline and pass any other count here."""
     return min(max(_integer(hook, name, value), lo), hi)
-
-
-# What a terminal's round does with a clock value arriving at an instant.
-DROP, BUFFER, INGEST = range(3)
 
 
 class _PlaneRound:
@@ -321,10 +320,14 @@ class _PlaneRound:
 class _MesRound:
     """A terminal's round for one plane: its anchor, its receive slot
     [b_recv, e_recv), and the clock values that arrive before that slot
-    opens, ingested when it does (World._buffer).  Every event of the round
-    carries it, and its receive-slot handlers return once another round has
-    taken its place (when that happens: the module docstring), which by
-    validate's upward rule comes after its relay step."""
+    opens, ingested when it does.  A clock value arriving at instant t is
+    dropped unless anchor <= t < e_recv, buffered if t < b_recv, and
+    ingested on arrival otherwise; the slot handlers at e_recv run before
+    any delivery at that instant, so an arrival at e_recv is already too
+    late.  Every event of the round carries it, and its receive-slot
+    handlers return once another round has taken its place (when that
+    happens: the module docstring), which by validate's upward rule comes
+    after its relay step."""
 
     def __init__(self, anchor: int, b_recv: int, e_recv: int, seq_cr: int) -> None:
         self.anchor = anchor
@@ -332,14 +335,6 @@ class _MesRound:
         self.e_recv = e_recv
         self.seq_cr = seq_cr    # its slot-begin step's key
         self.buffer: list[int] = []
-
-    def fate(self, t: int) -> int:
-        """DROP, BUFFER or INGEST for a clock value arriving at instant t.
-        The slot handlers at e_recv run before any delivery at that instant,
-        so an arrival at e_recv is already too late."""
-        if not (self.anchor <= t < self.e_recv):
-            return DROP
-        return BUFFER if t < self.b_recv else INGEST
 
 
 class World:
@@ -543,14 +538,6 @@ class World:
         clk = self.clocks[p]
         return (clk.h_at(t) + self.mws[p].clock_offset) % clk.tau
 
-    def _record_adjust(self, rank: int, old: int, new: int) -> None:
-        now = self.engine.now
-        self.tracks[rank].record(now, new)
-        if self._trace_core:
-            n1 = self._n1
-            self.trace.adjust(t=now, old=old, new=new,
-                              node=("mws", rank) if rank < n1 else ("mes", rank - n1))
-
     # ---- plane (MWS) round machinery --------------------------------------
 
     def _schedule_sig(self, p: int, k_min: int) -> None:
@@ -558,7 +545,8 @@ class World:
         clk = self.clocks[p]
         base = (clk.h0 + st.clock_offset) % clk.tau
         k = next_sig_tick(base, k_min, clk.tau, self.rp.T)
-        self.engine.schedule(clk.time_of_tick(k), p, K_SIG, self._on_sig, p)
+        t = clk.t_ref + k * clk.period                  # clk.time_of_tick(k), inlined
+        self.engine.schedule(t, p, K_SIG, self._on_sig, p)
 
     def _schedule_watchdog_fire(self, p: int, k: int) -> None:
         """Watchdog of plane p, busy from the start, counted from its
@@ -573,7 +561,7 @@ class World:
         st = self.mws[p]
         t = self.engine.now
         clk = self.clocks[p]
-        h = clk.h_at(t)
+        h = (clk.h0 + (t - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(t), inlined
         mws_on_sig(st, h, self.rp)
         if self._trace_core:
             self.trace.sig(t=t, plane=p, c=(h + st.clock_offset) % clk.tau)
@@ -635,7 +623,8 @@ class World:
     def _on_end_mc(self, p: int, rnd: _PlaneRound) -> None:
         st = self.mws[p]
         t = self.engine.now
-        h = self.clocks[p].h_at(t)
+        clk = self.clocks[p]
+        h = (clk.h0 + (t - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(t), inlined
         summary = mws_on_end_mc_recv(st, rnd.relays, h, self.coin_rng[p], self.rp)
         rnd.c_new = summary.c_new
         self.toss_log.append((t, p, summary.b_coin, st.grand_life))
@@ -644,10 +633,13 @@ class World:
                              stb=summary.stb, branch=summary.branch, c_new=summary.c_new)
 
     def _on_begin_cs(self, p: int, rnd: _PlaneRound, t_end_cs: int) -> None:
-        # end_mc has chosen c_new (validate orders the slots); the store: module docstring.
+        # end_mc has chosen c_new (validate orders the slots).  A value that
+        # reaches a terminal's round before its receive slot opens and
+        # before t_end_cs is buffered now (the store: module docstring);
+        # every other value takes a delivery event.
         m = rnd.c_new
         t = self.engine.now
-        choose_delay, quantum = self._choose_delay, self.delay_quantum
+        choose_delay, quantum, n1 = self._choose_delay, self.delay_quantum, self._n1
         for i in self.honest_mes:
             k = choose_delay(p, p)
             if type(k) is not int or not 1 <= k <= QUANT:
@@ -656,19 +648,23 @@ class World:
             if self._trace_full:
                 self.trace.send_down(t=t, plane=p, to=i, m=m, arrival=arrival)
             dest = self.mes_round[i][p]
-            if arrival < t_end_cs and dest.fate(arrival) == BUFFER:
-                self._buffer(i, p, dest, m)
+            if dest.anchor <= arrival < dest.b_recv and arrival < t_end_cs:
+                if not dest.buffer:     # the first value pushes the slot-begin step
+                    heapq.heappush(self._heap, (dest.b_recv, n1 + i, K_SLOT, dest.seq_cr,
+                                                self._on_begin_cr, (i, p, dest)))
+                dest.buffer.append(m)
             else:
-                self.engine.schedule(arrival, self._n1 + i, K_DELIVER,
-                                     self._deliver_down, p, i, m)
+                self.engine.schedule(arrival, n1 + i, K_DELIVER, self._deliver_down, p, i, m)
 
     def _on_end_cs(self, p: int, rnd: _PlaneRound) -> None:
-        st = self.mws[p]
-        clk = self.clocks[p]
+        st, now, clk = self.mws[p], self.engine.now, self.clocks[p]
         old = st.clock_offset
-        mws_on_end_c_send(st, rnd.c_new, clk.h_at(self.engine.now), self.rp)
-        self._record_adjust(p, old, st.clock_offset)
-        self._schedule_sig(p, clk.ticks_at(self.engine.now))
+        k = (now - clk.t_ref) // clk.period                         # clk.ticks_at(now), inlined
+        mws_on_end_c_send(st, rnd.c_new, (clk.h0 + k) % clk.tau, self.rp)
+        self.tracks[p].record(now, st.clock_offset)
+        if self._trace_core:
+            self.trace.adjust(t=now, old=old, new=st.clock_offset, node=("mws", p))
+        self._schedule_sig(p, k)
 
     # ---- terminal (MES) round machinery ------------------------------------
 
@@ -708,43 +704,38 @@ class World:
 
     def _deliver_down(self, p: int, i: int, m: int) -> None:
         """A clock value not stored at send time (module docstring), at its
-        arrival instant."""
+        arrival instant: dropped, buffered or ingested by its round's rule
+        (_MesRound)."""
         rnd = self.mes_round[i][p]
         now = self.engine.now
-        fate = rnd.fate(now)
-        if fate == DROP:
+        if not rnd.anchor <= now < rnd.e_recv:
             if self._trace_full:
                 self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
-        elif fate == BUFFER:
-            self._buffer(i, p, rnd, m)
+        elif now < rnd.b_recv:
+            if not rnd.buffer:          # the first value pushes the slot-begin step
+                heapq.heappush(self._heap, (rnd.b_recv, self._n1 + i, K_SLOT, rnd.seq_cr,
+                                            self._on_begin_cr, (i, p, rnd)))
+            rnd.buffer.append(m)
         else:
-            self._ingest_down(i, p, (m,))
-
-    def _buffer(self, i: int, p: int, rnd: _MesRound, m: int) -> None:
-        """Hold clock value m, which reached terminal i's round rnd before its
-        receive slot opened, for that slot.  The first value pushes the
-        slot-begin step under rnd's key (module docstring)."""
-        if not rnd.buffer:
-            heapq.heappush(self._heap, (rnd.b_recv, self._n1 + i, K_SLOT, rnd.seq_cr,
-                                        self._on_begin_cr, (i, p, rnd)))
-        rnd.buffer.append(m)
-
-    def _ingest_down(self, i: int, p: int, values: Iterable[int]) -> None:
-        """Terminal i takes plane p's clock values, in order, at the
-        hardware reading of this instant."""
-        now, st, rp = self.engine.now, self.mes[i], self.rp
-        clk = self.clocks[self._n1 + i]
-        h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
-        for m in values:
-            mes_on_clock_msg(st, p, m, h, rp)
+            clk = self.clocks[self._n1 + i]
+            h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
+            mes_on_clock_msg(self.mes[i], p, m, h, self.rp)
             if self._trace_full:
                 self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
     def _on_begin_cr(self, i: int, p: int, rnd: _MesRound) -> None:
-        # Pushed by the first value buffered; runs at b_recv, after which
-        # nothing is buffered (fate).
-        if self.mes_round[i][p] is rnd:
-            self._ingest_down(i, p, rnd.buffer)
+        """Terminal i takes the clock values its round buffered, in order, at
+        the hardware reading of b_recv.  Pushed by the first value buffered;
+        nothing is buffered from b_recv on."""
+        if self.mes_round[i][p] is not rnd:
+            return
+        now, st, rp = self.engine.now, self.mes[i], self.rp
+        clk = self.clocks[self._n1 + i]
+        h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
+        for m in rnd.buffer:
+            mes_on_clock_msg(st, p, m, h, rp)
+            if self._trace_full:
+                self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
     def _on_end_cr(self, i: int, p: int, rnd: _MesRound) -> None:
         if self.mes_round[i][p] is not rnd:
@@ -753,17 +744,21 @@ class World:
         old = st.clock_offset
         h = (clk.h0 + (now - clk.t_ref) // clk.period) % clk.tau     # clk.h_at(now), inlined
         mes_on_end_c_recv(st, h, self.rp)
-        self._record_adjust(self._n1 + i, old, st.clock_offset)
+        self.tracks[self._n1 + i].record(now, st.clock_offset)
+        if self._trace_core:
+            self.trace.adjust(t=now, old=old, new=st.clock_offset, node=("mes", i))
 
     # ---- adversary-facing hooks for faulty components ----------------------
 
     def faulty_sig(self, p: int, t_sig: int) -> None:
         """A faulty plane starts a round: terminals get anchors as usual, but
         the plane side is entirely adversary-driven."""
-        p = _integer("faulty_sig", "p", p)
+        if type(p) is not int:
+            p = _integer("faulty_sig", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
-        t_sig = _integer("faulty_sig", "t_sig", t_sig)
+        if type(t_sig) is not int:
+            t_sig = _integer("faulty_sig", "t_sig", t_sig)
         if t_sig < self.engine.now:
             raise SimulationError(f"faulty_sig in the past: {t_sig} < {self.engine.now}")
         if self._trace_core:
@@ -771,12 +766,17 @@ class World:
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
-        p = _integer("adv_deliver_down", "p", p)
+        # Plain ints pass in one test; any other argument is taken through
+        # _integer, p first and the rest after p's check.
+        plain = type(p) is type(i) is type(m) is type(arrival) is int
+        if not plain:
+            p = _integer("adv_deliver_down", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("adversarial delivery from a nonfaulty plane")
-        m = _integer("adv_deliver_down", "m", m)
-        arrival = _integer("adv_deliver_down", "arrival", arrival)
-        i = _integer("adv_deliver_down", "i", i)
+        if not plain:
+            m = _integer("adv_deliver_down", "m", m)
+            arrival = _integer("adv_deliver_down", "arrival", arrival)
+            i = _integer("adv_deliver_down", "i", i)
         if i not in range(self.rp.n0):
             raise SimulationError(f"adv_deliver_down: no terminal {i} among n0 = {self.rp.n0}")
         if i in self.faulty_mes:
@@ -787,33 +787,49 @@ class World:
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         """A faulty terminal's upload, put in wire form: each vector has n1
         entries, each an integer or None, and every clock value is reduced
-        onto the ring."""
-        i = _integer("adv_send_up", "i", i)
-        if i not in self.faulty_mes:
-            raise SimulationError("adversarial upward send from a nonfaulty terminal")
-        send_t = _integer("adv_send_up", "send_t", send_t)
+        onto the ring.  An upload from a faulty terminal to a plane whose
+        counts, instant and entries are plain ints (or None, for an entry)
+        passes in one test; any other, one the test cannot read included,
+        is checked one argument and entry at a time, each through _integer,
+        which converts it or raises its first fault."""
         n1, tau = self.rp.n1, self.rp.tau_max
-        p = _integer("adv_send_up", "p", p)
-        if p not in range(n1):
-            raise SimulationError(f"adv_send_up: no plane {p} among n1 = {n1}")
-        vecs = []
-        for name in ("c_vec", "a_vec", "m_vec"):
-            vec = getattr(msg, name)
-            if len(vec) != n1:
-                raise SimulationError(f"terminal {i} sent plane {p} a {name} of {len(vec)} "
-                                      f"entries, not n1 = {n1}")
-            vecs.append([None if v is None else _integer("adv_send_up", name, v) for v in vec])
+        try:
+            vecs = [msg.c_vec, msg.a_vec, msg.m_vec]
+            plain = (type(i) is type(p) is type(send_t) is int and i in self.faulty_mes
+                     and 0 <= p < n1 and len(vecs[0]) == len(vecs[1]) == len(vecs[2]) == n1
+                     and {type(v) for vec in vecs for v in vec} <= _WIRE_TYPES)
+        except (AttributeError, TypeError):
+            plain = False
+        if not plain:
+            i = _integer("adv_send_up", "i", i)
+            if i not in self.faulty_mes:
+                raise SimulationError("adversarial upward send from a nonfaulty terminal")
+            send_t = _integer("adv_send_up", "send_t", send_t)
+            p = _integer("adv_send_up", "p", p)
+            if p not in range(n1):
+                raise SimulationError(f"adv_send_up: no plane {p} among n1 = {n1}")
+            vecs = []
+            for name in ("c_vec", "a_vec", "m_vec"):
+                vec = getattr(msg, name)
+                if len(vec) != n1:
+                    raise SimulationError(f"terminal {i} sent plane {p} a {name} of {len(vec)} "
+                                          f"entries, not n1 = {n1}")
+                vecs.append([None if v is None else _integer("adv_send_up", name, v)
+                             for v in vec])
         if p in self.faulty_planes:
             return
         c_vec, a_vec, m_vec = vecs
         msg = TTMessageUp(tuple([None if v is None else v % tau for v in c_vec]), tuple(a_vec),
                           tuple([None if v is None else v % tau for v in m_vec]))
-        k = _count("choose_delay", "delay", self._choose_delay(n1 + i, p), 1)
+        k = self._choose_delay(n1 + i, p)
+        if type(k) is not int or not 1 <= k <= QUANT:
+            k = _count("choose_delay", "delay", k, 1)
         arrival = max(send_t, self.engine.now) + k * self.delay_quantum
         self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
-        t = _integer("schedule_adv", "t", t)
+        if type(t) is not int:
+            t = _integer("schedule_adv", "t", t)
         self.engine.schedule(max(t, self.engine.now), self._n1 + self.rp.n0, K_ADV, fn)
 
     # ---- runs ---------------------------------------------------------------

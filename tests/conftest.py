@@ -56,8 +56,8 @@ def corrupt(world, rng):
 
     for p in world.honest_planes:
         st = world.mws[p]
-        old, st.clock_offset = st.clock_offset, rng.randrange(tau)
-        world._record_adjust(p, old, st.clock_offset)
+        st.clock_offset = rng.randrange(tau)
+        world.tracks[p].record(world.engine.now, st.clock_offset)
         st.grand_life = rng.randrange(rp.dv.g0 + 1)
         st.c_tilde_old = rng.randrange(tau)
         rnd = world.plane_round[p]
@@ -67,8 +67,8 @@ def corrupt(world, rng):
                                         tuple(value() for _q in range(n1)))
     for i in world.honest_mes:
         st = world.mes[i]
-        old, st.clock_offset = st.clock_offset, rng.randrange(tau)
-        world._record_adjust(n1 + i, old, st.clock_offset)
+        st.clock_offset = rng.randrange(tau)
+        world.tracks[n1 + i].record(world.engine.now, st.clock_offset)
         for q in range(n1):
             st.m_rec[q] = value()
             st.h_rec[q] = None if st.m_rec[q] is None else rng.randrange(tau)

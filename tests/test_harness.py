@@ -778,6 +778,29 @@ class TestCampaign:
         assert no_coins.dv.stb_exp_windows is None
         assert summarize([], no_coins).stab_mean_bound == math.inf
 
+    @pytest.mark.parametrize("knob", ["p0: 1", "q0: 0", "q0: 1"])
+    def test_campaign_without_a_mean_bound_writes_strict_json(self, knob, tmp_path, capsys):
+        # Such a scenario validates, but derives no mean bound: the summary
+        # writes null for it, in summary.json and on the jsonl line, where
+        # json.dumps would write Infinity, which a strict parser refuses.
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        text = Path(REFERENCE_YAML).read_text()
+        assert text.count("  eps_rnd: 1/2\n") == 1
+        config = tmp_path / "config.yaml"
+        config.write_text(text.replace("  eps_rnd: 1/2\n", f"  eps_rnd: 1/2\n  {knob}\n"))
+        assert cli_main(["validate", "-c", str(config)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["campaign", "-c", str(config), "--seeds", "2", "--horizon", "5",
+                         "--format", "jsonl", "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        for text in (line, (out / "summary.json").read_text()):
+            assert json.loads(text, parse_constant=refuse)["stab_mean_bound"] is None
+        for text in (out / "runs.jsonl").read_text().splitlines():
+            json.loads(text, parse_constant=refuse)
+
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
             run_monte_carlo(REF, [1, 2, 1])

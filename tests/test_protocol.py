@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planesync.ftcore import (accuracy_check, fta, fta_values, hw_accuracy_threshold,
-                              msr_reduce, msr_select, update_acc_counter)
+from planesync.ftcore import (accuracy_check, check_stb, check_weak, fta, fta_values,
+                              hw_accuracy_threshold, msr_reduce, msr_select, update_acc_counter)
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import (
     MesState,
@@ -576,6 +576,7 @@ def _random_relays(rng, rp):
     return dict(sorted(relays.items(), key=lambda kv: rng.random()))   # arrival order
 
 
+@pytest.mark.same_bytes
 @pytest.mark.parametrize("rp", [make_rp(), make_rp(n0=7, f0=2)], ids=["n0=4", "n0=7"])
 def test_round_decision_matches_reference(rp):
     """Seeded random relay sets and switch states: the summary, the
@@ -601,6 +602,53 @@ def test_round_decision_matches_reference(rp):
     assert 300 <= stable <= 2700, stable
 
 
+@st.composite
+def _window_relays(draw, rp):
+    """Relay vectors for the window search.  Entries come from a few values
+    within eps1/4 of a center, and the ring's wrap is among the centers, so
+    entries repeat and clusters straddle the wrap; a value at a window's
+    width, or one past it, from the lowest is sometimes among them.  A
+    third of the relays are not full, often leaving fewer full ones than
+    n0 - f0, and half of those hold an entry below the cluster, which may
+    be the only start of a window.  Some entries are anywhere on the ring."""
+    tau, n1 = rp.tau_max, rp.n1
+    center = draw(st.sampled_from([0, 1, tau - 1, tau - rp.eps1 // 2, tau // 2]))
+    offsets = draw(st.lists(st.integers(-rp.eps1 // 4, rp.eps1 // 4), min_size=1, max_size=4))
+    lo = center + min(offsets)
+    widths = [rp.eps1, 2 * (rp.eps2 // 2)]
+    edges = draw(st.lists(st.sampled_from([w + d for w in widths for d in (0, 1)]), max_size=1))
+    pool = st.sampled_from(sorted({(center + d) % tau for d in offsets}
+                                  | {(lo + e) % tau for e in edges}))
+    vecs = []
+    for _i in range(draw(st.integers(rp.n0 - 2 * rp.f0, rp.n0))):
+        vec = [draw(pool) for _p in range(n1)]
+        if draw(st.integers(0, 2)) == 0:
+            order = draw(st.permutations(range(n1)))
+            for p in order[:draw(st.integers(1, n1 - 1))]:
+                vec[p] = None
+            if draw(st.booleans()):
+                vec[order[-1]] = (lo - draw(st.integers(1, rp.eps1))) % tau
+        if draw(st.integers(0, 3)) == 0:
+            vec[draw(st.integers(0, n1 - 1))] = draw(st.integers(0, tau - 1))
+        vecs.append(tuple(vec))
+    return vecs
+
+
+@pytest.mark.same_bytes
+@pytest.mark.parametrize("rp", [make_rp(), make_rp(n0=7, f0=2)], ids=["n0=4", "n0=7"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_search_matches_reference(rp, data):
+    # check_stb anchors only at full relays' entries and stops at its first
+    # window; check_weak anchors at every entry.  The reference anchors
+    # both at every entry, in order, and reads rows per plane.
+    vecs = data.draw(_window_relays(rp))
+    p_acma = frozenset(data.draw(st.sets(st.integers(0, rp.n1 - 1), min_size=rp.n1 - rp.f1)))
+    rows = [[vec[p] for vec in vecs] for p in range(rp.n1)]
+    assert check_stb(vecs, p_acma, rp) == ref_check_stb(rows, p_acma, rp)
+    assert check_weak(vecs, rp) == ref_check_weak(rows, rp)
+
+
 def test_summary_decides_its_verdict_on_first_read():
     calls = []
 
@@ -616,6 +664,7 @@ def test_summary_decides_its_verdict_on_first_read():
     assert repr(got) == "RoundSummary(b_coin=0, stb=True, branch='avg', c_new=5)"
 
 
+@pytest.mark.same_bytes
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(st.lists(st.integers(0, 99), min_size=1, max_size=9), st.integers(0, 3),
        st.sampled_from([4, 7, 100]))
