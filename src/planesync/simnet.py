@@ -287,15 +287,12 @@ class Trace:
 
 
 def _integer(hook: str, name: str, value) -> int:
-    """An adversary hook's count, instant or clock value as a Python int."""
+    """An adversary hook's count, instant or clock value as a Python int.
+    The hooks test for a plain int inline and pass any other value here."""
     try:
         return operator.index(value)
     except TypeError:
         raise SimulationError(f"{hook}: {name} must be an integer, not {value!r}") from None
-
-
-# The types of an upload's entries that need no conversion.
-_WIRE_TYPES = frozenset({int, type(None)})
 
 
 def _count(hook: str, name: str, value, lo: int, hi: int = QUANT) -> int:
@@ -766,16 +763,15 @@ class World:
         self._start_member_rounds(p, t_sig)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
-        # Plain ints pass in one test; any other argument is taken through
-        # _integer, p first and the rest after p's check.
-        plain = type(p) is type(i) is type(m) is type(arrival) is int
-        if not plain:
+        if type(p) is not int:
             p = _integer("adv_deliver_down", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("adversarial delivery from a nonfaulty plane")
-        if not plain:
+        if type(m) is not int:
             m = _integer("adv_deliver_down", "m", m)
+        if type(arrival) is not int:
             arrival = _integer("adv_deliver_down", "arrival", arrival)
+        if type(i) is not int:
             i = _integer("adv_deliver_down", "i", i)
         if i not in range(self.rp.n0):
             raise SimulationError(f"adv_deliver_down: no terminal {i} among n0 = {self.rp.n0}")
@@ -787,35 +783,26 @@ class World:
     def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
         """A faulty terminal's upload, put in wire form: each vector has n1
         entries, each an integer or None, and every clock value is reduced
-        onto the ring.  An upload from a faulty terminal to a plane whose
-        counts, instant and entries are plain ints (or None, for an entry)
-        passes in one test; any other, one the test cannot read included,
-        is checked one argument and entry at a time, each through _integer,
-        which converts it or raises its first fault."""
-        n1, tau = self.rp.n1, self.rp.tau_max
-        try:
-            vecs = [msg.c_vec, msg.a_vec, msg.m_vec]
-            plain = (type(i) is type(p) is type(send_t) is int and i in self.faulty_mes
-                     and 0 <= p < n1 and len(vecs[0]) == len(vecs[1]) == len(vecs[2]) == n1
-                     and {type(v) for vec in vecs for v in vec} <= _WIRE_TYPES)
-        except (AttributeError, TypeError):
-            plain = False
-        if not plain:
+        onto the ring."""
+        if type(i) is not int:
             i = _integer("adv_send_up", "i", i)
-            if i not in self.faulty_mes:
-                raise SimulationError("adversarial upward send from a nonfaulty terminal")
+        if i not in self.faulty_mes:
+            raise SimulationError("adversarial upward send from a nonfaulty terminal")
+        if type(send_t) is not int:
             send_t = _integer("adv_send_up", "send_t", send_t)
+        n1, tau = self.rp.n1, self.rp.tau_max
+        if type(p) is not int:
             p = _integer("adv_send_up", "p", p)
-            if p not in range(n1):
-                raise SimulationError(f"adv_send_up: no plane {p} among n1 = {n1}")
-            vecs = []
-            for name in ("c_vec", "a_vec", "m_vec"):
-                vec = getattr(msg, name)
-                if len(vec) != n1:
-                    raise SimulationError(f"terminal {i} sent plane {p} a {name} of {len(vec)} "
-                                          f"entries, not n1 = {n1}")
-                vecs.append([None if v is None else _integer("adv_send_up", name, v)
-                             for v in vec])
+        if p not in range(n1):
+            raise SimulationError(f"adv_send_up: no plane {p} among n1 = {n1}")
+        vecs = []
+        for name in ("c_vec", "a_vec", "m_vec"):
+            vec = getattr(msg, name)
+            if len(vec) != n1:
+                raise SimulationError(f"terminal {i} sent plane {p} a {name} of {len(vec)} "
+                                      f"entries, not n1 = {n1}")
+            vecs.append([v if v is None or type(v) is int else _integer("adv_send_up", name, v)
+                         for v in vec])
         if p in self.faulty_planes:
             return
         c_vec, a_vec, m_vec = vecs

@@ -401,8 +401,15 @@ class _EventDelivery(World):
         now = self.engine.now
         if getattr(rnd, "closed", False) or now < rnd.anchor:
             self.trace.drop_down(t=now, plane=p, mes=i, why="no round")
-        else:       # taken: buffered before b_recv, ingested from it on
-            super()._deliver_down(p, i, m)
+        elif now < rnd.b_recv:
+            if not rnd.buffer:      # the slot-begin step ingests the buffer
+                heapq.heappush(self._heap, (rnd.b_recv, self.rp.n1 + i, K_SLOT, rnd.seq_cr,
+                                            self._on_begin_cr, (i, p, rnd)))
+            rnd.buffer.append(m)
+        else:
+            protocol.mes_on_clock_msg(self.mes[i], p, m, self.clocks[self.rp.n1 + i].h_at(now),
+                                      self.rp)
+            self.trace.recv_down(t=now, mes=i, plane=p, m=m)
 
 
 def _assert_same_run(w, ref, windows, case):
@@ -513,6 +520,34 @@ class TestSendTimeDelivery:
         for t, i, p, h_rec, b_recv in w.ingested:
             assert b_recv < t
             assert h_rec == (w.clocks[rp.n1 + i].h_at(t) + rp.dv.delta_tt0) % rp.tau_max
+
+    def test_value_at_the_slot_opening_ingested_after_a_buffered_one(self):
+        # A faulty plane sends each honest terminal one value a subtick
+        # before its receive slot opens and one as it opens.  The first is
+        # buffered and ingested by the slot-begin step, which runs before
+        # any delivery at b_recv; the second arrives after that step and is
+        # ingested on arrival, at the same instant.
+        class TwoValues(Adversary):
+            def setup(self):
+                w = self.world
+                pf = next(iter(w.faulty_planes))
+
+                def fire():
+                    w.faulty_sig(pf, w.engine.now)
+                    for i in w.honest_mes:
+                        b_recv = w.mes_round[i][pf].b_recv
+                        w.adv_deliver_down(pf, i, 5, b_recv - 1)
+                        w.adv_deliver_down(pf, i, 6, b_recv)
+
+                w.schedule_adv(w.THL, fire)
+
+        w = World(RP, TwoValues(), seed=3, init_policy="synchronized", trace_level="full")
+        pf = next(iter(w.faulty_planes))
+        w.run_until_window(1)
+        got = sorted(((r["mes"], r["t"], r["m"]) for r in _records(w)
+                      if r["ev"] == "recv_down" and r["plane"] == pf), key=lambda g: g[0])
+        assert got == [(i, w.mes_round[i][pf].b_recv, m) for i in sorted(w.honest_mes)
+                       for m in (5, 6)]
 
 
 class _WorstTiming(Adversary):
