@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate a config, run one seed, run a Monte Carlo campaign,
-check the coin-model bound, and replay a trace.  Without a config file (or
-the PLANESYNC_CONFIG environment variable) the built-in reference scenario
-is used.  All outputs are deterministic functions of the arguments, so the
-same invocation always produces byte-identical files.
+check the coin-model bound, and replay a trace.  validate needs a config
+file; the others use the built-in reference scenario without one.  All
+outputs are deterministic functions of the arguments, so the same
+invocation always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .harness import (
     run_once,
     table,
 )
-from .params import SCENARIO_ENV_VAR
 from .simnet import INIT_POLICIES, TRACE_LEVELS, recorded_level
 
 
@@ -34,9 +33,8 @@ def _scenario(args: argparse.Namespace) -> Scenario:
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
-    path = getattr(args, "config", None) or os.environ.get(SCENARIO_ENV_VAR)
-    if path:
-        return Scenario.from_file(path, **overrides)
+    if args.config:
+        return Scenario.from_file(args.config, **overrides)
     return reference_scenario(**overrides)
 
 
@@ -180,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def config(p, overrides=True):
-        p.add_argument("-c", "--config", help="scenario YAML (default: "
-                       f"${SCENARIO_ENV_VAR} or the built-in reference scenario)")
+        p.add_argument("-c", "--config",
+                       help="scenario YAML (default: the built-in reference scenario)")
         if overrides:
             p.add_argument("--horizon", type=int, help="max windows to simulate")
             p.add_argument("--adversary", help="override the adversary strategy")
@@ -196,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check that a scenario file can run")
-    p.add_argument("-c", "--config", help=f"scenario YAML (default: ${SCENARIO_ENV_VAR})")
+    p.add_argument("-c", "--config", required=True, help="scenario YAML")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("run", help="simulate one seed")

@@ -95,16 +95,18 @@ class Scenario:
         if self.trace_level not in TRACE_LEVELS:
             raise ConfigurationError(f"unknown trace level {self.trace_level!r}")
 
-    def confirm_windows(self, rp: Resolved) -> int:
-        return self.confirm if self.confirm is not None else rp.dv.g0 + 1
+    def confirm_windows(self) -> int:
+        return self.confirm if self.confirm is not None else self.resolved.dv.g0 + 1
 
     @classmethod
     def from_doc(cls, doc: dict, **overrides) -> "Scenario":
+        if "system" not in doc or "schedule" not in doc:
+            raise ConfigurationError("config must contain 'system' and 'schedule' sections")
         unknown = set(doc) - _SECTIONS
         if unknown:
             raise ConfigurationError(f"unknown sections: {sorted(unknown)}")
-        kwargs: dict = {"params": parse_system_section(doc.get("system", {})),
-                        "sched": parse_schedule_section(doc.get("schedule", {}))}
+        kwargs: dict = {"params": parse_system_section(doc["system"]),
+                        "sched": parse_schedule_section(doc["schedule"])}
         adv = checked_section(doc.get("adversary"), "adversary", ("name", "params"),
                               optional=True)
         if adv.get("params"):
@@ -131,7 +133,7 @@ class Scenario:
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path: Optional[str] = None, **overrides) -> "Scenario":
+    def from_file(cls, path: str, **overrides) -> "Scenario":
         return cls.from_doc(load_config_doc(path), **overrides)
 
 
@@ -311,7 +313,7 @@ def _run(sc: Scenario, seed: int, sink: Optional[TextIO]) -> RunResult:
     world = World(rp, make_adversary(sc.adversary), seed=seed, init_policy=sc.init,
                   trace_level=level)
     initial_gl = {p: world.mws[p].grand_life for p in world.honest_planes}
-    confirm = sc.confirm_windows(rp)
+    confirm = sc.confirm_windows()
 
     run_len = 0
     run_max = 0         # worst deviation over the current run of good windows

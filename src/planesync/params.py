@@ -9,7 +9,6 @@ so that RNG thresholds and event times reproduce bit-identically per seed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Iterable
@@ -30,10 +29,7 @@ __all__ = [
     "derive",
     "resolve",
     "load_config_doc",
-    "SCENARIO_ENV_VAR",
 ]
-
-SCENARIO_ENV_VAR = "PLANESYNC_CONFIG"
 
 
 def as_fraction(x: Any) -> Fraction:
@@ -135,9 +131,6 @@ class DerivedParams:
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...] = ()
-    # What the invariants were checked against, for derive; None where undefined.
-    d_max_ticks: int | None = field(default=None, repr=False, compare=False)
-    eps: tuple[int, int, int] | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if self.ok:
@@ -219,9 +212,9 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
     if p.T_H <= 0 or not 0 <= p.rho < 1:
         return ValidationReport(ok=False, violations=tuple(v))   # no tick count exists
 
-    dmt, eps = _d_max_ticks(p), None
+    dmt = _d_max_ticks(p)
     try:
-        eps0, eps1, eps2 = eps = _resolve_eps(p, dmt)
+        eps0, eps1, eps2 = _resolve_eps(p, dmt)
         if not (eps2 >= eps1 >= eps0 > 0):
             v.append(f"eps2 >= eps1 >= eps0 > 0 violated: {eps0}, {eps1}, {eps2}")
         T = p.T0 + eps2
@@ -255,7 +248,7 @@ def validate(params: SystemParams, sched: TTSchedule) -> ValidationReport:
     if not late < end:
         v.append("an honest clock value can miss its receive slot: c_send[0]*T_H*(1+rho) + d_max "
                  f"< c_recv[1]*T_H*(1-rho) violated: {late} >= {end}")
-    return ValidationReport(ok=not v, violations=tuple(v), d_max_ticks=dmt, eps=eps)
+    return ValidationReport(ok=not v, violations=tuple(v))
 
 
 def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
@@ -269,7 +262,8 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
         raise ConfigurationError(str(rep))
     p = params
     warnings: list[str] = []
-    dmt, (eps0, eps1, eps2) = rep.d_max_ticks, rep.eps
+    dmt = _d_max_ticks(p)
+    eps0, eps1, eps2 = _resolve_eps(p, dmt)
     T = p.T0 + eps2
 
     c0: int | None = None
@@ -296,6 +290,9 @@ def derive(params: SystemParams, sched: TTSchedule) -> DerivedParams:
     q0 = p.q0 if p.q0 is not None else Fraction(1, 2 * g0 + 1)
     p0 = p.p0 if p.p0 is not None else 1 - Fraction(1, g0 + 1)
     q1_bound = q0 * (1 - q0) ** (2 * g0) * p0**g0 * (1 - p0) / 2
+    if q1_bound == 0:
+        warnings.append(f"q0={q0}, p0={p0}: q1_bound is 0, so there is no stabilization "
+                        "bound (it needs 0 < q0 < 1 and 0 < p0 < 1)")
 
     tm = p.tau_max
     d0 = wrap_sub(sched.c_send[1] % tm, sched.c_recv[0] % tm, tm)
@@ -396,21 +393,17 @@ def parse_schedule_section(data: Any) -> TTSchedule:
     return TTSchedule(**slots)
 
 
-def load_config_doc(path: str | None = None) -> dict:
-    """Read a YAML config once; path may come from the environment override.
+def load_config_doc(path: str) -> dict:
+    """Read a YAML config once.
 
-    Returns the raw document, checked to be a mapping that holds the
-    `system` and `schedule` sections; callers parse what they read.  yaml is
-    imported here, so a run that reads no file does not load it.  libyaml's
-    CSafeLoader parses when PyYAML was built with it: it shares SafeLoader's
-    resolver and constructor, so the document is the same, only faster.
+    Returns the raw document, checked to be a mapping; `Scenario.from_doc`
+    states which sections it needs.  yaml is imported here, so a run that
+    reads no file does not load it.  libyaml's CSafeLoader parses when PyYAML
+    was built with it: it shares SafeLoader's resolver and constructor, so
+    the document is the same, only faster.
     """
     import yaml
 
-    if path is None:
-        path = os.environ.get(SCENARIO_ENV_VAR)
-    if path is None:
-        raise ConfigurationError(f"no config path given and {SCENARIO_ENV_VAR} unset")
     with open(path) as f:
         try:
             doc = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -418,6 +411,4 @@ def load_config_doc(path: str | None = None) -> dict:
             raise ConfigurationError(f"{path} is not valid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config root must be a mapping: {path}")
-    if "system" not in doc or "schedule" not in doc:
-        raise ConfigurationError("config must contain 'system' and 'schedule' sections")
     return doc

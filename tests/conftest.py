@@ -1,8 +1,10 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
+from planesync.params import Resolved
 from planesync.protocol import TTMessageUp
 from planesync.ring import wrap_add, wrap_sub
 
@@ -80,6 +82,20 @@ def corrupt(world, rng):
 @pytest.fixture(name="corrupt")
 def corrupt_fixture():
     return corrupt
+
+
+def out_of_model(rp, **system):
+    """rp with the system fields in `system` changed and every derived
+    constant kept: a bundle past the paper's resilience bound (n0 = 3 f0,
+    say), which validate and derive refuse.  derive has no rule there (at
+    n0 = 3 f0 its contraction base is 1), so the valid neighbour's
+    constants stand in."""
+    return Resolved(sys=replace(rp.sys, **system), sched=rp.sched, dv=rp.dv)
+
+
+@pytest.fixture(name="out_of_model")
+def out_of_model_fixture():
+    return out_of_model
 
 
 def q1_closed_form_floor(g0: int) -> float:

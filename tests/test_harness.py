@@ -66,9 +66,9 @@ class TestScenario:
         other = dataclasses.replace(sc, horizon=5)
         assert other.resolved is not sc.resolved and other.resolved == sc.resolved
 
-    def test_invariants_checked_and_eps_resolved_once(self, monkeypatch):
-        # Resolving checks the invariants; derive reuses the eps values and
-        # the d_max tick count that check resolved.
+    def test_invariants_checked_once(self, monkeypatch):
+        # Resolving checks the invariants once; derive works the eps values
+        # out again from its own inputs, and the bundle is built only once.
         calls = {"validate": 0, "_resolve_eps": 0}
         for name in calls:
             real = getattr(params, name)
@@ -78,13 +78,13 @@ class TestScenario:
                 return real(*args)
             monkeypatch.setattr(params, name, counted)
         sc = Scenario.from_file(REFERENCE_YAML)
-        assert calls == {"validate": 1, "_resolve_eps": 1}
+        assert calls == {"validate": 1, "_resolve_eps": 2}
         assert sc.resolved == RP and sc.resolved is sc.resolved
-        assert calls == {"validate": 1, "_resolve_eps": 1}
+        assert calls == {"validate": 1, "_resolve_eps": 2}
 
     def test_confirm_default_is_g0_plus_1(self):
-        assert REF.confirm_windows(RP) == G0 + 1
-        assert dataclasses.replace(REF, confirm=3).confirm_windows(RP) == 3
+        assert REF.confirm_windows() == G0 + 1
+        assert dataclasses.replace(REF, confirm=3).confirm_windows() == 3
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -154,6 +154,15 @@ class TestScenario:
         doc = {"system": dataclasses.asdict(REF.params),
                "schedule": dataclasses.asdict(REF.sched)}
         assert Scenario.from_doc({**doc, "adversary": None, "run": None}) == REF
+
+    @pytest.mark.parametrize("section", ["system", "schedule"])
+    def test_from_doc_needs_system_and_schedule(self, section):
+        # A document built in Python is refused as a file would be.
+        doc = params.load_config_doc(REFERENCE_YAML)
+        del doc[section]
+        with pytest.raises(ConfigurationError) as e:
+            Scenario.from_doc(doc)
+        assert str(e.value) == "config must contain 'system' and 'schedule' sections"
 
     def test_reference_file_matches_builtin(self):
         sc = Scenario.from_file(REFERENCE_YAML)
@@ -494,7 +503,7 @@ def per_window_run(sc, seed):
     world = harness.World(rp, adversaries.make_adversary(sc.adversary), seed=seed,
                           init_policy=sc.init, trace_level="off")
     initial_gl = {p: world.mws[p].grand_life for p in world.honest_planes}
-    confirm = sc.confirm_windows(rp)
+    confirm = sc.confirm_windows()
     run_len, stab, n_viol, first_viol, devs = 0, None, 0, None, []
     tracks = world.qap_tracks()
     for k in range(sc.horizon):
@@ -922,6 +931,40 @@ class TestMoreTerminals:
         assert dataclasses.replace(sc, params=dataclasses.replace(sc.params, n0=4, f0=1)) == REF
 
 
+class TestNoConfig:
+    """Only -c names a scenario file: without it, every command but validate
+    runs the built-in reference, whatever the environment holds."""
+
+    @pytest.fixture(autouse=True)
+    def stale_variable(self, tmp_path, monkeypatch):
+        # The variable the CLI once read in place of -c, naming no file.
+        monkeypatch.setenv("PLANESYNC_CONFIG", str(tmp_path / "missing.yaml"))
+
+    def test_commands_run_the_reference(self, tmp_path, capsys):
+        def record(x):
+            return json.loads(json.dumps(x.to_record()))
+
+        sc = reference_scenario(horizon=3)
+        assert cli_main(["run", "--horizon", "3", "--format", "jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out) == record(run_once(sc, 0))
+        assert cli_main(["campaign", "--seeds", "2", "--horizon", "3", "--format", "jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out) == record(run_monte_carlo(sc, [0, 1])[0])
+        coin = lemma1_coin_model(RP, 2000, 0)
+        assert cli_main(["lemma1", "--windows", "2000", "--format", "jsonl"]) == (0 if coin.ok else 1)
+        assert json.loads(capsys.readouterr().out) == record(coin)
+        args = ["--horizon", "3", "--trace-level", "core"]
+        assert cli_main(["run", "--out", str(tmp_path), *args]) == 0
+        trace = str(tmp_path / "trace_seed0.jsonl")
+        assert cli_main(["replay", "--trace", trace, *args]) == 0
+        assert "records match" in capsys.readouterr().out
+
+    def test_validate_needs_a_file(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli_main(["validate"])
+        assert e.value.code == 2
+        assert "-c/--config" in capsys.readouterr().err
+
+
 class TestValidateCli:
     def test_reference_passes(self, capsys):
         assert cli_main(["validate", "-c", REFERENCE_YAML]) == 0
@@ -946,6 +989,20 @@ class TestValidateCli:
         out, err = capsys.readouterr()
         assert out == "pass\n"
         assert err.startswith("warning: tau_max=4000 is not a multiple of T=128")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("coin", ["p0: 1", "q0: 0", "q0: 1"])
+    def test_no_stabilization_bound_reported(self, tmp_path, capsys, coin):
+        # q1_bound is 0: a run is possible, but criterion 6's mean check
+        # has no bound to hold against.
+        path = tmp_path / "scenario.yaml"
+        with open(REFERENCE_YAML) as f:
+            text = f.read()
+        path.write_text(text.replace("a0: 3", f"a0: 3\n  {coin}"))
+        assert cli_main(["validate", "-c", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "pass\n"
+        assert err.startswith("warning: q0=") and "q1_bound is 0" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, why", [

@@ -198,12 +198,6 @@ schedule:
                      parse_schedule_section(doc["schedule"]))
         assert rp.T == rp.sys.T0 + rp.eps2
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "scenario.yaml"
-        path.write_text(self.CONFIG)
-        monkeypatch.setenv("PLANESYNC_CONFIG", str(path))
-        assert parse_system_section(load_config_doc()["system"]).n0 == 4
-
     def test_strict_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(self.CONFIG.replace("a0: 3", "a0: 3\n  bogus: 1"))

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from planesync import ftcore, protocol, ring, simnet
 from planesync.adversaries import BUILTINS, Adversary, make_adversary
 from planesync.errors import ConfigurationError, SimulationError
-from planesync.harness import reference_scenario, run_once
+from planesync.harness import Scenario, reference_scenario, run_once
 from planesync.params import Resolved, SystemParams, TTSchedule, resolve, validate
 from planesync.protocol import MwsState, TTMessageUp, mes_on_begin_vc_send, next_sig_tick
 from planesync.ring import ring_dist
@@ -152,6 +152,55 @@ class TestEngine:
         ties = [(divmod(a[3], 3), divmod(b[3], 3)) for a, b in zip(popped, popped[1:])
                 if a[:3] == b[:3] and a[2] == K_SLOT]
         assert ties and all(first < second for first, second in ties)
+
+    @pytest.mark.parametrize("init", ["synchronized", "random"])
+    def test_insertion_order_decides_no_tie(self, init, tmp_path, monkeypatch):
+        """`schedule` keys an entry by its insertion number, which decides
+        the ties among deliveries and adversary events at one (instant,
+        rank, kind).  Keyed by the negated number, every such tie runs the
+        other way round, and each run's result record and full trace stay
+        byte for byte: 20 seeds per built-in on the reference scenario, and
+        10 `random_noise` seeds on scenarios/wide.yaml, 30 windows each.
+        Only the wide runs reach such ties (three faulty terminals' uploads
+        to one plane, and their blasts, at one instant)."""
+        wide = Scenario.from_file(str(Path(__file__).resolve().parent.parent / "scenarios"
+                                      / "wide.yaml"))
+        cells = [(reference_scenario(adversary=name), range(20)) for name in sorted(BUILTINS)]
+        cells.append((dataclasses.replace(wide, adversary="random_noise"), range(10)))
+
+        def digests():
+            out = []
+            for sc, seeds in cells:
+                sc = dataclasses.replace(sc, init=init, horizon=30, stop_after_confirm=False,
+                                         trace_level="full")
+                for seed in seeds:
+                    path = tmp_path / f"t{seed}.jsonl"
+                    result = run_once(sc, seed, trace_path=str(path))
+                    h = hashlib.sha256(json.dumps(result.to_record(), sort_keys=True).encode())
+                    h.update(path.read_bytes())
+                    out.append(h.hexdigest())
+            return out
+
+        want = digests()
+        ties, last = 0, None
+
+        def schedule(self, t, node_rank, kind, fn, *args):
+            if t < self.now:
+                raise SimulationError(f"event scheduled in the past: {t} < {self.now}")
+            heapq.heappush(self._heap, (t, node_rank, kind, -self._seq, fn, args))
+            self._seq += 1
+
+        def heappop(heap):
+            nonlocal ties, last
+            entry = heapq.heappop(heap)
+            ties += entry[2] != K_SLOT and entry[:3] == last
+            last = entry[:3]
+            return entry
+        monkeypatch.setattr(Engine, "schedule", schedule)
+        monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                             heappop=heappop))
+        assert digests() == want
+        assert ties
 
 
 class TestHardwareClock:
@@ -789,7 +838,7 @@ class TestMidRoundCorruption:
     def test_stabilizes_after_a_transient_fault(self, name, corrupt):
         sc = reference_scenario(init="synchronized")
         rp = sc.resolved
-        confirm = sc.confirm_windows(rp)
+        confirm = sc.confirm_windows()
         for seed in range(20):
             w = World(rp, make_adversary(name), seed=seed, init_policy="synchronized",
                       trace_level="off")
@@ -805,6 +854,38 @@ class TestMidRoundCorruption:
                 if run == confirm:
                     break
             assert run == confirm, (name, seed)
+
+
+class TestResilienceFrontier:
+    """The paper's bound on faulty terminals, n0 > 3 f0, from both sides:
+    no clock synchronization is possible with n <= 3f (Dolev, Halpern and
+    Strong, JCSS 1986).  At n0 = 3, f0 = 1, `max_skew` breaks closure from
+    a synchronized start (seeds 0-2 x 100 windows: 181 of 300 windows
+    violate precision, the worst by 32 ticks against eps0 = 10); at the
+    in-model neighbour, n0 = 4, no window does (worst 2 ticks)."""
+
+    def verdicts(self, rp):
+        out = []
+        for seed in range(3):
+            w = World(rp, make_adversary("max_skew"), seed=seed, init_policy="synchronized",
+                      trace_level="off")
+            w.run_until_window(100)
+            out += sync_check(w.qap_tracks(), [k * w.window for k in range(101)], rp, w.L)
+            w.close()
+        return out
+
+    def test_max_skew_breaks_closure_only_past_the_bound(self, out_of_model):
+        ref = reference_scenario().resolved
+        rp = out_of_model(ref, n0=3)
+        assert "n0>3f0 violated" in str(validate(rp.sys, rp.sched))
+        with pytest.raises(ConfigurationError, match="n0>3f0 violated"):
+            resolve(rp.sys, rp.sched)
+        past = self.verdicts(rp)
+        assert sum(not ok for ok, _dev in past) > len(past) / 2
+        assert max(dev for _ok, dev in past) > 2 * rp.eps0
+        inside = self.verdicts(ref)
+        assert all(ok for ok, _dev in inside)
+        assert max(dev for _ok, dev in inside) < rp.eps0
 
 
 class TestRounds:
