@@ -25,19 +25,15 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import FaultBudgetError
 from .params import Resolved
-from .ring import circ_sort, ring_med, unwrap
+from .ring import circ_sort, ring_med
 
 __all__ = [
     "below",
-    "msr_reduce",
-    "msr_select",
-    "circ_mean",
     "fta_values",
     "fta",
     "rft",
     "accuracy_check",
     "hw_accuracy_threshold",
-    "update_acc_counter",
     "filters",
     "check_stb",
     "check_weak",
@@ -61,47 +57,28 @@ def below(rng: Random, n: int) -> int:
     return r
 
 
-def msr_reduce(values: list[int], f: int, tau_max: int) -> list[int]:
-    """Drop the f smallest and f largest of the circularly sorted values."""
+def fta_values(values: list[int], f: int, tau_max: int) -> int:
+    """Reduce-select-mean over an already-aggregated value sequence: drop the
+    f smallest and f largest of the circularly sorted values, keep every
+    f-th of the rest (positions 0, f, 2f, ...), and take their integer
+    circular mean: the offsets from the start of their circ_sort arc,
+    averaged and rounded half toward the arc start.
+
+    Trimming both ends of a circular order leaves the circ_sort order of
+    what is left: the gap the order skips only widens, and where it still
+    ties an inner gap, the trimmed values equal the ends that stay, so the
+    same gap wins the tie.  For f <= 1 the select's step is 1 and keeps
+    every value, so neither the select nor a second sort is needed then.
+    """
     if len(values) <= 2 * f:
         raise FaultBudgetError(f"need more than 2f={2*f} values, got {len(values)}")
-    ordered = circ_sort(values, tau_max)
-    return ordered[f:len(ordered) - f] if f else ordered
-
-
-def msr_select(values: list[int], f: int) -> list[int]:
-    """Every f-th element (positions 0, f, 2f, ...) of an ordered sequence."""
-    if not values:
-        raise FaultBudgetError("select on an empty sequence")
-    step = max(f, 1)
-    return values[::step]
-
-
-def circ_mean(values: list[int], tau_max: int) -> int:
-    """Integer circular mean: unwrap along the circ_sort arc, average,
-    round half toward the arc start."""
-    return _arc_mean(circ_sort(values, tau_max), tau_max)
-
-
-def _arc_mean(ordered: list[int], tau_max: int) -> int:
-    """circ_mean of values already in circ_sort order."""
-    s, n = sum(unwrap(ordered, tau_max)), len(ordered)
+    kept = circ_sort(values, tau_max)[f:len(values) - f]
+    if f > 1:
+        kept = circ_sort(kept[::f], tau_max)
+    start, n = kept[0], len(kept)
+    s = sum([(v - start) % tau_max for v in kept])
     rounded = -((n - 2 * s) // (2 * n))   # ceil(s/n - 1/2), exactly
-    return (ordered[0] + rounded) % tau_max
-
-
-def fta_values(values: list[int], f: int, tau_max: int) -> int:
-    """Reduce-select-mean over an already-aggregated value sequence.
-
-    msr_reduce returns circ_sort order, and trimming both ends of a circular
-    order leaves the circ_sort order of what is left: the gap the order
-    skips only widens, and where it still ties an inner gap, the trimmed
-    values equal the ends that stay, so the same gap wins the tie.  For
-    f <= 1 the select's step is 1 and keeps every value, so neither the
-    select nor a second sort is needed then.
-    """
-    kept = msr_reduce(values, f, tau_max)
-    return _arc_mean(kept, tau_max) if f <= 1 else circ_mean(msr_select(kept, f), tau_max)
+    return (start + rounded) % tau_max
 
 
 def fta(C: Relays, rp: Resolved) -> Optional[int]:
@@ -162,10 +139,6 @@ def accuracy_check(m_curr: int, m_pre: int, h_curr: int, h_pre: int, rp: Resolve
     return min(d, tau - d) <= rp.dv.hw_acc_bound
 
 
-def update_acc_counter(counter: int, ok: bool, a0: int) -> int:
-    return min(counter + 1, a0) if ok else 0
-
-
 def filters(M: Relays, A: Relays, rp: Resolved) -> frozenset[int]:
     """The planes that pass both the accuracy filter (n0-f0 counters at a0)
     and the majority filter (n0-f0 records equal to the plane's median).
@@ -212,7 +185,9 @@ def _window_starts(C: Relays, combos: Iterable[tuple[int, ...]], width: int,
     starts: set[int] = set()
     for planes in combos:
         full, anchors = [], set()
-        entries_of = itemgetter(*planes)    # a tuple: n1 - f1 >= 2 planes
+        # A tuple of entries; one plane (n1 - f1 = 1, outside the model) is
+        # taken twice, which changes neither the full test nor the arc test.
+        entries_of = itemgetter(*planes) if len(planes) > 1 else itemgetter(*planes, *planes)
         for vec in C:
             entries = entries_of(vec)
             if None not in entries:

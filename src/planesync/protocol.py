@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional, Union
 
-from .ftcore import check_stb, check_weak, filters, fta, rft, accuracy_check, update_acc_counter
+from .ftcore import check_stb, check_weak, filters, fta, rft, accuracy_check
 from .params import Resolved
 from .ring import ring_med, wrap_add, wrap_sub
 
@@ -100,7 +100,7 @@ def mes_on_clock_msg(state: MesState, p: int, m: int, h_now: int, rp: Resolved) 
         state.acc[p] = 0  # a first record carries no history to grade
     else:
         ok = accuracy_check(m, m_pre, h, h_pre, rp)
-        state.acc[p] = update_acc_counter(state.acc[p], ok, rp.a0)
+        state.acc[p] = min(state.acc[p] + 1, rp.a0) if ok else 0
 
 
 def mes_on_begin_vc_send(state: MesState, h_now: int, rp: Resolved) -> TTMessageUp:

@@ -13,8 +13,8 @@ an off-ring value.
 
 The per-round hot paths write wrap_add, wrap_sub and ring_dist inline as
 `% tau`: the terminal steps and the switch's round decision in
-protocol.py, and accuracy_check, the window search, check_weak and the
-circular mean in ftcore.  That is exact: Python's % is the floored
+protocol.py, and accuracy_check, the window search, check_weak and
+fta_values in ftcore.  That is exact: Python's % is the floored
 modulo, so (a % tau + b) % tau == (a + b) % tau for all integers a and b,
 and a chain of wraps equals one % of the plain sum or difference, which
 lands on the ring.
@@ -22,7 +22,7 @@ lands on the ring.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import ConfigurationError
 
@@ -102,11 +102,3 @@ def ring_med(values: Iterable[int], tau_max: int) -> int:
             return vals[(len(vals) - 1) // 2]
     cut = _cut(vals, tau_max)
     return vals[(cut + (len(vals) - 1) // 2) % len(vals)]
-
-
-def unwrap(ordered: Sequence[int], tau_max: int) -> list[int]:
-    """Offsets of circularly sorted values from the arc start."""
-    if not ordered:
-        raise ValueError("unwrap of an empty sequence")
-    start = ordered[0]
-    return [(v - start) % tau_max for v in ordered]

@@ -633,7 +633,11 @@ class World:
         # end_mc has chosen c_new (validate orders the slots).  A value that
         # reaches a terminal's round before its receive slot opens and
         # before t_end_cs is buffered now (the store: module docstring);
-        # every other value takes a delivery event.
+        # every other value takes a delivery event.  None arrives before its
+        # round's anchor: the round is the one this plane's SIG started, its
+        # anchor at most eps_rnd after that SIG, and validate's upward rule
+        # and slot order give eps_rnd < mc_recv[1] T_H (1 - rho) <= c_send[0]
+        # T_H (1 - rho), which is at most the time from that SIG to now.
         m = rnd.c_new
         t = self.engine.now
         choose_delay, quantum, n1 = self._choose_delay, self.delay_quantum, self._n1
@@ -645,7 +649,7 @@ class World:
             if self._trace_full:
                 self.trace.send_down(t=t, plane=p, to=i, m=m, arrival=arrival)
             dest = self.mes_round[i][p]
-            if dest.anchor <= arrival < dest.b_recv and arrival < t_end_cs:
+            if arrival < dest.b_recv and arrival < t_end_cs:
                 if not dest.buffer:     # the first value pushes the slot-begin step
                     heapq.heappush(self._heap, (dest.b_recv, n1 + i, K_SLOT, dest.seq_cr,
                                                 self._on_begin_cr, (i, p, dest)))

@@ -20,18 +20,14 @@ from planesync.ftcore import (
     accuracy_check,
     check_stb,
     check_weak,
-    circ_mean,
     filters,
     fta,
     fta_values,
     hw_accuracy_threshold,
-    msr_reduce,
-    msr_select,
     rft,
-    update_acc_counter,
 )
 from planesync.params import SystemParams, TTSchedule, resolve
-from planesync.ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
+from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
 
@@ -54,22 +50,23 @@ def by_relay(rows):
 
 class TestMsr:
     def test_reduce_examples(self):
-        assert msr_reduce([10, 10, 10, 100], 1, 1000) == [10, 10]
-        assert msr_reduce([5, 5, 5], 0, 1000) == [5, 5, 5]
-        assert msr_reduce([995, 3, 7, 999], 1, 1000) == [999, 3]
+        # f = 1 trims one value from each end of the circular order and
+        # keeps the rest; f = 0 keeps every value.
+        assert fta_values([10, 10, 10, 100], 1, 1000) == 10     # kept 10, 10
+        assert fta_values([10, 10, 10, 100], 0, 1000) == 32
+        assert fta_values([5, 5, 5], 0, 1000) == 5
+        assert fta_values([995, 3, 7, 999], 1, 1000) == 1       # kept 999, 3
 
     def test_reduce_budget(self):
         with pytest.raises(FaultBudgetError):
-            msr_reduce([1, 2], 1, 100)
+            fta_values([1, 2], 1, 100)
 
     def test_select_examples(self):
-        assert msr_select([10, 10], 1) == [10, 10]
-        assert msr_select([1, 2, 3, 4, 5], 2) == [1, 3, 5]
-        assert msr_select([7], 3) == [7]
-
-    def test_select_empty(self):
-        with pytest.raises(FaultBudgetError):
-            msr_select([], 1)
+        # f = 2 keeps positions 0, 2, 4, ... of the trimmed values.
+        assert fta_values([20, 0, 10, 2, 0, 4, 1, 20, 3], 2, 1000) == 5   # kept 1, 3, 10
+        assert fta_values([7, 0, 0, 0, 99, 99, 99], 3, 1000) == 7         # kept 7
+        # The selected 0 and 60 are ordered 60, 0 on a ring of 100.
+        assert fta_values([0, 0, 0, 30, 60, 60, 60], 2, 100) == 80
 
 
 class TestFta:
@@ -147,12 +144,12 @@ class TestFta:
 class TestCircMean:
     def test_round_half_toward_arc_start(self):
         # Offsets [0, 1] from start 10: mean 0.5 rounds to 0.
-        assert circ_mean([10, 11], 100) == 10
-        assert circ_mean([999, 3], 1000) == 1
+        assert fta_values([10, 11], 0, 100) == 10
+        assert fta_values([999, 3], 0, 1000) == 1
 
     def test_matches_fraction_formula(self):
-        # Oracle: unwrap along the circ_sort arc, take the exact rational
-        # mean, round half toward the arc start.
+        # Oracle, with f = 0: the offsets from the circ_sort arc's start,
+        # their exact rational mean, rounded half toward the arc start.
         rng = random.Random(11)
         for _ in range(5000):
             tau = rng.choice([2, 3, 100, 1000, 4096])
@@ -160,10 +157,10 @@ class TestCircMean:
             base = rng.randrange(tau)
             vals = [(base + rng.randrange(spread)) % tau for _ in range(rng.randrange(1, 13))]
             ordered = circ_sort(vals, tau)
-            offsets = unwrap(ordered, tau)
+            offsets = [wrap_sub(v, ordered[0], tau) for v in ordered]
             mean = Fraction(sum(offsets), len(offsets))
             want = (ordered[0] + math.ceil(mean - Fraction(1, 2))) % tau
-            assert circ_mean(vals, tau) == want, vals
+            assert fta_values(vals, 0, tau) == want, vals
 
 
 class TestRft:
@@ -248,11 +245,6 @@ class TestAccuracy:
         want = math.ceil(Fraction(2 * rp.eps0 + 2 * rho * rp.T + rp.d_max_ticks)
                          / (1 - rho) ** 2)
         assert hw_accuracy_threshold(rp) == rp.dv.hw_acc_bound == want
-
-    def test_counter_updates(self):
-        assert update_acc_counter(2, True, 3) == 3
-        assert update_acc_counter(3, True, 3) == 3
-        assert update_acc_counter(3, False, 3) == 0
 
 
 class TestFilters:

@@ -1,5 +1,6 @@
 """Protocol state machine tests for terminal and master switch nodes."""
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planesync.ftcore import (accuracy_check, check_stb, check_weak, fta, fta_values,
-                              hw_accuracy_threshold, msr_reduce, msr_select, update_acc_counter)
+                              hw_accuracy_threshold)
 from planesync.params import SystemParams, TTSchedule, resolve
 from planesync.protocol import (
     MesState,
@@ -29,7 +30,9 @@ from planesync.protocol import (
     mws_watchdog_ticks,
     next_sig_tick,
 )
-from planesync.ring import circ_sort, ring_dist, ring_med, unwrap, wrap_add, wrap_sub
+from planesync.ring import circ_sort, ring_dist, ring_med, wrap_add, wrap_sub
+
+from conftest import out_of_model
 
 SCHED = TTSchedule(vc_send=(6, 10), mc_recv=(14, 24), c_send=(30, 34), c_recv=(38, 48))
 
@@ -369,7 +372,7 @@ def ref_mes_on_clock_msg(state, p, m, h_now, rp):
     state.c_tilde[p] = wrap_sub(m, h, tau)
     if had_prev:
         ok = accuracy_check(m, state.prev_m[p], h, state.prev_h[p], rp)
-        state.acc[p] = update_acc_counter(state.acc.get(p, 0), ok, rp.a0)
+        state.acc[p] = min(state.acc.get(p, 0) + 1, rp.a0) if ok else 0
     else:
         state.acc[p] = 0
 
@@ -489,10 +492,21 @@ def ref_check_weak(C, rp):
     return wrap_add(circ_sort(starts, rp.tau_max)[0], half, rp.tau_max)
 
 
+def _ref_arc(values, tau):
+    """The values in circular order: the ring cut at its widest empty arc,
+    the wrap arc (from the largest value round to the smallest) winning
+    ties, and then the first of the inner ones."""
+    vals = sorted(values)
+    gaps = [tau - (vals[-1] - vals[0])] + [b - a for a, b in zip(vals, vals[1:])]
+    k = gaps.index(max(gaps))
+    return vals[k:] + vals[:k]
+
+
 def ref_fta_values(values, f, tau):
-    ordered = circ_sort(msr_select(msr_reduce(values, f, tau), f), tau)
-    s, n = sum(unwrap(ordered, tau)), len(ordered)
-    return wrap_add(ordered[0], -((n - 2 * s) // (2 * n)) % tau, tau)
+    kept = _ref_arc(values, tau)[f:len(values) - f]
+    chosen = _ref_arc(kept[::max(f, 1)], tau)
+    mean = Fraction(sum((v - chosen[0]) % tau for v in chosen), len(chosen))
+    return (chosen[0] + math.ceil(mean - Fraction(1, 2))) % tau
 
 
 def ref_fta(C, rp):
@@ -635,13 +649,15 @@ def _window_relays(draw, rp):
 
 
 @pytest.mark.same_bytes
-@pytest.mark.parametrize("rp", [make_rp(), make_rp(n0=7, f0=2)], ids=["n0=4", "n0=7"])
+@pytest.mark.parametrize("rp", [make_rp(), make_rp(n0=7, f0=2), out_of_model(make_rp(), f1=2)],
+                         ids=["n0=4", "n0=7", "f1=2"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_window_search_matches_reference(rp, data):
     # check_stb anchors only at full relays' entries and stops at its first
     # window; check_weak anchors at every entry.  The reference anchors
-    # both at every entry, in order, and reads rows per plane.
+    # both at every entry, in order, and reads rows per plane.  f1 = 2 is
+    # outside the model: its windows span a single plane.
     vecs = data.draw(_window_relays(rp))
     p_acma = frozenset(data.draw(st.sets(st.integers(0, rp.n1 - 1), min_size=rp.n1 - rp.f1)))
     rows = [[vec[p] for vec in vecs] for p in range(rp.n1)]
@@ -676,8 +692,8 @@ def test_fta_values_matches_reference(values, f, tau):
     # inner gap.  Trimming keeps circ_sort order; fta_values relies on it.
     values = [v % tau for v in values]
     if len(values) > 2 * f:
-        reduced = msr_reduce(values, f, tau)
-        assert circ_sort(reduced, tau) == reduced
+        kept = circ_sort(values, tau)[f:len(values) - f]
+        assert circ_sort(kept, tau) == kept
         assert fta_values(values, f, tau) == ref_fta_values(values, f, tau)
 
 

@@ -794,7 +794,7 @@ class TestWorkCounts:
             finally:
                 sys.setprofile(None)
             w.close()
-        assert calls == 601500
+        assert calls == 558468
 
 
 class TestVerdictOnRead:
@@ -856,36 +856,69 @@ class TestMidRoundCorruption:
             assert run == confirm, (name, seed)
 
 
-class TestResilienceFrontier:
-    """The paper's bound on faulty terminals, n0 > 3 f0, from both sides:
-    no clock synchronization is possible with n <= 3f (Dolev, Halpern and
-    Strong, JCSS 1986).  At n0 = 3, f0 = 1, `max_skew` breaks closure from
-    a synchronized start (seeds 0-2 x 100 windows: 181 of 300 windows
-    violate precision, the worst by 32 ticks against eps0 = 10); at the
-    in-model neighbour, n0 = 4, no window does (worst 2 ticks)."""
+# The resilience frontier's cells (n0, f0, f1).  An out-of-model cell
+# borrows the derived constants of its in-model neighbour, names the
+# validate rule it breaks, and names the built-ins that must break closure
+# there; an in-model cell (no neighbour) holds under every built-in.
+FRONTIER = [
+    ((4, 1, 1), None, None, ()),
+    ((7, 2, 1), None, None, ()),
+    ((3, 1, 1), (4, 1, 1), "n0>3f0", ("max_skew",)),
+    ((6, 2, 1), (7, 2, 1), "n0>3f0", ("max_skew",)),
+    ((4, 1, 2), (4, 1, 1), "n1>2f1", ("random_noise", "max_skew")),
+]
 
-    def verdicts(self, rp):
+
+class TestResilienceFrontier:
+    """The paper's resilience bounds, n0 > 3 f0 and n1 > 2 f1, from both
+    sides: no clock synchronization is possible with n <= 3f (Dolev,
+    Halpern and Strong, JCSS 1986).  Each cell runs seeds 0-2 x 100 windows
+    from a synchronized start.  Measured, against eps0 = 10:
+
+    - (4, 1, 1) and (7, 2, 1), in the model: no window violates precision
+      under any built-in, the worst by 2-3 ticks;
+    - (3, 1, 1) and (6, 2, 1): `max_skew` makes 181 and 182 of 300 windows
+      violate, the worst by 32 ticks;
+    - (4, 1, 2): `random_noise` makes all 300 violate, the worst by 2,048
+      ticks, and `max_skew` 242, the worst by 52.
+    """
+
+    @staticmethod
+    def resolved(cell):
+        ref = reference_scenario().resolved
+        n0, f0, f1 = cell
+        return resolve(dataclasses.replace(ref.sys, n0=n0, f0=f0, f1=f1), ref.sched)
+
+    @staticmethod
+    def verdicts(rp, name):
         out = []
         for seed in range(3):
-            w = World(rp, make_adversary("max_skew"), seed=seed, init_policy="synchronized",
+            w = World(rp, make_adversary(name), seed=seed, init_policy="synchronized",
                       trace_level="off")
             w.run_until_window(100)
             out += sync_check(w.qap_tracks(), [k * w.window for k in range(101)], rp, w.L)
             w.close()
         return out
 
-    def test_max_skew_breaks_closure_only_past_the_bound(self, out_of_model):
-        ref = reference_scenario().resolved
-        rp = out_of_model(ref, n0=3)
-        assert "n0>3f0 violated" in str(validate(rp.sys, rp.sched))
-        with pytest.raises(ConfigurationError, match="n0>3f0 violated"):
+    @pytest.mark.parametrize("cell, neighbour, rule, breakers", FRONTIER,
+                             ids=["n0={},f0={},f1={}".format(*row[0]) for row in FRONTIER])
+    def test_cell(self, cell, neighbour, rule, breakers, out_of_model):
+        if neighbour is None:
+            rp = self.resolved(cell)
+            for name in BUILTINS:
+                out = self.verdicts(rp, name)
+                assert all(ok for ok, _dev in out), name
+                assert max(dev for _ok, dev in out) < rp.eps0, name
+            return
+        n0, f0, f1 = cell
+        rp = out_of_model(self.resolved(neighbour), n0=n0, f0=f0, f1=f1)
+        assert f"{rule} violated" in str(validate(rp.sys, rp.sched))
+        with pytest.raises(ConfigurationError, match=f"{rule} violated"):
             resolve(rp.sys, rp.sched)
-        past = self.verdicts(rp)
-        assert sum(not ok for ok, _dev in past) > len(past) / 2
-        assert max(dev for _ok, dev in past) > 2 * rp.eps0
-        inside = self.verdicts(ref)
-        assert all(ok for ok, _dev in inside)
-        assert max(dev for _ok, dev in inside) < rp.eps0
+        for name in breakers:
+            out = self.verdicts(rp, name)
+            assert sum(not ok for ok, _dev in out) > len(out) / 2, name
+            assert max(dev for _ok, dev in out) > 2 * rp.eps0, name
 
 
 class TestRounds:
