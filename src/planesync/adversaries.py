@@ -12,7 +12,10 @@ Faulty nodes take the last indices: World's honest_* and faulty_* are ranges.
 Faulty planes act through three World hooks: faulty_sig starts a round at
 the terminals, adv_deliver_down injects arbitrary per-recipient clock
 values, and schedule_adv runs strategy code at chosen instants.  Faulty
-terminals inject upward messages through adv_send_up.
+terminals inject upward messages through adv_send_up.  A hook acts now or
+later, never in the past: faulty_sig and adv_send_up act now, so a plane
+polices an upload on the instant the World stamped, and a past instant
+given to adv_deliver_down or schedule_adv means now.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class RandomNoise(Adversary):
         t_sig = w.engine.now + gap
 
         def fire(p=p):
-            w.faulty_sig(p, w.engine.now)
+            w.faulty_sig(p)
             sc = self.rp.sched
             for i in w.honest_mes:
                 off = sc.c_send[0] * QUANT + self._below(4 * QUANT)
@@ -146,12 +149,12 @@ class RandomNoise(Adversary):
         send_t = anchor + (sc.vc_send[0] * QUANT + self._below(4 * QUANT)) * \
             (w.THL // QUANT)
 
-        def blast(i=i, p=p, send_t=send_t):
+        def blast(i=i, p=p):
             tau, below, random, planes = rp.tau_max, self._below, self.rng.random, range(rp.n1)
             c_vec = tuple([below(tau) if random() < 0.8 else None for _ in planes])
             a_vec = tuple([below(rp.a0 + 1) for _ in planes])
             m_vec = tuple([below(tau) if random() < 0.8 else None for _ in planes])
-            w.adv_send_up(i, p, TTMessageUp(c_vec, a_vec, m_vec), send_t)
+            w.adv_send_up(i, p, TTMessageUp(c_vec, a_vec, m_vec))
 
         w.schedule_adv(send_t, blast)
 
@@ -220,7 +223,7 @@ class SplitBrain(Adversary):
             self._inject_between(t1, t)
             for pf in w.faulty_planes:
                 w.schedule_adv(t1 + self._anchor_off * w.THL,
-                               lambda pf=pf: w.faulty_sig(pf, w.engine.now))
+                               lambda pf=pf: w.faulty_sig(pf))
         else:
             self._last = (t, p)
 

@@ -686,14 +686,14 @@ class World:
 
     def _deliver_up(self, p: int, send_t: int, i: int, msg: TTMessageUp) -> None:
         """A faulty terminal's upload, at its arrival instant.  TT isolation
-        at the plane: the round keeps it if it was sent within the policed
-        image of the round's upward slot and arrives before e_recv, where
-        collection ends (slot handlers run before deliveries); one that
-        comes before the slot opens is kept."""
+        at the plane: the round keeps it if it was sent (send_t, the instant
+        the World stamped) within the policed image of the round's upward
+        slot and arrives before e_recv, where collection ends (slot handlers
+        run before deliveries); one that comes before the slot opens is kept."""
         rnd = self.plane_round[p]
         if rnd is None:
-            return
-        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
+            why = "no round"
+        elif not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
             why = "outside policed slot"
         elif self.engine.now >= rnd.e_recv:
             why = "late"
@@ -751,20 +751,17 @@ class World:
 
     # ---- adversary-facing hooks for faulty components ----------------------
 
-    def faulty_sig(self, p: int, t_sig: int) -> None:
-        """A faulty plane starts a round: terminals get anchors as usual, but
-        the plane side is entirely adversary-driven."""
+    def faulty_sig(self, p: int) -> None:
+        """A faulty plane starts a round now: terminals get anchors as usual,
+        but the plane side is entirely adversary-driven."""
         if type(p) is not int:
             p = _integer("faulty_sig", "p", p)
         if p not in self.faulty_planes:
             raise SimulationError("faulty_sig on a nonfaulty plane")
-        if type(t_sig) is not int:
-            t_sig = _integer("faulty_sig", "t_sig", t_sig)
-        if t_sig < self.engine.now:
-            raise SimulationError(f"faulty_sig in the past: {t_sig} < {self.engine.now}")
+        now = self.engine.now
         if self._trace_core:
-            self.trace.sig(t=t_sig, plane=p, c=None)
-        self._start_member_rounds(p, t_sig)
+            self.trace.sig(t=now, plane=p, c=None)
+        self._start_member_rounds(p, now)
 
     def adv_deliver_down(self, p: int, i: int, m: int, arrival: int) -> None:
         if type(p) is not int:
@@ -784,16 +781,14 @@ class World:
         self.engine.schedule(max(arrival, self.engine.now), self._n1 + i, K_DELIVER,
                              self._deliver_down, p, i, m % self.rp.tau_max)
 
-    def adv_send_up(self, i: int, p: int, msg: TTMessageUp, send_t: int) -> None:
-        """A faulty terminal's upload, put in wire form: each vector has n1
-        entries, each an integer or None, and every clock value is reduced
-        onto the ring."""
+    def adv_send_up(self, i: int, p: int, msg: TTMessageUp) -> None:
+        """A faulty terminal's upload, sent now, the instant _deliver_up
+        polices, in wire form: each vector has n1 entries, each an integer
+        or None, and every clock value is reduced onto the ring."""
         if type(i) is not int:
             i = _integer("adv_send_up", "i", i)
         if i not in self.faulty_mes:
             raise SimulationError("adversarial upward send from a nonfaulty terminal")
-        if type(send_t) is not int:
-            send_t = _integer("adv_send_up", "send_t", send_t)
         n1, tau = self.rp.n1, self.rp.tau_max
         if type(p) is not int:
             p = _integer("adv_send_up", "p", p)
@@ -815,8 +810,9 @@ class World:
         k = self._choose_delay(n1 + i, p)
         if type(k) is not int or not 1 <= k <= QUANT:
             k = _count("choose_delay", "delay", k, 1)
-        arrival = max(send_t, self.engine.now) + k * self.delay_quantum
-        self.engine.schedule(arrival, p, K_DELIVER, self._deliver_up, p, send_t, i, msg)
+        now = self.engine.now
+        self.engine.schedule(now + k * self.delay_quantum, p, K_DELIVER, self._deliver_up,
+                             p, now, i, msg)
 
     def schedule_adv(self, t: int, fn: Callable[[], None]) -> None:
         if type(t) is not int:

@@ -263,8 +263,7 @@ class _LateSender(Adversary):
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
         junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
-        w.schedule_adv(anchor + 20 * w.THL,
-                       lambda i=i, p=p: w.adv_send_up(i, p, junk, w.engine.now))
+        w.schedule_adv(anchor + 20 * w.THL, lambda i=i, p=p: w.adv_send_up(i, p, junk))
 
 
 class _SlotSender(_LateSender):
@@ -279,9 +278,7 @@ class _SlotSender(_LateSender):
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
         junk = TTMessageUp(c_vec=self.c_vec, a_vec=self.a_vec, m_vec=self.m_vec)
-        send_t = anchor + 7 * w.THL
-        w.schedule_adv(send_t,
-                       lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
+        w.schedule_adv(anchor + 7 * w.THL, lambda i=i, p=p: w.adv_send_up(i, p, junk))
 
 
 class _DownSender(Adversary):
@@ -299,7 +296,7 @@ class _DownSender(Adversary):
         pf = next(iter(w.faulty_planes))
 
         def fire():
-            w.faulty_sig(pf, w.engine.now)
+            w.faulty_sig(pf)
             for i in w.honest_mes:
                 w.adv_deliver_down(pf, i, self.m, w.mes_round[i][pf].b_recv)
 
@@ -377,6 +374,20 @@ class TestPolicing:
         with pytest.raises(SimulationError, match=rf"terminal {faulty} sent plane \d"):
             w.run_until_window(3)
 
+    def test_upload_before_the_first_round_recorded(self):
+        # Every drop leaves a record, the one for want of a round included.
+        for seed in range(5):
+            w = World(RP, _EarlySender(), seed=seed, init_policy="random", trace_level="full")
+            w.run_until_window(1)
+            w.close()
+            records = _records(w)
+            faulty = next(iter(w.faulty_mes))
+            drops = {r["plane"]: r for r in records if r["ev"] == "drop_up"}
+            assert drops.keys() == set(w.honest_planes), seed
+            for p, r in drops.items():
+                first_sig = min(s["t"] for s in records if s["ev"] == "sig" and s["plane"] == p)
+                assert (r["mes"], r["why"]) == (faulty, "no round") and r["t"] < first_sig, seed
+
     def test_early_arrivals_buffered_until_slot_begin(self):
         w = _Closed(RP, make_adversary("silent"), seed=3,
                     init_policy="synchronized", trace_level="full")
@@ -437,8 +448,8 @@ class _EventDelivery(World):
     def _deliver_up(self, p, send_t, i, msg):
         rnd = self.plane_round[p]
         if rnd is None:
-            return
-        if not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
+            self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why="no round")
+        elif not (rnd.anchor + self._police_lo <= send_t <= rnd.anchor + self._police_hi):
             self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why="outside policed slot")
         elif getattr(rnd, "closed", False):
             self.trace.drop_up(t=self.engine.now, plane=p, mes=i, why="late")
@@ -483,11 +494,9 @@ class TestSendTimeDelivery:
         # included, as the reference.
         events = ref_events = 0
         whys = set()
-        adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
-                       _LateSender, _LateRelay]
-        for adversary, init, seed in itertools.product(adversaries, ("synchronized", "random"),
-                                                       (1, 2, 3)):
-            w, ref = (cls(RP, adversary(), seed=seed, init_policy=init, trace_level="full")
+        for (rp, adversary), init, seed in itertools.product(UPLOADERS, ("synchronized", "random"),
+                                                             (1, 2, 3)):
+            w, ref = (cls(rp, adversary(), seed=seed, init_policy=init, trace_level="full")
                       for cls in (World, _EventDelivery))
             _assert_same_run(w, ref, 100, (w.adversary.name, init, seed))
             whys |= {r["why"] for r in _records(w) if r["ev"] == "drop_up"}
@@ -495,7 +504,7 @@ class TestSendTimeDelivery:
                 events += w.engine._seq
                 ref_events += ref.engine._seq
         assert events <= 0.75 * ref_events
-        assert whys == TRACE_STRINGS["why"] - {"no round"}
+        assert whys == TRACE_STRINGS["why"]
 
     def test_every_slot_begin_step_finds_a_value(self, monkeypatch):
         # A terminal round pushes its slot-begin step with its first buffered
@@ -582,7 +591,7 @@ class TestSendTimeDelivery:
                 pf = next(iter(w.faulty_planes))
 
                 def fire():
-                    w.faulty_sig(pf, w.engine.now)
+                    w.faulty_sig(pf)
                     for i in w.honest_mes:
                         b_recv = w.mes_round[i][pf].b_recv
                         w.adv_deliver_down(pf, i, 5, b_recv - 1)
@@ -862,9 +871,16 @@ class TestMidRoundCorruption:
 # there; an in-model cell (no neighbour) holds under every built-in.
 FRONTIER = [
     ((4, 1, 1), None, None, ()),
+    ((5, 1, 1), None, None, ()),
     ((7, 2, 1), None, None, ()),
+    ((8, 2, 1), None, None, ()),
+    ((9, 2, 1), None, None, ()),
+    ((10, 3, 1), None, None, ()),
     ((3, 1, 1), (4, 1, 1), "n0>3f0", ("max_skew",)),
+    ((5, 2, 1), (7, 2, 1), "n0>3f0", ("max_skew",)),
     ((6, 2, 1), (7, 2, 1), "n0>3f0", ("max_skew",)),
+    ((8, 3, 1), (10, 3, 1), "n0>3f0", ("max_skew",)),
+    ((9, 3, 1), (10, 3, 1), "n0>3f0", ("max_skew",)),
     ((4, 1, 2), (4, 1, 1), "n1>2f1", ("random_noise", "max_skew")),
 ]
 
@@ -875,10 +891,12 @@ class TestResilienceFrontier:
     Halpern and Strong, JCSS 1986).  Each cell runs seeds 0-2 x 100 windows
     from a synchronized start.  Measured, against eps0 = 10:
 
-    - (4, 1, 1) and (7, 2, 1), in the model: no window violates precision
-      under any built-in, the worst by 2-3 ticks;
-    - (3, 1, 1) and (6, 2, 1): `max_skew` makes 181 and 182 of 300 windows
-      violate, the worst by 32 ticks;
+    - (4, 1, 1), (5, 1, 1), (7, 2, 1), (8, 2, 1), (9, 2, 1) and (10, 3, 1),
+      in the model: no window violates precision under any built-in, the
+      worst by 2-3 ticks;
+    - (3, 1, 1), (5, 2, 1), (6, 2, 1), (8, 3, 1) and (9, 3, 1): `max_skew`
+      makes 181, 181, 182, 183 and 183 of 300 windows violate, the worst
+      by 32 ticks;
     - (4, 1, 2): `random_noise` makes all 300 violate, the worst by 2,048
       ticks, and `max_skew` 242, the worst by 52.
     """
@@ -1337,56 +1355,96 @@ def test_src_draws_only_through_below():
     assert found == []
 
 
+JUNK = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+
+
+# An upward slot whose policed image ends less than d_max before collection
+# ends (20.53 and 22 ticks from the anchor): an upload sent at the slot's
+# end on the longest delay arrives late.  validate accepts it.
+LATE_RP = resolve(RP.sys, TTSchedule(vc_send=(6, 20), mc_recv=(20, 22), c_send=(30, 34),
+                                     c_recv=(38, 48)))
+
+
 class _LateRelay(_LateSender):
-    """Faulty terminal stamps its relay inside the policed slot but delivers
-    it after the plane's collection has ended; dropped as late."""
+    """Under LATE_RP, faulty terminal relays 20.5 ticks after its anchor,
+    inside the policed slot, on the longest delay: the relay arrives after
+    the plane's collection has ended and is dropped as late.  No skew, so
+    the terminal's anchor is the plane's."""
 
     name = "late_relay"
 
+    def choose_skew(self, i, p):
+        return 0
+
+    def choose_delay(self, sender, p):
+        return QUANT
+
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
-        send_t = anchor + 7 * w.THL
-        w.schedule_adv(anchor + 40 * w.THL,
-                       lambda i=i, p=p, s=send_t: w.adv_send_up(i, p, junk, s))
+        w.schedule_adv(anchor + 20 * w.THL + w.THL // 2, lambda i=i, p=p: w.adv_send_up(i, p, JUNK))
+
+
+class _EarlySender(Adversary):
+    """Faulty terminal uploads to every honest plane one tick after the
+    start.  A plane has no round until its first SIG, which almost always
+    comes later: the upload is dropped for want of one."""
+
+    name = "early_sender"
+
+    def setup(self):
+        w = self.world
+        i = next(iter(w.faulty_mes))
+
+        def send():
+            for p in w.honest_planes:
+                w.adv_send_up(i, p, JUNK)
+
+        w.schedule_adv(w.THL, send)
+
+
+# Each built-in, and faulty terminals whose uploads are dropped for each
+# upward reason, with the scenario each runs on.
+UPLOADERS = [*((RP, lambda n=n: make_adversary(n)) for n in BUILTINS),
+             (RP, _LateSender), (LATE_RP, _LateRelay), (RP, _EarlySender)]
 
 
 class _Converting(Adversary):
-    """Faulty plane and terminal that hand `hook` its instants and clock
-    values through `conv`, and every other hook plain ints: the plane starts
-    one round and sends each honest terminal an out-of-ring value as its
-    receive slot opens; the terminal relays inside the policed slot."""
+    """Faulty plane and terminal that hand `hook` its node indices, clock
+    values and instants through `conv`, and every other hook plain ints:
+    the plane starts one round and sends each honest terminal an
+    out-of-ring value as its receive slot opens; the terminal relays inside
+    the policed slot.  `converted` counts the values handed through
+    `conv`."""
 
     name = "converting"
 
     def __init__(self, hook, conv):
         super().__init__()
         self.hook, self.conv = hook, conv
+        self.converted = 0
 
     def _for(self, hook, *values):
-        return [self.conv(v) if hook == self.hook else v for v in values]
+        if hook != self.hook:
+            return values
+        self.converted += len(values)
+        return [self.conv(v) for v in values]
 
     def setup(self):
         w = self.world
         pf = next(iter(w.faulty_planes))
 
         def fire():
-            w.faulty_sig(pf, *self._for("faulty_sig", w.engine.now))
+            w.faulty_sig(*self._for("faulty_sig", pf))
             for i in w.honest_mes:
-                w.adv_deliver_down(pf, i, *self._for("adv_deliver_down", RP.tau_max + 5,
-                                                     w.mes_round[i][pf].b_recv))
+                w.adv_deliver_down(pf, *self._for("adv_deliver_down", i, RP.tau_max + 5,
+                                                  w.mes_round[i][pf].b_recv))
 
         w.schedule_adv(*self._for("schedule_adv", w.THL), fire)
 
     def faulty_mes_round(self, i, p, anchor):
         w = self.world
-        junk = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
-        send_t = anchor + 7 * w.THL
-        w.schedule_adv(send_t, lambda: w.adv_send_up(i, p, junk,
-                                                     *self._for("adv_send_up", send_t)))
-
-
-JUNK = TTMessageUp(c_vec=(1, 2, 3), a_vec=(3, 3, 3), m_vec=(1, 2, 3))
+        w.schedule_adv(anchor + 7 * w.THL,
+                       lambda: w.adv_send_up(*self._for("adv_send_up", i, p), JUNK))
 
 
 def _dumps(r):
@@ -1422,13 +1480,11 @@ class TestTraceExport:
 
         for kind in KINDS:
             monkeypatch.setattr(Trace, kind, spy(kind, getattr(Trace, kind)))
-        adversaries = [*(lambda n=n: make_adversary(n) for n in BUILTINS),
-                       _LateSender, _LateRelay]
         seen, strings, stb, sig_c = set(), {k: set() for k in TRACE_STRINGS}, set(), set()
-        for adversary, init, level in itertools.product(adversaries, ("synchronized", "random"),
-                                                        ("core", "full")):
+        for (rp, adversary), init, level in itertools.product(UPLOADERS, ("synchronized", "random"),
+                                                              ("core", "full")):
             for seed in (1, 2):
-                w = World(RP, adversary(), seed=seed, init_policy=init, trace_level=level)
+                w = World(rp, adversary(), seed=seed, init_policy=init, trace_level=level)
                 w.run_until_window(12)
                 w.close()
                 assert len(spied) == len(w.trace.records)
@@ -1527,6 +1583,7 @@ class TestTraceExport:
                       trace_level="full")
             w.run_until_window(3)
             w.close()
+            assert w.adversary.converted > 0
             traces.append(w.trace.to_jsonl())
         assert traces[0] == traces[1]
         assert '"ev":"recv_down","m":5,' in traces[0]    # the out-of-ring value, reduced
@@ -1562,38 +1619,38 @@ class TestTraceExport:
             w.run_until_window(3)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda w: w.adv_send_up(3, -2, JUNK, w.engine.now),
-         "adv_send_up: no plane -2 among n1 = 3"),
-        (lambda w: w.adv_send_up(3, 3, JUNK, w.engine.now),
-         "adv_send_up: no plane 3 among n1 = 3"),
+        (lambda w: w.adv_send_up(3, -2, JUNK), "adv_send_up: no plane -2 among n1 = 3"),
+        (lambda w: w.adv_send_up(3, 3, JUNK), "adv_send_up: no plane 3 among n1 = 3"),
         (lambda w: w.adv_deliver_down(2, 7, 5, w.engine.now),
          "adv_deliver_down: no terminal 7 among n0 = 4"),
-        (lambda w: w.faulty_sig(0, w.engine.now), "faulty_sig on a nonfaulty plane"),
+        (lambda w: w.faulty_sig(0), "faulty_sig on a nonfaulty plane"),
         (lambda w: w.adv_deliver_down(0, 0, 5, w.engine.now),
          "adversarial delivery from a nonfaulty plane"),
-        (lambda w: w.adv_send_up(0, 2, JUNK, w.engine.now),
-         "adversarial upward send from a nonfaulty terminal"),
-        (lambda w: w.faulty_sig(2.0, w.engine.now), "faulty_sig: p must be an integer, not 2.0"),
-        (lambda w: w.faulty_sig(Fraction(2), w.engine.now),
+        (lambda w: w.adv_send_up(0, 2, JUNK), "adversarial upward send from a nonfaulty terminal"),
+        (lambda w: w.faulty_sig(2.0), "faulty_sig: p must be an integer, not 2.0"),
+        (lambda w: w.faulty_sig(Fraction(2)),
          "faulty_sig: p must be an integer, not Fraction(2, 1)"),
         (lambda w: w.adv_deliver_down(2.0, 0, 5, w.engine.now),
          "adv_deliver_down: p must be an integer, not 2.0"),
         (lambda w: w.adv_deliver_down(Fraction(2), 0, 5, w.engine.now),
          "adv_deliver_down: p must be an integer, not Fraction(2, 1)"),
-        (lambda w: w.adv_send_up(3.0, 2, JUNK, w.engine.now),
-         "adv_send_up: i must be an integer, not 3.0"),
-        (lambda w: w.adv_send_up(Fraction(3), 2, JUNK, w.engine.now),
+        (lambda w: w.adv_deliver_down(2, 0.0, 5, w.engine.now),
+         "adv_deliver_down: i must be an integer, not 0.0"),
+        (lambda w: w.adv_send_up(3.0, 2, JUNK), "adv_send_up: i must be an integer, not 3.0"),
+        (lambda w: w.adv_send_up(Fraction(3), 2, JUNK),
          "adv_send_up: i must be an integer, not Fraction(3, 1)"),
+        (lambda w: w.adv_send_up(3, 0.0, JUNK), "adv_send_up: p must be an integer, not 0.0"),
     ], ids=["plane_below", "plane_above", "terminal_above", "sig_from_honest_plane",
             "delivery_from_honest_plane", "send_from_honest_terminal", "sig_float",
-            "sig_Fraction", "delivery_float", "delivery_Fraction", "send_float",
-            "send_Fraction"])
+            "sig_Fraction", "delivery_float", "delivery_Fraction", "delivery_to_float",
+            "send_float", "send_Fraction", "send_to_float"])
     def test_node_a_hook_cannot_name_refused(self, call, message):
         # The faulty terminal is 3 and the faulty plane 2.  A plane index of
         # -2 would reach plane 1's round, and a terminal of 7 would fail at
         # the delivery instant, naming no hook.  A faulty node named 2.0 or
         # Fraction(2) passes a membership test and would fail later with a
-        # bare TypeError, or key a relay by a float.
+        # bare TypeError, or key a relay by a float; so would a recipient
+        # named 0.0.
         w = World(RP, make_adversary("silent"), seed=1, init_policy="synchronized")
         w.run_until_window(1)
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
@@ -1652,12 +1709,23 @@ class TestTraceExport:
         assert set(ends) == {lo, QUANT}
         assert traces[1] == traces[0] and traces[2] == traces[0]
 
-    def test_faulty_sig_in_the_past_refused(self):
-        w = World(RP, make_adversary("random_noise"), seed=1, init_policy="synchronized")
-        w.run_until_window(1)
-        with pytest.raises(SimulationError, match="faulty_sig in the past"):
-            w.faulty_sig(max(w.faulty_planes), w.engine.now - 1)
-        w.close()
+    def test_delivery_to_a_faulty_terminal_ignored(self):
+        # A faulty plane's value (plane 2) for the faulty terminal (3)
+        # changes no state and writes no record: the run goes on as one
+        # without it.
+        runs = []
+        for deliver in (False, True):
+            w = World(RP, make_adversary("random_noise"), seed=1, init_policy="synchronized",
+                      trace_level="full")
+            w.run_until_window(1)
+            if deliver:
+                heap = list(w.engine._heap)
+                w.adv_deliver_down(2, np.int64(3), 5, w.engine.now)
+                assert w.engine._heap == heap
+            w.run_until_window(3)
+            w.close()
+            runs.append((w.trace.records, w.mws, {i: vars(st) for i, st in w.mes.items()}))
+        assert runs[0] == runs[1]
 
 
 class TestSplitBrain:
